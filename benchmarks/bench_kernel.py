@@ -1,36 +1,24 @@
-"""EST kernel backends: vectorized numpy batch vs scalar vs seed kernel.
+"""EST kernel: scalar batch entry point vs the seed kernel, and DAG-scoped
+candidate invalidation.
 
-Script-mode benchmark for the pluggable EST kernel
-(:mod:`repro.scheduling.kernel`) and the DAG-scoped candidate
-invalidation, emitted into a machine-readable ``BENCH_kernel.json``
-(schema in ``benchmarks/README.md``, gated in CI by
-``scripts/check_speedup.py --kernel``)::
+Script-mode benchmark for :mod:`repro.scheduling.kernel` and the
+candidate selectors, emitted into a machine-readable ``BENCH_kernel.json``
+(schema in ``benchmarks/README.md``; ``scripts/check_speedup.py --kernel``
+checks that every compared pair stayed identical)::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py [--json PATH] \
         [--n N] [--rounds R]
 
-Four sections, all on the frontier workload that motivates batching — a
-two-layer graph whose scheduled producer half feeds an ``n/2``-wide ready
-frontier, the candidate storm a selector faces after a profile-touching
-commit.  Every vectorized section is run once per available vectorized
-backend (``numpy`` always; ``compiled`` when a C toolchain is present),
-one row per ``backend``:
+Two sections:
 
-* **vs_seed** — each batch kernel against the *seed* incremental
-  kernel (frozen-dataclass breakdowns, ``(task, class)`` tuple-key fit
-  memo, per-evaluation ``min()`` over class processors — reproduced here
-  by :class:`SeedKernel` the way ``bench_scaling.py`` reproduces
-  ``LegacySuffixMaxProfile``).  This is the headline number: the
-  compiled backend is >= 8x at n=2000 single-thread (gated >= 8x in CI);
-  numpy is gated >= 3x; and CI additionally gates compiled >= 1.5x over
-  numpy on at least one config (``kernel_ms`` ratio at equal seed
-  baseline).
-* **batch** — each vectorized backend vs the *current* optimized scalar
-  kernel on the same ``evaluate_class_batch`` entry point (the
-  production batch path used by the selectors' deferred full-evaluation
-  flush).
-* **end_to_end** — the three memory-aware heuristics run whole on the
-  frontier graph, scalar vs each vectorized backend.
+* **vs_seed** — on the frontier workload (a two-layer graph whose
+  scheduled producer half feeds an ``n/2``-wide ready frontier, the
+  candidate storm a selector faces after a profile-touching commit), the
+  kernel's ``evaluate_class_batch`` against the *seed* incremental kernel
+  (frozen-dataclass breakdowns, ``(task, class)`` tuple-key fit memo,
+  per-evaluation ``min()`` over class processors — reproduced here by
+  :class:`SeedKernel` the way ``bench_scaling.py`` reproduces
+  ``LegacySuffixMaxProfile``).
 * **invalidation** — DAG-scoped candidate invalidation vs the coarse
   per-class dirty rule: full kernel re-evaluations counted by
   ``SelectorStats`` on wide DAGs (>= 2x fewer on unbounded profiles);
@@ -57,18 +45,8 @@ from repro.core.platform import Platform
 from repro.dags.daggen import random_dag
 from repro.scheduling.candidates import MinEFTSelector, SufferageSelector
 from repro.scheduling.heft import heft
-from repro.scheduling.kernel import (
-    CompiledKernel,
-    NumpyKernel,
-    ScalarKernel,
-    available_backends,
-)
-from repro.scheduling.memheft import memheft
-from repro.scheduling.memminmin import memminmin
+from repro.scheduling.kernel import resolve_backend
 from repro.scheduling.state import SchedulerState
-from repro.scheduling.sufferage import memsufferage
-
-HEURISTICS = (memheft, memminmin, memsufferage)
 
 #: Heterogeneous per-processor speeds (seeded, reproducible).
 def _speeds(n_procs: int, seed: int = 7) -> list:
@@ -134,32 +112,13 @@ def _frontier_state(graph, platform):
 
 
 def _clear_memos(state):
-    """Reset the EST memos so every round re-pays the full candidate
-    storm (frontier unchanged, caches cold — the post-commit worst case).
-
-    Clears the version-keyed caches every backend would lose after a
-    profile-touching commit: the ``(task, class)`` fit memos, the numpy
-    (``("sfx", idx)``) and compiled (``("csfx", idx)``) staircase
-    suffix-max views, and the compiled availability mirror
-    (``"cavail"``, keyed on ``avail.version``).  Static structure that
-    survives commits in production — CSR arrays (``"cstatic"``), the
-    finish/memidx mirrors (``"cdyn"``), ``"times"`` — stays, the same
-    way the scalar side keeps the shared ``_precedence_parts`` memo."""
+    """Reset the ``(task, class)`` fit memos so every round re-pays the
+    full candidate storm (frontier unchanged, caches cold — the
+    post-commit worst case).  The precedence-parts memo stays, the same
+    way it survives commits in production."""
     for slot in state._fit:
         slot[0] = -1
         slot[1].clear()
-    for key in list(state._kernel_scratch):
-        if isinstance(key, tuple) and key[0] in ("sfx", "csfx"):
-            del state._kernel_scratch[key]
-    state._kernel_scratch.pop("cavail", None)
-
-
-def _vec_kernels():
-    """``(name, kernel)`` for every available vectorized backend."""
-    kernels = [("numpy", NumpyKernel())]
-    if "compiled" in available_backends():
-        kernels.append(("compiled", CompiledKernel()))
-    return kernels
 
 
 # ----------------------------------------------------------------------
@@ -267,12 +226,12 @@ def _duel(run_a, run_b, rounds):
 
 def bench_vs_seed(n, rounds):
     rows = []
+    kernel = resolve_backend()
     for label, procs, hetero, bounded in CONFIGS:
         graph = two_layer(n)
         platform = _make_platform(procs, hetero, bounded, graph)
         state, ready = _frontier_state(graph, platform)
         seed = SeedKernel(state)
-        vecs = _vec_kernels()
         memories = state.memories
 
         def run_seed():
@@ -281,118 +240,34 @@ def bench_vs_seed(n, rounds):
             t0 = time.perf_counter()
             out = [[seed.evaluate(state, t, m) for t in ready]
                    for m in memories]
-            dt = time.perf_counter() - t0
-            run_seed.out = out
-            return dt
+            return time.perf_counter() - t0, out
 
-        def run_vec(kernel):
-            _clear_memos(state)
-            t0 = time.perf_counter()
-            out = [kernel.evaluate_class_batch(state, ready, m)
-                   for m in memories]
-            dt = time.perf_counter() - t0
-            run_vec.out = out
-            return dt
-
-        run_seed()
-        ref = [[_snap_bd(b) for b in cls] for cls in run_seed.out]
-        for _, kernel in vecs:
-            run_vec(kernel)
-            assert ref == [[_snap_bd(b) for b in cls]
-                           for cls in run_vec.out], kernel.name
-        # Interleave all backends against the same seed baseline so
-        # machine noise hits every side alike and the per-config
-        # compiled/numpy ratio is honest.
-        best_seed = math.inf
-        best = {name: math.inf for name, _ in vecs}
-        for _ in range(rounds):
-            best_seed = min(best_seed, run_seed())
-            for name, kernel in vecs:
-                best[name] = min(best[name], run_vec(kernel))
-        for name, _ in vecs:
-            rows.append({"config": label, "n": n, "batch_size": len(ready),
-                         "backend": name,
-                         "seed_ms": round(best_seed * 1e3, 3),
-                         "kernel_ms": round(best[name] * 1e3, 3),
-                         "speedup": round(best_seed / best[name], 2),
-                         "identical": True})
-            print(f"  vs_seed {label} [{name}]: seed={best_seed*1e3:.2f}ms "
-                  f"{name}={best[name]*1e3:.2f}ms "
-                  f"speedup={best_seed/best[name]:.2f}x (B={len(ready)})")
-    return rows
-
-
-def bench_batch(n, rounds):
-    rows = []
-    for label, procs, hetero, bounded in CONFIGS:
-        graph = two_layer(n)
-        platform = _make_platform(procs, hetero, bounded, graph)
-        state, ready = _frontier_state(graph, platform)
-        scalar = ScalarKernel()
-        vecs = _vec_kernels()
-        memories = state.memories
-
-        def run(kernel):
+        def run_kernel():
             _clear_memos(state)
             t0 = time.perf_counter()
             out = [kernel.evaluate_class_batch(state, ready, m)
                    for m in memories]
             return time.perf_counter() - t0, out
 
-        _, out_s = run(scalar)
-        for name, kernel in vecs:
-            _, out_v = run(kernel)
-            assert out_s == out_v, name
-        for name, kernel in vecs:
-            ds, dn = _duel(lambda: run(scalar)[0],
-                           lambda: run(kernel)[0], rounds)
-            rows.append({"config": label, "n": n, "batch_size": len(ready),
-                         "backend": name,
-                         "scalar_ms": round(ds * 1e3, 3),
-                         "kernel_ms": round(dn * 1e3, 3),
-                         "speedup": round(ds / dn, 2), "identical": True})
-            print(f"  batch {label} [{name}]: scalar={ds*1e3:.2f}ms "
-                  f"{name}={dn*1e3:.2f}ms speedup={ds/dn:.2f}x "
-                  f"(B={len(ready)})")
-    return rows
-
-
-def bench_end_to_end(n):
-    rows = []
-    graph = two_layer(n)
-    platform = _make_platform((2, 2), False, True, graph)
-
-    def snap(schedule):
-        return [(t, p.proc, p.memory.index, p.start, p.finish)
-                for t in graph.tasks()
-                for p in (schedule.placement(t),)]
-
-    backends = [name for name, _ in _vec_kernels()]
-    for fn in HEURISTICS:
-        for backend in backends:
-            ds = dn = math.inf
-            a = b = None
-            for _ in range(3):
-                t0 = time.perf_counter()
-                a = fn(graph, platform, backend="scalar")
-                ds = min(ds, time.perf_counter() - t0)
-                t0 = time.perf_counter()
-                b = fn(graph, platform, backend=backend)
-                dn = min(dn, time.perf_counter() - t0)
-            assert snap(a) == snap(b)
-            rows.append({"heuristic": fn.__name__, "n": n,
-                         "backend": backend,
-                         "scalar_ms": round(ds * 1e3, 1),
-                         "kernel_ms": round(dn * 1e3, 1),
-                         "speedup": round(ds / dn, 2), "identical": True})
-            print(f"  end_to_end {fn.__name__} [{backend}]: "
-                  f"scalar={ds*1e3:.1f}ms {backend}={dn*1e3:.1f}ms "
-                  f"speedup={ds/dn:.2f}x")
+        _, ref = run_seed()
+        _, out = run_kernel()
+        assert ([[_snap_bd(b) for b in cls] for cls in ref]
+                == [[_snap_bd(b) for b in cls] for cls in out]), label
+        best_seed, best = _duel(lambda: run_seed()[0],
+                                lambda: run_kernel()[0], rounds)
+        rows.append({"config": label, "n": n, "batch_size": len(ready),
+                     "seed_ms": round(best_seed * 1e3, 3),
+                     "kernel_ms": round(best * 1e3, 3),
+                     "speedup": round(best_seed / best, 2),
+                     "identical": True})
+        print(f"  vs_seed {label}: seed={best_seed*1e3:.2f}ms "
+              f"kernel={best*1e3:.2f}ms speedup={best_seed/best:.2f}x "
+              f"(B={len(ready)})")
     return rows
 
 
 def _drive_counting(graph, platform, selector_cls, dag_scoped):
-    state = SchedulerState(graph, platform, backend="scalar")
+    state = SchedulerState(graph, platform)
     order = {t: i for i, t in enumerate(graph.topological_order())}
     selector = selector_cls(state, order, dag_scoped=dag_scoped)
     for task in graph.roots():
@@ -444,7 +319,7 @@ def bench_invalidation(n):
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="EST kernel backend benchmarks; emits BENCH_kernel.json")
+        description="EST kernel benchmarks; emits BENCH_kernel.json")
     parser.add_argument("--n", type=int, default=2000,
                         help="graph size for the frontier workload "
                              "(default 2000, the acceptance point)")
@@ -456,29 +331,18 @@ def main(argv=None) -> int:
                         help="output path ('' disables)")
     args = parser.parse_args(argv)
 
-    if "numpy" not in available_backends():
-        print("numpy not installed; kernel benchmark needs both backends",
-              file=sys.stderr)
-        return 1
-
     report = {
         "bench": "kernel",
-        "schema_version": 2,
-        "backends": list(available_backends()),
+        "schema_version": 3,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "machine": platform_mod.platform(),
         "cpu_count": os.cpu_count(),
         "n": args.n,
     }
-    print("batch kernels vs seed incremental kernel "
+    print("scalar batch kernel vs seed incremental kernel "
           "(bit-identical breakdowns asserted)")
     report["vs_seed"] = bench_vs_seed(args.n, args.rounds)
-    print("batch kernels vs current scalar kernel")
-    report["batch"] = bench_batch(args.n, args.rounds)
-    print("end-to-end heuristics, scalar vs vectorized backends "
-          "(bit-identical schedules asserted)")
-    report["end_to_end"] = bench_end_to_end(args.n)
     print("DAG-scoped invalidation vs coarse per-class rule "
           "(identical schedules asserted)")
     report["invalidation"] = bench_invalidation(args.inval_n)

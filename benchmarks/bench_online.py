@@ -16,8 +16,7 @@ machine-readable ``BENCH_online.json`` (schema in ``benchmarks/README.md``):
   the decision journals byte-compared.
 * **identity** — the same jobs with all release times forced to zero are
   simulated online and scheduled offline on the union DAG; placements
-  must agree exactly (the zero-release identity the tests pin per
-  backend).
+  must agree exactly (the zero-release identity the tests pin).
 
 Run::
 
@@ -119,7 +118,7 @@ def bench_identity(args: argparse.Namespace, trace: list) -> dict:
                           and placement.finish == ref.finish)
     result = {
         "algorithm": args.algorithm,
-        "backend": resolve_backend(None).name,
+        "backend": resolve_backend().name,
         "offline_identical": identical,
         "makespan": online.makespan,
     }

@@ -19,9 +19,7 @@ the perf trajectory is tracked across PRs:
   implementation (``seed`` = from-scratch ESTs + O(l) suffix-max profile
   rebuilds, reproduced by ``LegacySuffixMaxProfile``; ``fresh`` =
   from-scratch ESTs over block-max profiles; ``incremental`` = the
-  shipped kernel on the scalar backend), plus one shipped-heuristic
-  timing per available vectorized kernel backend (``numpy_s`` and, with
-  a C toolchain, ``compiled_s`` — all placement-identical).
+  shipped kernel; all placement-identical).
 * **selection** — the lazy candidate heaps of
   :mod:`repro.scheduling.candidates` against the naive full-rescan
   selection loops (``lazy=True`` vs ``lazy=False``), on the standard
@@ -55,7 +53,6 @@ from repro.dags.datasets import large_rand_set
 from repro.experiments.figures import RAND_PLATFORM
 from repro.experiments.sweep import default_alphas, normalized_sweep, spread_speeds
 from repro.scheduling.heft import heft
-from repro.scheduling.kernel import available_backends
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import SchedulerState
@@ -125,11 +122,8 @@ class LegacySuffixMaxProfile(MemoryProfile):
 
 
 def _make_state(graph, platform, mode: str) -> SchedulerState:
-    # Pin the scalar backend: this section isolates profile/EST
-    # incrementality; the vectorized backends get their own rows below.
     state = SchedulerState(graph, platform,
-                           incremental=(mode == "incremental"),
-                           backend="scalar")
+                           incremental=(mode == "incremental"))
     if mode == "seed":
         state.mem = {m: LegacySuffixMaxProfile(platform.capacity(m))
                      for m in state.memories}
@@ -200,7 +194,6 @@ def bench_kernel(size: int) -> list[dict]:
                        w_range=(1, 100), c_range=(1, 100), f_range=(1, 100))
     runners = [("memheft", _run_memheft, memheft),
                ("memminmin", _run_memminmin, memminmin)]
-    vec_backends = [b for b in available_backends() if b != "scalar"]
     rows = []
     for plat_name, platform in _bench_platforms(graph):
         for algo_name, runner, shipped_fn in runners:
@@ -213,32 +206,18 @@ def bench_kernel(size: int) -> list[dict]:
             # Anchor the comparison to the *shipped* entry point so the
             # bench loops cannot silently drift from the real heuristics.
             schedules["shipped"] = shipped_fn(graph, platform)
-            # One row column per vectorized kernel backend, through the
-            # shipped heuristic (placement-identical by construction).
-            for backend in vec_backends:
-                t0 = time.perf_counter()
-                schedules[backend] = shipped_fn(graph, platform,
-                                                backend=backend)
-                times[backend] = time.perf_counter() - t0
             _assert_identical(schedules, "incremental", graph, algo_name)
             speedup = times["seed"] / times["incremental"]
-            backend_bits = "".join(
-                f" {b}={times[b]:7.3f}s" for b in vec_backends)
             print(f"kernel    n={size:5d} {algo_name:12s} {plat_name:12s} "
                   f"seed={times['seed']:7.3f}s fresh={times['fresh']:7.3f}s "
                   f"incremental={times['incremental']:7.3f}s"
-                  f"{backend_bits} speedup={speedup:5.2f}x")
-            row = {
+                  f" speedup={speedup:5.2f}x")
+            rows.append({
                 "n": size, "algorithm": algo_name, "platform": plat_name,
                 "seed_s": times["seed"], "fresh_s": times["fresh"],
                 "incremental_s": times["incremental"],
                 "speedup_seed_over_incremental": speedup,
-            }
-            for backend in vec_backends:
-                row[f"{backend}_s"] = times[backend]
-                row[f"speedup_seed_over_{backend}"] = (
-                    times["seed"] / times[backend])
-            rows.append(row)
+            })
     return rows
 
 
@@ -376,8 +355,7 @@ def main(argv=None) -> int:
 
     report = {
         "bench": "scaling",
-        "schema_version": 2,
-        "backends": list(available_backends()),
+        "schema_version": 3,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "machine": platform_mod.platform(),

@@ -12,14 +12,9 @@ ROADMAP's long-open "needs a multi-core runner" item):
 * ``BENCH_distributed.json`` (optional) — the multi-host sweep must at
   least beat ``--min-distributed`` (HTTP + wire encoding overhead makes
   this gate softer) and be cell-identical.
-* ``BENCH_kernel.json`` — every vectorized EST kernel backend must beat
-  the seed incremental kernel on every frontier config (a single-thread
-  gate, so it holds on one-core runners too): numpy by ``--min-kernel``,
-  the compiled backend by ``--min-compiled``, and on the headline config
-  compiled must beat numpy by ``--min-compiled-vs-numpy`` — all with
-  bit-identical breakdowns, and the batch/end-to-end sections must all
-  be marked identical.  Reports produced without a C toolchain carry no
-  compiled rows; those gates are then skipped with a notice.
+* ``BENCH_kernel.json`` — every compared pair (kernel vs seed
+  breakdowns, scoped vs coarse invalidation schedules) must be marked
+  identical.  Its timings are informational, not gated.
 * ``BENCH_faults.json`` — checkpoint journaling must cost at most
   ``--max-checkpoint-overhead`` percent on a fault-free sweep, fault
   plans must be bit-reproducible, and every chaos goodput run must have
@@ -206,63 +201,23 @@ def check_obs_report(path: str, max_overhead_pct: float) -> list[str]:
     return problems
 
 
-def check_kernel_report(path: str, min_numpy: float, min_compiled: float,
-                        min_ratio: float) -> list[str]:
-    """Gate ``BENCH_kernel.json``: every ``vs_seed`` row (one per
-    frontier config per vectorized backend) must clear its backend's
-    floor (numpy >= ``min_numpy``, compiled >= ``min_compiled``) with
-    bit-identical breakdowns; where both backends ran the same config,
-    the best compiled-over-numpy ratio (``kernel_ms`` at the shared seed
-    baseline) must reach ``min_ratio``; and every other compared section
-    must be flagged identical.  Schema-1 reports (rows without a
-    ``backend`` field) are treated as numpy rows."""
+def check_kernel_report(path: str) -> list[str]:
+    """Gate ``BENCH_kernel.json``: every ``vs_seed`` and ``invalidation``
+    row must be flagged identical (the benchmark asserts it before it
+    times anything, so a false flag means a tampered or partial report)."""
     report = json.loads(Path(path).read_text())
-    rows = report.get("vs_seed")
-    if not rows:
+    if not report.get("vs_seed"):
         return [f"{path}: no 'vs_seed' section — run bench_kernel.py"]
     problems = []
-    floors = {"numpy": min_numpy, "compiled": min_compiled}
-    by_config: dict = {}
-    for row in rows:
-        backend = row.get("backend", "numpy")
-        by_config.setdefault(row.get("config"), {})[backend] = row
-        if not row.get("identical"):
-            problems.append(f"{path}: vs_seed[{row.get('config')}/"
-                            f"{backend}] breakdowns differ between kernels")
-        floor = floors.get(backend, min_numpy)
-        if row["speedup"] < floor:
-            problems.append(
-                f"{path}: kernel vs_seed[{row['config']}/{backend}] "
-                f"speedup {row['speedup']:.2f}x < required {floor:g}x "
-                f"(batch={row.get('batch_size')}, n={row.get('n')})")
-    ratios = [(config, per["numpy"]["kernel_ms"] / per["compiled"]["kernel_ms"])
-              for config, per in by_config.items()
-              if "numpy" in per and "compiled" in per
-              and per["compiled"].get("kernel_ms")]
-    has_compiled = any(row.get("backend") == "compiled" for row in rows)
-    if ratios:
-        best_config, best_ratio = max(ratios, key=lambda cr: cr[1])
-        if best_ratio < min_ratio:
-            problems.append(
-                f"{path}: compiled kernel only {best_ratio:.2f}x over "
-                f"numpy at best ({best_config}) < required {min_ratio:g}x")
-    elif not has_compiled:
-        print("kernel   compiled: no compiled rows (no C toolchain on "
-              "the bench machine) — compiled gates skipped")
-    for section in ("batch", "end_to_end", "invalidation"):
+    n_rows = 0
+    for section in ("vs_seed", "invalidation"):
         for row in report.get(section, ()):
+            n_rows += 1
             if not row.get("identical"):
                 problems.append(f"{path}: {section} row {row} not marked "
                                 "identical")
     if not problems:
-        worst = min(row["speedup"] for row in rows)
-        summary = (f"kernel   vs_seed : worst {worst:.2f}x across "
-                   f"{len(rows)} rows (numpy >= {min_numpy:g}x")
-        if has_compiled:
-            summary += (f", compiled >= {min_compiled:g}x, best "
-                        f"compiled/numpy {max(r for _, r in ratios):.2f}x "
-                        f">= {min_ratio:g}x")
-        print(summary + ", single-thread) OK")
+        print(f"kernel   identity: {n_rows} rows identical OK")
     return problems
 
 
@@ -341,19 +296,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-distributed", type=float, default=1.2,
                         help="required factor for the multi-host sweep "
                              "(softer: pays HTTP + wire overhead)")
-    parser.add_argument("--min-kernel", type=float, default=3.0,
-                        help="required numpy-vs-seed kernel factor "
-                             "(bench target is 5x; CI gates the noise-"
-                             "tolerant 3x)")
-    parser.add_argument("--min-compiled", type=float, default=8.0,
-                        help="required compiled-vs-seed kernel factor "
-                             "(bench target is 10x; CI gates the noise-"
-                             "tolerant 8x; skipped when the report has "
-                             "no compiled rows)")
-    parser.add_argument("--min-compiled-vs-numpy", type=float, default=1.5,
-                        help="required best-config compiled-over-numpy "
-                             "kernel_ms ratio (skipped without compiled "
-                             "rows)")
     parser.add_argument("--max-checkpoint-overhead", type=float,
                         default=5.0,
                         help="allowed checkpoint-journal overhead in "
@@ -383,9 +325,7 @@ def main(argv=None) -> int:
         problems += check_report("distributed", args.distributed,
                                  args.min_distributed)
     if args.kernel:
-        problems += check_kernel_report(args.kernel, args.min_kernel,
-                                        args.min_compiled,
-                                        args.min_compiled_vs_numpy)
+        problems += check_kernel_report(args.kernel)
     if args.faults:
         problems += check_faults_report(args.faults,
                                         args.max_checkpoint_overhead)

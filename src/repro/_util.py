@@ -1,8 +1,8 @@
 """Small shared helpers (tolerances, RNG coercion).
 
 ``numpy`` is an *optional* dependency of the core library: the scheduling
-engine runs on the pure-Python scalar kernel without it (the vectorized
-kernel backend and the RNG-driven DAG generators are the only consumers).
+engine is pure Python (the RNG-driven DAG generators are the only
+consumers).
 The import is guarded here once; everything else checks :data:`HAS_NUMPY`
 or calls :func:`require_numpy` at the point of use.
 """

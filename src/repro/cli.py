@@ -42,7 +42,6 @@ from .ilp import solve_ilp
 from .io.dot import to_dot
 from .io.gantt import ascii_gantt, memory_sparkline, schedule_summary
 from .io.json_io import load_graph, load_schedule, save_graph, save_schedule
-from .scheduling.kernel import available_backends, resolve_backend
 from .scheduling.registry import ENGINE_OPTIONED, SCHEDULERS, get_scheduler
 from .scheduling.state import InfeasibleScheduleError
 
@@ -152,7 +151,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return 2
     try:
         with _maybe_trace(args, "schedule", args.graph, args.algo):
-            schedule = scheduler(graph, platform, backend=args.kernel)
+            schedule = scheduler(graph, platform)
     except InfeasibleScheduleError as exc:
         print(f"INFEASIBLE: {exc}", file=sys.stderr)
         return 2
@@ -160,9 +159,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         print(f"wrote trace to {args.trace}", file=sys.stderr)
     peaks = validate_schedule(graph, platform, schedule)
     print(f"algorithm : {args.algo}")
-    if args.verbose:
-        print(f"kernel    : {resolve_backend(args.kernel).name} "
-              f"(available: {', '.join(available_backends())})")
     print(f"makespan  : {schedule.makespan:g}")
     print("peaks     : " + " ".join(f"{m.value}={v:g}" for m, v in peaks.items()))
     if args.gantt:
@@ -407,14 +403,12 @@ def cmd_online_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     platform = _platform_from_args(args)
-    backend = resolve_backend(args.kernel) if args.kernel else None
     try:
         with _maybe_trace(args, "online-run", args.algo, args.policy,
                           len(trace)):
             result = simulate(trace, platform, algorithm=args.algo,
                               policy=args.policy,
-                              comm_policy=args.comm_policy,
-                              backend=backend)
+                              comm_policy=args.comm_policy)
     except (InfeasibleScheduleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,14 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="schedule a graph with a heuristic")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--algo", choices=sorted(SCHEDULERS), default="memheft")
-    p.add_argument("--kernel",
-                   choices=("auto", "scalar", "numpy", "compiled"),
-                   default=None,
-                   help="EST kernel backend (default: MEMSCHED_KERNEL env "
-                        "or auto-detect; results are bit-identical)")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="also print the resolved kernel backend and the "
-                        "backends available on this interpreter")
     _add_platform_args(p)
     p.add_argument("--gantt", action="store_true",
                    help="ASCII Gantt chart + memory sparklines")
@@ -684,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="arrival policy: immediate | batched:Q | replan:W")
     po.add_argument("--comm-policy", choices=("late", "eager"),
                     default="late")
-    po.add_argument("--kernel",
-                    choices=("auto", "scalar", "numpy", "compiled"),
-                    default=None,
-                    help="EST kernel backend (results are bit-identical)")
     _add_platform_args(po)
     po.add_argument("--journal", default=None, metavar="FILE",
                     help="write the deterministic decision journal here")

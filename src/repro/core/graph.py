@@ -47,7 +47,7 @@ class FlatGraph:
     :class:`~repro.scheduling.state.SchedulerState` via
     :meth:`TaskGraph.flatten` (cached on the graph, invalidated by
     mutation); everything here is immutable plain-Python data, shared
-    freely between states and kernel backends.
+    freely between states.
     """
 
     __slots__ = ("order", "index", "parent_ptr", "parent_row", "parent_comm",

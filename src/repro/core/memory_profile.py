@@ -30,7 +30,7 @@ profiles skip the machinery entirely (any amount fits at t = 0).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterator, Optional
 
 from .._util import EPS
@@ -114,84 +114,6 @@ class MemoryProfile:
     def release_from(self, amount: float, start: float) -> None:
         """Release ``amount`` from ``start`` onwards (convenience wrapper)."""
         self.add(-amount, start, None)
-
-    def add_batch(self, events) -> None:
-        """Apply many :meth:`add` mutations in one pass.
-
-        ``events`` is an iterable of ``(amount, start, end)`` triples with
-        the same per-event semantics as :meth:`add` (``end=None`` extends
-        to +inf, starts clamped to 0, zero-amount or empty intervals are
-        no-ops).  One commit issues several adds against the same profile;
-        applying them together replaces E breakpoint-insertion list shifts
-        and E block-dirty/compaction checks with a single merge pass and
-        one version bump.
-
-        The resulting staircase *function* is bit-identical to issuing the
-        events one at a time: breakpoint insertion never changes the
-        function, and each segment's value accumulates the amounts of the
-        events covering it in event order — exactly the per-segment ``+=``
-        order of the sequential path.  (The ``version`` counter advances
-        once instead of E times; consumers only ever compare versions for
-        equality.)
-        """
-        live: list[tuple[float, float, Optional[float]]] = []
-        for amount, start, end in events:
-            if amount == 0.0:
-                continue
-            start = max(0.0, start)
-            if end is not None and end <= start:
-                continue
-            live.append((amount, start, end))
-        if not live:
-            return
-        if len(live) == 1:
-            self.add(*live[0])
-            return
-
-        # Merge all new breakpoints into the staircase in one pass.  Every
-        # breakpoint time is >= 0 == xs[0], and each event's end exceeds
-        # its start, so the earliest time is always some event's start.
-        times = sorted({t for _, s, e in live
-                        for t in ((s,) if e is None else (s, e))})
-        xs, vals = self._xs, self._vals
-        new_xs: list[float] = []
-        new_vals: list[float] = []
-        ti = 0
-        nt = len(times)
-        for k in range(len(xs)):
-            x = xs[k]
-            while ti < nt and times[ti] < x:
-                t = times[ti]
-                ti += 1
-                if t != new_xs[-1]:
-                    new_xs.append(t)
-                    new_vals.append(new_vals[-1])
-            if ti < nt and times[ti] == x:
-                ti += 1
-            new_xs.append(x)
-            new_vals.append(vals[k])
-        while ti < nt:  # breakpoints inside the final to-infinity segment
-            t = times[ti]
-            ti += 1
-            if t != new_xs[-1]:
-                new_xs.append(t)
-                new_vals.append(new_vals[-1])
-
-        # Apply the amounts per event, in event order (now that every
-        # start/end is an exact breakpoint, each is one bisect + slice).
-        n = len(new_xs)
-        for amount, start, end in live:
-            i1 = n if end is None else bisect_left(new_xs, end)
-            for k in range(bisect_left(new_xs, start), i1):
-                new_vals[k] += amount
-
-        self._xs, self._vals = new_xs, new_vals
-        # All inserts and value changes sit at/after the earliest event
-        # time, which is itself a breakpoint of the merged staircase.
-        self._mark_dirty(bisect_left(new_xs, times[0]))
-        self.version += 1
-        if n > max(self._COMPACT_MIN, 2 * self._compact_floor):
-            self.compact()
 
     # ------------------------------------------------------------------
     # queries

@@ -21,12 +21,12 @@ import threading
 from bisect import bisect_left
 from typing import Optional
 
-#: Latency-shaped default bounds (seconds), from sub-millisecond kernel
-#: flushes up to multi-second sweep cells.
+#: Latency-shaped default bounds (seconds), from sub-millisecond cache
+#: hits up to multi-second sweep cells.
 DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: Size-shaped bounds (counts): kernel batch sizes, tasks per schedule.
+#: Size-shaped bounds (counts): tasks per schedule.
 SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 48.0, 64.0, 128.0,
                 256.0, 512.0, 1024.0)
 
@@ -122,21 +122,6 @@ class Histogram:
             self.counts[i] += 1
             self.sum += value
             self.count += 1
-
-    def merge(self, counts, sum_: float, count: int) -> None:
-        """Fold pre-aggregated observations in (per-event hot paths —
-        the kernel batch recorder — accumulate lock-free in thread-local
-        storage and merge once per run).  ``counts`` must align with
-        this histogram's buckets, ``+Inf`` included."""
-        if len(counts) != len(self.counts):
-            raise ValueError(
-                f"cannot merge {len(counts)} bucket counts into a "
-                f"histogram with {len(self.counts)} buckets")
-        with self._lock:
-            for i, n in enumerate(counts):
-                self.counts[i] += n
-            self.sum += sum_
-            self.count += count
 
     def render_into(self, out: list, name: str, labels: tuple) -> None:
         with self._lock:

@@ -27,7 +27,7 @@ room from ``t`` on for *all* ``t' >= t`` — and transfer windows only
 shift right with the start.  With all release times zero the floor is 0,
 the clamp is the identity, and the single planning round is
 bit-identical to the offline heuristic on the union DAG (pinned by
-``tests/online/test_identity.py`` across kernel backends).
+``tests/online/test_identity.py``).
 
 Task identities are namespaced ``"<job_id>/<task>"`` in the union DAG
 and the decision journal; per-job views translate back.
@@ -51,7 +51,7 @@ from ..scheduling.candidates import (
     RankSelector,
     SufferageSelector,
 )
-from ..scheduling.kernel import ESTBreakdown, KernelLike
+from ..scheduling.kernel import ESTBreakdown
 from ..scheduling.ranks import rank_order
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
 from ..scheduling.state import InfeasibleScheduleError, SchedulerState
@@ -163,8 +163,7 @@ def build_union_graph(jobs, n_classes: int,
 
 def clairvoyant_makespan(jobs, platform: Platform, *,
                          algorithm: str = "memheft",
-                         comm_policy: str = "late",
-                         backend: KernelLike = None) -> float:
+                         comm_policy: str = "late") -> float:
     """The regret baseline: the offline heuristic's makespan on the
     union DAG of the whole stream, release times relaxed to zero.
 
@@ -179,8 +178,7 @@ def clairvoyant_makespan(jobs, platform: Platform, *,
     union = build_union_graph(jobs, platform.n_classes,
                               name="clairvoyant-union")
     return get_scheduler(algorithm)(
-        union, platform, comm_policy=comm_policy,
-        backend=backend).makespan
+        union, platform, comm_policy=comm_policy).makespan
 
 
 class OnlineSession:
@@ -197,8 +195,7 @@ class OnlineSession:
     """
 
     def __init__(self, platform: Platform, algorithm: str = "memheft",
-                 policy="immediate", comm_policy: str = "late",
-                 backend: KernelLike = None) -> None:
+                 policy="immediate", comm_policy: str = "late") -> None:
         if algorithm not in ENGINE_OPTIONED:
             raise ValueError(
                 f"online sessions support the engine heuristics "
@@ -207,7 +204,6 @@ class OnlineSession:
         self.algorithm = algorithm
         self.policy = make_policy(policy)
         self.comm_policy = comm_policy
-        self.backend = backend
         self.clock = 0.0
         self.jobs: dict[str, OnlineJob] = {}
         self._pending: list[OnlineJob] = []
@@ -315,8 +311,7 @@ class OnlineSession:
         avail vector and the session's memory profiles (by reference)."""
         union = build_union_graph(group, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
-                               comm_policy=self.comm_policy,
-                               backend=self.backend)
+                               comm_policy=self.comm_policy)
         state.mem = self._profiles
         for p, a in enumerate(self._avail):
             state.avail[p] = a
@@ -347,8 +342,7 @@ class OnlineSession:
                     if j.placements is not None or j in group]
         union = build_union_graph(in_round, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
-                               comm_policy=self.comm_policy,
-                               backend=self.backend)
+                               comm_policy=self.comm_policy)
         memories = self.platform.memories()
         for decision in kept:
             state.commit(ESTBreakdown(

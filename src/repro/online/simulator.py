@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..core.platform import Platform
 from ..io.json_io import graph_from_dict
-from ..scheduling.kernel import KernelLike
 from .session import OnlineSession, clairvoyant_makespan
 
 
@@ -73,8 +72,7 @@ class OnlineResult:
         jobs = sorted(session.jobs.values(), key=lambda j: j.arrival_index)
         return clairvoyant_makespan(jobs, session.platform,
                                     algorithm=session.algorithm,
-                                    comm_policy=session.comm_policy,
-                                    backend=session.backend)
+                                    comm_policy=session.comm_policy)
 
     def regret(self, clairvoyant: Optional[float] = None) -> float:
         """``online_makespan / clairvoyant_makespan - 1`` (0.10 = 10%
@@ -101,8 +99,7 @@ def _trace_jobs(trace) -> list:
 
 
 def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
-             policy="immediate", comm_policy: str = "late",
-             backend: KernelLike = None) -> OnlineResult:
+             policy="immediate", comm_policy: str = "late") -> OnlineResult:
     """Run one arrival trace through an event-driven session timeline.
 
     ``trace`` is a sequence of ``{"job", "release", "graph"}`` rows (see
@@ -111,7 +108,7 @@ def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
     flushed so batched/replan policies place their residue.
     """
     session = OnlineSession(platform, algorithm=algorithm, policy=policy,
-                            comm_policy=comm_policy, backend=backend)
+                            comm_policy=comm_policy)
     seq = itertools.count()
     queue: list = []
     for job_id, graph, release in _trace_jobs(trace):

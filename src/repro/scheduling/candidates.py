@@ -43,9 +43,7 @@ distinguish three cases:
   evaluation because the kernel itself computes
   ``est = max(resource, floor)`` from exactly these parts;
 * *full* — the class's finite-capacity profile was mutated since the last
-  evaluation: only then does the candidate go back through the EST kernel
-  (and for a vectorized backend, all such candidates of a class go through
-  it as **one batch**).
+  evaluation: only then does the candidate go back through the EST kernel.
 
 A commit therefore invalidates a candidate's class only when it touched
 that class's *finite* memory profile — commits in unrelated regions of the
@@ -58,15 +56,9 @@ either way.
 Selection pops candidates in lower-bound order, re-evaluates each exactly
 (through the incremental kernel, which serves untouched classes from its
 version-keyed memo), and stops once the heap top's bound exceeds the best
-exact EFT ``m`` by more than ``2*EPS``.  With a vectorized kernel the
-stale entries popped on the way are accumulated and flushed through the
-batch kernel in chunks of ``batch_cutoff``; the chunking may pop a few
-entries beyond the scalar stopping frontier, which is harmless — heap keys
-are popped in nondecreasing order, so any extra entry has
-``value >= key > m + 2*EPS`` and can affect neither the minimum, the band,
-nor the window test below.  The naive scan's order-dependent EPS-chain
-tie-break (``cand.eft < best.eft - EPS``) is reproduced exactly: its
-winner provably has ``eft <= m + EPS``, and when no candidate's EFT falls
+exact EFT ``m`` by more than ``2*EPS``.  The naive scan's order-dependent
+EPS-chain tie-break (``cand.eft < best.eft - EPS``) is reproduced exactly:
+its winner provably has ``eft <= m + EPS``, and when no candidate's EFT falls
 in ``(m + EPS, m + 2*EPS]`` the chain provably settles on the lowest-index
 candidate of the ``<= m + EPS`` band — with the paper's integer-valued
 task times the window case essentially never occurs, and when it does the
@@ -192,11 +184,8 @@ def _update_entries(state: SchedulerState, entries: list[_Entry],
                     stamp: tuple, stats: SelectorStats,
                     dag_scoped: bool, inf_cap: tuple) -> None:
     """Bring every entry's per-class breakdown cache up to ``stamp``,
-    classifying each (entry, class) pair as reuse / refresh / full and
-    routing the full evaluations of one class through the kernel's batch
-    entry point (one vectorized pass on array backends)."""
+    classifying each (entry, class) pair as reuse / refresh / full."""
     memories = state.memories
-    kernel = state.kernel
     for e in entries:
         if e.bds is None:
             e.bds = [None] * len(memories)
@@ -204,7 +193,6 @@ def _update_entries(state: SchedulerState, entries: list[_Entry],
     for ci, memory in enumerate(memories):
         comp = stamp[ci]
         serial = comp[0]
-        full: list[_Entry] = []
         for e in entries:
             old = e.cstamps[ci]
             if old == comp:
@@ -213,23 +201,11 @@ def _update_entries(state: SchedulerState, entries: list[_Entry],
             if (dag_scoped and old is not None
                     and (old[0] == serial or inf_cap[ci])):
                 e.bds[ci] = _refresh_breakdown(state, e.bds[ci], memory)
-                e.cstamps[ci] = comp
                 stats.n_refreshes += 1
             else:
-                full.append(e)
-        if not full:
-            continue
-        stats.n_full_evals += len(full)
-        if kernel.vectorized and len(full) >= kernel.batch_cutoff:
-            bds = kernel.evaluate_class_batch(
-                state, [e.task for e in full], memory)
-            for e, bd in zip(full, bds):
-                e.bds[ci] = bd
-                e.cstamps[ci] = comp
-        else:
-            for e in full:
                 e.bds[ci] = state.est(e.task, memory)
-                e.cstamps[ci] = comp
+                stats.n_full_evals += 1
+            e.cstamps[ci] = comp
 
 
 def _best_of(entry: _Entry) -> Optional[ESTBreakdown]:
@@ -314,48 +290,26 @@ class MinEFTSelector:
         resources = state.class_resources()
         stamp = _state_stamp(state, resources)
         window = 2.0 * EPS
-        kernel = state.kernel
-        cutoff = kernel.batch_cutoff if kernel.vectorized else 1
         m = math.inf
         popped: list[_Entry] = []
-        pending: list[_Entry] = []
-
-        def flush() -> None:
-            nonlocal m
-            _update_entries(state, pending, stamp, self.stats,
-                            self.dag_scoped, self._inf_cap)
-            for entry in pending:
-                bd = _best_of(entry)
-                entry.breakdown = bd
-                entry.value = bd.eft if bd is not None else math.inf
-                entry.stamps = stamp
-                popped.append(entry)
-                if entry.value < m:
-                    m = entry.value
-            pending.clear()
-
         while heap:
             key, _tie, entry = heap[0]
             if not entry.alive:
                 heappop(heap)
                 continue
             if key > m + window:
-                if pending:
-                    # m may drop once the chunk lands; re-test afterwards.
-                    flush()
-                    continue
                 break
             heappop(heap)
-            if entry.stamps == stamp:
-                popped.append(entry)
-                if entry.value < m:
-                    m = entry.value
-            else:
-                pending.append(entry)
-                if len(pending) >= cutoff:
-                    flush()
-        if pending:
-            flush()
+            if entry.stamps != stamp:
+                _update_entries(state, [entry], stamp, self.stats,
+                                self.dag_scoped, self._inf_cap)
+                bd = _best_of(entry)
+                entry.breakdown = bd
+                entry.value = bd.eft if bd is not None else math.inf
+                entry.stamps = stamp
+            popped.append(entry)
+            if entry.value < m:
+                m = entry.value
 
         if math.isinf(m):
             for entry in popped:
@@ -435,11 +389,10 @@ class SufferageSelector:
     Candidate classes whose stamp component — (class touch serial, class
     resource) — is unchanged since their last evaluation are reused
     verbatim, resource-only changes are refreshed in O(1), and only
-    finite-capacity profile mutations trigger kernel re-evaluations
-    (batched per class on vectorized backends).  The arg-max over
-    ``(-sufferage, preferred_eft, index)`` keys is one linear pass (the
-    key embeds the stable task index, so iteration order cannot leak into
-    the result)."""
+    finite-capacity profile mutations trigger kernel re-evaluations.  The
+    arg-max over ``(-sufferage, preferred_eft, index)`` keys is one linear
+    pass (the key embeds the stable task index, so iteration order cannot
+    leak into the result)."""
 
     def __init__(self, state: SchedulerState, order: dict[Task, int],
                  dag_scoped: bool = True) -> None:

@@ -13,18 +13,17 @@ from .._util import RngLike
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .kernel import KernelLike
 from .memheft import memheft
 
 
-def heft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
-         backend: KernelLike = None) -> Schedule:
+def heft(graph: TaskGraph, platform: Platform, *,
+         rng: RngLike = None) -> Schedule:
     """Schedule with classical (memory-oblivious) HEFT.
 
     The returned schedule's ``meta`` carries ``peak_blue`` / ``peak_red``:
     the memory the schedule *would* need, used as the normalisation
     reference in the paper's experiments.
     """
-    schedule = memheft(graph, platform.unbounded(), rng=rng, backend=backend)
+    schedule = memheft(graph, platform.unbounded(), rng=rng)
     schedule.meta["algorithm"] = "heft"
     return schedule

@@ -17,7 +17,6 @@ from typing import Callable
 
 from .. import obs
 from ..core.schedule import Schedule
-from .kernel import flush_batch_stats
 from .state import InfeasibleScheduleError, SchedulerState
 
 #: Stride of the observed loop's phase-timing samples: one iteration in
@@ -42,81 +41,71 @@ def observed_lazy_run(state: SchedulerState, selector, algorithm: str,
     eighth of the per-commit clock cost.  Counts stay exact.
     """
     perf = time.perf_counter
-    # Attribute any batch stats accumulated outside an observed run to
-    # the registry now, so the post-run drain is this run's alone.
-    flush_batch_stats(st)
     select_s = commit_s = 0.0
     n_commits = n_sampled = 0
     countdown = 0           # iterations until the next clocked one
-    try:
-        # Two specialisations of one loop, so each iteration pays for
-        # its own driver's shape only (the countdown drivers never
-        # branch on ``n_tasks is None``, the live-set drivers never
-        # track ``remaining``).
-        if n_tasks is not None:
-            remaining = n_tasks
-            while remaining:
-                if countdown == 0:
-                    t0 = perf()
-                    best = selector.select()
-                    t1 = perf()
-                    select_s += t1 - t0
-                else:
-                    best = selector.select()
-                if best is None:
-                    raise InfeasibleScheduleError(infeasible_msg(remaining))
-                state.commit(best)
-                selector.remove(best.task)
-                remaining -= 1
-                for task in state.pop_newly_ready():
-                    selector.push(task)
-                if countdown == 0:
-                    commit_s += perf() - t1
-                    n_sampled += 1
-                    countdown = PHASE_SAMPLE - 1
-                else:
-                    countdown -= 1
-                n_commits += 1
-        else:
-            while len(selector):
-                if countdown == 0:
-                    t0 = perf()
-                    best = selector.select()
-                    t1 = perf()
-                    select_s += t1 - t0
-                else:
-                    best = selector.select()
-                if best is None:
-                    raise InfeasibleScheduleError(
-                        infeasible_msg(len(selector)))
-                state.commit(best)
-                selector.remove(best.task)
-                for task in state.pop_newly_ready():
-                    selector.push(task)
-                if countdown == 0:
-                    commit_s += perf() - t1
-                    n_sampled += 1
-                    countdown = PHASE_SAMPLE - 1
-                else:
-                    countdown -= 1
-                n_commits += 1
-    except BaseException:
-        flush_batch_stats(st)   # keep totals current across infeasibles
-        raise
+    # Two specialisations of one loop, so each iteration pays for
+    # its own driver's shape only (the countdown drivers never
+    # branch on ``n_tasks is None``, the live-set drivers never
+    # track ``remaining``).
+    if n_tasks is not None:
+        remaining = n_tasks
+        while remaining:
+            if countdown == 0:
+                t0 = perf()
+                best = selector.select()
+                t1 = perf()
+                select_s += t1 - t0
+            else:
+                best = selector.select()
+            if best is None:
+                raise InfeasibleScheduleError(infeasible_msg(remaining))
+            state.commit(best)
+            selector.remove(best.task)
+            remaining -= 1
+            for task in state.pop_newly_ready():
+                selector.push(task)
+            if countdown == 0:
+                commit_s += perf() - t1
+                n_sampled += 1
+                countdown = PHASE_SAMPLE - 1
+            else:
+                countdown -= 1
+            n_commits += 1
+    else:
+        while len(selector):
+            if countdown == 0:
+                t0 = perf()
+                best = selector.select()
+                t1 = perf()
+                select_s += t1 - t0
+            else:
+                best = selector.select()
+            if best is None:
+                raise InfeasibleScheduleError(
+                    infeasible_msg(len(selector)))
+            state.commit(best)
+            selector.remove(best.task)
+            for task in state.pop_newly_ready():
+                selector.push(task)
+            if countdown == 0:
+                commit_s += perf() - t1
+                n_sampled += 1
+                countdown = PHASE_SAMPLE - 1
+            else:
+                countdown -= 1
+            n_commits += 1
     schedule = state.finalize(algorithm)
     if n_sampled and n_sampled < n_commits:
         scale = n_commits / n_sampled
         select_s *= scale
         commit_s *= scale
-    est_s, est_batches = flush_batch_stats(st)
-    _record_run(st, state, selector, algorithm, select_s, commit_s,
-                n_commits, est_s, est_batches)
+    _record_run(st, selector, algorithm, select_s, commit_s, n_commits)
     return schedule
 
 
-def _record_run(st, state: SchedulerState, selector, algorithm: str,
-                select_s: float, commit_s: float, n_commits: int,
-                est_s: float, est_batches: int) -> None:
+def _record_run(st, selector, algorithm: str, select_s: float,
+                commit_s: float, n_commits: int) -> None:
     """Fold one run's phase timings and selector stats into the registry
     and, when tracing, emit aggregate per-phase child spans.  Metric
     handles cache on the :class:`~repro.obs.ObsState` so a sweep's
@@ -158,14 +147,6 @@ def _record_run(st, state: SchedulerState, selector, algorithm: str,
     select_attrs.update(stats_dict)
     tracer.emit("select", span_id=tracer.child_id(parent, "select"),
                 parent_id=parent, dur=select_s, attrs=select_attrs)
-    if est_batches:
-        # No span when the kernel never ran a batch (scalar per-task
-        # evaluation): the batch count is a pure function of the
-        # workload and backend, so trace structure stays deterministic.
-        tracer.emit("est", span_id=tracer.child_id(parent, "est"),
-                    parent_id=parent, dur=est_s,
-                    attrs={"backend": state.kernel.name,
-                           "n_batches": est_batches})
     tracer.emit("commit", span_id=tracer.child_id(parent, "commit"),
                 parent_id=parent, dur=commit_s,
                 attrs={"n_commits": n_commits})

@@ -1,75 +1,29 @@
-"""Pluggable EST kernel backends: the numeric core of the §5.1 machinery.
+"""The EST kernel: the numeric core of the §5.1 machinery.
 
 The list-scheduling heuristics spend almost all of their time evaluating
 :class:`ESTBreakdown` candidates — ``EST = max(resource, precedence,
 task_mem, comm_mem + Cmax)``, ``EFT = EST + W/speed`` — against the partial
-schedule.  This module packages that arithmetic behind one interface with
-three interchangeable backends:
-
-* :class:`ScalarKernel` — the reference pure-Python path (the historical
-  ``SchedulerState.est`` logic, extracted verbatim).  Always available.
-* :class:`NumpyKernel` — evaluates a whole candidate batch per memory
-  class in one vectorized pass: the per-profile ``earliest_fit`` staircase
-  query becomes a suffix-max + ``searchsorted`` over the whole batch, and
-  the per-processor finish-time argmin of heterogeneous classes becomes an
-  elementwise comparison chain.  Requires the *optional* ``numpy``
-  dependency (import-guarded in :mod:`repro._util`).
-* :class:`CompiledKernel` — the whole per-(batch, class) evaluation in a
-  small C library compiled on demand with the system toolchain and driven
-  through ctypes (:mod:`repro.scheduling._cc`): precedence gathers over
-  the CSR arrays, staircase fits, tie chains and class selection all run
-  with zero per-candidate Python churn; only winning breakdowns are
-  materialised.  Requires numpy (for marshalling) plus a C compiler.
-
-All backends are **bit-identical** by construction, which the golden
-schedules and the hypothesis equivalence suite pin:
-
-* the precedence parts contain an order-dependent sequential sum
-  (``cross_in += size``), so they are computed by the *shared scalar code*
-  (:meth:`SchedulerState._precedence_parts` over the
-  :class:`~repro.core.graph.FlatGraph` CSR arrays) in both backends —
-  numpy's pairwise summation would round differently;
-* the vectorized parts are restricted to elementwise ``max``/``+``/``/``
-  and comparisons (IEEE-identical to the scalar operators) plus
-  ``searchsorted`` (pure comparisons); order-dependent EPS tie-break
-  chains are replicated as masked update loops over the k classes /
-  processors, never as ``argmin``;
-* the ``earliest_fit`` results of a batch are written back into the same
-  per-``(task, class)`` memo (keyed on the profile ``version``) the scalar
-  path reads, so mixing batched and scalar evaluations stays coherent.
-
-Backend selection (:func:`resolve_backend`): an explicit ``backend=``
-argument (name or instance) wins, then the ``MEMSCHED_KERNEL`` environment
-variable (``scalar`` / ``numpy`` / ``compiled`` / ``auto``), then
-auto-detection — compiled when numpy and a working C toolchain are
-present, then numpy, then scalar.  Kernel instances are stateless; all
-per-state scratch (the suffix-max staircase arrays, the C-layout CSR and
-placement mirrors) lives on the ``SchedulerState`` so one kernel object
-can serve any number of states.
+schedule.  :class:`ScalarKernel` packages that arithmetic, one candidate at
+a time in pure Python, reading the data layout the
+:class:`~repro.scheduling.state.SchedulerState` keeps for it: the cached
+per-task precedence parts over the :class:`~repro.core.graph.FlatGraph`
+CSR arrays, and the per-``(task, class)`` ``earliest_fit`` memo keyed on
+the profile ``version``.  The kernel is stateless, so one instance
+(:func:`resolve_backend`) serves every state.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-import time
-from bisect import bisect_left
-from itertools import repeat
-from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Hashable, NamedTuple, Optional, Sequence
 
-from .. import obs
-from .._util import EPS, HAS_NUMPY, require_numpy
-from ..obs.metrics import SIZE_BUCKETS
+from .._util import EPS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.platform import Memory
     from .state import SchedulerState
 
 Task = Hashable
-
-#: Environment variable consulted when no explicit backend is passed.
-ENV_VAR = "MEMSCHED_KERNEL"
 
 
 class ESTBreakdown(NamedTuple):
@@ -116,82 +70,10 @@ def infeasible_breakdown(task: Task, memory: "Memory") -> ESTBreakdown:
     return ESTBreakdown(task, memory, inf, inf, inf, inf, 0.0, inf, inf)
 
 
-#: ``tuple.__new__`` bound once: constructing a NamedTuple through it skips
-#: the generated ``__new__``'s Python frame — the batch paths build tens of
-#: thousands of breakdowns per run.
-_tuple_new = tuple.__new__
-
-
-class _BatchAccum(threading.local):
-    """Per-thread kernel batch accounting, folded into the registry once
-    per schedule run (:func:`flush_batch_stats`).  A batch entry happens
-    once per selector flush per memory class — tens of thousands of
-    times in a sweep — so the per-event path must be plain unlocked
-    arithmetic, not registry lookups and metric locks."""
-
-    def __init__(self) -> None:
-        #: ``{(backend, route): [n_batches, seconds, bucket_counts,
-        #: size_sum]}`` with ``bucket_counts`` aligned to
-        #: :data:`~repro.obs.metrics.SIZE_BUCKETS` (+Inf included).
-        self.map: dict = {}
-
-
-_ACCUM = _BatchAccum()
-
-
-def _record_batch(backend: str, route: str, n: int,
-                  duration: float) -> None:
-    """Accumulate one batch-entry call thread-locally: batch size, the
-    scalar-vs-vector routing decision, and kernel seconds."""
-    acc = _ACCUM.map.get((backend, route))
-    if acc is None:
-        acc = _ACCUM.map[(backend, route)] = \
-            [0, 0.0, [0] * (len(SIZE_BUCKETS) + 1), 0.0]
-    acc[0] += 1
-    acc[1] += duration
-    acc[2][bisect_left(SIZE_BUCKETS, n)] += 1
-    acc[3] += n
-
-
-def flush_batch_stats(st) -> tuple:
-    """Fold this thread's accumulated batch stats into ``st``'s metrics
-    registry; returns ``(kernel_seconds, n_batches)`` drained (the
-    observed drivers' ``est`` phase span).  Called at the end of every
-    observed schedule run — and on its way out when the run raises, so
-    totals stay current across infeasible schedules."""
-    amap = _ACCUM.map
-    if not amap:
-        return 0.0, 0
-    registry = st.registry
-    total = 0.0
-    total_batches = 0
-    for (backend, route), acc in amap.items():
-        n_batches, seconds, bucket_counts, size_sum = acc
-        registry.counter("memsched_kernel_batches_total",
-                         backend=backend, route=route).inc(n_batches)
-        registry.histogram("memsched_kernel_batch_size",
-                           buckets=SIZE_BUCKETS, backend=backend,
-                           route=route).merge(bucket_counts, size_sum,
-                                              n_batches)
-        registry.counter("memsched_kernel_seconds_total",
-                         backend=backend).inc(seconds)
-        total += seconds
-        total_batches += n_batches
-    amap.clear()
-    return total, total_batches
-
-
 class ScalarKernel:
-    """Reference backend: one candidate at a time, pure Python.
-
-    This *is* the historical incremental EST kernel — the arithmetic every
-    other backend must reproduce bit-for-bit.
-    """
+    """The incremental EST kernel: one candidate at a time, pure Python."""
 
     name = "scalar"
-    #: Whether :meth:`evaluate_class_batch` ever leaves the scalar loop
-    #: (selectors only assemble batches for vectorized backends).
-    vectorized = False
 
     # -- single candidate ------------------------------------------------
     def evaluate(self, state: "SchedulerState", task: Task,
@@ -269,85 +151,18 @@ class ScalarKernel:
                             duration, proc)
 
     # -- batches ---------------------------------------------------------
-    def _evaluate_batch_scalar(self, state: "SchedulerState",
-                               tasks: Sequence[Task],
-                               memory: "Memory") -> list[ESTBreakdown]:
-        """The scalar batch loop with the per-candidate lookup traffic
-        hoisted out: :meth:`evaluate` re-resolves the profile, the fit-memo
-        slot, the times table and half a dozen bound methods per candidate,
-        which the PR 8 phase timings flagged as the dominant cost of large
-        scalar flushes.  One binding of each per (batch, class) leaves only
-        the arithmetic in the loop — same operations in the same order, so
-        bit-identical to the one-at-a-time path."""
-        idx = memory.index
-        if state.platform.n_procs_of(memory) == 0:
-            return [infeasible_breakdown(task, memory) for task in tasks]
-        profile = state.mem[memory]
-        slot = state._fit[idx]
-        if slot[0] != profile.version:
-            slot[0] = profile.version
-            slot[1].clear()
-        fitd = slot[1]
-        fit_get = fitd.get
-        static_get = state._static.get
-        parts_of = state._precedence_parts
-        earliest_fit = profile.earliest_fit
-        resource_choice = state._resource_choice
-        times = state._flat.times
-        row_of = state._row
-        is_ready = state.is_ready
-        isfinite = math.isfinite
-        inf = math.inf
-        tn = _tuple_new
-        bd_cls = ESTBreakdown
-        out: list[ESTBreakdown] = []
-        append = out.append
-        for task in tasks:
-            if not is_ready(task):
-                append(infeasible_breakdown(task, memory))
-                continue
-            parts = static_get(task)
-            if parts is None:
-                parts = parts_of(task)
-            precedence, cmax, cross_in, need_task = parts[idx]
-            cached = fit_get(task)
-            if cached is not None:
-                task_mem, comm_fit = cached
-            else:
-                task_mem = earliest_fit(need_task)
-                comm_fit = (earliest_fit(cross_in)
-                            if cross_in > 0.0 or cmax > 0.0 else 0.0)
-                fitd[task] = (task_mem, comm_fit)
-            comm_mem = comm_fit + cmax if cross_in > 0.0 or cmax > 0.0 else 0.0
-            resource, est, duration, proc = resource_choice(
-                memory, precedence, task_mem, comm_mem,
-                times[row_of[task]][idx])
-            append(tn(bd_cls, (task, memory, resource, precedence, task_mem,
-                               comm_mem, cmax, est,
-                               est + duration if isfinite(est) else inf,
-                               comm_fit, duration, proc)))
-        return out
-
     def evaluate_class_batch(self, state: "SchedulerState",
                              tasks: Sequence[Task],
                              memory: "Memory") -> list[ESTBreakdown]:
-        """Breakdowns of all ``tasks`` (which must be *ready*) on one
-        memory class.  The scalar backend just loops; vectorized backends
-        overload this with one array pass per batch."""
-        st = obs.active()
-        if st is None:
-            return self._evaluate_batch_scalar(state, tasks, memory)
-        t0 = time.perf_counter()
-        out = self._evaluate_batch_scalar(state, tasks, memory)
-        _record_batch(self.name, "scalar", len(tasks),
-                      time.perf_counter() - t0)
-        return out
+        """Breakdowns of all ``tasks`` on one memory class."""
+        evaluate = self.evaluate
+        return [evaluate(state, task, memory) for task in tasks]
 
     def best_est_batch(self, state: "SchedulerState",
                        tasks: Sequence[Task]) -> list[Optional[ESTBreakdown]]:
         """Per-task best-class choice over a whole candidate batch — the
         §5.1 memory-selection EPS-chain of :meth:`SchedulerState.best_est`
-        replayed class-by-class over the batched columns."""
+        replayed class-by-class over the per-class batches."""
         per_class = [self.evaluate_class_batch(state, tasks, m)
                      for m in state.memories]
         out: list[Optional[ESTBreakdown]] = []
@@ -363,561 +178,10 @@ class ScalarKernel:
         return out
 
 
-class NumpyKernel(ScalarKernel):
-    """Vectorized backend: one array pass per (batch, memory class).
-
-    Falls back to the scalar loop below ``batch_cutoff`` candidates, where
-    array setup costs more than it saves — the default sits at the
-    measured crossover on CPython 3.11 (mid-size flush batches pay ~50us
-    of fixed array-setup per class, vs ~1us per scalar evaluation).
-    Construct with ``batch_cutoff=1`` to force the vector path (the
-    equivalence tests do, so tiny fuzzed instances still exercise it).
-    """
-
-    name = "numpy"
-    vectorized = True
-
-    def __init__(self, batch_cutoff: int = 48) -> None:
-        require_numpy("the numpy kernel backend")
-        if batch_cutoff < 1:
-            raise ValueError("batch_cutoff must be >= 1")
-        self.batch_cutoff = batch_cutoff
-
-    # -- vectorized earliest_fit ----------------------------------------
-    def _fit_batch(self, state: "SchedulerState", idx: int, needs):
-        """``earliest_fit(need)`` for an array of needs against one
-        profile: rightmost staircase segment above ``capacity - need`` via
-        a suffix-max array and one ``searchsorted`` (same ``> bound``
-        predicate as the scalar block-max scan, so bit-identical).
-
-        The suffix-max / breakpoint arrays are cached per class on the
-        state's kernel scratch, keyed by the profile ``version`` — the
-        staircase *function* they encode survives :meth:`MemoryProfile.
-        compact` (which is exactly why compaction leaves ``version``
-        alone), so a compact between queries cannot desynchronise them.
-        """
-        np = require_numpy("the numpy kernel backend")
-        profile = state.mem[state.memories[idx]]
-        cap = profile.capacity
-        if math.isinf(cap):
-            return np.zeros(len(needs))
-        key = ("sfx", idx)
-        cached = state._kernel_scratch.get(key)
-        if cached is None or cached[0] != profile.version:
-            vals = np.array(profile._vals, dtype=np.float64)
-            # sm_asc[i] = max(vals[n-1-i:]) — the suffix maxima, ascending.
-            sm_asc = np.maximum.accumulate(vals[::-1])
-            xs = np.array(profile._xs, dtype=np.float64)
-            cached = (profile.version, sm_asc, xs)
-            state._kernel_scratch[key] = cached
-        _, sm_asc, xs = cached
-        n = len(xs)
-        bound = (cap - needs) + EPS
-        # Rightmost segment j with vals[j] > bound == rightmost j with
-        # suffix-max > bound; count elements <= bound in the ascending
-        # suffix-max array, the rest form the exceeding prefix.
-        j = (n - np.searchsorted(sm_asc, bound, side="right")) - 1
-        # j + 1 is always >= 0, so a one-sided minimum replaces np.clip
-        # (whose dtype-limit checks dominate on small batches).
-        res = np.where(j < 0, 0.0,
-                       np.where(j >= n - 1, math.inf,
-                                xs[np.minimum(j + 1, n - 1)]))
-        return np.where(needs <= EPS, 0.0,
-                        np.where(needs > cap + EPS, math.inf, res))
-
-    # -- batch evaluation ------------------------------------------------
-    def _class_columns(self, state: "SchedulerState", tasks: Sequence[Task],
-                       parts_all: list, memory: "Memory"):
-        """All breakdown components of one (batch, class) in one vectorized
-        pass, as ``(eft_array, *columns)`` where the columns are plain
-        Python lists (cheap to index when assembling breakdowns).
-
-        ``parts_all`` is the per-task :meth:`SchedulerState.
-        _precedence_parts` list, computed once per batch by the callers and
-        shared across the k classes."""
-        np = require_numpy("the numpy kernel backend")
-        platform = state.platform
-        idx = memory.index
-        B = len(tasks)
-        parts = [p[idx] for p in parts_all]
-        prec_t, cmax_t, cross_t, need_t = zip(*parts)
-        prec = np.array(prec_t)
-        cmax = np.array(cmax_t)
-        cross = np.array(cross_t)
-
-        # Memory parts through the shared per-class {task: (task_mem,
-        # comm_fit)} memo; only the misses hit the staircase.  A profile
-        # version bump invalidates the class dict wholesale, so the common
-        # post-commit case is fully cold and skips the per-candidate scan.
-        profile = state.mem[memory]
-        version = profile.version
-        slot = state._fit[idx]
-        if slot[0] != version:
-            slot[0] = version
-            slot[1].clear()
-        fitd = slot[1]
-        if not fitd:
-            task_mem = self._fit_batch(state, idx, np.array(need_t))
-            comm_fit = self._fit_batch(state, idx, cross)
-            fitd.update(zip(tasks, zip(task_mem.tolist(),
-                                       comm_fit.tolist())))
-        else:
-            task_mem = np.empty(B)
-            comm_fit = np.empty(B)
-            misses: list[int] = []
-            for b, task in enumerate(tasks):
-                cached = fitd.get(task)
-                if cached is not None:
-                    task_mem[b] = cached[0]
-                    comm_fit[b] = cached[1]
-                else:
-                    misses.append(b)
-            if misses:
-                need_m = np.array([need_t[b] for b in misses])
-                tm = self._fit_batch(state, idx, need_m)
-                cf = self._fit_batch(state, idx, cross[misses])
-                task_mem[misses] = tm
-                comm_fit[misses] = cf
-                tm_l, cf_l = tm.tolist(), cf.tolist()
-                for pos, b in enumerate(misses):
-                    fitd[tasks[b]] = (tm_l[pos], cf_l[pos])
-        has_comm = (cross > 0.0) | (cmax > 0.0)
-        comm_mem = np.where(has_comm, comm_fit + cmax, 0.0)
-
-        row = state._row
-        times_mat = state._kernel_scratch.get("times")
-        if times_mat is None:
-            times_mat = np.array(state._flat.times, dtype=np.float64)
-            state._kernel_scratch["times"] = times_mat
-        w = times_mat[[row[task] for task in tasks], idx]
-
-        if platform.uniform_classes[idx]:
-            resource = state.class_resources()[idx]
-            est = np.maximum(np.maximum(prec, task_mem),
-                             np.maximum(comm_mem, resource))
-            dur = w / platform.max_class_speeds[idx]
-            eft = est + dur
-            res_l = [resource] * B
-            proc_l = [-1] * B
-        else:
-            floor = np.maximum(np.maximum(prec, task_mem), comm_mem)
-            avail = state.avail
-            speeds = platform.speeds
-            best_finish = np.full(B, math.inf)
-            best_avail = np.full(B, -math.inf)
-            best_dur = np.full(B, math.inf)
-            best_proc = np.full(B, -1)
-            # The exact tie chain of _finish_choice, replayed elementwise
-            # in processor-index order (never an argmin).
-            for p in platform.procs(memory):
-                a = avail[p]
-                dur_p = w / speeds[p]
-                finish = np.maximum(floor, a) + dur_p
-                upd = (finish < best_finish) | ((finish == best_finish)
-                                                & (a > best_avail))
-                best_finish = np.where(upd, finish, best_finish)
-                best_dur = np.where(upd, dur_p, best_dur)
-                best_proc = np.where(upd, p, best_proc)
-                best_avail = np.where(upd, a, best_avail)
-            est = np.maximum(floor, best_avail)
-            dur = best_dur
-            eft = est + dur
-            res_l = best_avail.tolist()
-            proc_l = best_proc.tolist()
-
-        # est + finite dur keeps inf lanes at inf, matching the scalar
-        # `eft = est + duration if isfinite(est) else inf` exactly.
-        return (eft, res_l, prec.tolist(), task_mem.tolist(),
-                comm_mem.tolist(), cmax.tolist(), est.tolist(), eft.tolist(),
-                comm_fit.tolist(), dur.tolist(), proc_l)
-
-    def evaluate_class_batch(self, state: "SchedulerState",
-                             tasks: Sequence[Task],
-                             memory: "Memory") -> list[ESTBreakdown]:
-        st = obs.active()
-        if (len(tasks) < self.batch_cutoff
-                or state.platform.n_procs_of(memory) == 0):
-            if st is None:
-                return self._evaluate_batch_scalar(state, tasks, memory)
-            t0 = time.perf_counter()
-            out = self._evaluate_batch_scalar(state, tasks, memory)
-            _record_batch(self.name, "scalar", len(tasks),
-                          time.perf_counter() - t0)
-            return out
-        t0 = time.perf_counter() if st is not None else 0.0
-        static = state._static
-        parts_of = state._precedence_parts
-        parts_all = [static.get(task) or parts_of(task) for task in tasks]
-        (_, res_l, prec_l, tmem_l, cmem_l, cmax_l, est_l, eft_l, cfit_l,
-         dur_l, proc_l) = self._class_columns(state, tasks, parts_all, memory)
-        # zip assembles the rows and ``map(tuple.__new__, ...)`` turns them
-        # into breakdowns, all at C level — no per-candidate Python frame.
-        out = list(map(_tuple_new, repeat(ESTBreakdown),
-                       zip(tasks, repeat(memory), res_l, prec_l, tmem_l,
-                           cmem_l, cmax_l, est_l, eft_l, cfit_l, dur_l,
-                           proc_l)))
-        if st is not None:
-            _record_batch(self.name, "vector", len(tasks),
-                          time.perf_counter() - t0)
-        return out
-
-    def best_est_batch(self, state: "SchedulerState",
-                       tasks: Sequence[Task]) -> list[Optional[ESTBreakdown]]:
-        """Batched §5.1 memory selection without materialising the per-class
-        breakdowns: the per-class columns stay arrays, the class-order EPS
-        chain runs elementwise over the batch, and only the winning
-        (task, class) breakdowns are constructed."""
-        if len(tasks) < self.batch_cutoff:
-            return super().best_est_batch(state, tasks)
-        st = obs.active()
-        t0 = time.perf_counter() if st is not None else 0.0
-        np = require_numpy("the numpy kernel backend")
-        B = len(tasks)
-        platform = state.platform
-        memories = state.memories
-        static = state._static
-        parts_of = state._precedence_parts
-        parts_all = [static.get(task) or parts_of(task) for task in tasks]
-        best_eft = np.full(B, math.inf)
-        best_cls = np.full(B, -1, dtype=np.intp)
-        cols: list = []
-        for memory in memories:
-            if platform.n_procs_of(memory) == 0:
-                cols.append(None)
-                continue
-            col = self._class_columns(state, tasks, parts_all, memory)
-            cols.append(col)
-            eft = col[0]
-            # The exact EPS chain of ScalarKernel.best_est_batch, replayed
-            # elementwise in class-index order.
-            upd = np.isfinite(eft) & ((best_cls < 0) | (eft < best_eft - EPS))
-            best_eft = np.where(upd, eft, best_eft)
-            best_cls = np.where(upd, memory.index, best_cls)
-        # Assemble each winning class's rows once (C-level zip), then copy
-        # the winning row per task into a breakdown.
-        cls_l = best_cls.tolist()
-        rows: list = [None] * len(cols)
-        tn = _tuple_new
-        bd_cls = ESTBreakdown
-        out: list[Optional[ESTBreakdown]] = []
-        append = out.append
-        for b, task in enumerate(tasks):
-            ci = cls_l[b]
-            if ci < 0:
-                append(None)
-                continue
-            r = rows[ci]
-            if r is None:
-                r = rows[ci] = list(zip(tasks, repeat(memories[ci]),
-                                        *cols[ci][1:]))
-            append(tn(bd_cls, r[b]))
-        if st is not None:
-            _record_batch(self.name, "vector", len(tasks),
-                          time.perf_counter() - t0)
-        return out
-
-
-class CompiledKernel(NumpyKernel):
-    """Compiled backend: the per-(batch, class) evaluation runs in C.
-
-    A ~200-line shared library (``_estkernel.c``, built on demand by
-    :mod:`repro.scheduling._cc` with the system C toolchain and loaded via
-    ctypes) performs the precedence gathers over the CSR parent arrays,
-    the suffix-max ``earliest_fit`` staircase queries, the heterogeneous
-    finish-time tie chains and the §5.1 class-selection EPS chain — zero
-    per-candidate Python object churn; only the *winning* breakdowns are
-    materialised back into :class:`ESTBreakdown` tuples.
-
-    Marshalling layout (all per-state, living in ``state._kernel_scratch``
-    so one kernel instance serves any number of states):
-
-    * static: the FlatGraph CSR arrays, the (n x k) times matrix and the
-      per-class processor lists as int64/float64 numpy arrays, built once
-      per state;
-    * dynamic: float64/int64 mirrors of the per-row ``_finish``/``_memidx``
-      placement views, updated incrementally by draining the state's
-      ``_commit_log`` (one committed row per commit) instead of re-copying
-      n-element lists per batch;
-    * per class: the profile staircase as contiguous ``xs``/suffix-max
-      arrays keyed on the profile ``version``, and the processor avail
-      array keyed on the avail vector's ``version``.
-
-    Unlike the numpy backend it does **not** read or populate the shared
-    ``(task, class)`` fit memo — the C pass recomputes fits from the
-    staircase, which is cheaper than the dict traffic and bit-identical by
-    construction, so mixing compiled batches with scalar singles stays
-    coherent.  The cutoff below which the scalar loop wins is much lower
-    than numpy's (one C call costs ~2us vs ~50us of array setup).
-    """
-
-    name = "compiled"
-    vectorized = True
-
-    def __init__(self, batch_cutoff: int = 16) -> None:
-        super().__init__(batch_cutoff=batch_cutoff)  # checks numpy
-        from . import _cc
-        self._lib = _cc.load_library()  # raises CompiledKernelUnavailable
-        self._np = require_numpy("the compiled kernel backend")
-        #: Placeholder pointer target for array arguments the C side never
-        #: dereferences (staircases of unbounded profiles, avail of
-        #: uniform classes).
-        self._dummy = self._np.zeros(1)
-
-    # -- per-state scratch ----------------------------------------------
-    def _cstatic(self, state: "SchedulerState"):
-        """The state's immutable arrays in C layout, built once per state."""
-        sc = state._kernel_scratch
-        st = sc.get("cstatic")
-        if st is None:
-            np = self._np
-            flat = state._flat
-            platform = state.platform
-            times = sc.get("times")
-            if times is None:
-                times = sc["times"] = np.array(flat.times, dtype=np.float64)
-            st = sc["cstatic"] = (
-                np.asarray(flat.parent_ptr, dtype=np.int64),
-                np.asarray(flat.parent_row, dtype=np.int64),
-                np.asarray(flat.parent_comm, dtype=np.float64),
-                np.asarray(flat.parent_size, dtype=np.float64),
-                np.asarray(flat.out_size, dtype=np.float64),
-                times,
-                np.asarray(platform.speeds, dtype=np.float64),
-                tuple(np.asarray(list(platform.procs(m)), dtype=np.int64)
-                      for m in state.memories),
-            )
-        return st
-
-    def _cdynamic(self, state: "SchedulerState"):
-        """Array mirrors of ``_finish``/``_memidx``, maintained by draining
-        the commit log (rows committed since the last drain)."""
-        sc = state._kernel_scratch
-        log = state._commit_log
-        dyn = sc.get("cdyn")
-        if dyn is None:
-            np = self._np
-            dyn = sc["cdyn"] = [
-                len(log),
-                np.asarray(state._finish, dtype=np.float64),
-                np.asarray(state._memidx, dtype=np.int64),
-            ]
-        elif dyn[0] < len(log):
-            fa, ma = dyn[1], dyn[2]
-            fin = state._finish
-            mem = state._memidx
-            for r in log[dyn[0]:]:
-                fa[r] = fin[r]
-                ma[r] = mem[r]
-            dyn[0] = len(log)
-        return dyn[1], dyn[2]
-
-    def _cavail(self, state: "SchedulerState"):
-        """Processor avail times as a float64 array, keyed on the avail
-        vector's version (commits and direct writes both bump it)."""
-        sc = state._kernel_scratch
-        avail = state.avail
-        cached = sc.get("cavail")
-        if cached is None or cached[0] != avail.version:
-            cached = sc["cavail"] = (
-                avail.version, self._np.array(avail, dtype=self._np.float64))
-        return cached[1]
-
-    def _cstaircase(self, state: "SchedulerState", idx: int):
-        """One class's staircase as contiguous ``(cap, nseg, xs, sm)`` with
-        ``sm[j] = max(vals[j:])`` non-increasing, keyed on the profile
-        ``version`` (compaction leaves the version — and the function the
-        arrays encode — unchanged, exactly like the numpy scratch)."""
-        profile = state.mem[state.memories[idx]]
-        cap = profile.capacity
-        if math.isinf(cap):
-            return cap, 1, self._dummy, self._dummy  # never dereferenced
-        sc = state._kernel_scratch
-        key = ("csfx", idx)
-        cached = sc.get(key)
-        if cached is None or cached[0] != profile.version:
-            np = self._np
-            vals = np.array(profile._vals, dtype=np.float64)
-            sm = np.ascontiguousarray(
-                np.maximum.accumulate(vals[::-1])[::-1])
-            xs = np.array(profile._xs, dtype=np.float64)
-            cached = sc[key] = (profile.version, xs, sm)
-        _, xs, sm = cached
-        return cap, len(xs), xs, sm
-
-    # -- C dispatch ------------------------------------------------------
-    def _eval_class_c(self, state: "SchedulerState", rows,
-                      memory: "Memory", bufs) -> None:
-        """One ``est_eval_class_batch`` call filling the ten column buffers
-        for (batch, class)."""
-        idx = memory.index
-        platform = state.platform
-        (parent_ptr, parent_row, parent_comm, parent_size, out_size,
-         times, speeds, procs_by_class) = self._cstatic(state)
-        finish, memidx = self._cdynamic(state)
-        cap, nseg, xs, sm = self._cstaircase(state, idx)
-        uniform = platform.uniform_classes[idx]
-        procs = procs_by_class[idx]
-        if uniform:
-            class_resource = state.class_resources()[idx]
-            avail = self._dummy
-        else:
-            class_resource = 0.0
-            avail = self._cavail(state)
-        (o_res, o_prec, o_tmem, o_cmem, o_cmax, o_est, o_eft, o_cfit,
-         o_dur, o_proc) = bufs
-        self._lib.est_eval_class_batch(
-            len(rows), rows.ctypes.data, idx, len(state.memories),
-            parent_ptr.ctypes.data, parent_row.ctypes.data,
-            parent_comm.ctypes.data, parent_size.ctypes.data,
-            out_size.ctypes.data, times.ctypes.data,
-            finish.ctypes.data, memidx.ctypes.data,
-            nseg, xs.ctypes.data, sm.ctypes.data, cap,
-            1 if uniform else 0, class_resource,
-            platform.max_class_speeds[idx],
-            len(procs), procs.ctypes.data, avail.ctypes.data,
-            speeds.ctypes.data,
-            o_res.ctypes.data, o_prec.ctypes.data, o_tmem.ctypes.data,
-            o_cmem.ctypes.data, o_cmax.ctypes.data, o_est.ctypes.data,
-            o_eft.ctypes.data, o_cfit.ctypes.data, o_dur.ctypes.data,
-            o_proc.ctypes.data)
-
-    # -- batch entry points ----------------------------------------------
-    def evaluate_class_batch(self, state: "SchedulerState",
-                             tasks: Sequence[Task],
-                             memory: "Memory") -> list[ESTBreakdown]:
-        if (len(tasks) < self.batch_cutoff
-                or state.platform.n_procs_of(memory) == 0):
-            return super().evaluate_class_batch(state, tasks, memory)
-        st = obs.active()
-        t0 = time.perf_counter() if st is not None else 0.0
-        np = self._np
-        B = len(tasks)
-        row = state._row
-        rows = np.asarray([row[t] for t in tasks], dtype=np.int64)
-        bufs = tuple(np.empty(B) for _ in range(9)) \
-            + (np.empty(B, dtype=np.int64),)
-        self._eval_class_c(state, rows, memory, bufs)
-        out = list(map(_tuple_new, repeat(ESTBreakdown),
-                       zip(tasks, repeat(memory),
-                           *(buf.tolist() for buf in bufs))))
-        if st is not None:
-            _record_batch(self.name, "vector", B,
-                          time.perf_counter() - t0)
-        return out
-
-    def best_est_batch(self, state: "SchedulerState",
-                       tasks: Sequence[Task]) -> list[Optional[ESTBreakdown]]:
-        """Batched §5.1 memory selection fully in C: one evaluation call
-        per class into a shared (k x B) EFT matrix, one ``est_select_best``
-        chain call, then winner-only breakdown materialisation."""
-        if len(tasks) < self.batch_cutoff:
-            return ScalarKernel.best_est_batch(self, state, tasks)
-        st = obs.active()
-        t0 = time.perf_counter() if st is not None else 0.0
-        np = self._np
-        B = len(tasks)
-        memories = state.memories
-        k = len(memories)
-        platform = state.platform
-        row = state._row
-        rows = np.asarray([row[t] for t in tasks], dtype=np.int64)
-        eft_mat = np.full((k, B), math.inf)
-        present = np.zeros(k, dtype=np.int64)
-        bufs_by_class: list = [None] * k
-        for memory in memories:
-            ci = memory.index
-            if platform.n_procs_of(memory) == 0:
-                continue
-            present[ci] = 1
-            # eft_mat[ci] is a contiguous row of the C-order matrix, so
-            # the C call writes the EFT column straight into the matrix
-            # est_select_best consumes.
-            bufs = (np.empty(B), np.empty(B), np.empty(B), np.empty(B),
-                    np.empty(B), np.empty(B), eft_mat[ci], np.empty(B),
-                    np.empty(B), np.empty(B, dtype=np.int64))
-            bufs_by_class[ci] = bufs
-            self._eval_class_c(state, rows, memory, bufs)
-        best_cls = np.empty(B, dtype=np.int64)
-        self._lib.est_select_best(B, k, eft_mat.ctypes.data,
-                                  present.ctypes.data, best_cls.ctypes.data)
-        cls_l = best_cls.tolist()
-        rows_cache: list = [None] * k
-        tn = _tuple_new
-        bd_cls = ESTBreakdown
-        out: list[Optional[ESTBreakdown]] = []
-        append = out.append
-        for b, task in enumerate(tasks):
-            ci = cls_l[b]
-            if ci < 0:
-                append(None)
-                continue
-            r = rows_cache[ci]
-            if r is None:
-                r = rows_cache[ci] = list(
-                    zip(tasks, repeat(memories[ci]),
-                        *(buf.tolist() for buf in bufs_by_class[ci])))
-            append(tn(bd_cls, r[b]))
-        if st is not None:
-            _record_batch(self.name, "vector", B,
-                          time.perf_counter() - t0)
-        return out
-
-
-KernelLike = Union[None, str, ScalarKernel]
-
 _SCALAR = ScalarKernel()
-_NUMPY: Optional[NumpyKernel] = None
-_COMPILED: Optional[CompiledKernel] = None
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`resolve_backend` on this interpreter.
-
-    The first call may probe — and build — the compiled backend's shared
-    library; the probe's outcome is memoized in
-    :mod:`repro.scheduling._cc`, so later calls are free."""
-    if not HAS_NUMPY:
-        return ("scalar",)
-    from . import _cc
-    if _cc.compiled_available():
-        return ("scalar", "numpy", "compiled")
-    return ("scalar", "numpy")
-
-
-def resolve_backend(backend: KernelLike = None) -> ScalarKernel:
-    """Resolve a backend spec to a kernel instance.
-
-    Precedence: explicit ``backend`` (a name or a kernel instance) >
-    ``MEMSCHED_KERNEL`` environment variable > ``auto``.  ``auto`` picks
-    the fastest backend this interpreter supports — ``compiled`` when
-    numpy and a working C toolchain are present, then ``numpy``, then
-    ``scalar``; naming ``numpy`` or ``compiled`` explicitly when
-    unavailable is an error.
-    """
-    if isinstance(backend, ScalarKernel):
-        return backend
-    name = backend if backend is not None else os.environ.get(ENV_VAR) or "auto"
-    name = name.strip().lower()
-    if name == "auto":
-        if not HAS_NUMPY:
-            name = "scalar"
-        else:
-            from . import _cc
-            name = "compiled" if _cc.compiled_available() else "numpy"
-    if name == "scalar":
-        return _SCALAR
-    if name == "numpy":
-        global _NUMPY
-        if _NUMPY is None:
-            _NUMPY = NumpyKernel()  # raises when numpy is missing
-        return _NUMPY
-    if name == "compiled":
-        global _COMPILED
-        if _COMPILED is None:
-            # Raises with the concrete reason when numpy or the C
-            # toolchain is missing.
-            _COMPILED = CompiledKernel()
-        return _COMPILED
-    raise ValueError(
-        f"unknown kernel backend {name!r}; expected one of "
-        f"{('auto',) + available_backends()}")
+def resolve_backend() -> ScalarKernel:
+    """The EST kernel every :class:`~repro.scheduling.state.
+    SchedulerState` evaluates with."""
+    return _SCALAR

@@ -28,21 +28,18 @@ from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from .candidates import RankSelector
-from .kernel import KernelLike
 from .ranks import rank_order
 from .state import InfeasibleScheduleError, SchedulerState
 
 
 def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
-            comm_policy: str = "late", lazy: bool = True,
-            backend: KernelLike = None) -> Schedule:
+            comm_policy: str = "late", lazy: bool = True) -> Schedule:
     """Schedule ``graph`` on ``platform`` with MemHEFT.
 
     ``comm_policy`` selects when incoming transfers fire: ``"late"`` (the
     paper's choice) or ``"eager"`` (ablation, see
     :mod:`repro.experiments.ablation`).  ``lazy`` selects the ready-task
-    heap (default) or the naive priority-list walk.  ``backend`` picks the
-    EST kernel backend (:func:`repro.scheduling.kernel.resolve_backend`).
+    heap (default) or the naive priority-list walk.
 
     The upward ranks are speed-aware: on heterogeneous platforms each
     class's execution term is normalised by its fastest processor (a no-op
@@ -53,8 +50,7 @@ def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
     InfeasibleScheduleError
         When the heuristic cannot fit the graph within the memory bounds.
     """
-    state = SchedulerState(graph, platform, comm_policy=comm_policy,
-                           backend=backend)
+    state = SchedulerState(graph, platform, comm_policy=comm_policy)
 
     if lazy:
         if obs.active() is not None:

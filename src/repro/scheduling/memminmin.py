@@ -23,7 +23,6 @@ from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from .candidates import MinEFTSelector
-from .kernel import KernelLike
 from .state import ESTBreakdown, InfeasibleScheduleError, SchedulerState
 
 Task = Hashable
@@ -31,19 +30,16 @@ Task = Hashable
 
 def memminmin(graph: TaskGraph, platform: Platform, *,
               comm_policy: str = "late", lazy: bool = True,
-              backend: KernelLike = None,
               dag_scoped: bool = True) -> Schedule:
     """Schedule ``graph`` on ``platform`` with MemMinMin.
 
     ``comm_policy``: ``"late"`` (paper) or ``"eager"`` (ablation).
     ``lazy``: serve the per-step argmin from the lazy candidate heap
     (default) or rescan every available task (the reference path).
-    ``backend`` picks the EST kernel backend
-    (:func:`repro.scheduling.kernel.resolve_backend`); ``dag_scoped=False``
-    reverts the selector to coarse per-class invalidation (A/B benchmarks).
+    ``dag_scoped=False`` reverts the selector to coarse per-class
+    invalidation (A/B benchmarks).
     """
-    state = SchedulerState(graph, platform, comm_policy=comm_policy,
-                           backend=backend)
+    state = SchedulerState(graph, platform, comm_policy=comm_policy)
     # Stable task indices make the (unspecified) tie-break deterministic.
     index = {t: k for k, t in enumerate(graph.topological_order())}
 

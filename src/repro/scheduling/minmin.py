@@ -9,13 +9,11 @@ from __future__ import annotations
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .kernel import KernelLike
 from .memminmin import memminmin
 
 
-def minmin(graph: TaskGraph, platform: Platform, *,
-           backend: KernelLike = None) -> Schedule:
+def minmin(graph: TaskGraph, platform: Platform) -> Schedule:
     """Schedule with classical (memory-oblivious) MinMin."""
-    schedule = memminmin(graph, platform.unbounded(), backend=backend)
+    schedule = memminmin(graph, platform.unbounded())
     schedule.meta["algorithm"] = "minmin"
     return schedule

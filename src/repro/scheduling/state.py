@@ -50,17 +50,13 @@ breakdown into parts with different lifetimes:
   O(1) per query and maintained through :class:`_AvailVector`, which also
   reflects direct ``avail`` mutations made by branching searches.
 
-The arithmetic itself lives in :mod:`repro.scheduling.kernel` behind a
-pluggable backend (``backend=`` kwarg / ``MEMSCHED_KERNEL`` env /
-auto-detect): the ``scalar`` reference path, or the optional vectorized
-``numpy`` path that evaluates whole candidate batches per class.  The
-state holds the data layout both backends share — the
+The arithmetic itself lives in :mod:`repro.scheduling.kernel`.  The
+state holds the data layout the kernel reads — the
 :class:`~repro.core.graph.FlatGraph` CSR adjacency, per-row finish/class
-arrays, the ``(task, class)`` fit memo and the per-class scratch — and
-every cached or vectorized component is bit-for-bit identical to a fresh
-scalar evaluation (``incremental=False`` keeps the from-scratch path for
-cross-checking and benchmarks), so the heuristics take
-decision-for-decision identical schedules in every mode.
+arrays and the ``(task, class)`` fit memo — and every cached component is
+bit-for-bit identical to a fresh evaluation (``incremental=False`` keeps
+the from-scratch path for cross-checking and benchmarks), so the
+heuristics take decision-for-decision identical schedules in both modes.
 
 On commit the state performs the §3.2 memory bookkeeping:
 
@@ -69,6 +65,9 @@ On commit the state performs the §3.2 memory bookkeeping:
 * same-memory inputs released at the task finish;
 * cross-memory inputs allocated in ``mu`` for the transfer-until-finish
   window and released from the parent's memory when their transfer ends.
+
+Each of these events is one :meth:`MemoryProfile.add` on its profile, in
+edge order.
 
 Each individual transfer is clipped to start no earlier than its producer's
 finish (``max(EST - Cmax, AFT(j))``) — see DESIGN.md §4: without the clip the
@@ -91,7 +90,6 @@ from ..core.platform import Memory, Platform
 from ..core.schedule import CommEvent, Placement, Schedule
 from .kernel import (  # noqa: F401  (ESTBreakdown re-exported)
     ESTBreakdown,
-    KernelLike,
     infeasible_breakdown,
     resolve_backend,
 )
@@ -183,15 +181,11 @@ class SchedulerState:
     """Mutable partial schedule shared by every list-scheduling heuristic.
 
     Works for any number of memory classes; the paper's dual-memory
-    platform is simply ``k = 2``.  ``backend`` selects the EST kernel
-    backend (:func:`repro.scheduling.kernel.resolve_backend`): a name
-    (``"scalar"`` / ``"numpy"`` / ``"auto"``), a kernel instance, or
-    ``None`` to consult ``MEMSCHED_KERNEL`` and auto-detect.
+    platform is simply ``k = 2``.
     """
 
     def __init__(self, graph: TaskGraph, platform: Platform,
-                 comm_policy: str = "late", incremental: bool = True,
-                 backend: KernelLike = None) -> None:
+                 comm_policy: str = "late", incremental: bool = True) -> None:
         if comm_policy not in ("late", "eager"):
             raise ValueError(f"comm_policy must be 'late' or 'eager', got {comm_policy!r}")
         if graph.n_classes != platform.n_classes:
@@ -202,7 +196,7 @@ class SchedulerState:
         self.platform = platform
         self.comm_policy = comm_policy
         self.incremental = incremental
-        self.kernel = resolve_backend(backend)
+        self.kernel = resolve_backend()
         self.memories = platform.memories()
         # Per class: True when all its processors share one speed (the
         # min(avail) fast path); heterogeneous classes take the
@@ -215,7 +209,7 @@ class SchedulerState:
         self.mem: dict[Memory, MemoryProfile] = {
             m: MemoryProfile(platform.capacity(m)) for m in self.memories
         }
-        # -- flat array-of-structs layout (shared by the kernel backends) -
+        # -- flat array-of-structs layout (read by the kernel) ------------
         flat = graph.flatten()
         self._flat = flat
         self._row = flat.index
@@ -235,19 +229,10 @@ class SchedulerState:
         self._static: dict[Task, list[tuple[float, float, float, float]]] = {}
         # Per class: ``[profile version, {task: (task_mem, comm_fit)}]``.
         # A version bump invalidates the whole class dict at once (the
-        # kernels clear it lazily on first access), so the hot path never
+        # kernel clears it lazily on first access), so the hot path never
         # filters stale entries; commit additionally evicts the committed
         # task, bounding the memo to ready-but-uncommitted candidates.
         self._fit: list[list] = [[-1, {}] for _ in range(platform.n_classes)]
-        #: Backend scratch (e.g. the numpy suffix-max staircase arrays,
-        #: the compiled backend's C-layout mirrors), managed by the
-        #: kernel, reset on copy().
-        self._kernel_scratch: dict = {}
-        #: Rows committed since this state was created, in commit order —
-        #: the compiled backend drains it to update its array mirrors of
-        #: ``_finish``/``_memidx`` incrementally.  Reset together with the
-        #: scratch on copy(), so clones rebuild mirrors from the lists.
-        self._commit_log: list[int] = []
         # -- per-class dirty tracking ----------------------------------
         # Commits record which memory classes they actually mutated: one
         # serial per commit, and per class the serial of the last commit
@@ -324,7 +309,7 @@ class SchedulerState:
                          task_mem: float, comm_mem: float,
                          w: float) -> tuple[float, float, float, int]:
         """The resource/processor half of one EST evaluation, shared by
-        the kernel backends: returns ``(resource, est, duration, proc)``.
+        the kernel paths: returns ``(resource, est, duration, proc)``.
         Uniform-speed classes take the class-wide ``min(avail)`` fast path
         (bit-identical to the homogeneous arithmetic at speed 1.0; the
         processor is chosen at commit time); heterogeneous ones minimise
@@ -345,8 +330,7 @@ class SchedulerState:
         at once; the result is cached until the task itself commits — once
         a task is ready its parents are all placed, so these values never
         change.  The ``cross_in`` accumulation is an order-dependent
-        sequential sum, which is why *both* kernel backends share this
-        scalar code (see :mod:`repro.scheduling.kernel`).
+        sequential sum, so every evaluation path shares this code.
         """
         parts = self._static.get(task)
         if parts is not None:
@@ -508,23 +492,15 @@ class SchedulerState:
         row = self._row[task]
         self._finish[row] = finish
         self._memidx[row] = memory.index
-        self._commit_log.append(row)
 
         midx = memory.index
+        dest = self.mem[memory]
         touched: set[int] = set()
-        # Profile mutations are collected per class and applied as one
-        # MemoryProfile.add_batch per touched profile below: same events
-        # in the same per-profile order as the historical per-edge add()
-        # calls (profiles are independent, so cross-profile interleaving
-        # is irrelevant), hence bit-identical staircases — with one merge
-        # pass and one version bump per profile per commit.
-        dest_events: list = []
-        src_events: dict[int, list] = {}
         # Outputs resident in mu from the task start until each consumer is
         # committed (release scheduled then).
         out_total = flat.out_size[row]
         if out_total > 0.0:
-            dest_events.append((out_total, est, None))
+            dest.add(out_total, est, None)
             touched.add(midx)
 
         order = flat.order
@@ -537,7 +513,7 @@ class SchedulerState:
             if p_idx == midx:
                 # Same-memory input: freed when this task finishes.
                 if size > 0.0:
-                    dest_events.append((-size, finish, None))
+                    dest.add(-size, finish, None)
                     touched.add(midx)
             else:
                 # Cross-memory input transfer.  "late" (the paper's policy):
@@ -545,7 +521,12 @@ class SchedulerState:
                 # producer's finish.  "eager" (ablation): fire as soon as the
                 # destination has room, again no earlier than the producer.
                 if self.comm_policy == "late":
-                    comm_start = max(est - breakdown.cmax, p_finish)
+                    # EST >= comm_fit + Cmax, but ``EST - Cmax`` can round
+                    # to one ulp below comm_fit on fractional times, which
+                    # would start the copy inside the still-full segment;
+                    # comm_fit is the exact fit breakpoint, so clip to it.
+                    comm_start = max(est - breakdown.cmax, p_finish,
+                                     breakdown.comm_fit)
                     comm_end = est
                 else:
                     comm_start = max(breakdown.comm_fit, p_finish)
@@ -556,19 +537,11 @@ class SchedulerState:
                 )
                 if size > 0.0:
                     # Destination copy lives for transfer + execution.
-                    dest_events.append((size, comm_start, finish))
+                    dest.add(size, comm_start, finish)
                     # Source copy freed when the transfer completes.
-                    src = src_events.get(p_idx)
-                    if src is None:
-                        src = src_events[p_idx] = []
-                    src.append((-size, comm_end, None))
+                    self.mem[self.memories[p_idx]].add(-size, comm_end, None)
                     touched.add(midx)
                     touched.add(p_idx)
-
-        if dest_events:
-            self.mem[memory].add_batch(dest_events)
-        for p_idx, events in src_events.items():
-            self.mem[self.memories[p_idx]].add_batch(events)
 
         # Record which classes this commit actually mutated.
         self.commit_serial += 1
@@ -617,8 +590,6 @@ class SchedulerState:
         clone._newly_ready = list(self._newly_ready)
         clone._static = dict(self._static)
         clone._fit = [[ver, dict(d)] for ver, d in self._fit]
-        clone._kernel_scratch = {}
-        clone._commit_log = []
         clone.commit_serial = self.commit_serial
         clone.class_touch_serial = list(self.class_touch_serial)
         clone.last_touched_classes = self.last_touched_classes

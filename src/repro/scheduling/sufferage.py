@@ -27,7 +27,6 @@ from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
 from .candidates import SufferageSelector
-from .kernel import KernelLike
 from .state import ESTBreakdown, InfeasibleScheduleError, SchedulerState
 
 Task = Hashable
@@ -35,7 +34,6 @@ Task = Hashable
 
 def memsufferage(graph: TaskGraph, platform: Platform, *,
                  comm_policy: str = "late", lazy: bool = True,
-                 backend: KernelLike = None,
                  dag_scoped: bool = True) -> Schedule:
     """Schedule ``graph`` with the memory-aware Sufferage heuristic.
 
@@ -45,14 +43,13 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     untouched by the last commit are reused verbatim — while ``lazy=False``
     rescans every available task.  Both paths commit identical schedules.
 
-    ``backend`` picks the EST kernel backend; ``dag_scoped=False`` reverts
-    the selector to coarse per-class invalidation (A/B benchmarks).
+    ``dag_scoped=False`` reverts the selector to coarse per-class
+    invalidation (A/B benchmarks).
 
     Raises :class:`InfeasibleScheduleError` when no available task fits
     within the memory bounds (same contract as Algorithms 1-2).
     """
-    state = SchedulerState(graph, platform, comm_policy=comm_policy,
-                           backend=backend)
+    state = SchedulerState(graph, platform, comm_policy=comm_policy)
     index = {t: k for k, t in enumerate(graph.topological_order())}
 
     if lazy:
@@ -117,9 +114,8 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     return state.finalize("memsufferage")
 
 
-def sufferage(graph: TaskGraph, platform: Platform, *,
-              backend: KernelLike = None) -> Schedule:
+def sufferage(graph: TaskGraph, platform: Platform) -> Schedule:
     """Classical (memory-oblivious) Sufferage: the unbounded special case."""
-    schedule = memsufferage(graph, platform.unbounded(), backend=backend)
+    schedule = memsufferage(graph, platform.unbounded())
     schedule.meta["algorithm"] = "sufferage"
     return schedule

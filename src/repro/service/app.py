@@ -70,7 +70,6 @@ from ..scheduling.registry import (
     MEMORY_OBLIVIOUS,
     SCHEDULERS,
 )
-from ..scheduling.kernel import available_backends, resolve_backend
 from ..scheduling.state import InfeasibleScheduleError
 from ..online import OnlineSession
 
@@ -78,7 +77,8 @@ from ..online import OnlineSession
 #: ``POST /cells`` distributed-experiment endpoint; v3 adds
 #: ``GET /metrics``, the ``metrics_summary`` healthz block, and
 #: ``X-Trace-Id``/``X-Span-Id`` propagation; v4 adds the ``kernel``
-#: healthz block (active/available EST kernel backends); v5 adds the
+#: healthz block (active/available EST kernels — pinned to the one
+#: scalar kernel since it replaced the alternatives); v5 adds the
 #: stateful online-session surface — ``POST /jobs`` (submit a graph
 #: with a release time into a named session), ``GET /jobs`` (session
 #: summary + decision journal), ``GET /jobs/{id}`` — and the
@@ -1287,11 +1287,7 @@ class ServiceApp:
             "pool_restarts": self.n_pool_restarts,
             "cache": self.cache.stats(),
             "metrics_summary": self._metrics_summary(),
-            # Which EST kernel backend serves requests on this interpreter
-            # (operators can tell a degraded numpy/scalar fallback from the
-            # compiled fast path at a glance).
-            "kernel": {"active": resolve_backend(None).name,
-                       "available": list(available_backends())},
+            "kernel": {"active": "scalar", "available": ["scalar"]},
             "sessions": self._sessions_summary(),
         }
         injector = faults.active()

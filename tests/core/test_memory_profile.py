@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import MemoryProfile
@@ -153,6 +153,40 @@ class TestInvariantsAndCopy:
         assert p.n_segments() <= 3
 
 
+class TestVersion:
+    """``version`` advances once per mutating event (EST memos compare it
+    for equality); no-op events and compaction leave it alone."""
+
+    def test_each_add_bumps_once(self):
+        p = MemoryProfile(10)
+        for k, (amount, start, end) in enumerate(
+                [(3, 0, 5), (2, 1, None), (-2, 4, None)], start=1):
+            p.add(amount, start, end)
+            assert p.version == k
+
+    def test_noop_events_keep_version(self):
+        p = MemoryProfile(10)
+        p.add(3, 0, 5)
+        p.add(0, 1, 5)
+        p.add(5, 3, 3)
+        p.add(5, 4, 2)
+        assert p.version == 1
+
+    def test_release_from_bumps_once(self):
+        p = MemoryProfile(10)
+        p.add(3, 0, None)
+        p.release_from(3, 5)
+        assert p.version == 2
+
+    def test_copy_carries_version(self):
+        p = MemoryProfile(10)
+        p.add(3, 0, 5)
+        q = p.copy()
+        assert q.version == p.version
+        q.add(1, 0, 1)
+        assert q.version == p.version + 1
+
+
 # ----------------------------------------------------------------------
 # property tests against a brute-force reference
 # ----------------------------------------------------------------------
@@ -211,79 +245,140 @@ def test_peak_is_max_of_used(ops):
 
 
 # ----------------------------------------------------------------------
-# add_batch: the batched commit path must be bit-identical to sequential
-# add() calls — same staircase function, same earliest_fit answers
+# per-event mutations against a naive dict-of-breakpoints reference: the
+# staircase *function* (not its representation) must match bit for bit,
+# and so must earliest_fit and peak
 # ----------------------------------------------------------------------
-float_event = st.tuples(
-    st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
-              allow_infinity=False),
+EPS = 1e-9
+
+#: Mostly a small grid, so events share breakpoints and values cancel or
+#: coincide (0.1 + 0.2 next to 0.3), plus arbitrary floats.
+float_time = st.one_of(
+    st.sampled_from((-1.0, 0.0, 0.1, 0.3, 1.0 / 3.0, 2.5, 7.0, 12.0)),
     st.floats(min_value=-2.0, max_value=20.0, allow_nan=False,
               allow_infinity=False),
-    st.one_of(st.none(), st.floats(min_value=-1.0, max_value=25.0,
-                                   allow_nan=False, allow_infinity=False)),
+)
+float_amount = st.one_of(
+    st.sampled_from((0.1, 0.2, 0.3, -0.1, -0.3, 1.0 / 3.0, 2.0, -2.0, 0.0)),
+    st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
+              allow_infinity=False),
+)
+#: ("add", amount, start, end-or-None) | ("release", amount, start) |
+#: ("fit", need) — queries interleave with mutations so the profile's
+#: lazily repaired block maxima are read mid-sequence.
+profile_op = st.one_of(
+    st.tuples(st.just("add"), float_amount, float_time,
+              st.one_of(st.none(), float_time)),
+    st.tuples(st.just("release"), float_amount, float_time),
+    st.tuples(st.just("fit"), st.floats(min_value=0.0, max_value=40.0,
+                                        allow_nan=False)),
 )
 
 
-def _canonical(profile):
-    profile.compact()
-    return list(profile._xs), list(profile._vals)
+class NaiveProfile:
+    """Reference staircase: ``{breakpoint: used}`` rebuilt from the event
+    list on every query, each breakpoint summing the amounts of the events
+    covering it in event order (the profile's per-segment ``+=`` order)."""
+
+    def __init__(self, capacity: float) -> None:
+        self.capacity = capacity
+        self.events: list = []
+
+    def add(self, amount, start, end=None):
+        self.events.append((amount, max(0.0, start),
+                            math.inf if end is None else end))
+
+    def release_from(self, amount, start):
+        self.add(-amount, start, None)
+
+    def breakpoints(self) -> dict:
+        times = {0.0}
+        for _, start, end in self.events:
+            if end > start:
+                times.add(start)
+                if end != math.inf:
+                    times.add(end)
+        used = {}
+        for t in sorted(times):
+            total = 0.0
+            for amount, start, end in self.events:
+                if start <= t < end and amount != 0.0:
+                    total += amount
+            used[t] = total
+        return used
+
+    def segments(self) -> list:
+        """``(start, end, used)`` with equal neighbours merged."""
+        return _merged((t, v) for t, v in self.breakpoints().items())
+
+    def peak(self) -> float:
+        return max(self.breakpoints().values())
+
+    def earliest_fit(self, need: float) -> float:
+        if need <= EPS:
+            return 0.0
+        if need > self.capacity + EPS:
+            return math.inf
+        bound = self.capacity - need + EPS
+        for start, end, used in reversed(self.segments()):
+            if used > bound:
+                return end
+        return 0.0
 
 
-class TestAddBatch:
-    def test_empty_and_noop_events(self):
-        p = MemoryProfile(100)
-        p.add_batch([])
-        p.add_batch([(0.0, 1.0, 5.0), (3.0, 7.0, 7.0), (2.0, 4.0, 2.0)])
-        assert p.version == 0
-        assert p.used_at(1.0) == 0.0
+def _merged(points) -> list:
+    out: list = []
+    for t, v in points:
+        if out and out[-1][1] == v:
+            continue
+        out.append([t, v])
+    return [(t, out[k + 1][0] if k + 1 < len(out) else math.inf, v)
+            for k, (t, v) in enumerate(out)]
 
-    def test_single_event_matches_add(self):
-        a = MemoryProfile(100)
-        b = MemoryProfile(100)
-        a.add(5.0, 2.0, 9.0)
-        b.add_batch([(5.0, 2.0, 9.0)])
-        assert _canonical(a) == _canonical(b)
 
-    def test_one_version_bump_per_batch(self):
-        p = MemoryProfile(100)
-        p.add_batch([(5.0, 0.0, 4.0), (-2.0, 1.0, None), (3.0, 2.0, 8.0)])
-        assert p.version == 1
+def _function(profile: MemoryProfile) -> list:
+    return _merged((start, used) for start, _, used in profile.segments())
 
-    def test_commit_shaped_batch(self):
-        """The event shapes one scheduler commit produces: an output
-        allocation to +inf, same-memory releases, and a bounded transfer
-        window — against the sequential reference."""
-        events = [(7.5, 3.0, None), (-2.25, 10.0, None), (1.5, 1.0, 10.0)]
-        a = MemoryProfile(50)
-        b = MemoryProfile(50)
-        for ev in events:
-            a.add(*ev)
-        b.add_batch(events)
-        assert _canonical(a) == _canonical(b)
-        for need in (0.5, 5.0, 42.5, 49.0):
-            assert a.earliest_fit(need) == b.earliest_fit(need)
 
-    @given(st.lists(float_event, max_size=10),
-           st.lists(float_event, max_size=10),
-           st.floats(min_value=0.1, max_value=30.0, allow_nan=False))
-    def test_batches_match_sequential_adds(self, first, second, need):
-        """Two consecutive batches (with an earliest_fit query in between,
-        to exercise the block-max dirty tracking) produce the exact
-        staircase and answers of one-at-a-time adds."""
-        def end_of(start, length):
-            return None if length is None else max(0.0, start) + length
+@settings(max_examples=400)
+@given(st.lists(profile_op, max_size=60),
+       st.sampled_from([7.5, 30.0, 1e9]))
+def test_per_event_ops_match_naive_reference(ops, capacity):
+    p = MemoryProfile(capacity)
+    ref = NaiveProfile(capacity)
+    for op in ops:
+        if op[0] == "add":
+            p.add(*op[1:])
+            ref.add(*op[1:])
+        elif op[0] == "release":
+            p.release_from(*op[1:])
+            ref.release_from(*op[1:])
+        else:
+            assert p.earliest_fit(op[1]) == ref.earliest_fit(op[1])
+    assert _function(p) == ref.segments()
+    assert p.peak() == ref.peak()
+    for need in (0.0, 0.5, 3.0, capacity / 2, capacity - 0.25, capacity):
+        assert p.earliest_fit(need) == ref.earliest_fit(need)
 
-        a = MemoryProfile(30.0)
-        b = MemoryProfile(30.0)
-        for amount, start, length in first:
-            a.add(amount, start, end_of(start, length))
-        b.add_batch([(amount, start, end_of(start, length))
-                     for amount, start, length in first])
-        assert a.earliest_fit(need) == b.earliest_fit(need)
-        for amount, start, length in second:
-            a.add(amount, start, end_of(start, length))
-        b.add_batch([(amount, start, end_of(start, length))
-                     for amount, start, length in second])
-        assert _canonical(a) == _canonical(b)
-        assert a.earliest_fit(need) == b.earliest_fit(need)
-        assert a.peak() == b.peak()
+
+def test_compaction_keeps_the_function():
+    """Allocate-then-free churn leaves dead breakpoints behind; enough of
+    it crosses the auto-compaction threshold several times.  Contiguous
+    windows alternate 0.1 + 0.2 with 0.3, values one ulp apart that only
+    an exact merge keeps distinct.  The reference never compacts."""
+    p = MemoryProfile(100.0)
+    ref = NaiveProfile(100.0)
+    for k in range(300):
+        start, end = k * 1.25, (k + 1) * 1.25
+        for prof in (p, ref):
+            if k % 2:
+                prof.add(0.3, start, end)
+            else:
+                prof.add(0.1, start, end)
+                prof.add(0.2, start, end)
+            # a dead breakpoint mid-window, merged away by compaction
+            prof.add(0.5, start + 0.625, end)
+            prof.add(-0.5, start + 0.625, end)
+    assert p.n_segments() < 2 * 300
+    assert _function(p) == ref.segments()
+    assert p.peak() == ref.peak()

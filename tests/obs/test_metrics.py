@@ -85,19 +85,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="strictly"):
             Histogram(bounds=(2.0, 1.0))
 
-    def test_merge_folds_preaggregated_counts(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        hist.observe(0.5)
-        hist.merge([1, 2, 3], 10.0, 6)
-        assert hist.counts == [2, 2, 3]
-        assert hist.count == 7
-        assert hist.sum == 10.5
-
-    def test_merge_length_mismatch_raises(self):
-        hist = Histogram(bounds=(1.0, 2.0))
-        with pytest.raises(ValueError, match="bucket counts"):
-            hist.merge([1, 2], 1.0, 3)   # needs 3 (bounds + +Inf)
-
     def test_size_buckets_default_available(self):
         registry = MetricsRegistry()
         hist = registry.histogram("sizes", buckets=SIZE_BUCKETS)

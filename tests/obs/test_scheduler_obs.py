@@ -1,6 +1,6 @@
 """Scheduler instrumentation: observed runs commit bit-identical
-schedules, populate the run/phase/selector metrics, trace with
-deterministic structure, and record kernel batch accounting."""
+schedules, populate the run/phase/selector metrics, and trace with
+deterministic structure."""
 
 import pytest
 
@@ -8,8 +8,7 @@ from repro import Platform, memheft, memminmin, memsufferage, obs
 from repro.dags import dex, random_dag
 from repro.obs.report import load_trace
 from repro.scheduling.instrument import PHASE_SAMPLE
-from repro.scheduling.kernel import flush_batch_stats, resolve_backend
-from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
+from repro.scheduling.state import InfeasibleScheduleError
 
 ALGOS = {"memheft": memheft, "memminmin": memminmin,
          "memsufferage": memsufferage}
@@ -116,8 +115,7 @@ class TestTraceStructure:
         names = [row["name"] for row in load_trace(path)]
         for expected in ("memheft", "rank", "select", "commit"):
             assert expected in names
-        # scalar per-task evaluation never ran a kernel batch, so no
-        # est span — its presence is a pure function of the workload
+        # EST evaluation is timed inside select; it has no span of its own
         assert "est" not in names
 
     def test_span_parents_resolve(self, tmp_path):
@@ -129,25 +127,3 @@ class TestTraceStructure:
         for row in events:
             parent = row.get("parent")
             assert parent is None or parent in ids
-
-
-class TestKernelBatches:
-    def test_scalar_batch_entry_records(self):
-        graph = dex()
-        kernel = resolve_backend("scalar")
-        with obs.observing() as st:
-            state = SchedulerState(graph, Platform(1, 1))
-            ready = list(graph.roots())
-            kernel.evaluate_class_batch(state, ready, state.memories[0])
-            seconds, n_batches = flush_batch_stats(st)
-        assert n_batches == 1
-        assert seconds >= 0
-        snap = st.registry.snapshot()
-        labels = (("backend", "scalar"), ("route", "scalar"))
-        assert snap[("memsched_kernel_batches_total", labels)] == 1
-        hist = snap[("memsched_kernel_batch_size", labels)]
-        assert hist["count"] == 1 and hist["sum"] == len(ready)
-
-    def test_flush_idempotent_when_empty(self):
-        with obs.observing() as st:
-            assert flush_batch_stats(st) == (0.0, 0)

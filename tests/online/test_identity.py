@@ -1,6 +1,6 @@
 """The offline-identity property: with every release zero, the online
 session commits placements bit-identical to the offline heuristic on the
-union DAG — per algorithm, per kernel backend (DESIGN anchor pinned by
+union DAG — per algorithm (DESIGN anchor pinned by
 ``repro.online.session``'s module docstring)."""
 
 import pytest
@@ -11,20 +11,11 @@ from repro import Platform, get_scheduler
 from repro.dags import random_dag
 from repro.online import OnlineSession, build_union_graph, simulate
 from repro.online.loadgen import zero_release
-from repro.scheduling import _cc
-from repro.scheduling.kernel import NumpyKernel, ScalarKernel
 
 pytest.importorskip("numpy")
 
 ALGOS = ("memheft", "memminmin", "memsufferage")
-
-BACKENDS = [pytest.param(ScalarKernel(), id="scalar"),
-            pytest.param(NumpyKernel(batch_cutoff=1), id="numpy")]
-if _cc.compiled_available():
-    from repro.scheduling.kernel import CompiledKernel
-    BACKENDS.append(pytest.param(CompiledKernel(batch_cutoff=1),
-                                 id="compiled"))
-
+POLICIES = ("immediate", "batched:2.5", "replan:4")
 
 def _snap(session):
     out = []
@@ -62,12 +53,12 @@ def test_zero_release_online_equals_offline(n_jobs, size, seed, algo):
     assert session.makespan == offline.makespan
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("algo", ALGOS)
-def test_identity_per_backend_via_simulator(algo, backend):
+def test_identity_via_simulator(algo, policy):
     """The simulator path (the one the benchmark gates): a zero-release
-    trace ends offline-identical under every kernel backend, and regret
-    is exactly zero."""
+    trace plans in one round under every arrival policy, ends
+    offline-identical, and regret is exactly zero."""
     trace = zero_release([
         {"job": f"job-{k:04d}", "release": 3.0 * k,
          "graph": random_dag(size=10, width=0.4, density=0.5, jumps=3,
@@ -75,22 +66,22 @@ def test_identity_per_backend_via_simulator(algo, backend):
         for k in range(3)
     ])
     platform = Platform(n_blue=2, n_red=2)
-    result = simulate(trace, platform, algorithm=algo, backend=backend)
+    result = simulate(trace, platform, algorithm=algo, policy=policy)
 
     union = build_union_graph(
         sorted(result.session.jobs.values(),
                key=lambda j: j.arrival_index),
         platform.n_classes)
-    offline = get_scheduler(algo)(union, platform, backend=backend)
+    offline = get_scheduler(algo)(union, platform)
     assert sorted(_snap(result.session)) == \
         sorted(_offline_snap(offline, union))
     assert result.regret() == 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_journal_backend_independent(backend):
-    """Decision journals are part of the determinism contract: the bytes
-    must not depend on which kernel backend computed the ESTs."""
+@pytest.mark.parametrize("policy", POLICIES)
+def test_journal_repeats(policy):
+    """Decision journals are part of the determinism contract: the same
+    trace must produce the same bytes on every run."""
     trace = [
         {"job": f"job-{k:04d}", "release": 1.5 * k,
          "graph": random_dag(size=8, width=0.4, density=0.5, jumps=3,
@@ -98,6 +89,5 @@ def test_journal_backend_independent(backend):
         for k in range(4)
     ]
     platform = Platform(n_blue=1, n_red=1)
-    reference = simulate(trace, platform,
-                         backend=ScalarKernel()).journal()
-    assert simulate(trace, platform, backend=backend).journal() == reference
+    reference = simulate(trace, platform, policy=policy).journal()
+    assert simulate(trace, platform, policy=policy).journal() == reference

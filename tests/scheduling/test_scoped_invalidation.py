@@ -17,9 +17,9 @@ from repro.scheduling.sufferage import memsufferage
 SELECTORS = (MinEFTSelector, SufferageSelector)
 
 
-def _drive(graph, platform, selector_cls, *, dag_scoped, backend="scalar"):
+def _drive(graph, platform, selector_cls, *, dag_scoped):
     """Run the generic selector loop to completion (or infeasibility)."""
-    state = SchedulerState(graph, platform, backend=backend)
+    state = SchedulerState(graph, platform)
     index = {t: k for k, t in enumerate(graph.topological_order())}
     selector = selector_cls(state, index, dag_scoped=dag_scoped)
     for task in graph.roots():

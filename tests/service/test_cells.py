@@ -110,8 +110,8 @@ class TestCellsEndpoint:
         health = json.loads(body)
         assert health["cells"] == {"requests": 1, "executed": 2}
         assert health["protocol"] == PROTOCOL_VERSION
-        assert health["kernel"]["active"] in health["kernel"]["available"]
-        assert "scalar" in health["kernel"]["available"]
+        assert health["kernel"] == {"active": "scalar",
+                                    "available": ["scalar"]}
 
 
 class TestCellsOverTheWire:

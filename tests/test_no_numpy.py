@@ -1,5 +1,5 @@
 """numpy is an *optional* dependency: with it missing the package must
-import, every heuristic must run on the scalar kernel, and numpy-only
+import, every heuristic must run, and numpy-only
 features must fail with pointed errors.  Run in a subprocess whose meta_path
 blocks numpy, so the test is faithful to a real numpy-less interpreter."""
 
@@ -33,16 +33,15 @@ import json
 import repro
 from repro import Platform
 from repro.core.graph import TaskGraph
-from repro.scheduling.kernel import available_backends, resolve_backend
 from repro.scheduling.heft import heft
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.sufferage import memsufferage
+from repro.scheduling.kernel import resolve_backend
 
 out = {}
 out["has_numpy"] = __import__("repro._util", fromlist=["x"]).HAS_NUMPY
-out["backends"] = list(available_backends())
-out["auto"] = resolve_backend(None).name
+out["kernel"] = resolve_backend().name
 
 g = TaskGraph("fallback")
 g.add_task("a", w_blue=2.0, w_red=3.0)
@@ -59,12 +58,6 @@ for name, fn in (("heft", heft), ("memheft", memheft),
     repro.validate_schedule(g, platform, schedule)
     makespans[name] = schedule.makespan
 out["makespans"] = makespans
-
-try:
-    resolve_backend("numpy")
-    out["numpy_backend_error"] = None
-except ModuleNotFoundError as exc:
-    out["numpy_backend_error"] = str(exc)
 
 try:
     from repro.core.bounds import split_work_lower_bound
@@ -84,7 +77,6 @@ print(json.dumps(out))
 def no_numpy_result():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-    env.pop("MEMSCHED_KERNEL", None)
     proc = subprocess.run([sys.executable, "-c", _SCRIPT],
                           capture_output=True, text=True, env=env,
                           timeout=120)
@@ -97,8 +89,7 @@ def test_package_imports_without_numpy(no_numpy_result):
 
 
 def test_only_scalar_backend_available(no_numpy_result):
-    assert no_numpy_result["backends"] == ["scalar"]
-    assert no_numpy_result["auto"] == "scalar"
+    assert no_numpy_result["kernel"] == "scalar"
 
 
 def test_heuristics_run_on_scalar_fallback(no_numpy_result):
@@ -130,12 +121,6 @@ def test_scalar_fallback_matches_numpy_interpreter(no_numpy_result):
             "memminmin": memminmin(g, platform).makespan,
             "memsufferage": memsufferage(g, platform).makespan}
     assert no_numpy_result["makespans"] == here
-
-
-def test_numpy_backend_raises_helpfully(no_numpy_result):
-    msg = no_numpy_result["numpy_backend_error"]
-    assert msg is not None
-    assert "numpy" in msg.lower()
 
 
 def test_lp_bound_raises_importerror(no_numpy_result):
