@@ -17,6 +17,13 @@ machine-readable ``BENCH_online.json`` (schema in ``benchmarks/README.md``):
 * **identity** — the same jobs with all release times forced to zero are
   simulated online and scheduled offline on the union DAG; placements
   must agree exactly (the zero-release identity the tests pin).
+* **session_length** — ``immediate`` and ``replan:16`` over the stream
+  at ``--arrivals`` and at 10x that (the longer stream extends the
+  shorter one): best-of-3 p50/p99 decision latency and the work per
+  round (union DAG tasks plus kept-tail replays).  The gate requires
+  work per round and p50 to stay flat in session length (at most 1.25x
+  and 1.5x); p99 is reported, not gated (garbage collection dominates
+  it).
 
 Run::
 
@@ -27,6 +34,7 @@ Run::
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import platform as platform_mod
 import sys
@@ -49,8 +57,15 @@ from repro.scheduling.registry import get_scheduler
 BENCH_PLATFORM = Platform(n_blue=2, n_red=2, mem_blue=20000, mem_red=20000)
 
 
-def _trace(args: argparse.Namespace) -> list:
-    return poisson_trace(args.arrivals, seed=args.seed, rate=args.rate,
+#: Policies and stream-length factor of the ``session_length`` section.
+SESSION_POLICIES = ("immediate", "replan:16")
+SESSION_SCALE = 10
+#: Runs per row; latencies are the best of them.
+SESSION_REPEATS = 3
+
+
+def _trace(args: argparse.Namespace, n_arrivals: int) -> list:
+    return poisson_trace(n_arrivals, seed=args.seed, rate=args.rate,
                          tick=args.tick, size=args.size, width=0.4,
                          density=0.5, jumps=3)
 
@@ -128,12 +143,53 @@ def bench_identity(args: argparse.Namespace, trace: list) -> dict:
     return result
 
 
+def bench_session_length(args: argparse.Namespace) -> list[dict]:
+    # Generated last: a larger heap makes every later garbage collection
+    # slower.  The short stream is a prefix of the long one.
+    long_trace = _trace(args, SESSION_SCALE * args.arrivals)
+    lengths = (args.arrivals, len(long_trace))
+    out = []
+    for spec in SESSION_POLICIES:
+        # Short and long runs interleave, so a drift in machine speed
+        # hits both; latencies are the best of the repeats.  Only the
+        # round rows are kept: a finished session would grow the heap.
+        stats: dict = {n: [] for n in lengths}
+        rounds: dict = {}
+        for _ in range(SESSION_REPEATS):
+            for n in lengths:
+                gc.collect()
+                result = simulate(long_trace[:n], BENCH_PLATFORM,
+                                  algorithm=args.algorithm, policy=spec)
+                stats[n].append(result.latency_stats())
+                rounds[n] = result.session.rounds
+                del result
+        for n in lengths:
+            union = sum(r["union_tasks"] for r in rounds[n]) / len(rounds[n])
+            replayed = sum(r["replayed"] for r in rounds[n]) / len(rounds[n])
+            row = {
+                "policy": spec,
+                "n_arrivals": n,
+                "n_rounds": len(rounds[n]),
+                "p50_ms": min(s["p50_ms"] for s in stats[n]),
+                "p99_ms": min(s["p99_ms"] for s in stats[n]),
+                "union_tasks_per_round": round(union, 3),
+                "replayed_per_round": round(replayed, 3),
+                "work_per_round": round(union + replayed, 3),
+            }
+            out.append(row)
+            print(f"[session]    {row['policy']:<12} n={n:<5} "
+                  f"p50={row['p50_ms']:g}ms p99={row['p99_ms']:g}ms "
+                  f"work/round={row['work_per_round']:g}")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--algorithm", default="memheft")
     parser.add_argument("--arrivals", type=int, default=200,
                         help="jobs in the arrival stream (the latency "
-                             "gate lives at 200)")
+                             "gate lives at 200; the session_length "
+                             "section also runs 10x as many)")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--rate", type=float, default=2.0,
                         help="Poisson arrival intensity")
@@ -152,13 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    trace = _trace(args)
+    trace = _trace(args, args.arrivals)
     policies = bench_policies(args, trace)
     determinism = bench_determinism(args, trace)
     identity = bench_identity(args, trace)
+    session_length = bench_session_length(args)
     report = {
         "bench": "online",
-        "schema_version": 1,
+        "schema_version": 2,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": platform_mod.python_version(),
         "machine": platform_mod.platform(),
@@ -174,6 +231,7 @@ def main(argv=None) -> int:
         "policies": policies,
         "determinism": determinism,
         "identity": identity,
+        "session_length": session_length,
     }
     if args.json:
         from repro._util import atomic_write_json

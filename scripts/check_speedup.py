@@ -28,7 +28,10 @@ ROADMAP's long-open "needs a multi-core runner" item):
   p99 per-arrival decision latency under ``--max-online-p99-ms`` and
   makespan regret against the clairvoyant union schedule under
   ``--max-online-regret`` percent, with byte-identical journals across
-  replays and the zero-release offline identity intact.
+  replays and the zero-release offline identity intact; and per policy
+  of its ``session_length`` section, a 10x longer session may cost at
+  most 1.25x the work per round and 1.5x the p50 decision latency (p99
+  is reported, not gated).
 
 Exit status 0 only when every present report passes; failures list every
 violated gate.  Usage::
@@ -221,14 +224,23 @@ def check_kernel_report(path: str) -> list[str]:
     return problems
 
 
+#: Growth allowed over a 10x longer online session: work per planning
+#: round (union tasks plus replays) and p50 decision latency.
+MAX_ONLINE_WORK_RATIO = 1.25
+MAX_ONLINE_P50_RATIO = 1.5
+
+
 def check_online_report(path: str, max_p99_ms: float,
                         max_regret_pct: float) -> list[str]:
     """Gate ``BENCH_online.json``: the immediate-greedy policy must keep
     per-arrival p99 decision latency under ``max_p99_ms`` and makespan
     regret against the clairvoyant union schedule under
     ``max_regret_pct`` percent; two replays of the stream must have
-    produced byte-identical decision journals; and the zero-release
-    identity against the offline heuristic must hold."""
+    produced byte-identical decision journals; the zero-release
+    identity against the offline heuristic must hold; and per policy,
+    the longest session's work per round and p50 latency may be at most
+    ``MAX_ONLINE_WORK_RATIO`` / ``MAX_ONLINE_P50_RATIO`` times the
+    shortest's."""
     report = json.loads(Path(path).read_text())
     problems = []
 
@@ -270,6 +282,40 @@ def check_online_report(path: str, max_p99_ms: float,
               f"{max_p99_ms:g}ms, regret {immediate['regret_pct']:+.2f}% "
               f"<= {max_regret_pct:g}%, journals identical, "
               f"offline identity holds OK")
+    return problems + check_session_length(path, report)
+
+
+def check_session_length(path: str, report: dict) -> list[str]:
+    """Per-round cost must stay flat in session length: per policy, the
+    longest session against the shortest."""
+    rows = report.get("session_length")
+    if not rows:
+        return [f"{path}: no 'session_length' section — run "
+                "bench_online.py"]
+    problems = []
+    for policy in dict.fromkeys(r["policy"] for r in rows):
+        mine = sorted((r for r in rows if r["policy"] == policy),
+                      key=lambda r: r["n_arrivals"])
+        short, long = mine[0], mine[-1]
+        if short is long:
+            problems.append(f"{path}: session_length has one length only "
+                            f"for {policy}")
+            continue
+        work = long["work_per_round"] / short["work_per_round"]
+        p50 = long["p50_ms"] / short["p50_ms"]
+        span = f"{policy} at {long['n_arrivals']} vs {short['n_arrivals']}"
+        if work > MAX_ONLINE_WORK_RATIO:
+            problems.append(f"{path}: {span} arrivals: work per round "
+                            f"ratio {work:.3f} > allowed "
+                            f"{MAX_ONLINE_WORK_RATIO:g}")
+        if p50 > MAX_ONLINE_P50_RATIO:
+            problems.append(f"{path}: {span} arrivals: p50 latency ratio "
+                            f"{p50:.3f} > allowed {MAX_ONLINE_P50_RATIO:g}")
+        if work <= MAX_ONLINE_WORK_RATIO and p50 <= MAX_ONLINE_P50_RATIO:
+            print(f"online   session {span}: work/round x{work:.3f} <= "
+                  f"{MAX_ONLINE_WORK_RATIO:g}, p50 x{p50:.3f} <= "
+                  f"{MAX_ONLINE_P50_RATIO:g} (p99 x"
+                  f"{long['p99_ms'] / short['p99_ms']:.2f}, not gated) OK")
     return problems
 
 

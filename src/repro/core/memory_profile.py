@@ -23,8 +23,12 @@ values: mutations dirty only the blocks at/after their leftmost touched
 index — almost always near the staircase's tail, since schedules grow
 forward in time — and the query scans blocks right-to-left for the
 rightmost segment exceeding the threshold, skipping whole blocks.  Both the
-repair and the scan are O(l / B + B) in the common case.  Unbounded
-profiles skip the machinery entirely (any amount fits at t = 0).
+repair and the scan are O(l / B + B) in the common case.  A running
+maximum over the blocks, repaired alongside them, answers "no segment
+exceeds the threshold" in O(1) — the usual case on a roomy capacity,
+where the scan would otherwise walk every block of a long profile (an
+online session's profiles grow with its history).  Unbounded profiles
+skip the machinery entirely (any amount fits at t = 0).
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ class MemoryProfile:
     breakpoints without invalidating any cached EST component.
     """
 
-    __slots__ = ("capacity", "version", "_xs", "_vals", "_bmax", "_bdirty",
-                 "_compact_floor")
+    __slots__ = ("capacity", "version", "_xs", "_vals", "_bmax", "_pmax",
+                 "_bdirty", "_compact_floor")
 
     #: Segments per max-block.  Mutation repair and threshold queries cost
     #: O(l / B + B); 64 balances the two for the profile sizes large
@@ -68,6 +72,7 @@ class MemoryProfile:
         self._xs: list[float] = [0.0]  # breakpoint times, sorted, xs[0] == 0
         self._vals: list[float] = [0.0]  # used memory on [xs[k], xs[k+1]) (last: to +inf)
         self._bmax: list[float] = []   # per-block max of _vals[b*B:(b+1)*B]
+        self._pmax: list[float] = []   # running max of _bmax[:b+1]
         self._bdirty = 0               # blocks >= _bdirty are stale
         self._compact_floor = 1
 
@@ -150,9 +155,16 @@ class MemoryProfile:
         vals = self._vals
         B = self._BLOCK
         n_blocks = (len(vals) + B - 1) // B
-        del self._bmax[self._bdirty:]
+        bmax, pmax = self._bmax, self._pmax
+        del bmax[self._bdirty:]
+        del pmax[self._bdirty:]
+        running = pmax[-1] if pmax else -math.inf
         for b in range(self._bdirty, n_blocks):
-            self._bmax.append(max(vals[b * B:(b + 1) * B]))
+            m = max(vals[b * B:(b + 1) * B])
+            bmax.append(m)
+            if m > running:
+                running = m
+            pmax.append(running)
         self._bdirty = n_blocks
 
     def _rightmost_above(self, threshold: float) -> int:
@@ -162,6 +174,8 @@ class MemoryProfile:
         vals = self._vals
         B = self._BLOCK
         bound = threshold + EPS
+        if self._pmax[-1] <= bound:
+            return -1   # nothing exceeds it: skip the block scan
         for b in range(len(self._bmax) - 1, -1, -1):
             if self._bmax[b] <= bound:
                 continue
@@ -230,6 +244,7 @@ class MemoryProfile:
                 vals.append(v)
         self._xs, self._vals = xs, vals
         self._bmax = []
+        self._pmax = []
         self._bdirty = 0
         self._compact_floor = len(xs)
 
@@ -239,6 +254,7 @@ class MemoryProfile:
         clone._xs = list(self._xs)
         clone._vals = list(self._vals)
         clone._bmax = list(self._bmax)
+        clone._pmax = list(self._pmax)
         clone._bdirty = self._bdirty
         clone._compact_floor = self._compact_floor
         return clone

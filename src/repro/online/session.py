@@ -4,21 +4,47 @@ times, placements are committed incrementally on a live timeline.
 The session drives the *same* lazy list-scheduling loops as the offline
 heuristics (:mod:`repro.scheduling.memheft` et al.) over a live
 :class:`~repro.scheduling.state.SchedulerState`, one **planning round**
-per due time (see :mod:`repro.online.policies`):
+per due time (see :mod:`repro.online.policies`).
 
-* **carry-forward rounds** (immediate / batched) build a fresh state
-  over the union DAG of just the *pending* jobs, seed it with the
-  session's processor-avail vector and hand it the session's live
-  :class:`~repro.core.memory_profile.MemoryProfile` objects by
-  reference — prior commitments are fully encoded in those two
-  structures because jobs are independent DAGs, so a round costs
-  O(pending work), not O(session history);
-* **re-planning rounds** (``replan:W``) revoke up to ``W`` of the most
-  recent decisions whose start lies beyond the round's floor, replay
-  the kept decision log through :meth:`SchedulerState.commit`
-  (``breakdown.proc`` is honoured verbatim, so replay does zero EST
-  evaluations), and then drive the heuristic over the revoked + new
-  tasks — a warm start from the committed prefix.
+**Checkpoint plus tail.**  The decision log splits into a prefix no
+later round can revoke and a tail of at most ``W`` decisions (``W`` is
+the policy's replan window, ``0`` for ``immediate`` and ``batched:Q``).
+The session keeps the prefix only *folded*: a checkpoint holding the
+per-class :class:`~repro.core.memory_profile.MemoryProfile` staircases
+and the processor-avail vector after its last decision.  Jobs are
+independent DAGs and ``earliest_fit`` has suffix semantics, so those two
+structures fully summarise every commitment of the prefix.
+
+**One round path.**  Every round, whatever the policy:
+
+1. revokes the tail decisions whose start lies beyond the round's floor
+   (with ``W = 0`` the tail is empty and nothing is revoked);
+2. builds the union DAG of the *open* jobs only — jobs with a decision
+   in the tail plus the group being planned, in arrival order;
+3. seeds a fresh state with *copies* of the checkpoint's profiles and
+   avail vector;
+4. *adopts* the already-placed prefix tasks of the open jobs
+   (:meth:`SchedulerState.adopt`: finish time, memory class and child
+   readiness, no memory or avail effect — those are in the checkpoint);
+5. replays the kept tail through :meth:`SchedulerState.commit`
+   (``breakdown.proc`` is honoured verbatim, so replay does zero EST
+   evaluations), then drives the heuristic over revoked + new tasks;
+6. folds the decisions that left the revocable window into the new
+   checkpoint.  Its position is known before driving; when it is the end
+   of the round (always with ``W = 0``) the round's own profiles become
+   the checkpoint by reference, otherwise they are copied at that commit.
+
+A round therefore costs O(window + group) graph work, not O(session
+history).  It is also **atomic**: it only mutates its copies, and the
+session adopts the new checkpoint, tail and placements once the round
+has succeeded — a round raising
+:class:`~repro.scheduling.state.InfeasibleScheduleError` leaves the
+session exactly as it was.  The schedules are bit-identical to
+rebuilding every round from scratch over the whole kept log (pinned by
+``tests/online/test_replan_checkpoint.py``): upward ranks are job-local,
+``rank_order(rng=None)`` and ``topological_order()`` keep relative order
+when whole jobs are dropped, and the checkpoint's profiles are the same
+sums of the same ``add`` calls in the same log order.
 
 Every committed decision is clamped to the round's **floor** (its due
 time): ``est' = max(est, floor)``.  This is feasibility-safe because the
@@ -137,11 +163,34 @@ class _Decision(NamedTuple):
     comm_fit: float
     proc: int
 
+    def breakdown(self, memories) -> ESTBreakdown:
+        """The breakdown that replays this decision through ``commit``."""
+        return ESTBreakdown(
+            task=self.task, memory=memories[self.memidx], resource=0.0,
+            precedence=0.0, task_mem=0.0, comm_mem=0.0, cmax=self.cmax,
+            est=self.est, eft=self.est + self.duration,
+            comm_fit=self.comm_fit, duration=self.duration, proc=self.proc)
+
+
+class _Checkpoint(NamedTuple):
+    """The never-revocable log prefix, folded: the per-class used-memory
+    profiles and the processor-avail vector after its ``length``
+    decisions."""
+
+    profiles: dict
+    avail: list
+    length: int
+
 
 def _split_ns(task: Task) -> tuple[str, str]:
     """``"<job_id>/<task>" -> (job_id, task)`` (job ids contain no '/')."""
     job_id, _, name = str(task).partition("/")
     return job_id, name
+
+
+def _copy_folded(state: SchedulerState) -> tuple[dict, list]:
+    """Copies of a round state's profiles and avail vector."""
+    return ({m: p.copy() for m, p in state.mem.items()}, list(state.avail))
 
 
 def build_union_graph(jobs, n_classes: int,
@@ -207,14 +256,16 @@ class OnlineSession:
         self.clock = 0.0
         self.jobs: dict[str, OnlineJob] = {}
         self._pending: list[OnlineJob] = []
-        self._avail: list[float] = [0.0] * platform.n_procs
-        self._profiles: dict = {
-            m: MemoryProfile(platform.capacity(m))
-            for m in platform.memories()
-        }
-        self._log: list[_Decision] = []
+        #: The folded never-revocable log prefix ...
+        self._base = _Checkpoint(
+            {m: MemoryProfile(platform.capacity(m))
+             for m in platform.memories()},
+            [0.0] * platform.n_procs, 0)
+        #: ... and the decisions after it (at most the replan window).
+        self._tail: list[_Decision] = []
         self._arrivals = itertools.count()
-        #: One row per planning round: n_jobs/n_tasks/floor/replanned/ms.
+        #: One row per planning round: floor, n_jobs, n_tasks, replanned,
+        #: union_tasks, replayed, ms.
         self.rounds: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -279,14 +330,10 @@ class OnlineSession:
     # ------------------------------------------------------------------
     def _run_round(self, group: list, floor: float) -> None:
         t0 = time.perf_counter()
-        window = self.policy.replan_window
         with obs.span("plan", policy=self.policy.name, floor=floor,
                       n_jobs=len(group)):
-            if window and self._log:
-                replanned = self._replan_round(group, floor, window)
-            else:
-                replanned = 0
-                self._carry_forward_round(group, floor)
+            work = self._replan_round(group, floor,
+                                      self.policy.replan_window)
         ms = (time.perf_counter() - t0) * 1000.0
         for job in group:
             job.decision_ms = ms
@@ -297,7 +344,7 @@ class OnlineSession:
             "floor": floor,
             "n_jobs": len(group),
             "n_tasks": sum(j.graph.n_tasks for j in group),
-            "replanned": replanned,
+            **work,
             "ms": ms,
         })
         st = obs.active()
@@ -306,65 +353,81 @@ class OnlineSession:
                                   policy=self.policy.name
                                   ).observe(ms / 1000.0)
 
-    def _carry_forward_round(self, group: list, floor: float) -> None:
-        """Fresh state over the pending union DAG, seeded with the live
-        avail vector and the session's memory profiles (by reference)."""
-        union = build_union_graph(group, self.platform.n_classes)
-        state = SchedulerState(union, self.platform,
-                               comm_policy=self.comm_policy)
-        state.mem = self._profiles
-        for p, a in enumerate(self._avail):
-            state.avail[p] = a
-        records = self._drive(state, union, floor)
-        self._log.extend(records)
-        self._avail = list(state.avail)
-        self._adopt_placements(state, group)
+    def _replan_round(self, group: list, floor: float,
+                      window: int) -> dict:
+        """Plan ``group`` at ``floor`` from the checkpoint: revoke the
+        revocable tail, adopt the open jobs' prefix tasks, replay the
+        kept tail, drive the heuristic over revoked + new tasks, and fold
+        the decisions that leave the window into the new checkpoint.
+        Returns the round's work: revoked decisions (``replanned``),
+        union DAG size (``union_tasks``) and kept-tail replays
+        (``replayed``).
 
-    def _replan_round(self, group: list, floor: float, window: int) -> int:
-        """Revoke the revocable tail, rebuild by replaying the kept log,
-        then plan revoked + new tasks together at ``floor``.
-
-        A decision is revocable when it sits in the last ``window`` log
-        entries *and* its start lies beyond ``floor``.  The kept set is
-        ancestor-closed (a child never starts before its parent
-        finishes) and the revoked set is descendant-closed (descendants
-        commit later in the log and start later), so replaying the kept
-        entries in log order is a valid partial schedule.
+        A tail decision is revoked when its start lies beyond ``floor``.
+        The kept set is ancestor-closed (a child never starts before its
+        parent finishes) and the revoked set is descendant-closed
+        (descendants commit later in the log and start later), so
+        replaying the kept entries in log order is a valid partial
+        schedule.  The session is only updated once the round succeeded.
         """
-        head = self._log[:-window] if window < len(self._log) else []
-        tail = self._log[len(head):]
-        revoked = [d for d in tail if d.est > floor + _TIME_EPS]
-        kept = head + [d for d in tail if d.est <= floor + _TIME_EPS]
-
-        # Jobs still pending for a *later* due time stay out of the
-        # union — the driver schedules every uncommitted task it sees.
-        in_round = [j for j in self.jobs.values()
-                    if j.placements is not None or j in group]
-        union = build_union_graph(in_round, self.platform.n_classes)
+        base, tail = self._base, self._tail
+        kept = [d for d in tail if d.est <= floor + _TIME_EPS]
+        open_ids = {_split_ns(d.task)[0] for d in tail}
+        jobs = sorted([self.jobs[job_id] for job_id in open_ids] + group,
+                      key=lambda job: job.arrival_index)
+        union = build_union_graph(jobs, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
                                comm_policy=self.comm_policy)
+        state.mem = {m: p.copy() for m, p in base.profiles.items()}
+        for proc, a in enumerate(base.avail):
+            state.avail[proc] = a
+        in_tail = {d.task for d in tail}
+        for job in jobs:
+            if job.placements is None:
+                continue
+            prefix = job.job_id + "/"
+            for placed in job.placements.values():
+                task = prefix + placed.task
+                if task not in in_tail:
+                    state.adopt(Placement(
+                        task=task, proc=placed.proc, memory=placed.memory,
+                        start=placed.start, finish=placed.finish))
+        state.pop_newly_ready()   # the driver derives readiness itself
+
+        # The round commits ``end`` decisions (kept replays, then the
+        # driver's), and the new log's never-revocable prefix ends
+        # ``cut`` commits in — never before the round's start: every
+        # revoked decision is re-placed, so the log does not shrink.
+        end = union.n_tasks - state.n_scheduled
+        cut = max(end - window, 0)
+        folded = None
         memories = self.platform.memories()
-        for decision in kept:
-            state.commit(ESTBreakdown(
-                task=decision.task, memory=memories[decision.memidx],
-                resource=0.0, precedence=0.0, task_mem=0.0, comm_mem=0.0,
-                cmax=decision.cmax, est=decision.est,
-                eft=decision.est + decision.duration,
-                comm_fit=decision.comm_fit, duration=decision.duration,
-                proc=decision.proc))
+        for n, decision in enumerate(kept, 1):
+            state.commit(decision.breakdown(memories))
             state.pop_newly_ready()   # readiness comes from the log order
-        records = self._drive(state, union, floor)
-        self._log = kept + records
-        self._avail = list(state.avail)
-        self._profiles = state.mem
-        self._adopt_placements(state, in_round)
-        return len(revoked)
+            if n == cut and n < end:
+                folded = _copy_folded(state)
+        records, folded_in_drive = self._drive(state, union, floor,
+                                               cut - len(kept))
+        if cut:
+            # At the end of the round the round's own objects are the
+            # checkpoint; they are copies, never the previous one's.
+            profiles, avail = (folded or folded_in_drive
+                               or (state.mem, list(state.avail)))
+            self._base = _Checkpoint(profiles, avail, base.length + cut)
+        self._tail = (kept + records)[cut:]
+        self._publish_placements(state, jobs)
+        return {"replanned": len(tail) - len(kept),
+                "union_tasks": union.n_tasks, "replayed": len(kept)}
 
     def _drive(self, state: SchedulerState, graph: TaskGraph,
-               floor: float) -> list[_Decision]:
+               floor: float, cut: int = -1
+               ) -> tuple[list[_Decision], Optional[tuple]]:
         """The offline lazy driver loop, verbatim per algorithm, plus the
         release-floor clamp — with ``floor == 0`` and nothing committed
-        this is bit-for-bit the offline heuristic."""
+        this is bit-for-bit the offline heuristic.  Returns the decisions
+        and, when the ``cut``-th of them is not the last, copies of the
+        profiles and avail vector right after it."""
         if self.algorithm == "memheft":
             position = {t: k for k, t in enumerate(
                 rank_order(graph, rng=None, platform=self.platform))}
@@ -384,6 +447,7 @@ class OnlineSession:
             selector.push(task)
         n_left = graph.n_tasks - state.n_scheduled
         records: list[_Decision] = []
+        folded: Optional[tuple] = None
         while n_left:
             best = selector.select()
             if best is None:
@@ -400,11 +464,13 @@ class OnlineSession:
                 best.comm_fit, placement.proc))
             selector.remove(best.task)
             n_left -= 1
+            if len(records) == cut and n_left:
+                folded = _copy_folded(state)
             for task in state.pop_newly_ready():
                 selector.push(task)
-        return records
+        return records, folded
 
-    def _adopt_placements(self, state: SchedulerState, jobs) -> None:
+    def _publish_placements(self, state: SchedulerState, jobs) -> None:
         """Copy the round state's placements back into per-job views
         (original task names, insertion order)."""
         by_job: dict[str, dict] = {}

@@ -556,7 +556,27 @@ class SchedulerState:
         for slot in self._fit:
             slot[1].pop(task, None)
 
-        # readiness propagation over the flat child CSR
+        self._release_children(row)
+        return placement
+
+    def adopt(self, placement: Placement) -> None:
+        """Record a task placed by an earlier state whose memory and
+        processor effects this state already holds (an online session
+        seeds ``mem`` and ``avail`` from a checkpoint of the committed
+        prefix): the placement, its finish time and memory class, and the
+        readiness of its children, exactly as :meth:`commit` records them
+        — but no profile, avail or commit-serial change."""
+        task = placement.task
+        self.schedule.add(placement)   # rejects an already placed task
+        row = self._row[task]
+        self._finish[row] = placement.finish
+        self._memidx[row] = placement.memory.index
+        self._release_children(row)
+
+    def _release_children(self, row: int) -> None:
+        """Readiness propagation over the flat child CSR."""
+        flat = self._flat
+        order = flat.order
         pending = self._pending_parents
         child_row = flat.child_row
         for e in range(flat.child_ptr[row], flat.child_ptr[row + 1]):
@@ -564,8 +584,6 @@ class SchedulerState:
             pending[child] -= 1
             if pending[child] == 0:
                 self._newly_ready.append(child)
-
-        return placement
 
     def copy(self) -> "SchedulerState":
         """Deep-enough copy for branching searches (profiles duplicated)."""

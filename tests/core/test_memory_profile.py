@@ -118,6 +118,19 @@ class TestEarliestFit:
         p.add(1e9, 0, None)
         assert p.earliest_fit(1e12) == 0
 
+    @pytest.mark.parametrize("spike_at", [0, 70, 200, 395])
+    def test_rightmost_spike_across_many_blocks(self, spike_at):
+        """Hundreds of segments span several max-blocks; only the spike
+        exceeds the threshold, and the blocks after it are all low."""
+        p = MemoryProfile(100)
+        for t in range(400):
+            p.add(1 + t % 3, t, t + 1)
+        p.add(50, spike_at, spike_at + 1)
+        assert p.n_segments() > 3 * MemoryProfile._BLOCK
+        assert p.earliest_fit(60) == spike_at + 1
+        assert p.earliest_fit(40) == 0
+        assert p.earliest_fit(60, not_before=399) == 399
+
 
 class TestInvariantsAndCopy:
     def test_check_invariants_catches_negative(self):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "scripts" / "run_all_experiments.py"
 
@@ -119,3 +121,44 @@ def test_speedup_gate_threshold_flag(tmp_path):
                                             batch_speedup=1.3)
     assert _gate(["--scaling", str(scaling), "--service", str(service),
                   "--min-speedup", "1.25"]) == 0
+
+
+def _online_report(tmp_path, long_work=61.0, long_p50=6.0, rows=None):
+    """A passing BENCH_online.json, with the 2000-arrival replan:16 row's
+    work per round and p50 overridable."""
+    import json
+    if rows is None:
+        rows = [
+            {"policy": "immediate", "n_arrivals": 200, "p50_ms": 4.0,
+             "p99_ms": 9.0, "work_per_round": 58.0},
+            {"policy": "immediate", "n_arrivals": 2000, "p50_ms": 5.0,
+             "p99_ms": 14.0, "work_per_round": 61.0},
+            {"policy": "replan:16", "n_arrivals": 200, "p50_ms": 5.0,
+             "p99_ms": 10.0, "work_per_round": 60.0},
+            {"policy": "replan:16", "n_arrivals": 2000, "p50_ms": long_p50,
+             "p99_ms": 30.0, "work_per_round": long_work},
+        ]
+    path = tmp_path / "BENCH_online.json"
+    path.write_text(json.dumps({
+        "policies": [{"policy": "immediate", "n_arrivals": 200,
+                      "p99_ms": 9.0, "regret_pct": 9.8}],
+        "determinism": {"identical_journal": True},
+        "identity": {"offline_identical": True},
+        "session_length": rows,
+    }))
+    return str(path)
+
+
+def test_online_gate_passes_flat_sessions(tmp_path):
+    assert _gate(["--online", _online_report(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"long_work": 76.0}, "work per round ratio 1.267"),
+    ({"long_p50": 7.6}, "p50 latency ratio 1.520"),
+    ({"rows": []}, "no 'session_length' section"),
+])
+def test_online_gate_fails_on_growing_sessions(tmp_path, capsys, override,
+                                               message):
+    assert _gate(["--online", _online_report(tmp_path, **override)]) == 1
+    assert message in capsys.readouterr().err
