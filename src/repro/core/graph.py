@@ -17,6 +17,7 @@ task, cached topological order).  The historical dual-memory accessors
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Hashable, Iterator, Optional, Sequence, Union
 
 import networkx as nx
@@ -39,47 +40,28 @@ ATTR_COMM = "comm"
 class FlatGraph:
     """Contiguous array-of-structs view of a :class:`TaskGraph`.
 
-    Rows are tasks in topological order; adjacency is CSR-encoded with the
-    *exact* edge iteration order of :meth:`TaskGraph.parents` /
+    Rows are tasks in topological order (generation-major, as
+    :meth:`TaskGraph.topological_order` gives it, so the parentless rows
+    form a prefix); adjacency is CSR-encoded with the *exact* edge
+    iteration order of :meth:`TaskGraph.parents` /
     :meth:`TaskGraph.children`, so a kernel walking the flat arrays
     accumulates floating-point sums in the same order — and hence to the
     same bits — as one walking the networkx adjacency.  Built once per
-    :class:`~repro.scheduling.state.SchedulerState` via
-    :meth:`TaskGraph.flatten` (cached on the graph, invalidated by
-    mutation); everything here is immutable plain-Python data, shared
-    freely between states.
+    graph by :meth:`TaskGraph.flatten` (cached on the graph, invalidated
+    by mutation), or directly from arrays (an online session concatenates
+    per-job views into a round's union); everything here is immutable
+    plain-Python data, shared freely between states.
     """
 
     __slots__ = ("order", "index", "parent_ptr", "parent_row", "parent_comm",
-                 "parent_size", "child_ptr", "child_row", "out_size", "times")
+                 "parent_size", "child_ptr", "child_row", "out_size", "times",
+                 "n_classes")
 
-    def __init__(self, graph: "TaskGraph") -> None:
-        order = graph.topological_order()
-        index = {t: i for i, t in enumerate(order)}
-        n = len(order)
-        parent_ptr = [0] * (n + 1)
-        parent_row: list[int] = []
-        parent_comm: list[float] = []
-        parent_size: list[float] = []
-        child_ptr = [0] * (n + 1)
-        child_row: list[int] = []
-        out_size = [0.0] * n
-        times: list[tuple[float, ...]] = [()] * n
-        for i, task in enumerate(order):
-            times[i] = graph.times(task)
-            for parent in graph.parents(task):
-                parent_row.append(index[parent])
-                parent_comm.append(graph.comm(parent, task))
-                parent_size.append(graph.size(parent, task))
-            parent_ptr[i + 1] = len(parent_row)
-            total = 0.0
-            for child in graph.children(task):
-                child_row.append(index[child])
-                total += graph.size(task, child)
-            child_ptr[i + 1] = len(child_row)
-            out_size[i] = total
+    def __init__(self, order, parent_ptr, parent_row, parent_comm,
+                 parent_size, child_ptr, child_row, out_size, times,
+                 n_classes: int) -> None:
         self.order = order
-        self.index = index
+        self.index = dict(zip(order, range(len(order))))
         self.parent_ptr = parent_ptr
         self.parent_row = parent_row
         self.parent_comm = parent_comm
@@ -88,10 +70,50 @@ class FlatGraph:
         self.child_row = child_row
         self.out_size = out_size
         self.times = times
+        self.n_classes = n_classes
+
+    @classmethod
+    def from_adjacency(cls, order, parents, children, times,
+                       n_classes: int) -> "FlatGraph":
+        """Build from per-row adjacency lists: ``parents[i]`` holds
+        ``(row, comm, size)`` and ``children[i]`` ``(row, size)`` for the
+        edges of row ``i``, in the order the CSR keeps them (output sizes
+        are summed in the children's order)."""
+        parent_ptr = [0]
+        parent_row: list[int] = []
+        parent_comm: list[float] = []
+        parent_size: list[float] = []
+        child_ptr = [0]
+        child_row: list[int] = []
+        out_size: list[float] = []
+        for ins, outs in zip(parents, children):
+            for row, comm, size in ins:
+                parent_row.append(row)
+                parent_comm.append(comm)
+                parent_size.append(size)
+            parent_ptr.append(len(parent_row))
+            total = 0.0
+            for row, size in outs:
+                child_row.append(row)
+                total += size
+            child_ptr.append(len(child_row))
+            out_size.append(total)
+        return cls(order, parent_ptr, parent_row, parent_comm, parent_size,
+                   child_ptr, child_row, out_size, times, n_classes)
 
     @property
     def n_tasks(self) -> int:
         return len(self.order)
+
+    def flatten(self) -> "FlatGraph":
+        """A flat view is its own flat view (so a scheduler state can be
+        built on either a :class:`TaskGraph` or a :class:`FlatGraph`)."""
+        return self
+
+    def roots(self) -> list:
+        """Tasks without parents: the first topological generation, in
+        the order :meth:`TaskGraph.roots` lists them."""
+        return list(self.order[:bisect_right(self.parent_ptr, 0) - 1])
 
 
 class TaskGraph:
@@ -181,6 +203,11 @@ class TaskGraph:
 
     def edges(self) -> Iterator[Edge]:
         return iter(self._g.edges)
+
+    def edge_items(self) -> Iterator[tuple[Task, Task, float, float]]:
+        """``(u, v, size, comm)`` of every edge, in :meth:`edges` order."""
+        return ((u, v, d[ATTR_SIZE], d[ATTR_COMM])
+                for u, v, d in self._g.edges(data=True))
 
     def parents(self, task: Task) -> list[Task]:
         """Immediate predecessors of ``task``."""
@@ -277,7 +304,15 @@ class TaskGraph:
         graphs (the flattening is row-ordered by :meth:`topological_order`).
         """
         if self._flat_cache is None:
-            self._flat_cache = FlatGraph(self)
+            order = self.topological_order()
+            index = {t: i for i, t in enumerate(order)}
+            self._flat_cache = FlatGraph.from_adjacency(
+                order,
+                [[(index[p], self.comm(p, t), self.size(p, t))
+                  for p in self.parents(t)] for t in order],
+                [[(index[c], self.size(t, c)) for c in self.children(t)]
+                 for t in order],
+                [self.times(t) for t in order], self.n_classes)
         return self._flat_cache
 
     def ancestors(self, task: Task) -> set[Task]:

@@ -15,6 +15,9 @@ Supported queries:
   resident until their consumer is scheduled).
 * :meth:`earliest_fit` — the ``min { t : for all t' >= t, free(t') >= need }``
   primitive used by ``task_mem_EST`` and ``comm_mem_EST``.
+* :meth:`record` / :meth:`mark` / :meth:`rollback` — an undo log that takes
+  mutations back exactly (the old values are stored, never subtracted:
+  float sums are not invertible).
 
 ``earliest_fit`` is the hot query of the EST kernel.  Rather than rebuilding
 an O(l) suffix-max array after every mutation (the seed implementation's
@@ -52,7 +55,7 @@ class MemoryProfile:
     """
 
     __slots__ = ("capacity", "version", "_xs", "_vals", "_bmax", "_pmax",
-                 "_bdirty", "_compact_floor")
+                 "_bdirty", "_compact_floor", "_undo")
 
     #: Segments per max-block.  Mutation repair and threshold queries cost
     #: O(l / B + B); 64 balances the two for the profile sizes large
@@ -75,6 +78,7 @@ class MemoryProfile:
         self._pmax: list[float] = []   # running max of _bmax[:b+1]
         self._bdirty = 0               # blocks >= _bdirty are stale
         self._compact_floor = 1
+        self._undo: Optional[list] = None   # see record()
 
     # ------------------------------------------------------------------
     # mutation
@@ -94,6 +98,8 @@ class MemoryProfile:
             self._vals.insert(k + 1, self._vals[k])
             k += 1
             self._mark_dirty(k)
+            if self._undo is not None:
+                self._undo.append(("insert", k))
         return k
 
     def add(self, amount: float, start: float, end: Optional[float] = None) -> None:
@@ -109,6 +115,8 @@ class MemoryProfile:
             return
         i0 = self._breakpoint_index(start)
         i1 = len(self._xs) if end is None else self._breakpoint_index(end)
+        if self._undo is not None:
+            self._undo.append(("add", i0, self._vals[i0:i1], self.version))
         for k in range(i0, i1):
             self._vals[k] += amount
         self._mark_dirty(i0)
@@ -237,6 +245,9 @@ class MemoryProfile:
         per mutation), keeping long schedules from accumulating dead
         breakpoints left behind by release/allocate churn.
         """
+        if self._undo is not None:
+            self._undo.append(("compact", self._xs, self._vals,
+                               self._compact_floor))
         xs, vals = [self._xs[0]], [self._vals[0]]
         for x, v in zip(self._xs[1:], self._vals[1:]):
             if v != vals[-1]:
@@ -247,6 +258,47 @@ class MemoryProfile:
         self._pmax = []
         self._bdirty = 0
         self._compact_floor = len(xs)
+
+    # ------------------------------------------------------------------
+    # undo log
+    # ------------------------------------------------------------------
+    def record(self) -> None:
+        """Start an undo log: every later mutation can be taken back with
+        :meth:`rollback`, until :meth:`forget`.  An online planning round
+        mutates its checkpoint's profiles in place under one instead of
+        copying them (the copies would grow with the session's history)."""
+        self._undo = []
+
+    def mark(self) -> int:
+        """The current position in the undo log, for :meth:`rollback`."""
+        return len(self._undo)
+
+    def rollback(self, mark: int = 0) -> None:
+        """Undo every mutation logged after ``mark``, newest first.  The
+        breakpoints, values, ``version`` and compaction state are restored
+        exactly — the profile is then indistinguishable from a copy taken
+        at ``mark`` (block maxima are re-derived lazily)."""
+        undo = self._undo
+        while len(undo) > mark:
+            entry = undo.pop()
+            if entry[0] == "insert":
+                k = entry[1]
+                del self._xs[k]
+                del self._vals[k]
+                self._mark_dirty(k)
+            elif entry[0] == "add":
+                _, i0, old, self.version = entry
+                self._vals[i0:i0 + len(old)] = old
+                self._mark_dirty(i0)
+            else:   # compact
+                _, self._xs, self._vals, self._compact_floor = entry
+                self._bmax = []
+                self._pmax = []
+                self._bdirty = 0
+
+    def forget(self) -> None:
+        """Stop logging and drop the undo log."""
+        self._undo = None
 
     def copy(self) -> "MemoryProfile":
         clone = MemoryProfile(self.capacity)

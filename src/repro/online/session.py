@@ -19,10 +19,15 @@ structures fully summarise every commitment of the prefix.
 
 1. revokes the tail decisions whose start lies beyond the round's floor
    (with ``W = 0`` the tail is empty and nothing is revoked);
-2. builds the union DAG of the *open* jobs only — jobs with a decision
-   in the tail plus the group being planned, in arrival order;
-3. seeds a fresh state with *copies* of the checkpoint's profiles and
-   avail vector;
+2. builds the union of the *open* jobs only — jobs with a decision in
+   the tail plus the group being planned, in arrival order — as one
+   :class:`~repro.core.graph.FlatGraph` concatenated from per-job blocks
+   (:class:`_JobBlock`: ids, times, edges, topological generations and
+   upward ranks, built at a job's first round and cached while it is
+   open), with no networkx graph;
+3. seeds a fresh state with the checkpoint's own profiles, mutated in
+   place under an undo log (:meth:`MemoryProfile.record`; copying them
+   would cost O(history) per round), and a copy of its avail vector;
 4. *adopts* the already-placed prefix tasks of the open jobs
    (:meth:`SchedulerState.adopt`: finish time, memory class and child
    readiness, no memory or avail effect — those are in the checkpoint);
@@ -30,14 +35,19 @@ structures fully summarise every commitment of the prefix.
    (``breakdown.proc`` is honoured verbatim, so replay does zero EST
    evaluations), then drives the heuristic over revoked + new tasks;
 6. folds the decisions that left the revocable window into the new
-   checkpoint.  Its position is known before driving; when it is the end
-   of the round (always with ``W = 0``) the round's own profiles become
-   the checkpoint by reference, otherwise they are copied at that commit.
+   checkpoint.  Its position is known before driving: the round marks
+   the undo logs at that commit and, once it has succeeded, rolls the
+   profiles back to the marks — taking back exactly the effects of the
+   decisions still in the window (none with ``W = 0``).
 
 A round therefore costs O(window + group) graph work, not O(session
-history).  It is also **atomic**: it only mutates its copies, and the
-session adopts the new checkpoint, tail and placements once the round
-has succeeded — a round raising
+history), and a job's edges, generations and ranks are derived once,
+not once per round.  The flat union is ``build_union_graph(jobs)
+.flatten()`` field for field and its rank order ``rank_order(union,
+rng=None)`` (pinned by ``tests/online/test_flat_union.py``).  A round
+is also **atomic**: a failing round rolls the profiles back to where it
+found them, and the session adopts the new checkpoint, tail and
+placements only once the round has succeeded — a round raising
 :class:`~repro.scheduling.state.InfeasibleScheduleError` leaves the
 session exactly as it was.  The schedules are bit-identical to
 rebuilding every round from scratch over the whole kept log (pinned by
@@ -67,7 +77,7 @@ import time
 from typing import Hashable, NamedTuple, Optional
 
 from .. import obs
-from ..core.graph import TaskGraph
+from ..core.graph import FlatGraph, TaskGraph
 from ..core.memory_profile import MemoryProfile
 from ..core.platform import Platform
 from ..core.schedule import Placement
@@ -78,7 +88,7 @@ from ..scheduling.candidates import (
     SufferageSelector,
 )
 from ..scheduling.kernel import ESTBreakdown
-from ..scheduling.ranks import rank_order
+from ..scheduling.ranks import rank_order, upward_rank_rows
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
 from ..scheduling.state import InfeasibleScheduleError, SchedulerState
 from .policies import make_policy
@@ -188,9 +198,10 @@ def _split_ns(task: Task) -> tuple[str, str]:
     return job_id, name
 
 
-def _copy_folded(state: SchedulerState) -> tuple[dict, list]:
-    """Copies of a round state's profiles and avail vector."""
-    return ({m: p.copy() for m, p in state.mem.items()}, list(state.avail))
+def _fold(state: SchedulerState) -> tuple[dict, list]:
+    """The new checkpoint's position in a round: the undo-log mark of each
+    profile and a copy of the avail vector."""
+    return ({m: p.mark() for m, p in state.mem.items()}, list(state.avail))
 
 
 def build_union_graph(jobs, n_classes: int,
@@ -208,6 +219,127 @@ def build_union_graph(jobs, n_classes: int,
             union.add_dependency(prefix + str(u), prefix + str(v),
                                  size=jg.size(u, v), comm=jg.comm(u, v))
     return union
+
+
+class _JobBlock:
+    """One job's share of a planning round's union, built at the job's
+    first round and cached while the job is open: a job's edges,
+    topological generations and upward ranks never change once it has
+    been submitted.
+
+    ``generations`` holds, per topological generation, the rows that job
+    contributes to ``build_union_graph(jobs).flatten()`` — namespaced ids,
+    times, output sizes, then the parent and child CSR pieces as per-row
+    edge counts, job-local rows and edge data — and the job-local row of
+    its first task.  Job-local rows number the job's tasks generation by
+    generation; parent edges come in the union's order, ``graph.edges()``
+    order (u-major), which is not the job graph's own predecessor order
+    when its edges were inserted in another order.  ``keys`` (original
+    task keys), ``names`` (their ``str``), ``ids`` (namespaced) and
+    ``neg_ranks`` (negated upward ranks on the session platform) are in
+    node order.
+    """
+
+    __slots__ = ("generations", "keys", "names", "ids", "neg_ranks")
+
+    def __init__(self, job: OnlineJob, platform: Platform) -> None:
+        graph = job.graph
+        keys = list(graph.tasks())
+        names = [str(t) for t in keys]
+        prefix = job.job_id + "/"
+        ids = [prefix + name for name in names]
+        node = {t: i for i, t in enumerate(keys)}
+        parents: list[list] = [[] for _ in keys]   # (node, comm, size)
+        children: list[list] = [[] for _ in keys]  # (node, size)
+        for u, v, size, comm in graph.edge_items():
+            parents[node[v]].append((node[u], comm, size))
+            children[node[u]].append((node[v], size))
+        # The topological generations, formed as networkx forms them.
+        pending = [len(p) for p in parents]
+        generation = [i for i, n in enumerate(pending) if n == 0]
+        topo: list[int] = []
+        gen_ptr = [0]
+        while generation:
+            topo += generation
+            gen_ptr.append(len(topo))
+            following = []
+            for i in generation:
+                for child, _ in children[i]:
+                    pending[child] -= 1
+                    if pending[child] == 0:
+                        following.append(child)
+            generation = following
+        if len(topo) != len(keys):
+            raise ValueError("task graph contains a cycle")
+        row = [0] * len(keys)
+        for r, i in enumerate(topo):
+            row[i] = r
+        times = [graph.times(keys[i]) for i in topo]
+        flat = FlatGraph.from_adjacency(
+            [ids[i] for i in topo],
+            [[(row[p], comm, size) for p, comm, size in parents[i]]
+             for i in topo],
+            [[(row[c], size) for c, size in children[i]] for i in topo],
+            times, graph.n_classes)
+        ranks = upward_rank_rows(flat, platform)
+        parent_count = [len(parents[i]) for i in topo]
+        child_count = [len(children[i]) for i in topo]
+        p_ptr, c_ptr = flat.parent_ptr, flat.child_ptr
+        self.generations = [
+            (flat.order[lo:hi], times[lo:hi], flat.out_size[lo:hi],
+             parent_count[lo:hi], flat.parent_row[p_ptr[lo]:p_ptr[hi]],
+             flat.parent_comm[p_ptr[lo]:p_ptr[hi]],
+             flat.parent_size[p_ptr[lo]:p_ptr[hi]], child_count[lo:hi],
+             flat.child_row[c_ptr[lo]:c_ptr[hi]], lo)
+            for lo, hi in zip(gen_ptr, gen_ptr[1:])]
+        self.keys = keys
+        self.names = names
+        self.ids = ids
+        self.neg_ranks = [-ranks[r] for r in row]
+
+
+def _union_flat(blocks, n_classes: int) -> FlatGraph:
+    """The disjoint union of the blocks' jobs (in arrival order) as one
+    :class:`FlatGraph`, field for field ``build_union_graph(jobs)
+    .flatten()``: rows generation-major, then arrival order, then each
+    job's order inside the generation — the order networkx's topological
+    sort gives a disjoint union."""
+    order: list = []
+    times: list = []
+    out_size: list = []
+    parent_count: list = []
+    parent_row: list = []
+    parent_comm: list = []
+    parent_size: list = []
+    child_count: list = []
+    children = []
+    rows = [[0] * len(block.ids) for block in blocks]
+    n = 0
+    for g in range(max(len(block.generations) for block in blocks)):
+        for block, row in zip(blocks, rows):
+            if g >= len(block.generations):
+                continue
+            (ids, t, out, p_count, p_row, p_comm, p_size, c_count, c_row,
+             lo) = block.generations[g]
+            row[lo:lo + len(ids)] = range(n, n + len(ids))
+            n += len(ids)
+            order += ids
+            times += t
+            out_size += out
+            parent_count += p_count
+            # Parents sit in earlier generations: their rows are known.
+            parent_row += map(row.__getitem__, p_row)
+            parent_comm += p_comm
+            parent_size += p_size
+            child_count += c_count
+            children.append((row, c_row))
+    child_row: list = []
+    for row, c_row in children:
+        child_row += map(row.__getitem__, c_row)
+    return FlatGraph(tuple(order), [0, *itertools.accumulate(parent_count)],
+                     parent_row, parent_comm, parent_size,
+                     [0, *itertools.accumulate(child_count)], child_row,
+                     out_size, times, n_classes)
 
 
 def clairvoyant_makespan(jobs, platform: Platform, *,
@@ -263,6 +395,8 @@ class OnlineSession:
             [0.0] * platform.n_procs, 0)
         #: ... and the decisions after it (at most the replan window).
         self._tail: list[_Decision] = []
+        #: ``{job_id: _JobBlock}`` of the jobs with a tail decision.
+        self._blocks: dict[str, _JobBlock] = {}
         self._arrivals = itertools.count()
         #: One row per planning round: floor, n_jobs, n_tasks, replanned,
         #: union_tasks, replayed, ms.
@@ -375,19 +509,18 @@ class OnlineSession:
         open_ids = {_split_ns(d.task)[0] for d in tail}
         jobs = sorted([self.jobs[job_id] for job_id in open_ids] + group,
                       key=lambda job: job.arrival_index)
-        union = build_union_graph(jobs, self.platform.n_classes)
+        blocks = [self._block(job) for job in jobs]
+        union = _union_flat(blocks, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
                                comm_policy=self.comm_policy)
-        state.mem = {m: p.copy() for m, p in base.profiles.items()}
+        state.mem = dict(base.profiles)
         for proc, a in enumerate(base.avail):
             state.avail[proc] = a
         in_tail = {d.task for d in tail}
-        for job in jobs:
+        for job, block in zip(jobs, blocks):
             if job.placements is None:
                 continue
-            prefix = job.job_id + "/"
-            for placed in job.placements.values():
-                task = prefix + placed.task
+            for task, placed in zip(block.ids, job.placements.values()):
                 if task not in in_tail:
                     state.adopt(Placement(
                         task=task, proc=placed.proc, memory=placed.memory,
@@ -400,54 +533,88 @@ class OnlineSession:
         # revoked decision is re-placed, so the log does not shrink.
         end = union.n_tasks - state.n_scheduled
         cut = max(end - window, 0)
-        folded = None
-        memories = self.platform.memories()
-        for n, decision in enumerate(kept, 1):
-            state.commit(decision.breakdown(memories))
-            state.pop_newly_ready()   # readiness comes from the log order
-            if n == cut and n < end:
-                folded = _copy_folded(state)
-        records, folded_in_drive = self._drive(state, union, floor,
-                                               cut - len(kept))
-        if cut:
-            # At the end of the round the round's own objects are the
-            # checkpoint; they are copies, never the previous one's.
-            profiles, avail = (folded or folded_in_drive
-                               or (state.mem, list(state.avail)))
-            self._base = _Checkpoint(profiles, avail, base.length + cut)
+        # The round mutates the checkpoint's own profiles under an undo
+        # log (copies would cost O(history) per round): on success they
+        # are rolled back to the cut, which makes them the new
+        # checkpoint, and on failure to where they were.
+        for profile in base.profiles.values():
+            profile.record()
+        try:
+            fold = _fold(state) if cut == 0 else None
+            memories = self.platform.memories()
+            for n, decision in enumerate(kept, 1):
+                state.commit(decision.breakdown(memories))
+                state.pop_newly_ready()   # readiness comes from the log
+                if n == cut:
+                    fold = _fold(state)
+            records, fold_in_drive = self._drive(state, blocks, floor,
+                                                 cut - len(kept))
+        except BaseException:
+            for profile in base.profiles.values():
+                profile.rollback()
+                profile.forget()
+            raise
+        marks, avail = fold or fold_in_drive
+        for m, profile in base.profiles.items():
+            profile.rollback(marks[m])
+            profile.forget()
+        self._base = _Checkpoint(base.profiles, avail, base.length + cut)
         self._tail = (kept + records)[cut:]
         self._publish_placements(state, jobs)
+        still_open = {_split_ns(d.task)[0] for d in self._tail}
+        self._blocks = {job_id: block
+                        for job_id, block in self._blocks.items()
+                        if job_id in still_open}
         return {"replanned": len(tail) - len(kept),
                 "union_tasks": union.n_tasks, "replayed": len(kept)}
 
-    def _drive(self, state: SchedulerState, graph: TaskGraph,
-               floor: float, cut: int = -1
-               ) -> tuple[list[_Decision], Optional[tuple]]:
+    def _block(self, job: OnlineJob) -> _JobBlock:
+        """The job's cached :class:`_JobBlock`, built on first use."""
+        block = self._blocks.get(job.job_id)
+        if block is None:
+            block = self._blocks[job.job_id] = _JobBlock(job, self.platform)
+        return block
+
+    def _rank_positions(self, union) -> dict:
+        """Each task's position in MemHEFT's priority list, exactly
+        ``rank_order(union graph, rng=None)``: non-increasing upward rank,
+        ties in union insertion order (arrival, then node order).  A
+        round's job blocks give it as one stable sort of their cached
+        ranks; a union :class:`TaskGraph` is ranked from scratch."""
+        if isinstance(union, TaskGraph):
+            order = rank_order(union, rng=None, platform=self.platform)
+        else:
+            ids = [t for block in union for t in block.ids]
+            neg_ranks = [r for block in union for r in block.neg_ranks]
+            order = [ids[i] for i in sorted(range(len(ids)),
+                                            key=neg_ranks.__getitem__)]
+        return {t: k for k, t in enumerate(order)}
+
+    def _drive(self, state: SchedulerState, union, floor: float,
+               cut: int = -1) -> tuple[list[_Decision], Optional[tuple]]:
         """The offline lazy driver loop, verbatim per algorithm, plus the
         release-floor clamp — with ``floor == 0`` and nothing committed
-        this is bit-for-bit the offline heuristic.  Returns the decisions
-        and, when the ``cut``-th of them is not the last, copies of the
-        profiles and avail vector right after it."""
+        this is bit-for-bit the offline heuristic.  ``union`` is the
+        round's job blocks (or a union :class:`TaskGraph`), consulted
+        for MemHEFT's rank order only; the rest comes from the state's
+        flat arrays.  Returns the decisions and, right after the
+        ``cut``-th of them, the state's :func:`_fold`."""
+        flat = state._flat
         if self.algorithm == "memheft":
-            position = {t: k for k, t in enumerate(
-                rank_order(graph, rng=None, platform=self.platform))}
-            selector = RankSelector(state, position)
+            selector = RankSelector(state, self._rank_positions(union))
         elif self.algorithm == "memminmin":
-            index = {t: k for k, t in enumerate(graph.topological_order())}
-            selector = MinEFTSelector(state, index)
+            selector = MinEFTSelector(state, flat.index)
         else:   # memsufferage (constructor rejects anything else)
-            index = {t: k for k, t in enumerate(graph.topological_order())}
-            selector = SufferageSelector(state, index)
+            selector = SufferageSelector(state, flat.index)
         if state.n_scheduled == 0:
-            ready = graph.roots()
+            ready = flat.roots()
         else:
-            ready = [t for t in graph.topological_order()
-                     if state.is_ready(t)]
+            ready = [t for t in flat.order if state.is_ready(t)]
         for task in ready:
             selector.push(task)
-        n_left = graph.n_tasks - state.n_scheduled
+        n_left = flat.n_tasks - state.n_scheduled
         records: list[_Decision] = []
-        folded: Optional[tuple] = None
+        fold: Optional[tuple] = None
         while n_left:
             best = selector.select()
             if best is None:
@@ -464,30 +631,34 @@ class OnlineSession:
                 best.comm_fit, placement.proc))
             selector.remove(best.task)
             n_left -= 1
-            if len(records) == cut and n_left:
-                folded = _copy_folded(state)
+            if len(records) == cut:
+                fold = _fold(state)
             for task in state.pop_newly_ready():
                 selector.push(task)
-        return records, folded
+        return records, fold
 
     def _publish_placements(self, state: SchedulerState, jobs) -> None:
-        """Copy the round state's placements back into per-job views
-        (original task names, insertion order)."""
-        by_job: dict[str, dict] = {}
-        for placement in state.schedule.placements():
-            job_id, name = _split_ns(placement.task)
-            by_job.setdefault(job_id, {})[name] = placement
+        """Copy the placements the round state committed back into
+        per-job views (original task names, node order).  Adopted tasks
+        keep their published :class:`Placement` objects: they are the
+        ones the state adopted, unchanged by construction."""
+        # ``adopt`` adds a placement without a commit serial, and the
+        # round adopts before it commits: the commits are the tail.
+        committed = {p.task: p for p in itertools.islice(
+            state.schedule.placements(),
+            state.n_scheduled - state.commit_serial, None)}
         for job in jobs:
-            placed = by_job.get(job.job_id)
-            if placed is None:
-                continue
-            job.placements = {
-                t: Placement(task=str(t), proc=placed[str(t)].proc,
-                             memory=placed[str(t)].memory,
-                             start=placed[str(t)].start,
-                             finish=placed[str(t)].finish)
-                for t in job.graph.tasks()
-            }
+            block = self._block(job)
+            if not block.ids:
+                continue   # nothing placed: an empty job stays unplanned
+            old = job.placements
+            placements = {}
+            for key, name, task in zip(block.keys, block.names, block.ids):
+                p = committed.get(task)
+                placements[key] = (old[key] if p is None else Placement(
+                    task=name, proc=p.proc, memory=p.memory,
+                    start=p.start, finish=p.finish))
+            job.placements = placements
 
     # ------------------------------------------------------------------
     # results

@@ -105,7 +105,8 @@ class ScalarKernel:
         comm_mem = comm_fit + cmax if cross_in > 0.0 or cmax > 0.0 else 0.0
 
         resource, est, duration, proc = state._resource_choice(
-            memory, precedence, task_mem, comm_mem, state.graph.w(task, memory))
+            memory, precedence, task_mem, comm_mem,
+            state._flat.times[state._row[task]][idx])
         eft = est + duration if math.isfinite(est) else math.inf
         return ESTBreakdown(task, memory, resource, precedence, task_mem,
                             comm_mem, cmax, est, eft, comm_fit,
@@ -115,7 +116,8 @@ class ScalarKernel:
                        memory: "Memory") -> ESTBreakdown:
         """From-scratch evaluation (the pre-incremental reference path,
         kept for cross-checks and the kernel benchmark): re-walks the
-        parent list and re-queries the staircases, no caches."""
+        ``TaskGraph`` parent list and re-queries the staircases, no
+        caches."""
         if not state.is_ready(task) or state.platform.n_procs_of(memory) == 0:
             return infeasible_breakdown(task, memory)
 

@@ -25,20 +25,27 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from .._util import RngLike, as_rng
-from ..core.graph import TaskGraph
+from ..core.graph import FlatGraph, TaskGraph
 from ..core.platform import Platform
 
 Task = Hashable
 
 
-def upward_ranks(graph: TaskGraph,
-                 platform: Optional[Platform] = None) -> dict[Task, float]:
-    """Upward rank of every task (mean execution + expected communication).
+def upward_rank_rows(flat: FlatGraph,
+                     platform: Optional[Platform] = None) -> list[float]:
+    """Upward rank of every row of a :class:`FlatGraph` (mean execution +
+    expected communication), the one implementation behind
+    :func:`upward_ranks` and the online session's per-job ranks.
 
-    ``platform`` (optional) supplies per-class fastest speeds for the
-    speed-aware execution term (classes without processors carry speed 1.0,
-    keeping the mean aligned with the speed-less formula)."""
-    k = graph.n_classes
+    Rows are walked in reverse topological order; each finished rank is
+    pushed to its parents over the parent CSR, so a parent's best child
+    is complete before the parent is reached.  The max over children does
+    not depend on the order they are visited in, so the ranks are the
+    same bits whatever the edge order.  ``platform`` (optional) supplies
+    per-class fastest speeds for the speed-aware execution term (classes
+    without processors carry speed 1.0, keeping the mean aligned with the
+    speed-less formula)."""
+    k = flat.n_classes
     comm_weight = (k - 1) / k
     if platform is not None:
         # Accept the historical MultiPlatform facade transparently.
@@ -48,23 +55,30 @@ def upward_ranks(graph: TaskGraph,
                 f"graph has {k} memory classes, platform "
                 f"{platform.n_classes}")
         fastest = platform.max_class_speeds
-
-        def mean_w(task: Task) -> float:
-            times = graph.times(task)
-            return sum(times[ci] / fastest[ci]
-                       for ci in range(k)) / k
+        mean_w = [sum(times[ci] / fastest[ci] for ci in range(k)) / k
+                  for times in flat.times]
     else:
-        mean_w = graph.w_mean
+        mean_w = [sum(times) / len(times) for times in flat.times]
 
-    ranks: dict[Task, float] = {}
-    for task in reversed(graph.topological_order()):
-        best_child = 0.0
-        for child in graph.children(task):
-            cand = ranks[child] + graph.comm(task, child) * comm_weight
-            if cand > best_child:
-                best_child = cand
-        ranks[task] = mean_w(task) + best_child
+    parent_ptr, parent_row = flat.parent_ptr, flat.parent_row
+    parent_comm = flat.parent_comm
+    best_child = [0.0] * flat.n_tasks
+    ranks = [0.0] * flat.n_tasks
+    for row in range(flat.n_tasks - 1, -1, -1):
+        rank = ranks[row] = mean_w[row] + best_child[row]
+        for e in range(parent_ptr[row], parent_ptr[row + 1]):
+            cand = rank + parent_comm[e] * comm_weight
+            parent = parent_row[e]
+            if cand > best_child[parent]:
+                best_child[parent] = cand
     return ranks
+
+
+def upward_ranks(graph: TaskGraph,
+                 platform: Optional[Platform] = None) -> dict[Task, float]:
+    """Upward rank of every task (see :func:`upward_rank_rows`)."""
+    flat = graph.flatten()
+    return dict(zip(flat.order, upward_rank_rows(flat, platform)))
 
 
 def rank_order(graph: TaskGraph, rng: RngLike = None,

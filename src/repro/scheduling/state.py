@@ -78,12 +78,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Hashable, Optional
 
 from .. import obs
 from .._util import EPS
-from ..core.graph import TaskGraph
+from ..core.graph import FlatGraph, TaskGraph
 from ..obs.metrics import SIZE_BUCKETS
 from ..core.memory_profile import MemoryProfile
 from ..core.platform import Memory, Platform
@@ -182,9 +182,15 @@ class SchedulerState:
 
     Works for any number of memory classes; the paper's dual-memory
     platform is simply ``k = 2``.
+
+    ``graph`` is a :class:`TaskGraph` or directly a
+    :class:`~repro.core.graph.FlatGraph` (an online planning round builds
+    its union as one).  Everything but the from-scratch
+    ``incremental=False`` reference path, which walks a ``TaskGraph``,
+    reads only the flat arrays.
     """
 
-    def __init__(self, graph: TaskGraph, platform: Platform,
+    def __init__(self, graph: "TaskGraph | FlatGraph", platform: Platform,
                  comm_policy: str = "late", incremental: bool = True) -> None:
         if comm_policy not in ("late", "eager"):
             raise ValueError(f"comm_policy must be 'late' or 'eager', got {comm_policy!r}")
@@ -218,10 +224,8 @@ class SchedulerState:
         #: instead of going through Schedule.placement dict lookups.
         self._finish: list[float] = [0.0] * flat.n_tasks
         self._memidx: list[int] = [-1] * flat.n_tasks
-        self._pending_parents: dict[Task, int] = {
-            t: flat.parent_ptr[i + 1] - flat.parent_ptr[i]
-            for i, t in enumerate(flat.order)
-        }
+        self._pending_parents: dict[Task, int] = dict(zip(
+            flat.order, map(sub, flat.parent_ptr[1:], flat.parent_ptr)))
         self._newly_ready: list[Task] = []
         # -- incremental EST caches ------------------------------------
         # per task: (precedence, cmax, cross_in, need_task) per class —
@@ -257,7 +261,7 @@ class SchedulerState:
 
     @property
     def done(self) -> bool:
-        return self.n_scheduled == self.graph.n_tasks
+        return self.n_scheduled == self._flat.n_tasks
 
     def is_scheduled(self, task: Task) -> bool:
         return task in self.schedule
@@ -268,7 +272,7 @@ class SchedulerState:
 
     def ready_roots(self) -> list[Task]:
         """All source tasks (ready at time zero)."""
-        return self.graph.roots()
+        return self._flat.roots()
 
     def pop_newly_ready(self) -> list[Task]:
         """Tasks that became ready since the last call (after commits)."""
@@ -645,5 +649,5 @@ class SchedulerState:
                                 algorithm=algorithm).inc()
             st.registry.histogram(
                 "memsched_schedule_tasks", buckets=SIZE_BUCKETS,
-                algorithm=algorithm).observe(self.graph.n_tasks)
+                algorithm=algorithm).observe(self._flat.n_tasks)
         return self.schedule

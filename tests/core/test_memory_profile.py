@@ -395,3 +395,71 @@ def test_compaction_keeps_the_function():
     assert p.n_segments() < 2 * 300
     assert _function(p) == ref.segments()
     assert p.peak() == ref.peak()
+
+
+# ----------------------------------------------------------------------
+# undo log: rollback is exact
+# ----------------------------------------------------------------------
+def _exact_state(profile: MemoryProfile) -> tuple:
+    """Everything a later operation can observe: breakpoints and values
+    bit for bit (not merged), the version and the compaction floor."""
+    return (list(profile.segments()), profile.version,
+            profile._compact_floor)
+
+
+def _apply(profile: MemoryProfile, ops) -> None:
+    for op in ops:
+        if op[0] == "add":
+            profile.add(*op[1:])
+        elif op[0] == "release":
+            profile.release_from(*op[1:])
+        else:
+            profile.earliest_fit(op[1])
+
+
+@settings(max_examples=300)
+@given(st.lists(profile_op, max_size=30), st.lists(profile_op, max_size=30),
+       st.lists(profile_op, max_size=30), st.sampled_from([7.5, 30.0, 1e9]))
+def test_rollback_restores_the_profile_exactly(before, logged, after,
+                                               capacity):
+    """Ops, then ``record`` and more ops with a mark in between: rolling
+    back to the mark (or to the start) leaves a profile that is exactly a
+    copy taken there, and stays so under further ops and queries."""
+    p = MemoryProfile(capacity)
+    _apply(p, before)
+    at_record = p.copy()
+    p.record()
+    half = len(logged) // 2
+    _apply(p, logged[:half])
+    at_mark = p.copy()
+    mark = p.mark()
+    _apply(p, logged[half:])
+    p.rollback(mark)
+    assert _exact_state(p) == _exact_state(at_mark)
+    p.rollback()
+    p.forget()
+    assert _exact_state(p) == _exact_state(at_record)
+    _apply(p, after)
+    _apply(at_record, after)
+    assert _exact_state(p) == _exact_state(at_record)
+    for need in (0.0, 0.5, 3.0, capacity / 2, capacity - 0.25, capacity):
+        assert p.earliest_fit(need) == at_record.earliest_fit(need)
+
+
+def test_rollback_undoes_compaction():
+    """Churn past the auto-compaction threshold under the log: rollback
+    restores the uncompacted breakpoints and the compaction floor."""
+    p = MemoryProfile(100.0)
+    for k in range(40):
+        p.add(0.3, k * 1.0, k + 0.5)
+    before = _exact_state(p)
+    p.record()
+    for k in range(40, 400):
+        p.add(0.5, k + 0.25, k + 0.75)
+        p.add(-0.5, k + 0.25, k + 0.75)
+    assert p._compact_floor != before[2]    # compaction did run
+    p.rollback()
+    p.forget()
+    assert _exact_state(p) == before
+    p.add(1.0, 0.0, None)
+    assert p.peak() == pytest.approx(1.3)

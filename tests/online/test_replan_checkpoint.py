@@ -10,6 +10,7 @@ produce byte-identical journals, poll results and revocation counts —
 including on streams whose rounds fail for lack of memory.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -97,17 +98,39 @@ def _scaled(graph: TaskGraph, scale: float) -> TaskGraph:
     return out
 
 
-def _stream(n_jobs, seed, gap, scale):
+def _shuffled(graph: TaskGraph, rng: random.Random) -> TaskGraph:
+    """``graph`` with its task ids permuted and its tasks and edges
+    inserted in shuffled order (as perfbench's ``relabel`` does): each
+    task's predecessor order then differs from the union's u-major
+    edge order."""
+    tasks = list(graph.tasks())
+    new_id = dict(zip(tasks, rng.sample(range(len(tasks)), len(tasks))))
+    edges = list(graph.edges())
+    rng.shuffle(tasks)
+    rng.shuffle(edges)
+    out = TaskGraph(name=graph.name, n_classes=graph.n_classes)
+    for t in tasks:
+        out.add_task(new_id[t], times=graph.times(t))
+    for u, v in edges:
+        out.add_dependency(new_id[u], new_id[v], size=graph.size(u, v),
+                           comm=graph.comm(u, v))
+    return out
+
+
+def _stream(n_jobs, seed, gap, scale, shuffle=False):
     """``[(release, [(job_id, graph), ...]), ...]``: jobs of 2-9 tasks,
     releases on a 0.5 grid so several jobs can share a round."""
     groups: dict = {}
     release = 0.0
+    rng = random.Random(seed)
     for k in range(n_jobs):
         release += gap * ((seed >> k) % 3)
-        graph = random_dag(size=2 + (seed + k) % 8, width=0.4, density=0.5,
-                           jumps=3, rng=seed + k)
-        groups.setdefault(release, []).append(
-            (f"j{k:02d}", _scaled(graph, scale)))
+        graph = _scaled(random_dag(size=2 + (seed + k) % 8, width=0.4,
+                                   density=0.5, jumps=3, rng=seed + k),
+                        scale)
+        if shuffle:
+            graph = _shuffled(graph, rng)
+        groups.setdefault(release, []).append((f"j{k:02d}", graph))
     return sorted(groups.items())
 
 
@@ -152,16 +175,19 @@ def _assert_identical(stream, platform, algo, policy):
        st.integers(min_value=0, max_value=2**20),     # seed
        st.sampled_from((0.5, 1.5, 4.0)),              # gap scale
        st.sampled_from((1.0, 0.3, 1 / 3)),            # time/size scale
+       st.booleans(),                                 # shuffled insertion
+       st.booleans(),                                 # heterogeneous speeds
        st.sampled_from(ALGOS),
        st.sampled_from(POLICIES),
        st.sampled_from(BOUNDS),
        st.integers(min_value=1, max_value=2))         # processors/class
-def test_checkpoint_rounds_match_rebuild(n_jobs, seed, gap, scale, algo,
-                                         policy, bound, procs):
+def test_checkpoint_rounds_match_rebuild(n_jobs, seed, gap, scale, shuffle,
+                                         hetero, algo, policy, bound, procs):
+    speeds = [1.0, 0.75, 2.0, 1.25][:2 * procs] if hetero else None
     platform = Platform(n_blue=procs, n_red=procs, mem_blue=bound,
-                        mem_red=bound)
-    _assert_identical(_stream(n_jobs, seed, gap, scale), platform, algo,
-                      policy)
+                        mem_red=bound, speeds=speeds)
+    _assert_identical(_stream(n_jobs, seed, gap, scale, shuffle), platform,
+                      algo, policy)
 
 
 def test_grid_exercises_adopt_replay_and_failures(adopt_calls):
@@ -253,14 +279,14 @@ def test_round_work_is_flat_in_session_length(monkeypatch):
     mean union size plus replayed commits per round over a 2,000-arrival
     stream stays within 1.25x of the mean over its first 200 arrivals."""
     unions = []
-    original = session_mod.build_union_graph
+    original = session_mod._union_flat
 
-    def counting(jobs, n_classes, name="online-union"):
-        union = original(jobs, n_classes, name)
+    def counting(blocks, n_classes):
+        union = original(blocks, n_classes)
         unions.append(union.n_tasks)
         return union
 
-    monkeypatch.setattr(session_mod, "build_union_graph", counting)
+    monkeypatch.setattr(session_mod, "_union_flat", counting)
     platform = Platform(n_blue=2, n_red=2, mem_blue=20000, mem_red=20000)
     trace = poisson_trace(2000, seed=5, rate=2.0, tick=2.5, size=4)
 
