@@ -32,7 +32,7 @@ from .core.bounds import (
 )
 from .core.platform import Platform
 from .core.trace import format_trace, memory_timeline, trace_schedule
-from .core.validation import ScheduleError, validate_schedule
+from .core.validation import validate_schedule
 from .dags.daggen import random_dag
 from .dags.linalg import cholesky_dag, lu_dag
 from .dags.toy import dex
@@ -180,10 +180,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    schedule = load_schedule(args.schedule)
     try:
+        # Loading rejects malformed windows (NaN, negative, reversed).
+        schedule = load_schedule(args.schedule)
         peaks = validate_schedule(graph, schedule.platform, schedule)
-    except ScheduleError as exc:
+    except ValueError as exc:   # ScheduleError is a ValueError
         print(f"INVALID: {exc}", file=sys.stderr)
         return 2
     print(f"valid schedule; makespan={schedule.makespan:g}; "

@@ -55,7 +55,7 @@ class MemoryProfile:
     """
 
     __slots__ = ("capacity", "version", "_xs", "_vals", "_bmax", "_pmax",
-                 "_bdirty", "_compact_floor", "_undo")
+                 "_bdirty", "_compact_floor", "_compact_at", "_undo")
 
     #: Segments per max-block.  Mutation repair and threshold queries cost
     #: O(l / B + B); 64 balances the two for the profile sizes large
@@ -77,7 +77,7 @@ class MemoryProfile:
         self._bmax: list[float] = []   # per-block max of _vals[b*B:(b+1)*B]
         self._pmax: list[float] = []   # running max of _bmax[:b+1]
         self._bdirty = 0               # blocks >= _bdirty are stale
-        self._compact_floor = 1
+        self._set_compact_floor(1)
         self._undo: Optional[list] = None   # see record()
 
     # ------------------------------------------------------------------
@@ -89,39 +89,60 @@ class MemoryProfile:
         if block < self._bdirty:
             self._bdirty = block
 
-    def _breakpoint_index(self, t: float) -> int:
-        """Index of the segment containing ``t``, inserting a breakpoint at
-        ``t`` if needed; ``t`` must be >= 0."""
-        k = bisect_right(self._xs, t) - 1
-        if self._xs[k] != t:
-            self._xs.insert(k + 1, t)
-            self._vals.insert(k + 1, self._vals[k])
-            k += 1
-            self._mark_dirty(k)
-            if self._undo is not None:
-                self._undo.append(("insert", k))
-        return k
+    def _set_compact_floor(self, floor: int) -> None:
+        """Set the post-compaction segment count and the auto-compaction
+        threshold derived from it, which :meth:`add` reads per call."""
+        self._compact_floor = floor
+        self._compact_at = max(self._COMPACT_MIN, 2 * floor)
 
     def add(self, amount: float, start: float, end: Optional[float] = None) -> None:
         """Add ``amount`` of used memory on ``[start, end)``.
 
         ``end=None`` extends to +inf.  Negative amounts release memory.
         ``start`` is clamped to 0.  Empty or zero-amount intervals are no-ops.
+
+        This is the per-event hot path of every commit: each breakpoint
+        takes one bisect (the ``end`` search starts at ``start``'s segment,
+        since ``end > start``) and is inserted in place, and one dirty mark
+        at the ``start`` segment covers both insertions and the value
+        updates.  The undo log gets ``("insert", k)`` for ``start``, then
+        for ``end``, then the ``("add", ...)`` entry.
         """
         if amount == 0.0:
             return
-        start = max(0.0, start)
+        if not start > 0.0:   # max(0.0, start), without the call
+            start = 0.0
         if end is not None and end <= start:
             return
-        i0 = self._breakpoint_index(start)
-        i1 = len(self._xs) if end is None else self._breakpoint_index(end)
-        if self._undo is not None:
-            self._undo.append(("add", i0, self._vals[i0:i1], self.version))
+        xs = self._xs
+        vals = self._vals
+        undo = self._undo
+        i0 = bisect_right(xs, start) - 1
+        if xs[i0] != start:
+            i0 += 1
+            xs.insert(i0, start)
+            vals.insert(i0, vals[i0 - 1])
+            if undo is not None:
+                undo.append(("insert", i0))
+        if end is None:
+            i1 = len(xs)
+        else:
+            i1 = bisect_right(xs, end, i0) - 1
+            if xs[i1] != end:
+                i1 += 1
+                xs.insert(i1, end)
+                vals.insert(i1, vals[i1 - 1])
+                if undo is not None:
+                    undo.append(("insert", i1))
+        if undo is not None:
+            undo.append(("add", i0, vals[i0:i1], self.version))
         for k in range(i0, i1):
-            self._vals[k] += amount
-        self._mark_dirty(i0)
+            vals[k] += amount
+        block = i0 // self._BLOCK
+        if block < self._bdirty:
+            self._bdirty = block
         self.version += 1
-        if len(self._xs) > max(self._COMPACT_MIN, 2 * self._compact_floor):
+        if len(xs) > self._compact_at:
             self.compact()
 
     def release_from(self, amount: float, start: float) -> None:
@@ -178,14 +199,16 @@ class MemoryProfile:
     def _rightmost_above(self, threshold: float) -> int:
         """Rightmost segment index whose value exceeds ``threshold`` (with
         the library tolerance), or -1 when none does."""
-        self._repair_blocks()
         vals = self._vals
         B = self._BLOCK
+        if self._bdirty * B < len(vals):
+            self._repair_blocks()
         bound = threshold + EPS
         if self._pmax[-1] <= bound:
             return -1   # nothing exceeds it: skip the block scan
-        for b in range(len(self._bmax) - 1, -1, -1):
-            if self._bmax[b] <= bound:
+        bmax = self._bmax
+        for b in range(len(bmax) - 1, -1, -1):
+            if bmax[b] <= bound:
                 continue
             lo = b * B
             for k in range(min(len(vals), lo + B) - 1, lo - 1, -1):
@@ -198,20 +221,25 @@ class MemoryProfile:
         ``t' >= t`` — the query behind ``task_mem_EST`` / ``comm_mem_EST``
         (§5.1).  Returns ``inf`` when ``need`` exceeds the capacity or the
         tail of the profile never frees enough memory.
+
+        Every "fits now" exit returns ``max(0.0, not_before)``, spelled as
+        one comparison on this hot path.
         """
         if need <= EPS:
-            return max(0.0, not_before)
-        if need > self.capacity + EPS:
+            return not_before if not_before > 0.0 else 0.0
+        capacity = self.capacity
+        if need > capacity + EPS:
             return math.inf
-        if math.isinf(self.capacity):
-            return max(0.0, not_before)
+        if capacity == math.inf:
+            return not_before if not_before > 0.0 else 0.0
         # Find the rightmost segment still too full; everything after fits.
-        j = self._rightmost_above(self.capacity - need)
+        j = self._rightmost_above(capacity - need)
         if j < 0:
-            return max(0.0, not_before)
+            return not_before if not_before > 0.0 else 0.0
         if j == len(self._vals) - 1:
             return math.inf  # tail value itself exceeds the threshold
-        return max(self._xs[j + 1], not_before)
+        x = self._xs[j + 1]
+        return not_before if not_before > x else x
 
     # ------------------------------------------------------------------
     # introspection / invariants
@@ -257,7 +285,7 @@ class MemoryProfile:
         self._bmax = []
         self._pmax = []
         self._bdirty = 0
-        self._compact_floor = len(xs)
+        self._set_compact_floor(len(xs))
 
     # ------------------------------------------------------------------
     # undo log
@@ -285,13 +313,18 @@ class MemoryProfile:
                 k = entry[1]
                 del self._xs[k]
                 del self._vals[k]
-                self._mark_dirty(k)
+                # From the segment before k (k >= 1: xs[0] is never
+                # inserted): when k was the last segment and the first of
+                # its block, that block is now empty, and marking k would
+                # leave its stale maximum past _rightmost_above's check.
+                self._mark_dirty(k - 1)
             elif entry[0] == "add":
                 _, i0, old, self.version = entry
                 self._vals[i0:i0 + len(old)] = old
                 self._mark_dirty(i0)
             else:   # compact
-                _, self._xs, self._vals, self._compact_floor = entry
+                _, self._xs, self._vals, floor = entry
+                self._set_compact_floor(floor)
                 self._bmax = []
                 self._pmax = []
                 self._bdirty = 0
@@ -309,6 +342,7 @@ class MemoryProfile:
         clone._pmax = list(self._pmax)
         clone._bdirty = self._bdirty
         clone._compact_floor = self._compact_floor
+        clone._compact_at = self._compact_at
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -8,6 +8,7 @@ their transfer is instantaneous in the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterator, Optional
 
@@ -79,16 +80,23 @@ class Schedule:
             raise ValueError(
                 f"processor {placement.proc} is not attached to memory {placement.memory}"
             )
-        if placement.finish < placement.start or placement.start < 0:
-            raise ValueError(f"invalid execution window for {placement.task!r}")
+        # One chained comparison: NaN fails every comparison, so a NaN
+        # start or finish is rejected along with negative, reversed and
+        # unbounded windows.
+        if not 0.0 <= placement.start <= placement.finish < math.inf:
+            raise ValueError(
+                f"invalid execution window for {placement.task!r}: "
+                f"[{placement.start!r}, {placement.finish!r}]")
         self._placements[placement.task] = placement
 
     def add_comm(self, event: CommEvent) -> None:
         key = (event.src, event.dst)
         if key in self._comms:
             raise ValueError(f"communication {key!r} already scheduled")
-        if event.finish < event.start or event.start < 0:
-            raise ValueError(f"invalid communication window for {key!r}")
+        if not 0.0 <= event.start <= event.finish < math.inf:
+            raise ValueError(
+                f"invalid communication window for {key!r}: "
+                f"[{event.start!r}, {event.finish!r}]")
         self._comms[key] = event
 
     # ------------------------------------------------------------------

@@ -171,9 +171,18 @@ def _refresh_breakdown(state: SchedulerState, bd: ESTBreakdown,
     serial unmoved, or infinite capacity), so only the resource/processor
     half re-runs — the exact arithmetic the kernel itself would perform
     with identical parts, hence bit-identical to a full evaluation."""
-    w = state._flat.times[state._row[bd.task]][memory.index]
-    resource, est, duration, proc = state._resource_choice(
-        memory, bd.precedence, bd.task_mem, bd.comm_mem, w)
+    idx = memory.index
+    w = state._flat.times[state._row[bd.task]][idx]
+    if state._uniform[idx]:
+        # _resource_choice's uniform branch, inlined (the hot case).
+        entries = state.avail.by_class[idx]
+        resource = entries[0][0] if entries else math.inf
+        est = max(resource, bd.precedence, bd.task_mem, bd.comm_mem)
+        duration = w / state.platform.max_class_speeds[idx]
+        proc = -1
+    else:
+        resource, est, duration, proc = state._resource_choice(
+            memory, bd.precedence, bd.task_mem, bd.comm_mem, w)
     eft = est + duration if math.isfinite(est) else math.inf
     return ESTBreakdown(bd.task, memory, resource, bd.precedence,
                         bd.task_mem, bd.comm_mem, bd.cmax, est, eft,

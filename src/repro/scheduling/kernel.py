@@ -80,12 +80,18 @@ class ScalarKernel:
                  memory: "Memory") -> ESTBreakdown:
         """Incremental EST/EFT breakdown of a candidate: precedence parts
         cached per task, ``earliest_fit`` memoised per profile version."""
-        if not state.is_ready(task) or state.platform.n_procs_of(memory) == 0:
+        idx = memory.index
+        row = state._row[task]
+        # state.is_ready(task) and a processor in the class, inlined: a
+        # placed task has a memory class index (-1 until then).
+        if (state._memidx[row] >= 0 or state._pending_parents[task]
+                or not state.platform.proc_counts[idx]):
             return infeasible_breakdown(task, memory)
 
-        idx = memory.index
-        precedence, cmax, cross_in, need_task = \
-            state._precedence_parts(task)[idx]
+        parts = state._static.get(task)
+        if parts is None:
+            parts = state._precedence_parts(task)
+        precedence, cmax, cross_in, need_task = parts[idx]
 
         profile = state.mem[memory]
         slot = state._fit[idx]
@@ -99,14 +105,26 @@ class ScalarKernel:
             task_mem, comm_fit = cached
         else:
             task_mem = profile.earliest_fit(need_task)
+            # need_task = cross_in + out_size >= cross_in and cap - x is
+            # monotone, so a zero task fit (breakpoints past 0 are > 0, so
+            # only "fits now") implies a zero cross-input fit.
             comm_fit = (profile.earliest_fit(cross_in)
-                        if cross_in > 0.0 or cmax > 0.0 else 0.0)
+                        if task_mem != 0.0 and (cross_in > 0.0 or cmax > 0.0)
+                        else 0.0)
             slot[1][task] = (task_mem, comm_fit)
         comm_mem = comm_fit + cmax if cross_in > 0.0 or cmax > 0.0 else 0.0
 
-        resource, est, duration, proc = state._resource_choice(
-            memory, precedence, task_mem, comm_mem,
-            state._flat.times[state._row[task]][idx])
+        w = state._flat.times[row][idx]
+        if state._uniform[idx]:
+            # _resource_choice's uniform branch, inlined: the class has
+            # processors (checked above), so its sorted view has a head.
+            resource = state.avail.by_class[idx][0][0]
+            est = max(resource, precedence, task_mem, comm_mem)
+            duration = w / state.platform.max_class_speeds[idx]
+            proc = -1
+        else:
+            resource, est, duration, proc = state._resource_choice(
+                memory, precedence, task_mem, comm_mem, w)
         eft = est + duration if math.isfinite(est) else math.inf
         return ESTBreakdown(task, memory, resource, precedence, task_mem,
                             comm_mem, cmax, est, eft, comm_fit,

@@ -246,8 +246,9 @@ class SchedulerState:
         # counters that can bump several times within one commit.
         self.commit_serial: int = 0
         self.class_touch_serial: list[int] = [0] * platform.n_classes
-        #: Class indices mutated by the most recent commit (diagnostics).
-        self.last_touched_classes: tuple[int, ...] = ()
+        # Bit ci set: the most recent commit mutated class ci's profile
+        # (read through ``last_touched_classes``).
+        self._touched_mask: int = 0
         # class_resources() cache, keyed on the avail vector's version.
         self._resources_cache: Optional[list[float]] = None
         self._resources_version: int = -1
@@ -273,6 +274,13 @@ class SchedulerState:
     def ready_roots(self) -> list[Task]:
         """All source tasks (ready at time zero)."""
         return self._flat.roots()
+
+    @property
+    def last_touched_classes(self) -> tuple[int, ...]:
+        """Class indices mutated by the most recent commit, ascending
+        (diagnostics; ``()`` before the first commit)."""
+        mask = self._touched_mask
+        return tuple(ci for ci in range(mask.bit_length()) if mask >> ci & 1)
 
     def pop_newly_ready(self) -> list[Task]:
         """Tasks that became ready since the last call (after commits)."""
@@ -494,37 +502,46 @@ class SchedulerState:
 
         flat = self._flat
         row = self._row[task]
-        self._finish[row] = finish
-        self._memidx[row] = memory.index
-
+        finish_of = self._finish
+        memidx_of = self._memidx
+        finish_of[row] = finish
         midx = memory.index
+        memidx_of[row] = midx
+
         dest = self.mem[memory]
-        touched: set[int] = set()
+        dest_bit = 1 << midx
+        touched = 0   # bitmask of the class indices this commit mutates
         # Outputs resident in mu from the task start until each consumer is
         # committed (release scheduled then).
         out_total = flat.out_size[row]
         if out_total > 0.0:
             dest.add(out_total, est, None)
-            touched.add(midx)
+            touched = dest_bit
 
+        late = self.comm_policy == "late"
         order = flat.order
         parent_row = flat.parent_row
+        parent_size = flat.parent_size
+        parent_comm = flat.parent_comm
+        mem = self.mem
+        memories = self.memories
+        add_comm = self.schedule.add_comm
         for e in range(flat.parent_ptr[row], flat.parent_ptr[row + 1]):
             j = parent_row[e]
-            p_finish = self._finish[j]
-            p_idx = self._memidx[j]
-            size = flat.parent_size[e]
+            p_idx = memidx_of[j]
+            size = parent_size[e]
             if p_idx == midx:
                 # Same-memory input: freed when this task finishes.
                 if size > 0.0:
                     dest.add(-size, finish, None)
-                    touched.add(midx)
+                    touched |= dest_bit
             else:
                 # Cross-memory input transfer.  "late" (the paper's policy):
                 # share the window [EST - Cmax, EST), clipped to the
                 # producer's finish.  "eager" (ablation): fire as soon as the
                 # destination has room, again no earlier than the producer.
-                if self.comm_policy == "late":
+                p_finish = finish_of[j]
+                if late:
                     # EST >= comm_fit + Cmax, but ``EST - Cmax`` can round
                     # to one ulp below comm_fit on fractional times, which
                     # would start the copy inside the still-full segment;
@@ -534,24 +551,25 @@ class SchedulerState:
                     comm_end = est
                 else:
                     comm_start = max(breakdown.comm_fit, p_finish)
-                    comm_end = comm_start + flat.parent_comm[e]
-                self.schedule.add_comm(
-                    CommEvent(src=order[j], dst=task, start=comm_start,
-                              finish=comm_end)
-                )
+                    comm_end = comm_start + parent_comm[e]
+                add_comm(CommEvent(src=order[j], dst=task, start=comm_start,
+                                   finish=comm_end))
                 if size > 0.0:
                     # Destination copy lives for transfer + execution.
                     dest.add(size, comm_start, finish)
                     # Source copy freed when the transfer completes.
-                    self.mem[self.memories[p_idx]].add(-size, comm_end, None)
-                    touched.add(midx)
-                    touched.add(p_idx)
+                    mem[memories[p_idx]].add(-size, comm_end, None)
+                    touched |= dest_bit | (1 << p_idx)
 
         # Record which classes this commit actually mutated.
         self.commit_serial += 1
-        for ci in touched:
-            self.class_touch_serial[ci] = self.commit_serial
-        self.last_touched_classes = tuple(sorted(touched))
+        self._touched_mask = touched
+        ci = 0
+        while touched:
+            if touched & 1:
+                self.class_touch_serial[ci] = self.commit_serial
+            touched >>= 1
+            ci += 1
 
         # Drop the committed task's cached EST components (it will never be
         # a candidate again) — this bounds the _static/_fit memos to the
@@ -614,7 +632,7 @@ class SchedulerState:
         clone._fit = [[ver, dict(d)] for ver, d in self._fit]
         clone.commit_serial = self.commit_serial
         clone.class_touch_serial = list(self.class_touch_serial)
-        clone.last_touched_classes = self.last_touched_classes
+        clone._touched_mask = self._touched_mask
         clone._resources_cache = None
         clone._resources_version = -1
         return clone

@@ -1,6 +1,7 @@
 """Unit + property tests for the memory staircase profile."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -267,7 +268,7 @@ EPS = 1e-9
 #: Mostly a small grid, so events share breakpoints and values cancel or
 #: coincide (0.1 + 0.2 next to 0.3), plus arbitrary floats.
 float_time = st.one_of(
-    st.sampled_from((-1.0, 0.0, 0.1, 0.3, 1.0 / 3.0, 2.5, 7.0, 12.0)),
+    st.sampled_from((-1.0, -0.0, 0.0, 0.1, 0.3, 1.0 / 3.0, 2.5, 7.0, 12.0)),
     st.floats(min_value=-2.0, max_value=20.0, allow_nan=False,
               allow_infinity=False),
 )
@@ -276,15 +277,25 @@ float_amount = st.one_of(
     st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
               allow_infinity=False),
 )
+#: ``not_before`` of a fit query: negative, signed zeros, positive.
+not_before = st.one_of(
+    st.sampled_from((-1.0, -0.0, 0.0, 0.1, 2.5, 12.0, 30.0)),
+    st.floats(min_value=-2.0, max_value=25.0, allow_nan=False,
+              allow_infinity=False),
+)
 #: ("add", amount, start, end-or-None) | ("release", amount, start) |
-#: ("fit", need) — queries interleave with mutations so the profile's
-#: lazily repaired block maxima are read mid-sequence.
+#: ("snap", amount, start, k): an add ending exactly on the profile's
+#: k-th (mod count) current breakpoint | ("fit", need, not_before) —
+#: queries interleave with mutations so the profile's lazily repaired
+#: block maxima are read mid-sequence.
 profile_op = st.one_of(
     st.tuples(st.just("add"), float_amount, float_time,
               st.one_of(st.none(), float_time)),
     st.tuples(st.just("release"), float_amount, float_time),
+    st.tuples(st.just("snap"), float_amount, float_time,
+              st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("fit"), st.floats(min_value=0.0, max_value=40.0,
-                                        allow_nan=False)),
+                                        allow_nan=False), not_before),
 )
 
 
@@ -327,16 +338,16 @@ class NaiveProfile:
     def peak(self) -> float:
         return max(self.breakpoints().values())
 
-    def earliest_fit(self, need: float) -> float:
+    def earliest_fit(self, need: float, not_before: float = 0.0) -> float:
         if need <= EPS:
-            return 0.0
+            return max(0.0, not_before)
         if need > self.capacity + EPS:
             return math.inf
         bound = self.capacity - need + EPS
         for start, end, used in reversed(self.segments()):
             if used > bound:
-                return end
-        return 0.0
+                return max(end, not_before)
+        return max(0.0, not_before)
 
 
 def _merged(points) -> list:
@@ -353,9 +364,26 @@ def _function(profile: MemoryProfile) -> list:
     return _merged((start, used) for start, _, used in profile.segments())
 
 
+def _snap_end(profile: MemoryProfile, k: int) -> float:
+    """The profile's k-th (mod count) current breakpoint."""
+    points = [start for start, _, _ in profile.segments()]
+    return points[k % len(points)]
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal, including the sign of zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _check_fits(p: MemoryProfile, ref: NaiveProfile, capacity: float) -> None:
+    for need in (0.0, 0.5, 3.0, capacity / 2, capacity - 0.25, capacity):
+        for nb in (-1.0, -0.0, 0.0, 2.5):
+            assert _same(p.earliest_fit(need, nb), ref.earliest_fit(need, nb))
+
+
 @settings(max_examples=400)
 @given(st.lists(profile_op, max_size=60),
-       st.sampled_from([7.5, 30.0, 1e9]))
+       st.sampled_from([7.5, 30.0, 1e9, math.inf, 0.0]))
 def test_per_event_ops_match_naive_reference(ops, capacity):
     p = MemoryProfile(capacity)
     ref = NaiveProfile(capacity)
@@ -363,15 +391,74 @@ def test_per_event_ops_match_naive_reference(ops, capacity):
         if op[0] == "add":
             p.add(*op[1:])
             ref.add(*op[1:])
+        elif op[0] == "snap":
+            _, amount, start, k = op
+            end = _snap_end(p, k)
+            p.add(amount, start, end)
+            ref.add(amount, start, end)
         elif op[0] == "release":
             p.release_from(*op[1:])
             ref.release_from(*op[1:])
         else:
-            assert p.earliest_fit(op[1]) == ref.earliest_fit(op[1])
+            assert _same(p.earliest_fit(*op[1:]), ref.earliest_fit(*op[1:]))
     assert _function(p) == ref.segments()
     assert p.peak() == ref.peak()
-    for need in (0.0, 0.5, 3.0, capacity / 2, capacity - 0.25, capacity):
-        assert p.earliest_fit(need) == ref.earliest_fit(need)
+    _check_fits(p, ref, capacity)
+
+
+@pytest.mark.parametrize("capacity", [6.0, 14.0])
+def test_long_sequence_matches_naive_reference(capacity, monkeypatch):
+    """One long run: hundreds of forward-moving windows, releases and
+    cancelling pairs, with fit queries interleaved.  The profile spans
+    several max-blocks and auto-compacts repeatedly on the way; the
+    reference never compacts."""
+    compactions = []
+    original = MemoryProfile.compact
+
+    def counting_compact(self):
+        compactions.append(len(self._xs))
+        original(self)
+
+    monkeypatch.setattr(MemoryProfile, "compact", counting_compact)
+    rng = random.Random(20261017)
+    p = MemoryProfile(capacity)
+    ref = NaiveProfile(capacity)
+    most = 0
+    n_ops = 0
+    for k in range(480):
+        t = k * 0.37
+        kind = rng.random()
+        if kind < 0.7:
+            amount = rng.choice((0.1, 0.2, 0.3, 1.0 / 3.0,
+                                 rng.uniform(0.05, 2.0)))
+            ops = [(amount, t + rng.uniform(-0.5, 0.5),
+                    t + rng.uniform(0.1, 3.0))]
+        elif kind < 0.85:
+            # a cancelling pair on a fresh window: dead breakpoints
+            amount = rng.uniform(0.1, 1.0)
+            ops = [(amount, t, t + 0.2), (-amount, t, t + 0.2)]
+        elif kind < 0.95:
+            ops = [(-rng.uniform(0.0, 0.5), t + 0.1, None)]
+        else:
+            ops = [(rng.uniform(0.1, 1.0), t - 0.05, _snap_end(p, k))]
+        for amount, start, end in ops:
+            p.add(amount, start, end)
+            ref.add(amount, start, end)
+            n_ops += 1
+        most = max(most, p.n_segments())
+        if k % 20 == 19:
+            for _ in range(4):
+                need = rng.uniform(0.0, capacity)
+                nb = rng.choice((-0.5, -0.0, 0.0, t / 2, t + 1.0))
+                assert _same(p.earliest_fit(need, nb),
+                             ref.earliest_fit(need, nb))
+                n_ops += 1
+    assert n_ops >= 400
+    assert most > 4 * MemoryProfile._BLOCK
+    assert len(compactions) >= 2
+    assert _function(p) == ref.segments()
+    assert p.peak() == ref.peak()
+    _check_fits(p, ref, capacity)
 
 
 def test_compaction_keeps_the_function():
@@ -402,19 +489,23 @@ def test_compaction_keeps_the_function():
 # ----------------------------------------------------------------------
 def _exact_state(profile: MemoryProfile) -> tuple:
     """Everything a later operation can observe: breakpoints and values
-    bit for bit (not merged), the version and the compaction floor."""
+    bit for bit (not merged), the version, the compaction floor and the
+    auto-compaction threshold derived from it."""
     return (list(profile.segments()), profile.version,
-            profile._compact_floor)
+            profile._compact_floor, profile._compact_at)
 
 
 def _apply(profile: MemoryProfile, ops) -> None:
     for op in ops:
         if op[0] == "add":
             profile.add(*op[1:])
+        elif op[0] == "snap":
+            _, amount, start, k = op
+            profile.add(amount, start, _snap_end(profile, k))
         elif op[0] == "release":
             profile.release_from(*op[1:])
         else:
-            profile.earliest_fit(op[1])
+            profile.earliest_fit(*op[1:])
 
 
 @settings(max_examples=300)
@@ -458,8 +549,32 @@ def test_rollback_undoes_compaction():
         p.add(0.5, k + 0.25, k + 0.75)
         p.add(-0.5, k + 0.25, k + 0.75)
     assert p._compact_floor != before[2]    # compaction did run
+    assert p._compact_at != before[3]
     p.rollback()
     p.forget()
     assert _exact_state(p) == before
+    assert p._compact_at == max(MemoryProfile._COMPACT_MIN,
+                                2 * p._compact_floor)
     p.add(1.0, 0.0, None)
     assert p.peak() == pytest.approx(1.3)
+
+
+def test_rollback_of_a_tail_breakpoint_keeps_block_maxima_exact():
+    """Undoing a breakpoint appended as the first segment of a new max
+    block empties that block: the next query must drop its stale maximum
+    instead of treating the remaining blocks as already repaired."""
+    B = MemoryProfile._BLOCK
+    p = MemoryProfile(1000.0)
+    for k in range(2 * B - 1):    # 2B segments, no two values equal
+        p.add(1.0 + k / 1000.0, float(k + 1), None)
+    assert p.n_segments() == 2 * B
+    p.earliest_fit(1.0)           # repair: two full blocks
+    p.record()
+    p.add(100.0, float(3 * B), None)   # segment 2B opens a third block
+    assert p.earliest_fit(800.0) == math.inf
+    p.rollback()
+    p.forget()
+    assert p.earliest_fit(1.0) == 0.0
+    vals = p._vals
+    assert p._bmax == [max(vals[b * B:(b + 1) * B])
+                       for b in range((len(vals) + B - 1) // B)]

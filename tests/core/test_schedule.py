@@ -1,5 +1,7 @@
 """Unit tests for the schedule container."""
 
+import math
+
 import pytest
 
 from repro import CommEvent, Memory, Placement, Platform, Schedule
@@ -47,6 +49,32 @@ class TestConstruction:
         s = make_schedule()
         with pytest.raises(ValueError):
             s.add(Placement("c", proc=1, memory=Memory.BLUE, start=5, finish=4))
+
+    @pytest.mark.parametrize("start, finish", [
+        (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+        (0.0, math.inf), (math.inf, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_window_rejected(self, start, finish):
+        s = make_schedule()
+        with pytest.raises(ValueError, match="invalid execution window"):
+            s.add(Placement("c", proc=1, memory=Memory.BLUE, start=start,
+                            finish=finish))
+        assert "c" not in s
+
+    @pytest.mark.parametrize("start, finish", [
+        (math.nan, 4.0), (3.0, math.nan), (-1.0, 4.0), (4.0, 3.0),
+        (3.0, math.inf)])
+    def test_bad_comm_window_rejected(self, start, finish):
+        s = make_schedule()
+        with pytest.raises(ValueError, match="invalid communication window"):
+            s.add_comm(CommEvent("b", "a", start=start, finish=finish))
+        assert s.comm("b", "a") is None
+
+    def test_zero_length_and_negative_zero_windows_accepted(self):
+        s = make_schedule()
+        s.add(Placement("c", proc=1, memory=Memory.BLUE, start=-0.0,
+                        finish=0.0))
+        s.add_comm(CommEvent("b", "c", start=6.0, finish=6.0))
+        assert s.finish("c") == 0.0
 
     def test_duplicate_comm_rejected(self):
         s = make_schedule()

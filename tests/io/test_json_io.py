@@ -1,5 +1,6 @@
 """JSON round-trips for graphs, platforms and schedules."""
 
+import json
 import math
 
 import pytest
@@ -87,6 +88,25 @@ class TestScheduleRoundTrip:
         path = tmp_path / "s.json"
         save_schedule(s, path)
         assert load_schedule(path).makespan == s.makespan
+
+    @pytest.mark.parametrize("table, field", [
+        ("placements", "start"), ("placements", "finish"),
+        ("comms", "start"), ("comms", "finish")])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-1.0"])
+    def test_malformed_window_rejected(self, tmp_path, table, field, bad):
+        """``json.loads`` parses ``NaN`` and ``Infinity``: such windows
+        (and negative ones) must fail to load, never come back valid."""
+        s = memheft(dex(), Platform(1, 1, 5, 5))
+        data = schedule_to_dict(s)
+        assert data[table], "the dex schedule has comms"
+        data[table][0][field] = "@BAD@"
+        text = json.dumps(data).replace('"@BAD@"', bad)
+        with pytest.raises(ValueError, match="invalid .* window"):
+            schedule_from_dict(json.loads(text))
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="invalid .* window"):
+            load_schedule(path)
 
 
 class TestCanonicalDigest:

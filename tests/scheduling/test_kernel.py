@@ -6,6 +6,7 @@ profile versions, and whole heuristic runs are byte-identical whether the
 kernel serves candidates from its caches or recomputes them."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -392,3 +393,65 @@ def test_cached_kernel_equals_fresh_fuzzed(size, seed, alpha, procs,
             got = fn(graph, platform)
         assert _snap(cached, graph) == _snap(got, graph)
         assert cached.meta["peaks"] == got.meta["peaks"]
+
+
+def _fractional_graph(rng, n: int, k: int) -> TaskGraph:
+    """A random DAG with fractional times, sizes and comms, some zero-size
+    edges, and some tasks whose outputs are all empty (``out_size == 0``,
+    so their task fit queries exactly their cross-input total)."""
+    pick = (0.1, 0.2, 0.3, 1.0 / 3.0, 2.5)
+    g = TaskGraph("frac", n_classes=k)
+    for t in range(n):
+        g.add_task(t, times=[rng.choice(pick) if rng.random() < 0.3
+                             else rng.uniform(0.05, 6.0) for _ in range(k)])
+    empty_out = {t for t in range(n) if rng.random() < 0.3}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() >= 0.2:
+                continue
+            size = 0.0 if u in empty_out or rng.random() < 0.1 else (
+                rng.choice(pick) if rng.random() < 0.3
+                else rng.uniform(0.1, 5.0))
+            g.add_dependency(u, v, size=size, comm=rng.uniform(0.0, 3.0))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       n=st.integers(min_value=3, max_value=28),
+       k=st.sampled_from([1, 2, 3]),
+       alpha=st.floats(min_value=0.5, max_value=0.9),
+       comm_policy=st.sampled_from(["late", "eager"]),
+       hetero=st.booleans())
+def test_incremental_evaluate_lockstep_with_fresh(seed, n, k, alpha,
+                                                  comm_policy, hetero):
+    """At every step of a min-EFT run under tight memory bounds, the
+    incremental ``evaluate`` (memo misses, then memo hits) equals the
+    from-scratch ``evaluate_fresh``.  ``evaluate`` skips the cross-input
+    fit when the task fit is zero; the fresh path always queries it, so a
+    wrong skip shows up as a differing ``comm_fit``/``comm_mem``/EST."""
+    rng = random.Random(seed)
+    graph = _fractional_graph(rng, n, k)
+    counts = [rng.randint(1, 2) for _ in range(k)]
+    speeds = ([rng.choice((0.5, 1.0, 2.0)) for _ in range(sum(counts))]
+              if hetero else None)
+    peaks = heft(graph, Platform(counts, [math.inf] * k,
+                                 speeds=speeds)).meta["peaks"]
+    caps = [alpha * (max(peaks) or 1.0)] * k
+    state = SchedulerState(graph, Platform(counts, caps, speeds=speeds),
+                           comm_policy=comm_policy)
+    kernel = resolve_backend()
+    ready = list(state.ready_roots())
+    while ready:
+        best = None
+        for task in ready:
+            for memory in state.memories:
+                got = kernel.evaluate(state, task, memory)
+                assert got == kernel.evaluate_fresh(state, task, memory)
+                assert kernel.evaluate(state, task, memory) == got
+                if got.feasible and (best is None or got.eft < best.eft):
+                    best = got
+        if best is None:
+            return
+        state.commit(best)
+        ready = [t for t in ready if t != best.task] + state.pop_newly_ready()

@@ -91,6 +91,24 @@ class TestSchedule:
         assert main(["validate", str(dex_file), str(sched)]) == 2
         assert "INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, field", [
+        ("placements", "start"), ("placements", "finish"),
+        ("comms", "start"), ("comms", "finish")])
+    def test_validate_rejects_nan_window(self, dex_file, tmp_path, capsys,
+                                         table, field):
+        sched = tmp_path / "s.json"
+        main(["schedule", str(dex_file), "--algo", "heft",
+              "--procs", "1,1", "-o", str(sched)])
+        data = json.loads(sched.read_text())
+        assert data[table]
+        data[table][0][field] = float("nan")
+        sched.write_text(json.dumps(data))    # writes a bare NaN token
+        capsys.readouterr()
+        assert main(["validate", str(dex_file), str(sched)]) == 2
+        captured = capsys.readouterr()
+        assert "INVALID" in captured.err and "window" in captured.err
+        assert "valid schedule" not in captured.out
+
 
 class TestBoundsAndILP:
     def test_bounds(self, dex_file, capsys):
