@@ -1,33 +1,28 @@
 """Extension — the §7 generalisation: three memory classes.
 
-Sweeps accelerator capacities on a CPU + 2-accelerator platform and
-verifies the k = 2 equivalence cost (the generalised engine must not be
-meaningfully slower than the specialised dual-memory one).
+Sweeps accelerator capacities on a CPU + 2-accelerator platform through
+the core k-memory API.
 """
 
 import pytest
 
+from repro.core.graph import TaskGraph
+from repro.core.platform import Platform
+from repro.core.validation import validate_schedule
 from repro.dags.datasets import small_rand_set
-from repro.experiments.figures import RAND_PLATFORM
 from repro.experiments.report import render_table
-from repro.multi import (
-    MultiInfeasibleError,
-    MultiPlatform,
-    MultiTaskGraph,
-    multi_memheft,
-    validate_multi_schedule,
-)
 from repro.scheduling.memheft import memheft
+from repro.scheduling.state import InfeasibleScheduleError
 
 
 def _tri_graph(scale):
     """SmallRandSet graph lifted to 3 classes (class 2 fastest, class 0
     slowest) with deterministic per-class scaling."""
     dual = small_rand_set(1, scale.small_size)[0]
-    g = MultiTaskGraph(3, name=dual.name + "+tri")
+    g = TaskGraph(dual.name + "+tri", n_classes=3)
     for t in dual.topological_order():
         base = dual.w_blue(t)
-        g.add_task(t, (base, base / 2, base / 5))
+        g.add_task(t, times=(base, base / 2, base / 5))
     for u, v in dual.edges():
         g.add_dependency(u, v, size=dual.size(u, v), comm=dual.comm(u, v))
     return g
@@ -36,23 +31,23 @@ def _tri_graph(scale):
 @pytest.mark.figure
 def test_tri_memory_capacity_sweep(show, scale, benchmark):
     g = _tri_graph(scale)
-    plat = MultiPlatform([2, 1, 1])
-    base = multi_memheft(g, plat)
+    plat = Platform([2, 1, 1])
+    base = memheft(g, plat)
     ref = max(base.meta["peaks"][1:]) or 1.0
 
     def sweep():
         rows = []
         for alpha in (1.0, 0.75, 0.5, 0.25):
-            bounded = MultiPlatform([2, 1, 1],
-                                    [float("inf"), alpha * ref, alpha * ref])
+            bounded = Platform([2, 1, 1],
+                               [float("inf"), alpha * ref, alpha * ref])
             try:
-                s = multi_memheft(g, bounded)
-                validate_multi_schedule(g, bounded, s)
+                s = memheft(g, bounded)
+                validate_schedule(g, bounded, s)
                 counts = [0, 0, 0]
                 for p in s.placements():
                     counts[p.cls] += 1
                 rows.append([alpha, round(s.makespan, 1)] + counts)
-            except MultiInfeasibleError:
+            except InfeasibleScheduleError:
                 rows.append([alpha, None, None, None, None])
         return rows
 
@@ -66,12 +61,3 @@ def test_tri_memory_capacity_sweep(show, scale, benchmark):
     assert feasible
     assert feasible[-1][2] >= feasible[0][2]
 
-
-def test_bench_multi_engine_overhead(benchmark, scale):
-    """k=2 through the generalised engine vs the dual-memory one."""
-    dual = small_rand_set(1, scale.small_size)[0]
-    lifted = MultiTaskGraph.from_dual(dual)
-    plat = MultiPlatform([1, 1])
-    s_multi = benchmark(multi_memheft, lifted, plat)
-    s_dual = memheft(dual, RAND_PLATFORM)
-    assert s_multi.makespan == pytest.approx(s_dual.makespan)

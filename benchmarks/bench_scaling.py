@@ -52,9 +52,12 @@ from repro.dags.daggen import random_dag
 from repro.dags.datasets import large_rand_set
 from repro.experiments.figures import RAND_PLATFORM
 from repro.experiments.sweep import default_alphas, normalized_sweep, spread_speeds
+from repro.scheduling.candidates import ScanSelector, first_fit, min_eft
+from repro.scheduling.driver import run
 from repro.scheduling.heft import heft
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
+from repro.scheduling.ranks import rank_order
 from repro.scheduling.state import SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
@@ -130,43 +133,22 @@ def _make_state(graph, platform, mode: str) -> SchedulerState:
     return state
 
 
-def _run_memheft(graph, platform, mode: str):
-    from repro.scheduling.ranks import rank_order
+def _run_scan(graph, platform, mode: str, algorithm: str, order, rule):
+    """One naive-rescan run through the shipped driver loop, on the
+    ``mode`` kernel/profile variant."""
     state = _make_state(graph, platform, mode)
-    remaining = rank_order(graph)
-    while remaining:
-        for index, task in enumerate(remaining):
-            if not state.is_ready(task):
-                continue
-            best = state.best_est(task)
-            if best is None:
-                continue
-            state.commit(best)
-            remaining.pop(index)
-            break
-        else:
-            raise RuntimeError("infeasible")
-    return state.finalize("memheft")
+    return run(state, lambda: ScanSelector(state, order, rule), algorithm,
+               lambda left: f"{algorithm}: infeasible ({left} tasks left)")
+
+
+def _run_memheft(graph, platform, mode: str):
+    order = {t: k for k, t in enumerate(rank_order(graph))}
+    return _run_scan(graph, platform, mode, "memheft", order, first_fit)
 
 
 def _run_memminmin(graph, platform, mode: str):
-    state = _make_state(graph, platform, mode)
-    index = {t: k for k, t in enumerate(graph.topological_order())}
-    available = set(graph.roots())
-    while available:
-        best = None
-        for task in sorted(available, key=index.__getitem__):
-            cand = state.best_est(task)
-            if cand is None:
-                continue
-            if best is None or cand.eft < best.eft - EPS:
-                best = cand
-        if best is None:
-            raise RuntimeError("infeasible")
-        state.commit(best)
-        available.discard(best.task)
-        available.update(state.pop_newly_ready())
-    return state.finalize("memminmin")
+    order = {t: k for k, t in enumerate(graph.topological_order())}
+    return _run_scan(graph, platform, mode, "memminmin", order, min_eft)
 
 
 def _assert_identical(schedules: dict, reference: str, graph, label: str):

@@ -11,8 +11,10 @@ schedule.Schedule` and :class:`~repro.scheduling.state.SchedulerState` are
 parametric over the number of memory classes.  The paper's dual-memory
 platform is the ``k = 2`` special case, with ``Memory.BLUE``/``Memory.RED``
 and the ``n_blue``/``mem_blue``-style accessors preserved as a thin
-compatibility facade (``repro.multi`` keeps the historical §7 k-ary entry
-points as re-exports/adapters).  The EST kernel of §5.1 is *incremental*:
+compatibility facade; k-memory platforms (the paper's §7 extension) use
+the same entry points.  The three memory-aware heuristics share one
+select→commit loop (:mod:`repro.scheduling.driver`) and differ only in
+their selection rule.  The EST kernel of §5.1 is *incremental*:
 per-(task, memory) breakdown components are cached across the list-scan
 iterations and only candidates affected by the last commit are re-evaluated
 (see :mod:`repro.scheduling.state`), with block-decomposed

@@ -1,10 +1,10 @@
 """Stateful online scheduling session: jobs stream in with release
 times, placements are committed incrementally on a live timeline.
 
-The session drives the *same* lazy list-scheduling loops as the offline
-heuristics (:mod:`repro.scheduling.memheft` et al.) over a live
-:class:`~repro.scheduling.state.SchedulerState`, one **planning round**
-per due time (see :mod:`repro.online.policies`).
+Every planning round runs the one list-scheduling loop of the offline
+heuristics (:func:`repro.scheduling.driver.drive`, with their lazy
+selectors) over a live :class:`~repro.scheduling.state.SchedulerState`,
+one **planning round** per due time (see :mod:`repro.online.policies`).
 
 **Checkpoint plus tail.**  The decision log splits into a prefix no
 later round can revoke and a tail of at most ``W`` decisions (``W`` is
@@ -87,10 +87,11 @@ from ..scheduling.candidates import (
     RankSelector,
     SufferageSelector,
 )
+from ..scheduling.driver import drive
 from ..scheduling.kernel import ESTBreakdown
 from ..scheduling.ranks import rank_order, upward_rank_rows
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
-from ..scheduling.state import InfeasibleScheduleError, SchedulerState
+from ..scheduling.state import SchedulerState
 from .policies import make_policy
 
 Task = Hashable
@@ -592,13 +593,14 @@ class OnlineSession:
 
     def _drive(self, state: SchedulerState, union, floor: float,
                cut: int = -1) -> tuple[list[_Decision], Optional[tuple]]:
-        """The offline lazy driver loop, verbatim per algorithm, plus the
-        release-floor clamp — with ``floor == 0`` and nothing committed
-        this is bit-for-bit the offline heuristic.  ``union`` is the
-        round's job blocks (or a union :class:`TaskGraph`), consulted
-        for MemHEFT's rank order only; the rest comes from the state's
-        flat arrays.  Returns the decisions and, right after the
-        ``cut``-th of them, the state's :func:`_fold`."""
+        """The offline heuristic's selector, driven by the one loop of
+        :mod:`repro.scheduling.driver` with the release-floor clamp —
+        with ``floor == 0`` and nothing committed this is bit-for-bit the
+        offline heuristic.  ``union`` is the round's job blocks (or a
+        union :class:`TaskGraph`), consulted for MemHEFT's rank order
+        only; the rest comes from the state's flat arrays.  Returns the
+        decisions and, right after the ``cut``-th of them, the state's
+        :func:`_fold`."""
         flat = state._flat
         if self.algorithm == "memheft":
             selector = RankSelector(state, self._rank_positions(union))
@@ -613,28 +615,25 @@ class OnlineSession:
         for task in ready:
             selector.push(task)
         n_left = flat.n_tasks - state.n_scheduled
-        records: list[_Decision] = []
-        fold: Optional[tuple] = None
-        while n_left:
-            best = selector.select()
-            if best is None:
-                raise InfeasibleScheduleError(
-                    f"online {self.algorithm}: no pending task fits within "
-                    f"the memory bounds ({n_left} tasks left, "
+
+        def infeasible(left: int) -> str:
+            return (f"online {self.algorithm}: no pending task fits within "
+                    f"the memory bounds ({left} tasks left, "
                     f"capacities={list(self.platform.capacities)})")
-            if floor > best.est:
-                best = best._replace(est=floor, eft=floor + best.duration)
-            placement = state.commit(best)
-            records.append(_Decision(
-                best.task, best.memory.index, placement.start,
-                placement.finish - placement.start, best.cmax,
-                best.comm_fit, placement.proc))
-            selector.remove(best.task)
-            n_left -= 1
-            if len(records) == cut:
-                fold = _fold(state)
-            for task in state.pop_newly_ready():
-                selector.push(task)
+
+        pairs: list = []
+        fold: Optional[tuple] = None
+        if 0 < cut <= n_left:
+            after = n_left - cut
+            drive(state, selector, cut, lambda left: infeasible(left + after),
+                  floor=floor, record=pairs)
+            fold = _fold(state)
+            n_left = after
+        drive(state, selector, n_left, infeasible, floor=floor, record=pairs)
+        records = [_Decision(best.task, best.memory.index, placement.start,
+                             placement.finish - placement.start, best.cmax,
+                             best.comm_fit, placement.proc)
+                   for best, placement in pairs]
         return records, fold
 
     def _publish_placements(self, state: SchedulerState, jobs) -> None:

@@ -1,12 +1,16 @@
-"""Lazy-invalidation candidate selection for the list-scheduling loops.
+"""Candidate selectors: the selection rules the one list-scheduling loop
+(:func:`repro.scheduling.driver.drive`) runs.
 
-The naive §5.2 selection loop rescans every available (task, class) pair
-after each commit: MemMinMin and MemSufferage re-evaluate the full EST
-breakdown of every ready task per step — O(n) evaluations per commit, O(n²)
-per schedule — and MemHEFT re-walks its whole priority list.  PR 1's
-incremental EST kernel made each re-evaluation cheap; this module removes
-most re-evaluations altogether while committing **bit-identical** schedules
-(pinned by the golden-schedule and lazy-equivalence property tests).
+A selector holds the ready tasks (``push``/``remove``) and answers
+``select()`` with the (task, memory) breakdown to commit next, or ``None``
+when no ready task fits.  :class:`ScanSelector` is the reference: every
+step it applies one of the §5.2 rules (:func:`first_fit`, :func:`min_eft`,
+:func:`max_sufferage`) to every ready task — O(n) EST evaluations per
+commit, O(n²) per schedule; it is the heuristics' ``lazy=False`` path.
+The incremental EST kernel makes each re-evaluation cheap; the lazy
+selectors below remove most re-evaluations altogether while committing
+**bit-identical** schedules (pinned by the golden-schedule and
+lazy-equivalence property tests, which compare them with the scan).
 
 The difficulty is that EFTs are *not monotone* under commits: a commit
 releases memory at future instants, which can lower another candidate's
@@ -62,7 +66,7 @@ its winner provably has ``eft <= m + EPS``, and when no candidate's EFT falls
 in ``(m + EPS, m + 2*EPS]`` the chain provably settles on the lowest-index
 candidate of the ``<= m + EPS`` band — with the paper's integer-valued
 task times the window case essentially never occurs, and when it does the
-selector falls back to replaying the exact chain.
+selector falls back to the scan's exact chain (:func:`min_eft`).
 
 MemHEFT needs no EFT ordering at all — its selection is "first ready task
 in rank order with a feasible assignment" — so :class:`RankSelector` is a
@@ -73,8 +77,8 @@ MemSufferage's key (best minus second-best EFT) has no usable lower bound
 — it can move in either direction after a commit — so
 :class:`SufferageSelector` keeps per-class stamps only: candidate classes
 untouched since their last evaluation are reused (or refreshed) and the
-arg-max is a single linear pass, replacing the naive loop's full
-re-evaluation plus O(R log R) sort per step.
+arg-max is a single linear pass, replacing the scan's full re-evaluation
+plus O(R log R) sort per step.
 """
 
 from __future__ import annotations
@@ -230,6 +234,81 @@ def _best_of(entry: _Entry) -> Optional[ESTBreakdown]:
     return best
 
 
+def first_fit(state: SchedulerState, tasks) -> Optional[ESTBreakdown]:
+    """MemHEFT's rule (Algorithm 1): the first task of ``tasks`` with a
+    feasible assignment."""
+    for task in tasks:
+        best = state.best_est(task)
+        if best is not None:
+            return best
+    return None
+
+
+def min_eft(state: SchedulerState, tasks) -> Optional[ESTBreakdown]:
+    """MemMinMin's rule (Algorithm 2): the minimum best-class EFT over
+    ``tasks``, through the order-dependent EPS-chain (a later task wins
+    only when it is more than ``EPS`` earlier)."""
+    best: Optional[ESTBreakdown] = None
+    for task in tasks:
+        cand = state.best_est(task)
+        if cand is None:
+            continue
+        if best is None or cand.eft < best.eft - EPS:
+            best = cand
+    return best
+
+
+def max_sufferage(state: SchedulerState, tasks) -> Optional[ESTBreakdown]:
+    """MemSufferage's rule: the task of ``tasks`` with the largest gap
+    between its best and second-best class EFT (infinite when only one
+    class fits), ties towards the smaller EFT, then the earlier task."""
+    best_choice: Optional[ESTBreakdown] = None
+    best_key: Optional[tuple[float, float, int]] = None
+    for tie, task in enumerate(tasks):
+        breakdowns = [state.est(task, m) for m in state.memories]
+        feasible = [bd for bd in breakdowns if bd.feasible]
+        if not feasible:
+            continue
+        feasible.sort(key=lambda bd: bd.eft)
+        preferred = feasible[0]
+        if len(feasible) >= 2:
+            sufferage = feasible[1].eft - feasible[0].eft
+        else:
+            sufferage = math.inf  # only one memory can take it: urgent
+        key = (-sufferage, preferred.eft, tie)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_choice = preferred
+    return best_choice
+
+
+class ScanSelector:
+    """The reference selection: every step applies ``rule`` to all ready
+    tasks, sorted by ``order`` (task → stable index) — the heuristics'
+    ``lazy=False`` path, and the oracle the lazy selectors are tested
+    against.  O(ready) evaluations per step, no caches."""
+
+    def __init__(self, state: SchedulerState, order: dict[Task, int],
+                 rule) -> None:
+        self.state = state
+        self.order = order
+        self.rule = rule
+        self._ready: set[Task] = set()
+
+    def __len__(self) -> int:
+        return len(self._ready)
+
+    def push(self, task: Task) -> None:
+        self._ready.add(task)
+
+    def remove(self, task: Task) -> None:
+        self._ready.discard(task)
+
+    def select(self) -> Optional[ESTBreakdown]:
+        return self.rule(self.state,
+                         sorted(self._ready, key=self.order.__getitem__))
+
+
 class MinEFTSelector:
     """Lazy heap returning the MemMinMin winner: the available task whose
     best-class EFT survives the naive scan's EPS-chain, bit-identically.
@@ -276,20 +355,6 @@ class MinEFTSelector:
             parts = entry.lbparts = \
                 self.state.est_lower_bound_parts(entry.task)
         return lower_bound_from_parts(parts, resources)
-
-    def _chain_fallback(self) -> Optional[ESTBreakdown]:
-        """Replay the naive scan's exact EPS-chain over all ready tasks
-        (only reached when an EFT lands in the ``(m+EPS, m+2*EPS]``
-        window that makes the chain genuinely order-dependent)."""
-        state = self.state
-        best: Optional[ESTBreakdown] = None
-        for task in sorted(self._live, key=self.order.__getitem__):
-            cand = state.best_est(task)
-            if cand is None:
-                continue
-            if best is None or cand.eft < best.eft - EPS:
-                best = cand
-        return best
 
     def select(self) -> Optional[ESTBreakdown]:
         """The candidate the naive scan would commit, or ``None`` when no
@@ -339,7 +404,10 @@ class MinEFTSelector:
         if n_band == 1 or not in_window:
             choice = lead.breakdown
         else:
-            choice = self._chain_fallback()
+            # The EPS-chain is genuinely order-dependent here (an EFT
+            # landed in the (m+EPS, m+2*EPS] window): replay the scan.
+            choice = min_eft(state, sorted(self._live,
+                                           key=self.order.__getitem__))
         assert choice is not None  # m is finite, so some candidate fits
         for entry in popped:
             # Reinsert with a refreshed (tighter) eternal lower bound; the

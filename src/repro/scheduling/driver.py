@@ -1,0 +1,156 @@
+"""The one select→commit list-scheduling loop.
+
+MemHEFT (Algorithm 1), MemMinMin (Algorithm 2) and MemSufferage share
+one loop: select a (task, memory) pair, commit it, release its children.
+Only the selection rule differs, and it lives in the selector
+(:mod:`repro.scheduling.candidates`: the lazy selectors, or
+:class:`~repro.scheduling.candidates.ScanSelector`'s naive rescans).
+:func:`drive` is that loop — every offline run, lazy or naive, observed
+or not, and every online planning round runs it — and :func:`run` wraps
+it for an offline heuristic.
+
+Under :mod:`repro.obs`, :func:`run` times the select and commit phases,
+folds the selector's :class:`~repro.scheduling.candidates.SelectorStats`
+and the run counts into the metrics registry, and emits per-phase child
+spans under the algorithm span.  Unobserved runs never read the clock.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable, Optional
+
+from .. import obs
+from ..core.schedule import Schedule
+from .state import InfeasibleScheduleError, SchedulerState
+
+#: Stride of the observed loop's phase-timing samples: one decision in
+#: this many is clocked, the rest pay an integer decrement and a branch.
+PHASE_SAMPLE = 32
+
+
+def drive(state: SchedulerState, selector, n: int,
+          infeasible: Callable[[int], str], *, floor: float = 0.0,
+          record: Optional[list] = None,
+          clock: Optional[list] = None) -> None:
+    """Commit ``n`` decisions of ``selector`` on ``state``.
+
+    Per decision: ``select()``; on ``None`` raise
+    :class:`InfeasibleScheduleError` with ``infeasible(left)`` (``left``
+    counts the decisions still owed, this one included); clamp the start
+    to ``floor`` (an online round's release floor; ``0.0`` is the
+    identity, every EST being non-negative); commit; drop the task from
+    the selector; push the tasks the commit made ready.
+
+    ``record`` receives one ``(breakdown, placement)`` pair per commit.
+    ``clock`` is a ``[select_s, commit_s, n_sampled]`` accumulator: when
+    given, every :data:`PHASE_SAMPLE`-th decision is timed into it (the
+    first one included).
+    """
+    perf = time.perf_counter
+    # Without a clock the countdown never reaches zero.
+    countdown = 0 if clock is not None else n + 1
+    left = n
+    while left:
+        if countdown:
+            best = selector.select()
+        else:
+            t0 = perf()
+            best = selector.select()
+            t1 = perf()
+            clock[0] += t1 - t0
+        if best is None:
+            raise InfeasibleScheduleError(infeasible(left))
+        if floor > best.est:
+            best = best._replace(est=floor, eft=floor + best.duration)
+        placement = state.commit(best)
+        if record is not None:
+            record.append((best, placement))
+        selector.remove(best.task)
+        left -= 1
+        for task in state.pop_newly_ready():
+            selector.push(task)
+        if countdown:
+            countdown -= 1
+        else:
+            clock[1] += perf() - t1
+            clock[2] += 1
+            countdown = PHASE_SAMPLE - 1
+
+
+def run(state: SchedulerState, make_selector: Callable[[], object],
+        algorithm: str, infeasible: Callable[[int], str]) -> Schedule:
+    """Schedule every task of ``state``'s graph: build the selector,
+    push the roots, :func:`drive` one decision per task and finalize.
+
+    Under :mod:`repro.obs` the whole run is an ``algorithm`` span (the
+    selector is built inside it, so MemHEFT's rank span nests there) and
+    its sampled phase timings and selector stats are recorded.
+    """
+    n = state.graph.n_tasks
+    st = obs.active()
+    clock = None if st is None else [0.0, 0.0, 0]
+    with obs.span(algorithm, n_tasks=n):
+        selector = make_selector()
+        for task in state.ready_roots():
+            selector.push(task)
+        drive(state, selector, n, infeasible, clock=clock)
+        schedule = state.finalize(algorithm)
+        if st is not None:
+            select_s, commit_s, n_sampled = clock
+            # Scale the sampled totals by the commit count: an unbiased
+            # estimate under the fixed stride.  Counts stay exact.
+            if n_sampled and n_sampled < n:
+                scale = n / n_sampled
+                select_s *= scale
+                commit_s *= scale
+            _record_run(st, selector, algorithm, select_s, commit_s, n)
+    return schedule
+
+
+def _record_run(st, selector, algorithm: str, select_s: float,
+                commit_s: float, n_commits: int) -> None:
+    """Fold one run's phase timings and selector stats into the registry
+    and, when tracing, emit aggregate per-phase child spans.  Metric
+    handles cache on the :class:`~repro.obs.ObsState` so a sweep's
+    thousands of runs skip the registry's label-key construction."""
+    handles = st.handles.get(algorithm)
+    if handles is None:
+        registry = st.registry
+        handles = st.handles[algorithm] = (
+            registry.counter("memsched_schedule_runs_total",
+                             algorithm=algorithm),
+            registry.counter("memsched_commits_total",
+                             algorithm=algorithm),
+            registry.counter("memsched_phase_seconds_total",
+                             algorithm=algorithm, phase="select"),
+            registry.counter("memsched_phase_seconds_total",
+                             algorithm=algorithm, phase="commit"),
+            {},
+        )
+    runs_c, commits_c, select_c, commit_c, eval_counters = handles
+    runs_c.inc()
+    commits_c.inc(n_commits)
+    select_c.inc(select_s)
+    commit_c.inc(commit_s)
+    stats = getattr(selector, "stats", None)
+    stats_dict = stats.as_dict() if stats is not None else {}
+    for key, count in stats_dict.items():
+        counter = eval_counters.get(key)
+        if counter is None:
+            # n_full_evals -> kind="full_evals" etc.
+            counter = eval_counters[key] = st.registry.counter(
+                "memsched_selector_evals_total", algorithm=algorithm,
+                kind=key.removeprefix("n_"))
+        counter.inc(count)
+    tracer = st.tracer
+    if tracer is None:
+        return
+    parent = tracer.current()
+    select_attrs: dict = {"n_commits": n_commits}
+    select_attrs.update(stats_dict)
+    tracer.emit("select", span_id=tracer.child_id(parent, "select"),
+                parent_id=parent, dur=select_s, attrs=select_attrs)
+    tracer.emit("commit", span_id=tracer.child_id(parent, "commit"),
+                parent_id=parent, dur=commit_s,
+                attrs={"n_commits": n_commits})

@@ -16,20 +16,25 @@ for this heuristic and :class:`InfeasibleScheduleError` is raised
 By default the "first ready task in rank order that fits" query is served
 by a heap over the rank positions of the *ready* tasks
 (:class:`repro.scheduling.candidates.RankSelector`) instead of re-walking
-the remaining list — which is mostly not-yet-ready tasks — on every step;
-``lazy=False`` keeps the list walk.  Both paths commit identical schedules.
+the priority list on every step; ``lazy=False`` walks it
+(:class:`~repro.scheduling.candidates.ScanSelector` with
+:func:`~repro.scheduling.candidates.first_fit`).  Both paths run the one
+loop of :mod:`repro.scheduling.driver` and commit identical schedules.
 """
 
 from __future__ import annotations
+
+import time
 
 from .. import obs
 from .._util import RngLike
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import RankSelector
+from .candidates import RankSelector, ScanSelector, first_fit
+from .driver import run
 from .ranks import rank_order
-from .state import InfeasibleScheduleError, SchedulerState
+from .state import SchedulerState
 
 
 def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
@@ -52,78 +57,28 @@ def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
 
-    if lazy:
-        if obs.active() is not None:
-            return _lazy_observed(state, graph, platform, rng)
-        position = {t: k for k, t in enumerate(
-            rank_order(graph, rng=rng, platform=platform))}
-        selector = RankSelector(state, position)
-        for task in graph.roots():
-            selector.push(task)
-        n_left = graph.n_tasks
-        while n_left:
-            best = selector.select()
-            if best is None:
-                raise InfeasibleScheduleError(
-                    "MemHEFT: no remaining task fits within the memory "
-                    f"bounds ({n_left} tasks left, "
-                    f"capacities={list(platform.capacities)})"
-                )
-            state.commit(best)
-            selector.remove(best.task)
-            n_left -= 1
-            for task in state.pop_newly_ready():
-                selector.push(task)
-        return state.finalize("memheft")
+    def make_selector():
+        position = _rank_positions(graph, rng, platform)
+        if lazy:
+            return RankSelector(state, position)
+        return ScanSelector(state, position, first_fit)
 
-    remaining = rank_order(graph, rng=rng, platform=platform)
-    while remaining:
-        committed = False
-        for index, task in enumerate(remaining):
-            if not state.is_ready(task):
-                # Skipping keeps the list scan faithful to Algorithm 1: a
-                # not-yet-ready task has EFT = +inf on both memories.
-                continue
-            best = state.best_est(task)
-            if best is None:
-                continue
-            state.commit(best)
-            remaining.pop(index)
-            committed = True
-            break
-        if not committed:
-            raise InfeasibleScheduleError(
-                "MemHEFT: no remaining task fits within the memory bounds "
-                f"({len(remaining)} tasks left, "
-                f"capacities={list(platform.capacities)})"
-            )
-    return state.finalize("memheft")
+    return run(state, make_selector, "memheft", lambda left: (
+        "MemHEFT: no remaining task fits within the memory bounds "
+        f"({left} tasks left, capacities={list(platform.capacities)})"))
 
 
-def _lazy_observed(state: SchedulerState, graph: TaskGraph,
-                   platform: Platform, rng: RngLike) -> Schedule:
-    """The lazy path under :mod:`repro.obs`: identical commit sequence,
-    plus an algorithm span, a rank-phase span, and per-phase timings."""
-    from .instrument import observed_lazy_run
-
-    import time
-
+def _rank_positions(graph: TaskGraph, rng: RngLike,
+                    platform: Platform) -> dict:
+    """Each task's position in the priority list (phase 1).  Under
+    :mod:`repro.obs` it runs in a ``rank`` span and is counted as the
+    ``rank`` phase."""
     st = obs.active()
-    with obs.span("memheft", n_tasks=graph.n_tasks):
-        t0 = time.perf_counter()
-        with obs.span("rank"):
-            position = {t: k for k, t in enumerate(
-                rank_order(graph, rng=rng, platform=platform))}
+    t0 = time.perf_counter() if st is not None else 0.0
+    with obs.span("rank"):
+        order = rank_order(graph, rng=rng, platform=platform)
+    if st is not None:
         st.registry.counter("memsched_phase_seconds_total",
                             algorithm="memheft",
                             phase="rank").inc(time.perf_counter() - t0)
-        selector = RankSelector(state, position)
-        for task in graph.roots():
-            selector.push(task)
-        return observed_lazy_run(
-            state, selector, "memheft", st,
-            lambda n_left: (
-                "MemHEFT: no remaining task fits within the memory "
-                f"bounds ({n_left} tasks left, "
-                f"capacities={list(platform.capacities)})"),
-            n_tasks=graph.n_tasks)
+    return {t: k for k, t in enumerate(order)}

@@ -48,8 +48,6 @@ def upward_rank_rows(flat: FlatGraph,
     k = flat.n_classes
     comm_weight = (k - 1) / k
     if platform is not None:
-        # Accept the historical MultiPlatform facade transparently.
-        platform = getattr(platform, "core", platform)
         if platform.n_classes != k:
             raise ValueError(
                 f"graph has {k} memory classes, platform "

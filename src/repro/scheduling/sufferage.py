@@ -19,17 +19,12 @@ extension; the benchmark suite compares it against MemHEFT/MemMinMin.
 
 from __future__ import annotations
 
-import math
-from typing import Hashable
-
-from .. import obs
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import SufferageSelector
-from .state import ESTBreakdown, InfeasibleScheduleError, SchedulerState
-
-Task = Hashable
+from .candidates import ScanSelector, SufferageSelector, max_sufferage
+from .driver import run
+from .state import SchedulerState
 
 
 def memsufferage(graph: TaskGraph, platform: Platform, *,
@@ -41,7 +36,11 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     version-stamped candidate cache of
     :class:`repro.scheduling.candidates.SufferageSelector` — candidates
     untouched by the last commit are reused verbatim — while ``lazy=False``
-    rescans every available task.  Both paths commit identical schedules.
+    rescans every available task
+    (:class:`~repro.scheduling.candidates.ScanSelector` with
+    :func:`~repro.scheduling.candidates.max_sufferage`).  Both paths run
+    the one loop of :mod:`repro.scheduling.driver` and commit identical
+    schedules.
 
     ``dag_scoped=False`` reverts the selector to coarse per-class
     invalidation (A/B benchmarks).
@@ -51,67 +50,14 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
     index = {t: k for k, t in enumerate(graph.topological_order())}
-
     if lazy:
         selector = SufferageSelector(state, index, dag_scoped=dag_scoped)
-        for task in graph.roots():
-            selector.push(task)
-        st = obs.active()
-        if st is not None:
-            from .instrument import observed_lazy_run
-            with obs.span("memsufferage", n_tasks=graph.n_tasks):
-                return observed_lazy_run(
-                    state, selector, "memsufferage", st,
-                    lambda n_left: (
-                        "MemSufferage: no available task fits within the "
-                        f"memory bounds ({n_left} available, "
-                        f"capacities={list(platform.capacities)})"))
-        while len(selector):
-            best_choice = selector.select()
-            if best_choice is None:
-                raise InfeasibleScheduleError(
-                    "MemSufferage: no available task fits within the memory "
-                    f"bounds ({len(selector)} available, "
-                    f"capacities={list(platform.capacities)})"
-                )
-            state.commit(best_choice)
-            selector.remove(best_choice.task)
-            for task in state.pop_newly_ready():
-                selector.push(task)
-        return state.finalize("memsufferage")
-
-    available: set[Task] = set(graph.roots())
-    while available:
-        best_choice: ESTBreakdown | None = None
-        best_key: tuple[float, float, int] | None = None
-        for task in sorted(available, key=index.__getitem__):
-            breakdowns = [state.est(task, m) for m in state.memories]
-            feasible = [bd for bd in breakdowns if bd.feasible]
-            if not feasible:
-                continue
-            feasible.sort(key=lambda bd: bd.eft)
-            preferred = feasible[0]
-            if len(feasible) >= 2:
-                sufferage = feasible[1].eft - feasible[0].eft
-            else:
-                sufferage = math.inf  # only one memory can take it: urgent
-            # Maximise sufferage; break ties towards the smaller EFT, then
-            # the stable task index.
-            key = (-sufferage, preferred.eft, index[task])
-            if best_key is None or key < best_key:
-                best_key = key
-                best_choice = preferred
-        if best_choice is None:
-            raise InfeasibleScheduleError(
-                "MemSufferage: no available task fits within the memory "
-                f"bounds ({len(available)} available, "
-                f"capacities={list(platform.capacities)})"
-            )
-        state.commit(best_choice)
-        available.discard(best_choice.task)
-        available.update(state.pop_newly_ready())
-
-    return state.finalize("memsufferage")
+    else:
+        selector = ScanSelector(state, index, max_sufferage)
+    return run(state, lambda: selector, "memsufferage", lambda left: (
+        "MemSufferage: no available task fits within the memory bounds "
+        f"({len(selector)} available, "
+        f"capacities={list(platform.capacities)})"))
 
 
 def sufferage(graph: TaskGraph, platform: Platform) -> Schedule:

@@ -146,7 +146,10 @@ def normalize_options(options: Optional[dict], algorithm: str) -> dict:
         raise ServiceError(400, "bad_request",
                            f"comm_policy must be 'late' or 'eager', "
                            f"got {out['comm_policy']!r}")
-    out["lazy"] = bool(out["lazy"])
+    if not isinstance(out["lazy"], bool):
+        raise ServiceError(400, "bad_request",
+                           f"lazy must be true or false, "
+                           f"got {out['lazy']!r}")
     if algorithm not in _OPTIONED and out != _DEFAULT_OPTIONS:
         raise ServiceError(
             400, "bad_request",

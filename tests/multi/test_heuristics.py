@@ -1,4 +1,5 @@
-"""Genuinely multi-memory behaviour (k >= 3): CPU + two accelerators."""
+"""Genuinely multi-memory behaviour (k >= 3) through the core API: CPU + two
+accelerators."""
 
 import math
 
@@ -6,22 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import Platform, TaskGraph, memheft, memminmin, validate_schedule
 from repro._util import as_rng
-from repro.multi import (
-    MultiInfeasibleError,
-    MultiPlatform,
-    MultiTaskGraph,
-    multi_memheft,
-    multi_memminmin,
-    validate_multi_schedule,
-)
+from repro.scheduling.state import InfeasibleScheduleError
 
 
 def tri_chain(n=6, *, size=2.0, comm=1.0):
     """Chain where class 2 (say a GPU) is fastest: times (9, 3, 1)."""
-    g = MultiTaskGraph(3, name="tri-chain")
+    g = TaskGraph("tri-chain", n_classes=3)
     for k in range(n):
-        g.add_task(k, (9, 3, 1))
+        g.add_task(k, times=(9, 3, 1))
     for k in range(n - 1):
         g.add_dependency(k, k + 1, size=size, comm=comm)
     return g
@@ -29,9 +24,9 @@ def tri_chain(n=6, *, size=2.0, comm=1.0):
 
 def random_tri_graph(n, seed):
     gen = as_rng(seed)
-    g = MultiTaskGraph(3, name=f"tri{n}")
+    g = TaskGraph(f"tri{n}", n_classes=3)
     for k in range(n):
-        g.add_task(k, tuple(float(gen.integers(1, 20)) for _ in range(3)))
+        g.add_task(k, times=[float(gen.integers(1, 20)) for _ in range(3)])
     for i in range(n):
         for j in range(i + 1, n):
             if gen.random() < 0.35:
@@ -43,49 +38,50 @@ def random_tri_graph(n, seed):
 class TestTriMemoryBasics:
     def test_chain_lands_on_fastest_class(self):
         g = tri_chain()
-        plat = MultiPlatform([1, 1, 1])
-        s = multi_memheft(g, plat)
+        plat = Platform([1, 1, 1])
+        s = memheft(g, plat)
         assert all(p.cls == 2 for p in s.placements())
         assert s.makespan == 6  # six tasks at speed 1, no transfers
 
     def test_capacity_on_fast_class_forces_spill(self):
         g = tri_chain()
         # Class 2 cannot even hold one 4-unit working set (in+out files).
-        plat = MultiPlatform([1, 1, 1], [math.inf, math.inf, 3])
-        s = multi_memheft(g, plat)
-        validate_multi_schedule(g, plat, s)
+        plat = Platform([1, 1, 1], [math.inf, math.inf, 3])
+        s = memheft(g, plat)
+        validate_schedule(g, plat, s)
         assert any(p.cls != 2 for p in s.placements())
 
     def test_all_classes_infeasible_raises(self):
         g = tri_chain()
-        plat = MultiPlatform([1, 1, 1], [3, 3, 3])
-        with pytest.raises(MultiInfeasibleError):
-            multi_memheft(g, plat)
-        with pytest.raises(MultiInfeasibleError):
-            multi_memminmin(g, plat)
+        plat = Platform([1, 1, 1], [3, 3, 3])
+        with pytest.raises(InfeasibleScheduleError):
+            memheft(g, plat)
+        with pytest.raises(InfeasibleScheduleError):
+            memminmin(g, plat)
 
     def test_empty_class_never_used(self):
         g = tri_chain()
-        plat = MultiPlatform([1, 1, 0])
-        s = multi_memminmin(g, plat)
-        validate_multi_schedule(g, plat, s)
+        plat = Platform([1, 1, 0])
+        s = memminmin(g, plat)
+        validate_schedule(g, plat, s)
         assert all(p.cls != 2 for p in s.placements())
 
     def test_peaks_meta_matches_validator(self):
         g = random_tri_graph(12, seed=3)
-        plat = MultiPlatform([2, 1, 1])
-        s = multi_memheft(g, plat)
-        peaks = validate_multi_schedule(g, plat, s)
-        assert peaks == pytest.approx(s.meta["peaks"])
+        plat = Platform([2, 1, 1])
+        s = memheft(g, plat)
+        peaks = validate_schedule(g, plat, s)
+        assert [peaks[m] for m in plat.memories()] == \
+            pytest.approx(s.meta["peaks"])
 
 
-@pytest.mark.parametrize("algo", [multi_memheft, multi_memminmin])
+@pytest.mark.parametrize("algo", [memheft, memminmin])
 @pytest.mark.parametrize("seed", range(3))
 def test_random_tri_graphs_schedule_validly(algo, seed):
     g = random_tri_graph(15, seed)
-    plat = MultiPlatform([2, 1, 1])
+    plat = Platform([2, 1, 1])
     s = algo(g, plat)
-    validate_multi_schedule(g, plat, s)
+    validate_schedule(g, plat, s)
     assert len(s) == g.n_tasks
 
 
@@ -94,13 +90,13 @@ def test_random_tri_graphs_schedule_validly(algo, seed):
        st.floats(min_value=0.3, max_value=1.0))
 def test_bounded_tri_schedules_respect_capacity(n, seed, alpha):
     g = random_tri_graph(n, seed)
-    plat = MultiPlatform([1, 1, 1])
-    base = multi_memheft(g, plat)
+    plat = Platform([1, 1, 1])
+    base = memheft(g, plat)
     ref = max(base.meta["peaks"]) or 1.0
-    bounded = plat.with_uniform_capacity(alpha * ref)
+    bounded = plat.with_uniform_bound(alpha * ref)
     try:
-        s = multi_memheft(g, bounded)
-    except MultiInfeasibleError:
+        s = memheft(g, bounded)
+    except InfeasibleScheduleError:
         return
-    peaks = validate_multi_schedule(g, bounded, s)
-    assert all(p <= alpha * ref + 1e-6 for p in peaks)
+    peaks = validate_schedule(g, bounded, s)
+    assert all(p <= alpha * ref + 1e-6 for p in peaks.values())

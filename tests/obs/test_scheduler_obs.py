@@ -7,7 +7,7 @@ import pytest
 from repro import Platform, memheft, memminmin, memsufferage, obs
 from repro.dags import dex, random_dag
 from repro.obs.report import load_trace
-from repro.scheduling.instrument import PHASE_SAMPLE
+from repro.scheduling.driver import PHASE_SAMPLE
 from repro.scheduling.state import InfeasibleScheduleError
 
 ALGOS = {"memheft": memheft, "memminmin": memminmin,

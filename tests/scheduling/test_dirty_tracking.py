@@ -111,12 +111,12 @@ class TestSelectorsStayBitIdentical:
     @pytest.mark.parametrize("algo", [memminmin, memsufferage])
     def test_three_class_platform(self, algo):
         from repro._util import as_rng
-        from repro.multi import MultiTaskGraph
+        from repro.core.graph import TaskGraph
         gen = as_rng(17)
-        graph = MultiTaskGraph(3, name="dirty-tri")
+        graph = TaskGraph("dirty-tri", n_classes=3)
         for k in range(22):
-            graph.add_task(k, tuple(float(gen.integers(1, 20))
-                                    for _ in range(3)))
+            graph.add_task(k, times=[float(gen.integers(1, 20))
+                                     for _ in range(3)])
         for i in range(22):
             for j in range(i + 1, 22):
                 if gen.random() < 0.25:

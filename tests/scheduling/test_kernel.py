@@ -53,10 +53,10 @@ def _snap(schedule, graph):
 
 
 def _three_class_graph():
-    from repro.multi import MultiTaskGraph
-    g = MultiTaskGraph(3, name="tri")
+    g = TaskGraph("tri", n_classes=3)
     for k in range(12):
-        g.add_task(k, (float(1 + k % 5), float(2 + k % 3), float(1 + k % 7)))
+        g.add_task(k, times=(float(1 + k % 5), float(2 + k % 3),
+                             float(1 + k % 7)))
     for i in range(12):
         for j in range(i + 1, 12):
             if (i * 7 + j) % 3 == 0:

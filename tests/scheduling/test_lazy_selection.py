@@ -79,12 +79,12 @@ def test_lazy_equals_naive_eager_policy(fn):
 @pytest.mark.parametrize("seed", range(2))
 def test_lazy_equals_naive_three_classes(seed):
     from repro._util import as_rng
-    from repro.multi import MultiTaskGraph
+    from repro.core.graph import TaskGraph
     gen = as_rng(seed)
-    g = MultiTaskGraph(3, name=f"tri{seed}")
+    g = TaskGraph(f"tri{seed}", n_classes=3)
     n = 18
     for k in range(n):
-        g.add_task(k, tuple(float(gen.integers(1, 20)) for _ in range(3)))
+        g.add_task(k, times=[float(gen.integers(1, 20)) for _ in range(3)])
     for i in range(n):
         for j in range(i + 1, n):
             if gen.random() < 0.3:

@@ -200,9 +200,8 @@ class TestClassResourcesCache:
         assert state.class_resources() is first
 
     def test_no_proc_class_is_inf(self):
-        from repro.multi import MultiPlatform, MultiTaskGraph
-        g = MultiTaskGraph(3)
-        g.add_task("a", (1.0, 1.0, 1.0))
-        from repro.multi import MultiSchedulerState
-        state = MultiSchedulerState(g, MultiPlatform([1, 1, 0]))
+        from repro.core.graph import TaskGraph
+        g = TaskGraph(n_classes=3)
+        g.add_task("a", times=(1.0, 1.0, 1.0))
+        state = SchedulerState(g, Platform([1, 1, 0]))
         assert state.class_resources() == [0.0, 0.0, math.inf]

@@ -51,10 +51,10 @@ class TestSpeedAwareRanks:
             upward_ranks(dex(), Platform([1, 1, 1], [math.inf] * 3))
 
     def test_procless_class_keeps_speed_one(self):
-        from repro.multi import MultiPlatform, MultiTaskGraph
-        g = MultiTaskGraph(3)
-        g.add_task("a", (2.0, 4.0, 6.0))
-        ranks = upward_ranks(g, MultiPlatform([1, 1, 0]))
+        from repro.core.graph import TaskGraph
+        g = TaskGraph(n_classes=3)
+        g.add_task("a", times=(2.0, 4.0, 6.0))
+        ranks = upward_ranks(g, Platform([1, 1, 0]))
         assert ranks["a"] == (2.0 + 4.0 + 6.0) / 3
 
 

@@ -146,6 +146,43 @@ class TestErrorPaths:
                                            options={"comm_policy": "eager"}))
         assert status == 400
 
+    @pytest.mark.parametrize("value", ["false", "true", None, [], 0, 1,
+                                       {}, 0.0])
+    def test_non_boolean_lazy_rejected(self, value):
+        status, _, out = post(ServiceApp(), "/schedule",
+                              schedule_req(options={"lazy": value}))
+        assert status == 400
+        error = json.loads(out)["error"]
+        assert error["type"] == "bad_request"
+        assert "lazy must be true or false" in error["message"]
+
+    def test_non_boolean_lazy_rejected_on_baseline(self):
+        """A truthy non-boolean must not slip past the "takes no engine
+        options" check by coercing to the default."""
+        status, _, out = post(ServiceApp(), "/schedule",
+                              schedule_req(algorithm="heft",
+                                           options={"lazy": 1}))
+        assert status == 400
+        assert "lazy must be true or false" in \
+            json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_lazy_accepted(self, value):
+        status, _, _ = post(ServiceApp(), "/schedule",
+                            schedule_req(options={"lazy": value}))
+        assert status == 200
+
+    def test_non_boolean_lazy_in_batch_is_per_instance_400(self):
+        good = schedule_req()
+        bad = schedule_req(options={"lazy": "false"})
+        status, _, body = post(ServiceApp(), "/batch",
+                               {"requests": [good, bad]})
+        assert status == 200
+        data = json.loads(body)
+        assert "schedule" in data["results"][0]
+        assert data["results"][1]["error"]["status"] == 400
+        assert data["results"][1]["error"]["type"] == "bad_request"
+
     def test_class_mismatch(self):
         req = schedule_req(platform=Platform([1, 1, 1], [5, 5, 5]))
         status, _, out = post(ServiceApp(), "/schedule", req)
