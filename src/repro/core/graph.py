@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Hashable, Iterator, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 import networkx as nx
 
@@ -152,34 +152,77 @@ class TaskGraph:
             times = (w_blue, w_red)
         elif w_blue is not None or w_red is not None:
             raise ValueError(f"{task!r}: pass either times= or w_blue/w_red, not both")
-        if task in self._g:
-            raise ValueError(f"duplicate task {task!r}")
-        times = tuple(float(w) for w in times)
-        if len(times) != self.n_classes:
-            raise ValueError(
-                f"{task!r}: expected {self.n_classes} times, got {len(times)}")
-        if any(w < 0 or not math.isfinite(w) for w in times):
-            raise ValueError(f"processing times of {task!r} must be finite and >= 0")
-        self._g.add_node(task, **{ATTR_TIMES: times})
-        self._topo_cache = None
-        self._flat_cache = None
+        self.add_tasks(((task, times),))
         return task
 
     def add_dependency(self, u: Task, v: Task, size: float = 0.0, comm: float = 0.0) -> None:
         """Add edge ``(u, v)``: a file of ``size`` units, transfer time ``comm``."""
-        if u not in self._g or v not in self._g:
-            raise ValueError(f"both endpoints of ({u!r}, {v!r}) must be tasks")
-        if u == v:
-            raise ValueError(f"self-loop on {u!r}")
-        if self._g.has_edge(u, v):
-            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-        if size < 0 or comm < 0 or not (math.isfinite(size) and math.isfinite(comm)):
-            raise ValueError(f"size/comm of ({u!r}, {v!r}) must be finite and >= 0")
-        # Acyclicity is checked lazily (validate() / topological_order()):
-        # a per-edge reachability test would make graph construction quadratic.
-        self._g.add_edge(u, v, **{ATTR_SIZE: float(size), ATTR_COMM: float(comm)})
+        self.add_dependencies(((u, v, size, comm),))
+
+    def _invalidate(self) -> None:
+        """Drop the views derived from the graph, before a mutation.  The
+        bulk adders write networkx's dicts directly, so they also clear
+        the conversion cache networkx's own mutators would."""
         self._topo_cache = None
         self._flat_cache = None
+        getattr(self._g, "__networkx_cache__", {}).clear()
+
+    def add_tasks(self, rows: Iterable[tuple[Task, Sequence[float]]]) -> None:
+        """Add ``(task, times)`` rows in order (:meth:`add_task` is the
+        one-row case).  A duplicate id, a wrong number of times or a
+        negative or non-finite time raises ``ValueError``, with the rows
+        before it already added."""
+        g = self._g
+        succ, pred, node = g._succ, g._pred, g._node
+        n_classes = self.n_classes
+        isfinite = math.isfinite
+        self._invalidate()
+        for task, times in rows:
+            if task in g:
+                raise ValueError(f"duplicate task {task!r}")
+            times = tuple(map(float, times))
+            if len(times) != n_classes:
+                raise ValueError(
+                    f"{task!r}: expected {n_classes} times, got {len(times)}")
+            for w in times:
+                if w < 0 or not isfinite(w):
+                    raise ValueError(
+                        f"processing times of {task!r} must be finite and >= 0")
+            if task is None:   # as networkx's add_node words it
+                raise ValueError("None cannot be a node")
+            succ[task] = {}
+            pred[task] = {}
+            node[task] = {ATTR_TIMES: times}
+
+    def add_dependencies(self, rows: Iterable[tuple[Task, Task, float, float]]
+                         ) -> None:
+        """Add ``(u, v, size, comm)`` edge rows in order
+        (:meth:`add_dependency` is the one-row case).  An unknown endpoint,
+        a self-loop, a duplicate edge or a negative or non-finite size or
+        transfer time raises ``ValueError``, with the rows before it
+        already added."""
+        g = self._g
+        succ, pred, node = g._succ, g._pred, g._node
+        isfinite = math.isfinite
+        self._invalidate()
+        for u, v, size, comm in rows:
+            try:
+                known = u in node and v in node
+            except TypeError:   # unhashable: not a task, as `u in g` says
+                known = False
+            if not known:
+                raise ValueError(f"both endpoints of ({u!r}, {v!r}) must be tasks")
+            if u == v:
+                raise ValueError(f"self-loop on {u!r}")
+            children = succ[u]
+            if v in children:
+                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+            if size < 0 or comm < 0 or not (isfinite(size) and isfinite(comm)):
+                raise ValueError(f"size/comm of ({u!r}, {v!r}) must be finite and >= 0")
+            # Acyclicity is checked lazily (validate() / topological_order()):
+            # a per-edge reachability test would make construction quadratic.
+            children[v] = pred[v][u] = {ATTR_SIZE: float(size),
+                                        ATTR_COMM: float(comm)}
 
     # ------------------------------------------------------------------
     # basic queries
@@ -288,13 +331,31 @@ class TaskGraph:
     def topological_order(self) -> tuple[Task, ...]:
         """A (cached) topological order of the tasks.
 
-        Raises ``ValueError`` if the graph contains a cycle.
+        Generation-major, each generation in the order networkx's
+        ``topological_sort`` gives it: the parentless tasks in node order,
+        then each generation's children in the order its last parent
+        released them.  Raises ``ValueError`` if the graph contains a cycle.
         """
         if self._topo_cache is None:
-            try:
-                self._topo_cache = tuple(nx.topological_sort(self._g))
-            except nx.NetworkXUnfeasible as exc:
-                raise ValueError("task graph contains a cycle") from exc
+            succ = self._g._succ
+            pending = {t: len(ps) for t, ps in self._g._pred.items() if ps}
+            generation = [t for t, ps in self._g._pred.items() if not ps]
+            order: list[Task] = []
+            while generation:
+                order += generation
+                following = []
+                for t in generation:
+                    for child in succ[t]:
+                        left = pending[child] - 1
+                        if left:
+                            pending[child] = left
+                        else:
+                            del pending[child]
+                            following.append(child)
+                generation = following
+            if pending:
+                raise ValueError("task graph contains a cycle")
+            self._topo_cache = tuple(order)
         return self._topo_cache
 
     def flatten(self) -> FlatGraph:
@@ -302,17 +363,36 @@ class TaskGraph:
 
         Rebuilt lazily after any mutation; raises ``ValueError`` on cyclic
         graphs (the flattening is row-ordered by :meth:`topological_order`).
+        One walk over the networkx adjacency dicts fills the CSR arrays
+        (what :meth:`FlatGraph.from_adjacency` does from per-row lists).
         """
         if self._flat_cache is None:
             order = self.topological_order()
-            index = {t: i for i, t in enumerate(order)}
-            self._flat_cache = FlatGraph.from_adjacency(
-                order,
-                [[(index[p], self.comm(p, t), self.size(p, t))
-                  for p in self.parents(t)] for t in order],
-                [[(index[c], self.size(t, c)) for c in self.children(t)]
-                 for t in order],
-                [self.times(t) for t in order], self.n_classes)
+            index = dict(zip(order, range(len(order))))
+            pred, succ, node = self._g._pred, self._g._succ, self._g._node
+            parent_ptr = [0]
+            parent_row: list[int] = []
+            parent_comm: list[float] = []
+            parent_size: list[float] = []
+            child_ptr = [0]
+            child_row: list[int] = []
+            out_size: list[float] = []
+            for t in order:
+                for p, d in pred[t].items():
+                    parent_row.append(index[p])
+                    parent_comm.append(d[ATTR_COMM])
+                    parent_size.append(d[ATTR_SIZE])
+                parent_ptr.append(len(parent_row))
+                total = 0.0
+                for c, d in succ[t].items():
+                    child_row.append(index[c])
+                    total += d[ATTR_SIZE]
+                child_ptr.append(len(child_row))
+                out_size.append(total)
+            self._flat_cache = FlatGraph(
+                order, parent_ptr, parent_row, parent_comm, parent_size,
+                child_ptr, child_row, out_size,
+                [node[t][ATTR_TIMES] for t in order], self.n_classes)
         return self._flat_cache
 
     def ancestors(self, task: Task) -> set[Task]:
@@ -345,9 +425,11 @@ class TaskGraph:
         return max(best.values(), default=0.0)
 
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        if not nx.is_directed_acyclic_graph(self._g):
-            raise ValueError("task graph contains a cycle")
+        """Check structural invariants; raises ``ValueError`` on violation.
+
+        The one invariant is acyclicity, which the (cached) topological
+        sort of :meth:`topological_order` decides."""
+        self.topological_order()
 
     # ------------------------------------------------------------------
     # conversion
@@ -392,10 +474,10 @@ class TaskGraph:
 
     def copy(self) -> "TaskGraph":
         clone = self._empty_like()
-        for node, data in self._g.nodes(data=True):
-            TaskGraph.add_task(clone, node, times=data[ATTR_TIMES])
-        for u, v, data in self._g.edges(data=True):
-            clone.add_dependency(u, v, data[ATTR_SIZE], data[ATTR_COMM])
+        clone.add_tasks((node, data[ATTR_TIMES])
+                        for node, data in self._g.nodes(data=True))
+        clone.add_dependencies((u, v, data[ATTR_SIZE], data[ATTR_COMM])
+                               for u, v, data in self._g.edges(data=True))
         return clone
 
     # ------------------------------------------------------------------

@@ -20,15 +20,21 @@ and checks every constraint of the model (§3):
   finishes, and its source copy is freed when the transfer ends.
 
 The validator is written independently from the scheduler-side bookkeeping so
-tests can cross-check the two (DESIGN.md invariant 5).
+tests can cross-check the two (DESIGN.md invariant 5).  In particular
+:func:`validate_schedule` and :func:`memory_peaks` never call the scheduler's
+:class:`~repro.core.memory_profile.MemoryProfile` (only :func:`memory_usage`
+returns profiles): they replay peaks on a list staircase of their own
+(:func:`_replay_peak`), which sums in the same order and so gives the
+profiles' peaks bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable
 
-from .graph import TaskGraph
+from .graph import ATTR_COMM, ATTR_SIZE, ATTR_TIMES, TaskGraph
 from .memory_profile import MemoryProfile
 from .platform import Memory, Platform
 from .schedule import Schedule
@@ -82,10 +88,38 @@ def memory_usage(graph: TaskGraph, platform: Platform, schedule: Schedule
     return profiles
 
 
+def _replay_peak(rows: list[tuple[float, float, float]]) -> float:
+    """Peak of one memory's ``(size, start, end)`` residencies, given in
+    edge order with ``end > start``.
+
+    Each segment between consecutive breakpoints sums the sizes of the
+    residencies covering it in list order, starting from 0.0 — exactly the
+    fold ``MemoryProfile.add`` leaves there — so the maximum is the same
+    float.  The last breakpoint opens the empty tail (0.0), as in a profile.
+    """
+    if not rows:
+        return 0.0
+    xs = sorted({x for _, start, end in rows for x in (start, end)})
+    at = {x: k for k, x in enumerate(xs)}
+    vals = [0.0] * len(xs)
+    for size, start, end in rows:
+        for k in range(at[start], at[end]):
+            vals[k] += size
+    return max(vals)
+
+
 def memory_peaks(graph: TaskGraph, platform: Platform, schedule: Schedule
                  ) -> dict[Memory, float]:
     """Peak usage of each memory (``M^s_blue``, ``M^s_red`` of §3.3)."""
-    return {m: p.peak() for m, p in memory_usage(graph, platform, schedule).items()}
+    rows: dict[Memory, list] = {m: [] for m in platform.memories()}
+    for res in file_residencies(graph, schedule):
+        if res.end > res.start:   # MemoryProfile.add ignores empty stays
+            rows[res.memory].append((res.size, res.start, res.end))
+    return {m: _replay_peak(r) for m, r in rows.items()}
+
+
+#: The order of :meth:`Schedule.tasks_on_proc`.
+_start_finish = attrgetter("start", "finish")
 
 
 def validate_schedule(
@@ -99,48 +133,71 @@ def validate_schedule(
     """Check every model constraint; returns the memory peaks on success.
 
     Raises :class:`ScheduleError` naming the first violated constraint.
+    Tasks are checked in graph order, then edges in :meth:`TaskGraph.edges`
+    order (one walk that also collects the file residencies), then
+    processors, then memories.
     """
+    # The containers themselves: one dict lookup per task and per edge.
+    placements = schedule._placements
+    comms = schedule._comms
+    nodes = graph._g._node
+    succ = graph._g._succ
+    proc_ranges = [platform.procs(c) for c in platform.classes()]
+    speeds = platform.speeds
+
     # -- completeness and durations ------------------------------------
-    for task in graph.tasks():
-        if task not in schedule:
+    for task, data in nodes.items():
+        p = placements.get(task)
+        if p is None:
             raise ScheduleError(f"task {task!r} is not scheduled")
-        p = schedule.placement(task)
-        if platform.n_procs_of(p.memory) == 0:
-            raise ScheduleError(f"task {task!r} placed on empty resource {p.memory}")
-        if p.proc not in platform.procs(p.memory):
+        memory = p.memory
+        procs = proc_ranges[memory.index]
+        if not procs:
+            raise ScheduleError(f"task {task!r} placed on empty resource {memory}")
+        if p.proc not in procs:
             # Must precede the duration check: the expected duration reads
             # the *processor's* speed, which is only meaningful when the
             # processor actually belongs to the placement's memory class.
             raise ScheduleError(
                 f"task {task!r} placed on processor {p.proc}, which is not "
-                f"attached to memory {p.memory}"
+                f"attached to memory {memory}"
             )
-        expect = graph.w(task, p.memory) / platform.speed(p.proc)
-        if abs(p.duration - expect) > eps:
+        expect = data[ATTR_TIMES][memory.index] / speeds[p.proc]
+        if abs(p.finish - p.start - expect) > eps:
             raise ScheduleError(
                 f"task {task!r} runs for {p.duration} but "
-                f"W^({p.memory}) / speed(P{p.proc}) = {expect}"
+                f"W^({memory}) / speed(P{p.proc}) = {expect}"
             )
 
-    if len(schedule) != graph.n_tasks:
-        extra = {p.task for p in schedule.placements()} - set(graph.tasks())
+    if len(placements) != len(nodes):
+        extra = set(placements) - set(nodes)
         raise ScheduleError(f"schedule places unknown tasks: {sorted(map(repr, extra))}")
 
-    # -- flow constraints ----------------------------------------------
-    for u, v in graph.edges():
-        pu, pv = schedule.placement(u), schedule.placement(v)
-        if pu.memory is pv.memory:
-            if schedule.comm(u, v) is not None:
-                raise ScheduleError(f"same-memory edge ({u!r}, {v!r}) has a communication")
-            if pu.finish > pv.start + eps:
-                raise ScheduleError(
-                    f"precedence violated on ({u!r}, {v!r}): "
-                    f"{pu.finish} > {pv.start}"
-                )
-        else:
-            ev = schedule.comm(u, v)
+    # -- flow constraints, collecting file residencies -----------------
+    rows: list[list[tuple[float, float, float]]] = [[] for _ in proc_ranges]
+    matched = 0
+    for u, nbrs in succ.items():
+        pu = placements[u]
+        mu = pu.memory
+        u_rows = rows[mu.index]
+        for v, data in nbrs.items():
+            pv = placements[v]
+            size = data[ATTR_SIZE]
+            if mu is pv.memory:
+                if (u, v) in comms:
+                    raise ScheduleError(f"same-memory edge ({u!r}, {v!r}) has a communication")
+                if pu.finish > pv.start + eps:
+                    raise ScheduleError(
+                        f"precedence violated on ({u!r}, {v!r}): "
+                        f"{pu.finish} > {pv.start}"
+                    )
+                if size != 0.0 and pv.finish > pu.start:
+                    u_rows.append((size, pu.start, pv.finish))
+                continue
+            ev = comms.get((u, v))
             if ev is None:
                 raise ScheduleError(f"cross-memory edge ({u!r}, {v!r}) has no communication")
+            matched += 1
             if ev.start < pu.finish - eps:
                 raise ScheduleError(
                     f"communication ({u!r}, {v!r}) starts at {ev.start} "
@@ -151,16 +208,29 @@ def validate_schedule(
                     f"communication ({u!r}, {v!r}) ends at {ev.finish} "
                     f"after consumer starts at {pv.start}"
                 )
-            if ev.duration < graph.comm(u, v) - eps:
+            if ev.finish - ev.start < data[ATTR_COMM] - eps:
                 raise ScheduleError(
                     f"communication ({u!r}, {v!r}) lasts {ev.duration} "
-                    f"< C = {graph.comm(u, v)}"
+                    f"< C = {data[ATTR_COMM]}"
                 )
+            if size != 0.0:
+                if ev.finish > pu.start:
+                    u_rows.append((size, pu.start, ev.finish))
+                if pv.finish > ev.start:
+                    rows[pv.memory.index].append((size, ev.start, pv.finish))
+    if matched != len(comms):
+        u, v = next(key for key in comms
+                    if key[0] not in succ or key[1] not in succ[key[0]])
+        raise ScheduleError(
+            f"communication ({u!r}, {v!r}) is not on an edge of the graph")
 
     # -- resource constraints --------------------------------------------
-    for proc in range(platform.n_procs):
-        rows = schedule.tasks_on_proc(proc)
-        for a, b in zip(rows, rows[1:]):
+    on_proc: list[list] = [[] for _ in range(platform.n_procs)]
+    for p in placements.values():
+        on_proc[p.proc].append(p)
+    for proc, placed in enumerate(on_proc):
+        placed.sort(key=_start_finish)
+        for a, b in zip(placed, placed[1:]):
             if b.start < a.finish - eps:
                 raise ScheduleError(
                     f"tasks {a.task!r} and {b.task!r} overlap on processor {proc}: "
@@ -168,7 +238,7 @@ def validate_schedule(
                 )
 
     # -- memory constraints ----------------------------------------------
-    peaks = memory_peaks(graph, platform, schedule)
+    peaks = {m: _replay_peak(rows[m.index]) for m in platform.memories()}
     if check_memory:
         for memory in platform.memories():
             if peaks[memory] > platform.capacity(memory) + eps:

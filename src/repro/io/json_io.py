@@ -82,14 +82,13 @@ def graph_to_dict(graph: TaskGraph) -> dict:
 def graph_from_dict(data: dict) -> TaskGraph:
     n_classes = data.get("n_classes", 2)
     g = TaskGraph(name=data.get("name", "taskgraph"), n_classes=n_classes)
-    for row in data["tasks"]:
-        if "times" in row:
-            g.add_task(row["id"], times=row["times"])
-        else:
-            g.add_task(row["id"], times=(row["w_blue"], row["w_red"]))
-    for row in data["edges"]:
-        g.add_dependency(row["src"], row["dst"],
-                         size=row.get("size", 0.0), comm=row.get("comm", 0.0))
+    # Generators: each row is read just before it is checked, so a
+    # malformed row fails as in a loop of add_task/add_dependency calls.
+    g.add_tasks((row["id"], row["times"]) if "times" in row
+                else (row["id"], (row["w_blue"], row["w_red"]))
+                for row in data["tasks"])
+    g.add_dependencies((row["src"], row["dst"], row.get("size", 0.0),
+                        row.get("comm", 0.0)) for row in data["edges"])
     return g
 
 

@@ -398,7 +398,6 @@ class OnlineSession:
         self._tail: list[_Decision] = []
         #: ``{job_id: _JobBlock}`` of the jobs with a tail decision.
         self._blocks: dict[str, _JobBlock] = {}
-        self._arrivals = itertools.count()
         #: One row per planning round: floor, n_jobs, n_tasks, replanned,
         #: union_tasks, replayed, ms.
         self.rounds: list[dict] = []
@@ -420,9 +419,11 @@ class OnlineSession:
         if not (math.isfinite(release) and release >= 0.0):
             raise ValueError(f"release time must be finite and >= 0, "
                              f"got {release!r}")
-        index = next(self._arrivals)
+        index = len(self.jobs)   # accepted jobs only: a rejection takes none
         if job_id is None:
             job_id = f"job-{index:04d}"
+        elif not isinstance(job_id, str):
+            raise TypeError(f"job id must be a string, got {job_id!r}")
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
         if "/" in job_id:

@@ -971,6 +971,10 @@ class ServiceApp:
         if isinstance(release, bool) or not isinstance(release, (int, float)):
             raise ServiceError(400, "bad_request",
                                "'release_time' must be a number")
+        job_id = payload.get("job_id")
+        if job_id is not None and not isinstance(job_id, str):
+            raise ServiceError(400, "bad_request",
+                               "'job_id' must be a string")
         graph_d = payload.get("graph")
         if not isinstance(graph_d, dict):
             raise ServiceError(400, "bad_request",
@@ -985,7 +989,7 @@ class ServiceApp:
             session = entry.session
             try:
                 job_id = session.submit(graph, release=float(release),
-                                        job_id=payload.get("job_id"))
+                                        job_id=job_id)
                 planned = session.poll(float(release))
                 if payload.get("flush"):
                     planned += session.flush()

@@ -47,6 +47,25 @@ class TestSubmit:
         with pytest.raises(ValueError, match="'/'"):
             session.submit(dex(), job_id="a/b")
 
+    @pytest.mark.parametrize("job_id", [5, ["x"], b"j"])
+    def test_non_string_id_rejected(self, job_id):
+        session = OnlineSession(PLATFORM)
+        with pytest.raises(TypeError, match="must be a string"):
+            session.submit(dex(), job_id=job_id)
+        assert session.jobs == {}
+
+    def test_rejected_submission_takes_no_arrival_index(self):
+        session = OnlineSession(PLATFORM)
+        assert session.jobs[session.submit(dex(), job_id="j1")].arrival_index == 0
+        for bad_id in ("j1", "a/b", 5):
+            with pytest.raises((TypeError, ValueError)):
+                session.submit(dex(), job_id=bad_id)
+        with pytest.raises(ValueError, match="release"):
+            session.submit(dex(), release=-1.0)
+        assert session.jobs[session.submit(dex(), job_id="j2")].arrival_index == 1
+        # Default ids follow the arrival index, with no gap either.
+        assert session.submit(dex()) == "job-0002"
+
     @pytest.mark.parametrize("release", [-1.0, float("inf"), float("nan")])
     def test_bad_release_rejected(self, release):
         session = OnlineSession(PLATFORM)

@@ -314,6 +314,40 @@ class TestRobustness:
         assert app._pool is None
 
 
+class TestJobsSubmit:
+    @staticmethod
+    def submit(app, **extra):
+        payload = {"session": "s", "platform": platform_to_dict(PLATFORM),
+                   "graph": graph_to_dict(dex())}
+        payload.update(extra)
+        status, _, body = post(app, "/jobs", payload)
+        return status, json.loads(body)
+
+    @pytest.mark.parametrize("job_id", [5, ["x"], {"id": "x"}, 1.5, True])
+    def test_non_string_job_id_is_400(self, job_id):
+        app = ServiceApp()
+        status, out = self.submit(app, job_id=job_id)
+        assert status == 400
+        assert out["error"]["type"] == "bad_request"
+        assert "'job_id' must be a string" in out["error"]["message"]
+        # Nothing was created for the rejected body.
+        health = json.loads(app.handle("GET", "/healthz", b"")[2])
+        assert health["sessions"]["count"] == 0
+
+    def test_rejected_submission_takes_no_arrival_index(self):
+        app = ServiceApp()
+        status, out = self.submit(app, job_id="j1")
+        assert (status, out["arrival_index"]) == (200, 0)
+        status, out = self.submit(app, job_id="j1")
+        assert status == 400 and "duplicate" in out["error"]["message"]
+        status, out = self.submit(app, job_id="a/b")
+        assert status == 400
+        status, out = self.submit(app, job_id="j2")
+        assert (status, out["arrival_index"]) == (200, 1)
+        status, out = self.submit(app)
+        assert (out["job_id"], out["arrival_index"]) == ("job-0002", 2)
+
+
 class TestIntrospection:
     def test_algorithms_lists_registry(self):
         _, _, body = ServiceApp().handle("GET", "/algorithms", b"")

@@ -91,6 +91,22 @@ class TestSchedule:
         assert main(["validate", str(dex_file), str(sched)]) == 2
         assert "INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("src, dst", [("T2", "T3"), ("T9", "T2")])
+    def test_validate_rejects_stray_communication(self, dex_file, tmp_path,
+                                                  capsys, src, dst):
+        """A transfer on a non-edge (or on an unknown task) is caught."""
+        sched = tmp_path / "s.json"
+        main(["schedule", str(dex_file), "--algo", "heft", "-o", str(sched)])
+        data = json.loads(sched.read_text())
+        data["comms"].append({"src": src, "dst": dst,
+                              "start": 0.0, "finish": 1.0})
+        sched.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(dex_file), str(sched)]) == 2
+        err = capsys.readouterr().err
+        assert "INVALID" in err
+        assert f"communication ({src!r}, {dst!r}) is not on an edge" in err
+
     @pytest.mark.parametrize("table, field", [
         ("placements", "start"), ("placements", "finish"),
         ("comms", "start"), ("comms", "finish")])

@@ -69,6 +69,23 @@ except ImportError as exc:
 # lower_bound itself degrades gracefully: LP term skipped, still valid.
 out["lower_bound"] = repro.lower_bound(g, Platform(1, 1))
 
+# The CLI imports and round-trips schedule -> validate.
+import contextlib
+import io
+import os
+import tempfile
+from repro.cli import main
+from repro.io.json_io import save_graph
+with tempfile.TemporaryDirectory() as tmp, \
+        contextlib.redirect_stdout(io.StringIO()):
+    graph_path = os.path.join(tmp, "g.json")
+    sched_path = os.path.join(tmp, "s.json")
+    save_graph(g, graph_path)
+    out["cli"] = [
+        main(["schedule", graph_path, "--algo", "memheft", "--mem-blue", "50",
+              "--mem-red", "50", "-o", sched_path]),
+        main(["validate", graph_path, sched_path])]
+
 print(json.dumps(out))
 """
 
@@ -144,3 +161,7 @@ def test_lower_bound_degrades_to_valid_bound(no_numpy_result):
     full = lower_bound(g, Platform(1, 1))
     degraded = no_numpy_result["lower_bound"]
     assert 0 < degraded <= full + 1e-9
+
+
+def test_cli_schedules_and_validates(no_numpy_result):
+    assert no_numpy_result["cli"] == [0, 0]
