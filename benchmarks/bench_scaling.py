@@ -11,15 +11,9 @@ Run as a script to benchmark the engine end to end::
     PYTHONPATH=src python benchmarks/bench_scaling.py [sizes...] \
         [--jobs N] [--json PATH] [--sweep-graphs G] [--sweep-size S]
 
-Three benchmark sections, each emitted into a machine-readable
-``BENCH_scaling.json`` (schema documented in ``benchmarks/README.md``) so
-the perf trajectory is tracked across PRs:
+Up to three benchmark sections, each emitted into a machine-readable
+``BENCH_scaling.json`` (schema documented in ``benchmarks/README.md``):
 
-* **kernel** — the unified incremental EST kernel against the seed
-  implementation (``seed`` = from-scratch ESTs + O(l) suffix-max profile
-  rebuilds, reproduced by ``LegacySuffixMaxProfile``; ``fresh`` =
-  from-scratch ESTs over block-max profiles; ``incremental`` = the
-  shipped kernel; all placement-identical).
 * **selection** — the lazy candidate heaps of
   :mod:`repro.scheduling.candidates` against the naive full-rescan
   selection loops (``lazy=True`` vs ``lazy=False``), on the standard
@@ -30,13 +24,14 @@ the perf trajectory is tracked across PRs:
   identical and the wall-clock speedup reported.  ``cpu_count`` is
   recorded alongside: on a single-core container the parallel path can
   only lose.
+* **hetero** (with ``--hetero``) — per-processor speed spreads on a 4+2
+  platform, every schedule validated.
 
 All compared configurations produce decision-for-decision identical
 schedules (asserted on every run).
 """
 
 import argparse
-import math
 import os
 import platform as platform_mod
 import sys
@@ -44,21 +39,15 @@ import time
 
 import pytest
 
-from repro._util import EPS
-from repro.core.memory_profile import MemoryProfile
 from repro.core.platform import Platform
 from repro.core.validation import validate_schedule
 from repro.dags.daggen import random_dag
 from repro.dags.datasets import large_rand_set
 from repro.experiments.figures import RAND_PLATFORM
 from repro.experiments.sweep import default_alphas, normalized_sweep, spread_speeds
-from repro.scheduling.candidates import ScanSelector, first_fit, min_eft
-from repro.scheduling.driver import run
 from repro.scheduling.heft import heft
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
-from repro.scheduling.ranks import rank_order
-from repro.scheduling.state import SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
 SIZES = (25, 50, 100, 200)
@@ -80,77 +69,6 @@ def test_bench_memminmin_scaling(benchmark, size):
     assert len(schedule) == size
 
 
-# ----------------------------------------------------------------------
-# incremental-kernel comparison (script mode)
-# ----------------------------------------------------------------------
-class LegacySuffixMaxProfile(MemoryProfile):
-    """The seed's ``earliest_fit``: full suffix-max rebuild per mutation."""
-
-    __slots__ = ("_suffix_max", "_sm_version")
-
-    def __init__(self, capacity: float = math.inf) -> None:
-        super().__init__(capacity)
-        self._suffix_max = None
-        self._sm_version = -1
-
-    def _ensure_suffix_max(self) -> list:
-        if self._sm_version != self.version or self._suffix_max is None:
-            sm = [0.0] * len(self._vals)
-            running = -math.inf
-            for k in range(len(self._vals) - 1, -1, -1):
-                running = max(running, self._vals[k])
-                sm[k] = running
-            self._suffix_max = sm
-            self._sm_version = self.version
-        return self._suffix_max
-
-    def earliest_fit(self, need: float, not_before: float = 0.0) -> float:
-        if need <= EPS:
-            return max(0.0, not_before)
-        if need > self.capacity + EPS:
-            return math.inf
-        threshold = self.capacity - need
-        sm = self._ensure_suffix_max()
-        lo, hi = 0, len(sm)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sm[mid] <= threshold + EPS:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(sm):
-            return math.inf
-        t = self._xs[lo] if lo > 0 else 0.0
-        return max(t, not_before)
-
-
-def _make_state(graph, platform, mode: str) -> SchedulerState:
-    state = SchedulerState(graph, platform,
-                           incremental=(mode == "incremental"))
-    if mode == "seed":
-        state.mem = {m: LegacySuffixMaxProfile(platform.capacity(m))
-                     for m in state.memories}
-    return state
-
-
-def _run_scan(graph, platform, mode: str, algorithm: str, order, rule):
-    """One naive-rescan run through the shipped driver loop, on the
-    ``mode`` kernel/profile variant."""
-    state = _make_state(graph, platform, mode)
-    return run(state, lambda: ScanSelector(state, order, rule), algorithm,
-               lambda left: f"{algorithm}: infeasible ({left} tasks left)")
-
-
-def _run_memheft(graph, platform, mode: str):
-    order = {t: k for k, t in enumerate(rank_order(graph))}
-    return _run_scan(graph, platform, mode, "memheft", order, first_fit)
-
-
-def _run_memminmin(graph, platform, mode: str):
-    order = {t: k for k, t in enumerate(graph.topological_order())}
-    return _run_scan(graph, platform, mode, "memminmin", order, min_eft)
-
-
 def _assert_identical(schedules: dict, reference: str, graph, label: str):
     ref = schedules[reference]
     for mode, sched in schedules.items():
@@ -168,39 +86,6 @@ def _bench_platforms(graph):
         ("unbounded", Platform(1, 1)),
         ("bounded@0.8", Platform(1, 1).with_uniform_bound(0.8 * ref)),
     ]
-
-
-def bench_kernel(size: int) -> list[dict]:
-    """seed vs fresh vs incremental EST kernel (identical schedules)."""
-    graph = random_dag(size=size, rng=size,
-                       w_range=(1, 100), c_range=(1, 100), f_range=(1, 100))
-    runners = [("memheft", _run_memheft, memheft),
-               ("memminmin", _run_memminmin, memminmin)]
-    rows = []
-    for plat_name, platform in _bench_platforms(graph):
-        for algo_name, runner, shipped_fn in runners:
-            times = {}
-            schedules = {}
-            for mode in ("seed", "fresh", "incremental"):
-                t0 = time.perf_counter()
-                schedules[mode] = runner(graph, platform, mode)
-                times[mode] = time.perf_counter() - t0
-            # Anchor the comparison to the *shipped* entry point so the
-            # bench loops cannot silently drift from the real heuristics.
-            schedules["shipped"] = shipped_fn(graph, platform)
-            _assert_identical(schedules, "incremental", graph, algo_name)
-            speedup = times["seed"] / times["incremental"]
-            print(f"kernel    n={size:5d} {algo_name:12s} {plat_name:12s} "
-                  f"seed={times['seed']:7.3f}s fresh={times['fresh']:7.3f}s "
-                  f"incremental={times['incremental']:7.3f}s"
-                  f" speedup={speedup:5.2f}x")
-            rows.append({
-                "n": size, "algorithm": algo_name, "platform": plat_name,
-                "seed_s": times["seed"], "fresh_s": times["fresh"],
-                "incremental_s": times["incremental"],
-                "speedup_seed_over_incremental": speedup,
-            })
-    return rows
 
 
 def bench_selection(size: int) -> list[dict]:
@@ -308,10 +193,10 @@ def bench_sweep(jobs: int, n_graphs: int, size: int, n_alphas: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="engine benchmarks (kernel / selection / sweep); "
+        description="engine benchmarks (selection / hetero / sweep); "
                     "emits BENCH_scaling.json")
     parser.add_argument("sizes", nargs="*", type=int, default=None,
-                        help="graph sizes for the kernel/selection benches "
+                        help="graph sizes for the selection/hetero benches "
                              "(default: 500 1000 2000)")
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="also run the sweep bench sharded over N "
@@ -324,7 +209,6 @@ def main(argv=None) -> int:
                         help="tasks per graph in the sweep bench")
     parser.add_argument("--sweep-alphas", type=int, default=8,
                         help="alpha grid points in the sweep bench")
-    parser.add_argument("--skip-kernel", action="store_true")
     parser.add_argument("--skip-selection", action="store_true")
     parser.add_argument("--hetero", action="store_true",
                         help="also run the heterogeneous (per-processor "
@@ -337,17 +221,13 @@ def main(argv=None) -> int:
 
     report = {
         "bench": "scaling",
-        "schema_version": 3,
+        "schema_version": 4,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "machine": platform_mod.platform(),
         "cpu_count": os.cpu_count(),
         "sizes": sizes,
     }
-    if not args.skip_kernel:
-        print("incremental EST kernel vs seed implementation "
-              "(identical schedules asserted)")
-        report["kernel"] = [row for n in sizes for row in bench_kernel(n)]
     if not args.skip_selection:
         print("lazy candidate selection vs naive rescan "
               "(identical schedules asserted)")

@@ -116,6 +116,18 @@ def _as_index(memory: Union[Memory, int]) -> int:
     return memory.index if isinstance(memory, Memory) else int(memory)
 
 
+def _proc_count(n) -> int:
+    """``n`` as an ``int``: a non-integral count is an error, never
+    truncated."""
+    try:
+        count = int(n)
+    except (OverflowError, ValueError):  # inf, nan
+        count = None
+    if count != n:
+        raise ValueError(f"processor counts must be integers, got {n!r}")
+    return count
+
+
 class Platform:
     """Processor counts and memory capacities, one entry per memory class.
 
@@ -145,7 +157,7 @@ class Platform:
                  mem_red: float = math.inf,
                  speeds: Optional[Sequence[float]] = None) -> None:
         if isinstance(n_blue, (list, tuple)):
-            counts = tuple(int(n) for n in n_blue)
+            counts = tuple(map(_proc_count, n_blue))
             if n_red is None:
                 caps = tuple(math.inf for _ in counts)
             else:
@@ -154,7 +166,8 @@ class Platform:
                                     "needs a capacity sequence")
                 caps = tuple(float(c) for c in n_red)
         else:
-            counts = (int(n_blue), 1 if n_red is None else int(n_red))
+            counts = (_proc_count(n_blue),
+                      1 if n_red is None else _proc_count(n_red))
             caps = (float(mem_blue), float(mem_red))
         if not counts:
             raise ValueError("platform needs at least one memory class")
@@ -164,8 +177,9 @@ class Platform:
             raise ValueError("processor counts must be non-negative")
         if sum(counts) == 0:
             raise ValueError("platform needs at least one processor")
-        if any(c < 0 for c in caps):
-            raise ValueError("memory capacities must be non-negative")
+        if any(not c >= 0 for c in caps):
+            raise ValueError(
+                f"memory capacities must be non-negative, got {list(caps)}")
         object.__setattr__(self, "proc_counts", counts)
         object.__setattr__(self, "capacities", caps)
         ranges, start = [], 0

@@ -129,7 +129,7 @@ def platform_from_dict(data: dict) -> Platform:
         speeds = [float(s) for s in speeds]
     if "proc_counts" in data:
         return Platform(
-            [int(n) for n in data["proc_counts"]],
+            list(data["proc_counts"]),
             [_cap_in(c) for c in data.get("capacities",
                                           [None] * len(data["proc_counts"]))],
             speeds=speeds,

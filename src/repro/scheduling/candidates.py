@@ -52,10 +52,8 @@ distinguish three cases:
 A commit therefore invalidates a candidate's class only when it touched
 that class's *finite* memory profile — commits in unrelated regions of the
 DAG (or any commit at all on unbounded classes) cost at most an O(1)
-resource refresh, replacing the former coarse rule that re-evaluated every
-candidate of every touched class.  ``dag_scoped=False`` keeps the coarse
-rule for A/B benchmarks; :class:`SelectorStats` counts the three outcomes
-either way.
+resource refresh rather than a re-evaluation of every candidate of every
+touched class.  :class:`SelectorStats` counts the three outcomes.
 
 Selection pops candidates in lower-bound order, re-evaluates each exactly
 (through the incremental kernel, which serves untouched classes from its
@@ -95,7 +93,8 @@ Task = Hashable
 
 class SelectorStats:
     """Per-(candidate, class) outcome counters of the scoped invalidation
-    (diagnostics; the invalidation benchmark reads them)."""
+    (diagnostics: ``repro.obs`` records them and the scoped-invalidation
+    tests pin them)."""
 
     __slots__ = ("n_full_evals", "n_refreshes", "n_reused")
 
@@ -195,7 +194,7 @@ def _refresh_breakdown(state: SchedulerState, bd: ESTBreakdown,
 
 def _update_entries(state: SchedulerState, entries: list[_Entry],
                     stamp: tuple, stats: SelectorStats,
-                    dag_scoped: bool, inf_cap: tuple) -> None:
+                    inf_cap: tuple) -> None:
     """Bring every entry's per-class breakdown cache up to ``stamp``,
     classifying each (entry, class) pair as reuse / refresh / full."""
     memories = state.memories
@@ -211,8 +210,7 @@ def _update_entries(state: SchedulerState, entries: list[_Entry],
             if old == comp:
                 stats.n_reused += 1
                 continue
-            if (dag_scoped and old is not None
-                    and (old[0] == serial or inf_cap[ci])):
+            if old is not None and (old[0] == serial or inf_cap[ci]):
                 e.bds[ci] = _refresh_breakdown(state, e.bds[ci], memory)
                 stats.n_refreshes += 1
             else:
@@ -314,16 +312,12 @@ class MinEFTSelector:
     best-class EFT survives the naive scan's EPS-chain, bit-identically.
 
     ``order`` maps each task to its stable tie-break index (the topological
-    position the naive scan sorts by).  ``dag_scoped=False`` reverts to the
-    coarse invalidation rule (every touched class fully re-evaluated) for
-    A/B comparisons.
+    position the naive scan sorts by).
     """
 
-    def __init__(self, state: SchedulerState, order: dict[Task, int],
-                 dag_scoped: bool = True) -> None:
+    def __init__(self, state: SchedulerState, order: dict[Task, int]) -> None:
         self.state = state
         self.order = order
-        self.dag_scoped = dag_scoped
         self.stats = SelectorStats()
         self._inf_cap = tuple(math.isinf(c)
                               for c in state.platform.capacities)
@@ -376,7 +370,7 @@ class MinEFTSelector:
             heappop(heap)
             if entry.stamps != stamp:
                 _update_entries(state, [entry], stamp, self.stats,
-                                self.dag_scoped, self._inf_cap)
+                                self._inf_cap)
                 bd = _best_of(entry)
                 entry.breakdown = bd
                 entry.value = bd.eft if bd is not None else math.inf
@@ -471,11 +465,9 @@ class SufferageSelector:
     pass (the key embeds the stable task index, so iteration order cannot
     leak into the result)."""
 
-    def __init__(self, state: SchedulerState, order: dict[Task, int],
-                 dag_scoped: bool = True) -> None:
+    def __init__(self, state: SchedulerState, order: dict[Task, int]) -> None:
         self.state = state
         self.order = order
-        self.dag_scoped = dag_scoped
         self.stats = SelectorStats()
         self._inf_cap = tuple(math.isinf(c)
                               for c in state.platform.capacities)
@@ -512,8 +504,7 @@ class SufferageSelector:
         stamp = _state_stamp(state, state.class_resources())
         stale = [e for e in self._live.values() if e.stamps != stamp]
         if stale:
-            _update_entries(state, stale, stamp, self.stats,
-                            self.dag_scoped, self._inf_cap)
+            _update_entries(state, stale, stamp, self.stats, self._inf_cap)
             for entry in stale:
                 self._rebuild_key(entry)
                 entry.stamps = stamp

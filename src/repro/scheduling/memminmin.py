@@ -26,21 +26,18 @@ from .state import SchedulerState
 
 
 def memminmin(graph: TaskGraph, platform: Platform, *,
-              comm_policy: str = "late", lazy: bool = True,
-              dag_scoped: bool = True) -> Schedule:
+              comm_policy: str = "late", lazy: bool = True) -> Schedule:
     """Schedule ``graph`` on ``platform`` with MemMinMin.
 
     ``comm_policy``: ``"late"`` (paper) or ``"eager"`` (ablation).
     ``lazy``: serve the per-step argmin from the lazy candidate heap
     (default) or rescan every available task (the reference path).
-    ``dag_scoped=False`` reverts the selector to coarse per-class
-    invalidation (A/B benchmarks).
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
     # Stable task indices make the (unspecified) tie-break deterministic.
     index = {t: k for k, t in enumerate(graph.topological_order())}
     if lazy:
-        selector = MinEFTSelector(state, index, dag_scoped=dag_scoped)
+        selector = MinEFTSelector(state, index)
     else:
         selector = ScanSelector(state, index, min_eft)
     return run(state, lambda: selector, "memminmin", lambda left: (

@@ -54,9 +54,8 @@ The arithmetic itself lives in :mod:`repro.scheduling.kernel`.  The
 state holds the data layout the kernel reads — the
 :class:`~repro.core.graph.FlatGraph` CSR adjacency, per-row finish/class
 arrays and the ``(task, class)`` fit memo — and every cached component is
-bit-for-bit identical to a fresh evaluation (``incremental=False`` keeps
-the from-scratch path for cross-checking and benchmarks), so the
-heuristics take decision-for-decision identical schedules in both modes.
+bit-for-bit identical to a from-scratch evaluation (the test suite keeps
+such an oracle kernel and substitutes it through ``state.kernel``).
 
 On commit the state performs the §3.2 memory bookkeeping:
 
@@ -88,11 +87,7 @@ from ..obs.metrics import SIZE_BUCKETS
 from ..core.memory_profile import MemoryProfile
 from ..core.platform import Memory, Platform
 from ..core.schedule import CommEvent, Placement, Schedule
-from .kernel import (  # noqa: F401  (ESTBreakdown re-exported)
-    ESTBreakdown,
-    infeasible_breakdown,
-    resolve_backend,
-)
+from .kernel import ESTBreakdown, resolve_backend
 
 Task = Hashable
 
@@ -185,13 +180,11 @@ class SchedulerState:
 
     ``graph`` is a :class:`TaskGraph` or directly a
     :class:`~repro.core.graph.FlatGraph` (an online planning round builds
-    its union as one).  Everything but the from-scratch
-    ``incremental=False`` reference path, which walks a ``TaskGraph``,
-    reads only the flat arrays.
+    its union as one); the state reads only the flat arrays.
     """
 
     def __init__(self, graph: "TaskGraph | FlatGraph", platform: Platform,
-                 comm_policy: str = "late", incremental: bool = True) -> None:
+                 comm_policy: str = "late") -> None:
         if comm_policy not in ("late", "eager"):
             raise ValueError(f"comm_policy must be 'late' or 'eager', got {comm_policy!r}")
         if graph.n_classes != platform.n_classes:
@@ -201,7 +194,6 @@ class SchedulerState:
         self.graph = graph
         self.platform = platform
         self.comm_policy = comm_policy
-        self.incremental = incremental
         self.kernel = resolve_backend()
         self.memories = platform.memories()
         # Per class: True when all its processors share one speed (the
@@ -290,9 +282,6 @@ class SchedulerState:
     # ------------------------------------------------------------------
     # EST computation (§5.1) — arithmetic in repro.scheduling.kernel
     # ------------------------------------------------------------------
-    def _infeasible(self, task: Task, memory: Memory) -> ESTBreakdown:
-        return infeasible_breakdown(task, memory)
-
     def _finish_choice(self, memory: Memory, floor: float,
                        w: float) -> tuple[int, float, float]:
         """Per-processor finish-time minimisation for a *heterogeneous*
@@ -384,8 +373,6 @@ class SchedulerState:
     def est(self, task: Task, memory: Memory) -> ESTBreakdown:
         """EST/EFT breakdown of ``task`` on ``memory`` given the partial
         schedule.  Infeasible candidates get ``est = eft = inf``."""
-        if not self.incremental:
-            return self.kernel.evaluate_fresh(self, task, memory)
         return self.kernel.evaluate(self, task, memory)
 
     def class_resources(self) -> list[float]:
@@ -613,7 +600,6 @@ class SchedulerState:
         clone.graph = self.graph
         clone.platform = self.platform
         clone.comm_policy = self.comm_policy
-        clone.incremental = self.incremental
         clone.kernel = self.kernel
         clone.memories = self.memories
         clone._uniform = self._uniform

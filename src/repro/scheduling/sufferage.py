@@ -28,8 +28,7 @@ from .state import SchedulerState
 
 
 def memsufferage(graph: TaskGraph, platform: Platform, *,
-                 comm_policy: str = "late", lazy: bool = True,
-                 dag_scoped: bool = True) -> Schedule:
+                 comm_policy: str = "late", lazy: bool = True) -> Schedule:
     """Schedule ``graph`` with the memory-aware Sufferage heuristic.
 
     ``lazy`` (default) serves the per-step arg-max-sufferage from the
@@ -42,16 +41,13 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     the one loop of :mod:`repro.scheduling.driver` and commit identical
     schedules.
 
-    ``dag_scoped=False`` reverts the selector to coarse per-class
-    invalidation (A/B benchmarks).
-
     Raises :class:`InfeasibleScheduleError` when no available task fits
     within the memory bounds (same contract as Algorithms 1-2).
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
     index = {t: k for k, t in enumerate(graph.topological_order())}
     if lazy:
-        selector = SufferageSelector(state, index, dag_scoped=dag_scoped)
+        selector = SufferageSelector(state, index)
     else:
         selector = ScanSelector(state, index, max_sufferage)
     return run(state, lambda: selector, "memsufferage", lambda left: (

@@ -771,6 +771,9 @@ class ServiceApp:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(400, "bad_request",
                                f"invalid JSON body: {exc}") from exc
+        except RecursionError as exc:
+            raise ServiceError(400, "bad_request",
+                               "JSON body nested too deeply") from exc
 
     # ------------------------------------------------------------------
     # endpoints

@@ -92,6 +92,27 @@ class TestPlatformValidation:
         with pytest.raises(ValueError):
             Platform(1, 1, mem_blue=-1)
 
+    @pytest.mark.parametrize("args", [
+        (1, 1, math.nan, 500.0),
+        (1, 1, 500.0, math.nan),
+        ([1, 1, 1], [10.0, math.nan, math.inf]),
+    ])
+    def test_nan_capacity_rejected(self, args):
+        with pytest.raises(ValueError, match="capacities"):
+            Platform(*args)
+
+    @pytest.mark.parametrize("args", [
+        (1.5, 1), (1, 0.5), ([2, 1.5], [10.0, 10.0]),
+        (math.nan, 1), (math.inf, 1), ("1", 1),
+    ])
+    def test_non_integral_count_rejected(self, args):
+        with pytest.raises(ValueError, match="processor counts"):
+            Platform(*args)
+
+    def test_integral_float_count_accepted(self):
+        assert Platform(2.0, 1.0) == Platform(2, 1)
+        assert Platform([2.0, 1], [5.0, 5.0]).proc_counts == (2, 1)
+
     def test_frozen(self):
         p = Platform(1, 1)
         with pytest.raises(AttributeError):

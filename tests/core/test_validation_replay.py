@@ -64,8 +64,9 @@ def instances(draw):
     fractions = [draw(st.sampled_from((0.6, 0.8, 1.0, math.inf)))
                  for _ in range(k)]
     peaks = heft(graph, Platform(procs, speeds=speeds)).meta["peaks"]
-    return graph, Platform(procs, [f * p for f, p in zip(fractions, peaks)],
-                           speeds=speeds)
+    # inf * 0.0 is NaN, which Platform rejects: an inf fraction is inf.
+    caps = [f if math.isinf(f) else f * p for f, p in zip(fractions, peaks)]
+    return graph, Platform(procs, caps, speeds=speeds)
 
 
 @settings(max_examples=120, deadline=None)

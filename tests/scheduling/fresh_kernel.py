@@ -1,0 +1,57 @@
+"""The from-scratch EST oracle the kernel tests compare against.
+
+:class:`FreshKernel` recomputes every (task, memory) breakdown from the
+``TaskGraph`` parent lists and the live staircases — no precedence cache,
+no ``earliest_fit`` memo, and it always queries both fits.  Tests reach it
+the way the library reaches its own kernel: assign it to ``state.kernel``
+or patch ``repro.scheduling.state.resolve_backend``.
+"""
+
+import math
+
+from repro.scheduling.kernel import (
+    ESTBreakdown,
+    ScalarKernel,
+    infeasible_breakdown,
+)
+
+
+class FreshKernel(ScalarKernel):
+    """§5.1 EST/EFT breakdowns recomputed from scratch on every call."""
+
+    name = "fresh"
+
+    def evaluate(self, state, task, memory) -> ESTBreakdown:
+        if not state.is_ready(task) or state.platform.n_procs_of(memory) == 0:
+            return infeasible_breakdown(task, memory)
+
+        graph = state.graph
+        precedence = 0.0
+        cmax = 0.0
+        cross_in = 0.0
+        for parent in graph.parents(task):
+            pp = state.schedule.placement(parent)
+            if pp.memory is memory:
+                precedence = max(precedence, pp.finish)
+            else:
+                c = graph.comm(parent, task)
+                precedence = max(precedence, pp.finish + c)
+                cmax = max(cmax, c)
+                cross_in += graph.size(parent, task)
+
+        need_task = cross_in + graph.out_size(task)
+        task_mem = state.mem[memory].earliest_fit(need_task)
+
+        comm_fit = 0.0
+        if cross_in > 0.0 or cmax > 0.0:
+            comm_fit = state.mem[memory].earliest_fit(cross_in)
+            comm_mem = comm_fit + cmax
+        else:
+            comm_mem = 0.0
+
+        resource, est, duration, proc = state._resource_choice(
+            memory, precedence, task_mem, comm_mem, graph.w(task, memory))
+        eft = est + duration if math.isfinite(est) else math.inf
+        return ESTBreakdown(task, memory, resource, precedence, task_mem,
+                            comm_mem, cmax, est, eft, comm_fit,
+                            duration, proc)

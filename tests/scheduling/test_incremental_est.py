@@ -1,6 +1,7 @@
 """The incremental EST kernel must be observationally identical to the
-from-scratch evaluation — every cached breakdown equals a fresh one, on
-every candidate, after every commit, across randomized daggen graphs."""
+from-scratch evaluation (:class:`FreshKernel`) — every cached breakdown
+equals a fresh one, on every candidate, after every commit, across
+randomized daggen graphs."""
 
 import math
 
@@ -12,6 +13,8 @@ from repro import Platform, heft
 from repro.core.memory_profile import MemoryProfile
 from repro.dags import random_dag
 from repro.scheduling.state import SchedulerState
+
+from .fresh_kernel import FreshKernel
 
 
 def _assert_breakdowns_equal(a, b):
@@ -26,8 +29,9 @@ def _assert_breakdowns_equal(a, b):
 def _lockstep_run(graph, platform):
     """Drive cached and fresh states through the same decisions, comparing
     every candidate's full breakdown at every step."""
-    inc = SchedulerState(graph, platform, incremental=True)
-    ref = SchedulerState(graph, platform, incremental=False)
+    inc = SchedulerState(graph, platform)
+    ref = SchedulerState(graph, platform)
+    ref.kernel = FreshKernel()
     memories = platform.memories()
     available = set(graph.roots())
     while available:

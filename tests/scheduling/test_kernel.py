@@ -1,9 +1,9 @@
-"""The scalar EST kernel: its batch entry points agree with the
-single-candidate path and with the from-scratch reference
-(``evaluate_fresh``) at every step of a real run, exact EPS ties resolve
-the way the §5.1 chains say, the ``earliest_fit`` memo follows the
-profile versions, and whole heuristic runs are byte-identical whether the
-kernel serves candidates from its caches or recomputes them."""
+"""The scalar EST kernel: ``evaluate`` agrees with the from-scratch
+reference (:class:`FreshKernel`) at every step of a real run, exact EPS
+ties resolve the way the §5.1 chains say, the ``earliest_fit`` memo
+follows the profile versions, and whole heuristic runs are byte-identical
+whether the kernel serves candidates from its caches or recomputes
+them."""
 
 import math
 import random
@@ -27,6 +27,8 @@ from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
+from .fresh_kernel import FreshKernel
+
 HEURISTICS = (memheft, memminmin, memsufferage)
 
 PLATFORMS = [
@@ -37,13 +39,6 @@ PLATFORMS = [
     pytest.param(Platform([1, 1, 1], [60.0, math.inf, 40.0]),
                  id="three-class"),
 ]
-
-
-class _FreshKernel(ScalarKernel):
-    """Serves every candidate through the from-scratch reference path: no
-    precedence cache, no ``earliest_fit`` memo."""
-
-    evaluate = ScalarKernel.evaluate_fresh
 
 
 def _snap(schedule, graph):
@@ -123,7 +118,7 @@ class TestBreakdowns:
         kernel = resolve_backend()
         for memory in state.memories:
             assert not kernel.evaluate(state, blocked, memory).feasible
-            assert not kernel.evaluate_fresh(state, blocked, memory).feasible
+            assert not FreshKernel().evaluate(state, blocked, memory).feasible
 
     def test_class_without_processors_is_infeasible(self):
         graph = random_dag(size=6, rng=2)
@@ -133,17 +128,16 @@ class TestBreakdowns:
         kernel = resolve_backend()
         assert kernel.evaluate(state, root, red) == \
             infeasible_breakdown(root, red)
-        assert kernel.evaluate_fresh(state, root, red) == \
+        assert FreshKernel().evaluate(state, root, red) == \
             infeasible_breakdown(root, red)
         assert state.best_est(root).memory.index == 0
 
-    def test_best_est_batch_none_when_nothing_fits(self):
+    def test_best_est_none_when_nothing_fits(self):
         g = TaskGraph("big")
         g.add_task("a", w_blue=1.0, w_red=1.0)
         g.add_task("b", w_blue=1.0, w_red=1.0)
         g.add_dependency("a", "b", size=5.0, comm=1.0)
         state = SchedulerState(g, Platform(1, 1, 2.0, 2.0))
-        assert resolve_backend().best_est_batch(state, ["a"]) == [None]
         assert state.best_est("a") is None
 
     def test_breakdown_is_a_plain_tuple(self):
@@ -154,51 +148,40 @@ class TestBreakdowns:
         assert bd._replace(eft=6.0).eft == 6.0
 
 
-class TestBatchParity:
-    """The batch entry points return, at every step of a real run, the
-    same breakdowns as the single-candidate path and as the from-scratch
-    reference."""
-
-    @pytest.mark.parametrize("platform", PLATFORMS)
-    def test_batch_equals_scalar_along_a_run(self, platform):
-        kernel = resolve_backend()
-        state = SchedulerState(_graph_for(platform), platform)
-        for ready in _walk(state):
-            for memory in state.memories:
-                batch = kernel.evaluate_class_batch(state, ready, memory)
-                assert batch == [kernel.evaluate(state, t, memory)
-                                 for t in ready]
-            assert kernel.best_est_batch(state, ready) == \
-                [state.best_est(t) for t in ready]
+class TestFreshParity:
+    """``evaluate`` returns, at every step of a real run, the same
+    breakdowns as the from-scratch reference, and its ``earliest_fit``
+    memo follows the profile versions."""
 
     @pytest.mark.parametrize("comm_policy", ["late", "eager"])
     @pytest.mark.parametrize("platform", PLATFORMS)
-    def test_batch_equals_fresh_along_a_run(self, platform, comm_policy):
+    def test_evaluate_equals_fresh_along_a_run(self, platform, comm_policy):
         kernel = resolve_backend()
+        fresh = FreshKernel()
         state = SchedulerState(_graph_for(platform), platform,
                                comm_policy=comm_policy)
         steps = 0
         for ready in _walk(state):
             for memory in state.memories:
-                assert kernel.evaluate_class_batch(state, ready, memory) == \
-                    [kernel.evaluate_fresh(state, t, memory) for t in ready]
+                assert [kernel.evaluate(state, t, memory) for t in ready] == \
+                    [fresh.evaluate(state, t, memory) for t in ready]
             steps += 1
         assert steps > 1
 
-    def test_batch_fit_memo_coherent_with_scalar(self):
-        """Batched earliest_fit results land in the shared (task, class)
-        memo, so a later scalar evaluation reuses them verbatim."""
+    def test_fit_memo_filled_per_version(self):
+        """Evaluations land in the shared (task, class) memo under the
+        profile's current version, and repeat evaluations reuse them."""
         graph = random_dag(size=30, rng=5)
         state = SchedulerState(graph, Platform(2, 2, 100.0, 100.0))
         kernel = resolve_backend()
         ready = list(state.ready_roots())
         memory = state.memories[0]
-        batched = kernel.evaluate_class_batch(state, ready, memory)
+        first = [kernel.evaluate(state, t, memory) for t in ready]
         slot = state._fit[memory.index]
         assert slot[0] == state.mem[memory].version
         for task in ready:
             assert task in slot[1]
-        assert batched == [kernel.evaluate(state, t, memory) for t in ready]
+        assert first == [kernel.evaluate(state, t, memory) for t in ready]
 
     def test_fit_memo_dropped_when_the_profile_moves(self):
         graph = random_dag(size=30, rng=5)
@@ -206,21 +189,22 @@ class TestBatchParity:
         kernel = resolve_backend()
         ready = list(state.ready_roots())
         blue = state.memories[0]
-        kernel.evaluate_class_batch(state, ready, blue)
+        for task in ready:
+            kernel.evaluate(state, task, blue)
         state.commit(kernel.evaluate(state, ready[0], blue))
         slot = state._fit[blue.index]
         assert ready[0] not in slot[1]
         stale_version = slot[0]
         assert stale_version != state.mem[blue].version
         rest = ready[1:]
-        again = kernel.evaluate_class_batch(state, rest, blue)
+        again = [kernel.evaluate(state, t, blue) for t in rest]
         assert slot[0] == state.mem[blue].version
-        assert again == [kernel.evaluate_fresh(state, t, blue) for t in rest]
+        assert again == [FreshKernel().evaluate(state, t, blue) for t in rest]
 
 
 class TestTieChains:
     """Engineered exact ties resolve to the operand the reference chains
-    name, on the single-candidate path and on the batch path alike."""
+    name."""
 
     @pytest.mark.parametrize("speed, avail", [(2.0, 2.0), (4.0, 3.0)],
                              ids=["x2", "x4"])
@@ -237,22 +221,16 @@ class TestTieChains:
         bd = kernel.evaluate(state, "a", memory)
         assert bd.proc == 1
         assert bd.eft == 4.0
-        assert kernel.evaluate_class_batch(state, ["a"], memory) == [bd]
-        assert kernel.evaluate_fresh(state, "a", memory) == bd
+        assert FreshKernel().evaluate(state, "a", memory) == bd
 
-    @pytest.mark.parametrize("entry", ["best_est", "best_est_batch"])
-    def test_class_selection_eps_tie_keeps_first(self, entry):
+    def test_class_selection_eps_tie_keeps_first(self):
         # Blue and red EFTs within EPS of each other: the §5.1 chain keeps
         # the earlier class either way round.
         g = TaskGraph("tie")
         g.add_task("a", w_blue=1.0, w_red=1.0 + 1e-10)
         g.add_task("b", w_blue=2.0, w_red=2.0 - 1e-10)
         state = SchedulerState(g, Platform(1, 1, math.inf, math.inf))
-        ready = list(state.ready_roots())
-        if entry == "best_est":
-            got = [state.best_est(t) for t in ready]
-        else:
-            got = resolve_backend().best_est_batch(state, ready)
+        got = [state.best_est(t) for t in state.ready_roots()]
         assert all(bd.memory.index == 0 for bd in got)
 
 
@@ -324,7 +302,7 @@ class TestEndToEndEquivalence:
 
     @staticmethod
     def _fresh(monkeypatch):
-        monkeypatch.setattr(state_mod, "resolve_backend", _FreshKernel)
+        monkeypatch.setattr(state_mod, "resolve_backend", FreshKernel)
 
     @pytest.mark.parametrize("fn", HEURISTICS, ids=lambda f: f.__name__)
     def test_three_class_runs_match_fresh(self, fn, monkeypatch):
@@ -378,7 +356,7 @@ def test_cached_kernel_equals_fresh_fuzzed(size, seed, alpha, procs,
     ref_peak = max(base.meta["peak_blue"], base.meta["peak_red"]) or 1.0
     caps = alpha * ref_peak
     platform = Platform(procs[0], procs[1], caps, caps, speeds=speeds)
-    fresh = _FreshKernel()
+    fresh = FreshKernel()
     for fn in HEURISTICS:
         try:
             cached = fn(graph, platform)
@@ -427,7 +405,7 @@ def test_incremental_evaluate_lockstep_with_fresh(seed, n, k, alpha,
                                                   comm_policy, hetero):
     """At every step of a min-EFT run under tight memory bounds, the
     incremental ``evaluate`` (memo misses, then memo hits) equals the
-    from-scratch ``evaluate_fresh``.  ``evaluate`` skips the cross-input
+    from-scratch :class:`FreshKernel`.  ``evaluate`` skips the cross-input
     fit when the task fit is zero; the fresh path always queries it, so a
     wrong skip shows up as a differing ``comm_fit``/``comm_mem``/EST."""
     rng = random.Random(seed)
@@ -441,13 +419,14 @@ def test_incremental_evaluate_lockstep_with_fresh(seed, n, k, alpha,
     state = SchedulerState(graph, Platform(counts, caps, speeds=speeds),
                            comm_policy=comm_policy)
     kernel = resolve_backend()
+    fresh = FreshKernel()
     ready = list(state.ready_roots())
     while ready:
         best = None
         for task in ready:
             for memory in state.memories:
                 got = kernel.evaluate(state, task, memory)
-                assert got == kernel.evaluate_fresh(state, task, memory)
+                assert got == fresh.evaluate(state, task, memory)
                 assert kernel.evaluate(state, task, memory) == got
                 if got.feasible and (best is None or got.eft < best.eft):
                     best = got

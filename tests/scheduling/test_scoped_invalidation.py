@@ -1,7 +1,8 @@
 """DAG-scoped candidate invalidation must be invisible in the schedules
-(bit-identical to the coarse per-class rule and the naive rescan) while
-measurably cutting full kernel re-evaluations, and the commit-side cache
-eviction must keep the EST memos bounded to the live candidate set."""
+(bit-identical to the naive rescan) while keeping full kernel
+re-evaluations to the profile mutations that demand them, and the
+commit-side cache eviction must keep the EST memos bounded to the live
+candidate set."""
 
 import math
 
@@ -9,108 +10,106 @@ import pytest
 
 from repro import Platform
 from repro.dags import random_dag
-from repro.scheduling.candidates import MinEFTSelector, SufferageSelector
+from repro.scheduling.candidates import (
+    MinEFTSelector,
+    ScanSelector,
+    SufferageSelector,
+    max_sufferage,
+    min_eft,
+)
+from repro.scheduling.driver import drive
 from repro.scheduling.memminmin import memminmin
-from repro.scheduling.state import SchedulerState
+from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
 SELECTORS = (MinEFTSelector, SufferageSelector)
 
+#: Each lazy selector and the scan rule it must reproduce.
+PAIRS = [pytest.param(MinEFTSelector, min_eft, id="MinEFTSelector"),
+         pytest.param(SufferageSelector, max_sufferage,
+                      id="SufferageSelector")]
 
-def _drive(graph, platform, selector_cls, *, dag_scoped):
-    """Run the generic selector loop to completion (or infeasibility)."""
+
+def _drive(graph, platform, make_selector):
+    """Run :func:`~repro.scheduling.driver.drive` to completion (or
+    infeasibility); return the placements committed so far and the
+    selector."""
     state = SchedulerState(graph, platform)
     index = {t: k for k, t in enumerate(graph.topological_order())}
-    selector = selector_cls(state, index, dag_scoped=dag_scoped)
+    selector = make_selector(state, index)
     for task in graph.roots():
         selector.push(task)
-    while len(selector):
-        best = selector.select()
-        if best is None:
-            break
-        state.commit(best)
-        selector.remove(best.task)
-        for task in state.pop_newly_ready():
-            selector.push(task)
+    try:
+        drive(state, selector, graph.n_tasks, str)
+    except InfeasibleScheduleError:
+        pass
     snap = {t: (p.proc, p.memory.index, p.start, p.finish)
             for t in graph.tasks() if state.is_scheduled(t)
             for p in (state.schedule.placement(t),)}
-    return snap, selector.stats
+    return snap, selector
 
 
-class TestScopedEqualsCoarse:
-    @pytest.mark.parametrize("selector_cls", SELECTORS,
-                             ids=lambda c: c.__name__)
+def _scan(rule):
+    return lambda state, index: ScanSelector(state, index, rule)
+
+
+class TestScopedEqualsScan:
+    @pytest.mark.parametrize("selector_cls, rule", PAIRS)
     @pytest.mark.parametrize("seed", range(3))
-    def test_identical_schedules_across_bounds(self, selector_cls, seed):
+    def test_identical_schedules_across_bounds(self, selector_cls, rule,
+                                               seed):
         graph = random_dag(size=60, width=0.6, rng=seed)
         for platform in (Platform(2, 2),
                          Platform(2, 2, 300.0, 300.0),
                          Platform(2, 2, 90.0, 90.0),
                          Platform(1, 2, 60.0, 60.0)):
-            scoped, _ = _drive(graph, platform, selector_cls,
-                               dag_scoped=True)
-            coarse, _ = _drive(graph, platform, selector_cls,
-                               dag_scoped=False)
-            assert scoped == coarse
+            scoped, _ = _drive(graph, platform, selector_cls)
+            scan, _ = _drive(graph, platform, _scan(rule))
+            assert scoped == scan
 
-    @pytest.mark.parametrize("selector_cls", SELECTORS,
-                             ids=lambda c: c.__name__)
-    def test_identical_on_heterogeneous_platform(self, selector_cls):
+    @pytest.mark.parametrize("selector_cls, rule", PAIRS)
+    def test_identical_on_heterogeneous_platform(self, selector_cls, rule):
         graph = random_dag(size=40, rng=4)
         platform = Platform(2, 2, 200.0, 200.0,
                             speeds=[1.0, 2.0, 0.5, 1.0])
-        scoped, _ = _drive(graph, platform, selector_cls, dag_scoped=True)
-        coarse, _ = _drive(graph, platform, selector_cls, dag_scoped=False)
-        assert scoped == coarse
+        scoped, _ = _drive(graph, platform, selector_cls)
+        scan, _ = _drive(graph, platform, _scan(rule))
+        assert scoped == scan
 
     @pytest.mark.parametrize("fn", (memminmin, memsufferage),
                              ids=lambda f: f.__name__)
     def test_driver_kwarg_matches_naive(self, fn):
         graph = random_dag(size=30, rng=6)
         platform = Platform(2, 1, 150.0, 150.0)
-        lazy = fn(graph, platform, lazy=True, dag_scoped=True)
-        coarse = fn(graph, platform, lazy=True, dag_scoped=False)
+        lazy = fn(graph, platform, lazy=True)
         naive = fn(graph, platform, lazy=False)
         for t in graph.tasks():
-            a, b, c = (s.placement(t) for s in (lazy, coarse, naive))
+            a, b = (s.placement(t) for s in (lazy, naive))
             assert (a.proc, a.memory, a.start, a.finish) \
-                == (b.proc, b.memory, b.start, b.finish) \
-                == (c.proc, c.memory, c.start, c.finish)
+                == (b.proc, b.memory, b.start, b.finish)
 
 
 class TestReEvaluationReduction:
-    def test_unbounded_wide_dag_cuts_full_evals_2x(self):
-        """The acceptance bound: on wide DAGs with untouched (unbounded)
-        profiles, scoped invalidation does >= 2x fewer full kernel
-        evaluations than the coarse per-class rule — commits only move
-        processor avail, which is an O(1) refresh, never a re-evaluation."""
-        graph = random_dag(size=150, width=0.8, rng=1)
+    @pytest.mark.parametrize("selector_cls", SELECTORS,
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("size, seed", [(150, 1), (80, 2)])
+    def test_unbounded_full_evals_is_one_per_task_class(self, selector_cls,
+                                                        size, seed):
+        """On wide DAGs with untouched (unbounded) profiles, commits only
+        move processor avail: each (candidate, class) pair takes exactly
+        one full kernel evaluation (on push), and everything after is an
+        O(1) refresh or a reuse."""
+        graph = random_dag(size=size, width=0.8, rng=seed)
         platform = Platform(2, 2)
-        for selector_cls in SELECTORS:
-            _, scoped = _drive(graph, platform, selector_cls,
-                               dag_scoped=True)
-            _, coarse = _drive(graph, platform, selector_cls,
-                               dag_scoped=False)
-            assert scoped.n_full_evals * 2 <= coarse.n_full_evals, \
-                selector_cls.__name__
-            assert scoped.n_refreshes > 0
-            # Scoped never does *more* work than coarse re-evaluation.
-            assert scoped.n_full_evals <= coarse.n_full_evals
-
-    def test_unbounded_full_evals_is_one_per_task_class(self):
-        """With unbounded profiles every candidate needs exactly one full
-        evaluation per class (on push); everything after is refresh/reuse."""
-        graph = random_dag(size=80, width=0.8, rng=2)
-        _, stats = _drive(graph, Platform(2, 2), MinEFTSelector,
-                          dag_scoped=True)
-        assert stats.n_full_evals == graph.n_tasks * 2
+        _, selector = _drive(graph, platform, selector_cls)
+        stats = selector.stats
+        assert stats.n_full_evals == graph.n_tasks * platform.n_classes
+        assert stats.n_refreshes > 0
 
     def test_stats_dict_roundtrip(self):
         graph = random_dag(size=20, rng=0)
-        _, stats = _drive(graph, Platform(1, 1), MinEFTSelector,
-                          dag_scoped=True)
-        d = stats.as_dict()
+        _, selector = _drive(graph, Platform(1, 1), MinEFTSelector)
+        d = selector.stats.as_dict()
         assert set(d) == {"n_full_evals", "n_refreshes", "n_reused"}
         assert all(v >= 0 for v in d.values())
 

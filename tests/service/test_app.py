@@ -129,6 +129,16 @@ class TestErrorPaths:
         assert status == 400
         assert json.loads(out)["error"]["type"] == err_type
 
+    @pytest.mark.parametrize("path", ["/schedule", "/batch", "/cells",
+                                      "/jobs"])
+    def test_deeply_nested_body_is_400(self, path):
+        body = b"[" * 100_000 + b"]" * 100_000
+        status, _, out = ServiceApp().handle("POST", path, body)
+        assert status == 400
+        error = json.loads(out)["error"]
+        assert error["type"] == "bad_request"
+        assert error["message"] == "JSON body nested too deeply"
+
     def test_unknown_algorithm(self):
         status, _, out = post(ServiceApp(), "/schedule",
                               schedule_req(algorithm="quantum"))
@@ -288,6 +298,20 @@ class TestRobustness:
         status, _, out = post(app, "/schedule", req)
         assert status == 400
         assert json.loads(out)["error"]["type"] == "bad_request"
+
+    @pytest.mark.parametrize("platform", [
+        {"n_blue": 1, "n_red": 1, "mem_blue": "nan", "mem_red": 5},
+        {"n_blue": 1.5, "n_red": 1, "mem_blue": 5, "mem_red": 5},
+        {"proc_counts": [1, 1.5], "capacities": [5, 5]},
+    ], ids=["nan-capacity", "fractional-n_blue", "fractional-proc_counts"])
+    def test_malformed_platform_is_400(self, platform):
+        req = schedule_req()
+        req["platform"] = platform
+        status, _, out = post(ServiceApp(), "/schedule", req)
+        assert status == 400
+        error = json.loads(out)["error"]
+        assert error["type"] == "bad_request"
+        assert error["message"].startswith("malformed graph/platform")
 
     def test_infinity_instance_does_not_poison_batch(self):
         good = schedule_req()

@@ -41,6 +41,17 @@ class TestGenerate:
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("flags", [
+        ["--mem-blue", "nan"],
+        ["--mem-red", "nan", "--mem-blue", "5"],
+        ["--procs", "1,1", "--mems", "5,nan"],
+    ])
+    def test_nan_capacity_is_invalid(self, dex_file, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", str(dex_file), "--algo", "memheft", *flags])
+        assert str(exc.value).startswith("error: invalid ")
+        assert "capacities" in str(exc.value)
+
     def test_schedule_reports_makespan(self, dex_file, capsys):
         rc = main(["schedule", str(dex_file), "--algo", "memheft",
                    "--mem-blue", "5", "--mem-red", "5", "--gantt", "--summary"])
