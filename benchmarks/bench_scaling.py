@@ -11,14 +11,9 @@ Run as a script to benchmark the engine end to end::
     PYTHONPATH=src python benchmarks/bench_scaling.py [sizes...] \
         [--jobs N] [--json PATH] [--sweep-graphs G] [--sweep-size S]
 
-Up to three benchmark sections, each emitted into a machine-readable
+Up to two benchmark sections, each emitted into a machine-readable
 ``BENCH_scaling.json`` (schema documented in ``benchmarks/README.md``):
 
-* **selection** — the lazy candidate heaps of
-  :mod:`repro.scheduling.candidates` against the naive full-rescan
-  selection loops (``lazy=True`` vs ``lazy=False``), on the standard
-  LargeRandSet shape and on a wide variant where the available set — and
-  so the naive O(n²) rescan — is large.
 * **sweep** (with ``--jobs N``) — a Figure-12-style normalised sweep run
   serially and sharded over N worker processes; the cells are asserted
   identical and the wall-clock speedup reported.  ``cpu_count`` is
@@ -45,7 +40,6 @@ from repro.dags.daggen import random_dag
 from repro.dags.datasets import large_rand_set
 from repro.experiments.figures import RAND_PLATFORM
 from repro.experiments.sweep import default_alphas, normalized_sweep, spread_speeds
-from repro.scheduling.heft import heft
 from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.sufferage import memsufferage
@@ -77,53 +71,6 @@ def _assert_identical(schedules: dict, reference: str, graph, label: str):
         for t in graph.tasks():
             assert sched.placement(t) == ref.placement(t), \
                 f"{label}/{mode} diverged on {t!r}"
-
-
-def _bench_platforms(graph):
-    base = heft(graph, Platform(1, 1))
-    ref = max(base.meta["peak_blue"], base.meta["peak_red"])
-    return [
-        ("unbounded", Platform(1, 1)),
-        ("bounded@0.8", Platform(1, 1).with_uniform_bound(0.8 * ref)),
-    ]
-
-
-def bench_selection(size: int) -> list[dict]:
-    """Lazy candidate heaps vs naive rescan loops (identical schedules)."""
-    shapes = [
-        ("standard", dict(w_range=(1, 100), c_range=(1, 100),
-                          f_range=(1, 100))),
-        # A wide DAG keeps the available set large — the regime where the
-        # naive per-step rescan is O(n) and the heap pays off.
-        ("wide", dict(width=0.8, density=0.3, jumps=2,
-                      w_range=(1, 100), c_range=(1, 100), f_range=(1, 100))),
-    ]
-    heuristics = [("memheft", memheft), ("memminmin", memminmin),
-                  ("memsufferage", memsufferage)]
-    rows = []
-    for shape_name, kwargs in shapes:
-        graph = random_dag(size=size, rng=size, **kwargs)
-        for plat_name, platform in _bench_platforms(graph):
-            for algo_name, fn in heuristics:
-                t0 = time.perf_counter()
-                lazy = fn(graph, platform, lazy=True)
-                lazy_s = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                naive = fn(graph, platform, lazy=False)
-                naive_s = time.perf_counter() - t0
-                _assert_identical({"lazy": lazy, "naive": naive}, "lazy",
-                                  graph, algo_name)
-                speedup = naive_s / lazy_s
-                print(f"selection n={size:5d} {algo_name:12s} "
-                      f"{shape_name:8s} {plat_name:12s} "
-                      f"lazy={lazy_s:7.3f}s naive={naive_s:7.3f}s "
-                      f"speedup={speedup:5.2f}x")
-                rows.append({
-                    "n": size, "algorithm": algo_name, "graph": shape_name,
-                    "platform": plat_name, "lazy_s": lazy_s,
-                    "naive_s": naive_s, "speedup_naive_over_lazy": speedup,
-                })
-    return rows
 
 
 def bench_hetero(size: int, spreads=(0.0, 0.25, 0.5)) -> list[dict]:
@@ -193,10 +140,10 @@ def bench_sweep(jobs: int, n_graphs: int, size: int, n_alphas: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="engine benchmarks (selection / hetero / sweep); "
+        description="engine benchmarks (hetero / sweep); "
                     "emits BENCH_scaling.json")
     parser.add_argument("sizes", nargs="*", type=int, default=None,
-                        help="graph sizes for the selection/hetero benches "
+                        help="graph sizes for the hetero bench "
                              "(default: 500 1000 2000)")
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="also run the sweep bench sharded over N "
@@ -209,7 +156,6 @@ def main(argv=None) -> int:
                         help="tasks per graph in the sweep bench")
     parser.add_argument("--sweep-alphas", type=int, default=8,
                         help="alpha grid points in the sweep bench")
-    parser.add_argument("--skip-selection", action="store_true")
     parser.add_argument("--hetero", action="store_true",
                         help="also run the heterogeneous (per-processor "
                              "speeds) mode: speed-spread ladder on a 4+2 "
@@ -221,18 +167,13 @@ def main(argv=None) -> int:
 
     report = {
         "bench": "scaling",
-        "schema_version": 4,
+        "schema_version": 5,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "python": sys.version.split()[0],
         "machine": platform_mod.platform(),
         "cpu_count": os.cpu_count(),
         "sizes": sizes,
     }
-    if not args.skip_selection:
-        print("lazy candidate selection vs naive rescan "
-              "(identical schedules asserted)")
-        report["selection"] = [row for n in sizes
-                               for row in bench_selection(n)]
     if args.hetero:
         print("heterogeneous kernel: speed-spread ladder "
               "(validated; spread 0 asserted == homogeneous)")

@@ -207,7 +207,7 @@ class Platform:
         object.__setattr__(self, "speeds", spd)
         # Per class: whether all its processors share one speed (the fast
         # path of the EST kernel), and the fastest speed (lower-bound key
-        # of the lazy selectors).
+        # of the lazy MemMinMin selector).
         uniform, fastest = [], []
         for r in ranges:
             cs = spd[r.start:r.stop]
@@ -329,7 +329,7 @@ class Platform:
     def max_class_speed(self, memory: Union[Memory, int]) -> float:
         """Fastest processor speed inside ``memory`` (1.0 when empty) —
         the per-class duration lower bound ``W^(c) / max_speed`` used by
-        the lazy selectors' eternal heap keys."""
+        MemMinMin's lazy selector for its eternal heap keys."""
         return self.max_class_speeds[_as_index(memory)]
 
     def is_uniform_class(self, memory: Union[Memory, int]) -> bool:

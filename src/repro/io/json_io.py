@@ -123,24 +123,41 @@ def platform_to_dict(platform: Platform) -> dict:
     return out
 
 
+#: The keys of each platform layout (:func:`platform_to_dict`'s two forms).
+_DUAL_KEYS = frozenset({"n_blue", "n_red", "mem_blue", "mem_red", "speeds"})
+_KARY_KEYS = frozenset({"proc_counts", "capacities", "speeds"})
+
+
 def platform_from_dict(data: dict) -> Platform:
+    """Inverse of :func:`platform_to_dict`.  The form is detected from
+    ``proc_counts``; a key outside it raises ``ValueError`` instead of
+    being dropped (a stray ``capacities`` on the dual form would
+    otherwise leave the platform unbounded)."""
     speeds = data.get("speeds")
     if speeds is not None:
         speeds = [float(s) for s in speeds]
     if "proc_counts" in data:
-        return Platform(
+        platform = Platform(
             list(data["proc_counts"]),
             [_cap_in(c) for c in data.get("capacities",
                                           [None] * len(data["proc_counts"]))],
             speeds=speeds,
         )
-    return Platform(
-        n_blue=data["n_blue"],
-        n_red=data["n_red"],
-        mem_blue=_cap_in(data.get("mem_blue")),
-        mem_red=_cap_in(data.get("mem_red")),
-        speeds=speeds,
-    )
+        allowed = _KARY_KEYS
+    else:
+        platform = Platform(
+            n_blue=data["n_blue"],
+            n_red=data["n_red"],
+            mem_blue=_cap_in(data.get("mem_blue")),
+            mem_red=_cap_in(data.get("mem_red")),
+            speeds=speeds,
+        )
+        allowed = _DUAL_KEYS
+    unknown = set(data) - allowed
+    if unknown:
+        raise ValueError(f"unknown platform keys {sorted(unknown)} "
+                         f"(this form takes {sorted(allowed)})")
+    return platform
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 times, placements are committed incrementally on a live timeline.
 
 Every planning round runs the one list-scheduling loop of the offline
-heuristics (:func:`repro.scheduling.driver.drive`, with their lazy
+heuristics (:func:`repro.scheduling.driver.drive`, with their
 selectors) over a live :class:`~repro.scheduling.state.SchedulerState`,
 one **planning round** per due time (see :mod:`repro.online.policies`).
 
@@ -84,8 +84,9 @@ from ..core.schedule import Placement
 from ..io.json_io import canonical_json, platform_to_dict
 from ..scheduling.candidates import (
     MinEFTSelector,
-    RankSelector,
-    SufferageSelector,
+    ScanSelector,
+    first_fit,
+    max_sufferage,
 )
 from ..scheduling.driver import drive
 from ..scheduling.kernel import ESTBreakdown
@@ -604,11 +605,12 @@ class OnlineSession:
         :func:`_fold`."""
         flat = state._flat
         if self.algorithm == "memheft":
-            selector = RankSelector(state, self._rank_positions(union))
+            selector = ScanSelector(state, self._rank_positions(union),
+                                    first_fit)
         elif self.algorithm == "memminmin":
             selector = MinEFTSelector(state, flat.index)
         else:   # memsufferage (constructor rejects anything else)
-            selector = SufferageSelector(state, flat.index)
+            selector = ScanSelector(state, flat.index, max_sufferage)
         if state.n_scheduled == 0:
             ready = flat.roots()
         else:

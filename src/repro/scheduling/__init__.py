@@ -1,6 +1,6 @@
 """Scheduling heuristics: MemHEFT, MemMinMin and their classical baselines."""
 
-from .candidates import MinEFTSelector, RankSelector, SufferageSelector
+from .candidates import MinEFTSelector, ScanSelector
 from .heft import heft
 from .memheft import memheft
 from .memminmin import memminmin
@@ -29,8 +29,7 @@ __all__ = [
     "SchedulerState",
     "ESTBreakdown",
     "MinEFTSelector",
-    "RankSelector",
-    "SufferageSelector",
+    "ScanSelector",
     "InfeasibleScheduleError",
     "SCHEDULERS",
     "MEMORY_AWARE",

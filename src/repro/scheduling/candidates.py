@@ -3,20 +3,24 @@
 
 A selector holds the ready tasks (``push``/``remove``) and answers
 ``select()`` with the (task, memory) breakdown to commit next, or ``None``
-when no ready task fits.  :class:`ScanSelector` is the reference: every
-step it applies one of the §5.2 rules (:func:`first_fit`, :func:`min_eft`,
-:func:`max_sufferage`) to every ready task — O(n) EST evaluations per
-commit, O(n²) per schedule; it is the heuristics' ``lazy=False`` path.
-The incremental EST kernel makes each re-evaluation cheap; the lazy
-selectors below remove most re-evaluations altogether while committing
-**bit-identical** schedules (pinned by the golden-schedule and
-lazy-equivalence property tests, which compare them with the scan).
+when no ready task fits.  Each heuristic drives one selector.
 
-The difficulty is that EFTs are *not monotone* under commits: a commit
+:class:`ScanSelector` keeps the ready tasks sorted by a stable ``order``
+(task → index) and every step hands that list to one §5.2 rule:
+:func:`first_fit` (MemHEFT, ``order`` = rank position),
+:func:`max_sufferage` (MemSufferage) or :func:`min_eft` (MemMinMin's
+reference).  It caches nothing — the incremental EST kernel's memo makes
+re-asking an untouched (task, class) pair cheap — and inserts by bisect,
+so a step costs the rule's own pass and no sort.
+
+:class:`MinEFTSelector` serves MemMinMin's argmin from a lazy heap and
+commits **bit-identical** schedules to ``ScanSelector(…, min_eft)``
+(pinned by the golden-schedule and scan-reference property tests).  The
+difficulty is that EFTs are *not monotone* under commits: a commit
 releases memory at future instants, which can lower another candidate's
 ``task_mem``/``comm_mem`` component, so a stale cached EFT is not a lower
 bound of the current one and a classic stale-entry heap would silently pick
-the wrong task.  :class:`MinEFTSelector` is built on two observations:
+the wrong task.  The selector is built on two observations:
 
 * ``lb(T) = min_c max(resource_c, precedence_c(T)) + Wmin^(c)_T`` — the
   memory-free part of the breakdown, with ``Wmin^(c) = W^(c)/max_speed(c)``
@@ -34,8 +38,8 @@ the wrong task.  :class:`MinEFTSelector` is built on two observations:
   which records exactly which classes each commit mutated.
 
 **Scoped invalidation.**  A moved stamp component does not necessarily
-demand a full kernel re-evaluation.  Per (candidate, class) the selectors
-distinguish three cases:
+demand a full kernel re-evaluation.  Per (candidate, class) the selector
+distinguishes three cases:
 
 * *reuse* — the stamp component is unchanged: the cached
   :class:`ESTBreakdown` is returned outright;
@@ -65,23 +69,12 @@ in ``(m + EPS, m + 2*EPS]`` the chain provably settles on the lowest-index
 candidate of the ``<= m + EPS`` band — with the paper's integer-valued
 task times the window case essentially never occurs, and when it does the
 selector falls back to the scan's exact chain (:func:`min_eft`).
-
-MemHEFT needs no EFT ordering at all — its selection is "first ready task
-in rank order with a feasible assignment" — so :class:`RankSelector` is a
-plain heap over rank positions of *ready* tasks, skipping the remaining
-list's not-yet-ready prefix walks entirely.
-
-MemSufferage's key (best minus second-best EFT) has no usable lower bound
-— it can move in either direction after a commit — so
-:class:`SufferageSelector` keeps per-class stamps only: candidate classes
-untouched since their last evaluation are reused (or refreshed) and the
-arg-max is a single linear pass, replacing the scan's full re-evaluation
-plus O(R log R) sort per step.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Hashable, Optional
 
@@ -112,8 +105,8 @@ class SelectorStats:
 class _Entry:
     """Cached evaluation of one ready task."""
 
-    __slots__ = ("task", "tie", "alive", "stamps", "value", "key",
-                 "breakdown", "lbparts", "bds", "cstamps")
+    __slots__ = ("task", "tie", "alive", "stamps", "value", "breakdown",
+                 "lbparts", "bds", "cstamps")
 
     def __init__(self, task: Task, tie: int) -> None:
         self.task = task
@@ -122,7 +115,6 @@ class _Entry:
         #: Full stamp tuple at last evaluation (all classes clean marker).
         self.stamps: Optional[tuple] = None
         self.value: float = math.inf
-        self.key: object = None  # SufferageSelector's ordering tuple
         self.breakdown: Optional[ESTBreakdown] = None
         #: Static ``(Wmin^(c), precedence_c + Wmin^(c))`` pair per class
         #: (``None`` for classes without processors) — the memory-free
@@ -192,31 +184,29 @@ def _refresh_breakdown(state: SchedulerState, bd: ESTBreakdown,
                         bd.comm_fit, duration, proc)
 
 
-def _update_entries(state: SchedulerState, entries: list[_Entry],
-                    stamp: tuple, stats: SelectorStats,
-                    inf_cap: tuple) -> None:
-    """Bring every entry's per-class breakdown cache up to ``stamp``,
-    classifying each (entry, class) pair as reuse / refresh / full."""
+def _update_entry(state: SchedulerState, entry: _Entry, stamp: tuple,
+                  stats: SelectorStats, inf_cap: tuple) -> None:
+    """Bring the entry's per-class breakdown cache up to ``stamp``,
+    classifying each class as reuse / refresh / full."""
     memories = state.memories
-    for e in entries:
-        if e.bds is None:
-            e.bds = [None] * len(memories)
-            e.cstamps = [None] * len(memories)
+    if entry.bds is None:
+        entry.bds = [None] * len(memories)
+        entry.cstamps = [None] * len(memories)
+    bds = entry.bds
+    cstamps = entry.cstamps
     for ci, memory in enumerate(memories):
         comp = stamp[ci]
-        serial = comp[0]
-        for e in entries:
-            old = e.cstamps[ci]
-            if old == comp:
-                stats.n_reused += 1
-                continue
-            if old is not None and (old[0] == serial or inf_cap[ci]):
-                e.bds[ci] = _refresh_breakdown(state, e.bds[ci], memory)
-                stats.n_refreshes += 1
-            else:
-                e.bds[ci] = state.est(e.task, memory)
-                stats.n_full_evals += 1
-            e.cstamps[ci] = comp
+        old = cstamps[ci]
+        if old == comp:
+            stats.n_reused += 1
+            continue
+        if old is not None and (old[0] == comp[0] or inf_cap[ci]):
+            bds[ci] = _refresh_breakdown(state, bds[ci], memory)
+            stats.n_refreshes += 1
+        else:
+            bds[ci] = state.est(entry.task, memory)
+            stats.n_full_evals += 1
+        cstamps[ci] = comp
 
 
 def _best_of(entry: _Entry) -> Optional[ESTBreakdown]:
@@ -281,30 +271,40 @@ def max_sufferage(state: SchedulerState, tasks) -> Optional[ESTBreakdown]:
 
 
 class ScanSelector:
-    """The reference selection: every step applies ``rule`` to all ready
-    tasks, sorted by ``order`` (task → stable index) — the heuristics'
-    ``lazy=False`` path, and the oracle the lazy selectors are tested
-    against.  O(ready) evaluations per step, no caches."""
+    """Every step applies ``rule`` to all ready tasks, in ``order``
+    (task → stable index): MemHEFT's and MemSufferage's selection, and
+    the reference :class:`MinEFTSelector` is tested against.  The ready
+    list is kept sorted by bisect on the order index, so ``select()``
+    hands it to the rule as it stands.  O(ready) evaluations per step,
+    no caches."""
 
     def __init__(self, state: SchedulerState, order: dict[Task, int],
                  rule) -> None:
         self.state = state
         self.order = order
         self.rule = rule
-        self._ready: set[Task] = set()
+        self._keys: list[int] = []
+        self._tasks: list[Task] = []
 
     def __len__(self) -> int:
-        return len(self._ready)
+        return len(self._tasks)
 
     def push(self, task: Task) -> None:
-        self._ready.add(task)
+        key = self.order[task]
+        i = bisect_left(self._keys, key)
+        if i == len(self._keys) or self._keys[i] != key:
+            self._keys.insert(i, key)
+            self._tasks.insert(i, task)
 
     def remove(self, task: Task) -> None:
-        self._ready.discard(task)
+        key = self.order[task]
+        i = bisect_left(self._keys, key)
+        if i < len(self._keys) and self._keys[i] == key:
+            del self._keys[i]
+            del self._tasks[i]
 
     def select(self) -> Optional[ESTBreakdown]:
-        return self.rule(self.state,
-                         sorted(self._ready, key=self.order.__getitem__))
+        return self.rule(self.state, self._tasks)
 
 
 class MinEFTSelector:
@@ -312,7 +312,7 @@ class MinEFTSelector:
     best-class EFT survives the naive scan's EPS-chain, bit-identically.
 
     ``order`` maps each task to its stable tie-break index (the topological
-    position the naive scan sorts by).
+    position the scan keeps its ready list in).
     """
 
     def __init__(self, state: SchedulerState, order: dict[Task, int]) -> None:
@@ -369,8 +369,8 @@ class MinEFTSelector:
                 break
             heappop(heap)
             if entry.stamps != stamp:
-                _update_entries(state, [entry], stamp, self.stats,
-                                self._inf_cap)
+                _update_entry(state, entry, stamp, self.stats,
+                              self._inf_cap)
                 bd = _best_of(entry)
                 entry.breakdown = bd
                 entry.value = bd.eft if bd is not None else math.inf
@@ -409,112 +409,3 @@ class MinEFTSelector:
             heappush(heap, (self._lower_bound(entry, resources),
                             entry.tie, entry))
         return choice
-
-
-class RankSelector:
-    """MemHEFT's selection: the first *ready* task in rank order with a
-    feasible assignment, served from a heap over rank positions instead of
-    re-walking the remaining priority list each step.
-
-    The winner is popped for good by :meth:`select` (every selected
-    candidate is committed by the heuristic); infeasible tasks skipped on
-    the way are pushed back and retried next step, exactly like the naive
-    front-to-back rescan."""
-
-    def __init__(self, state: SchedulerState, position: dict[Task, int]) -> None:
-        self.state = state
-        self.position = position
-        #: Rank selection has no breakdown cache, so every probed task is
-        #: a full evaluation — counted for parity with the lazy selectors
-        #: (the obs layer folds these into its selector metrics).
-        self.stats = SelectorStats()
-        self._heap: list[tuple[int, Task]] = []
-
-    def push(self, task: Task) -> None:
-        heappush(self._heap, (self.position[task], task))
-
-    def remove(self, task: Task) -> None:
-        """No-op: the winner already left the heap in :meth:`select`."""
-
-    def select(self) -> Optional[ESTBreakdown]:
-        state = self.state
-        heap = self._heap
-        skipped: list[tuple[int, Task]] = []
-        choice: Optional[ESTBreakdown] = None
-        while heap:
-            item = heappop(heap)
-            self.stats.n_full_evals += 1
-            bd = state.best_est(item[1])
-            if bd is not None:
-                choice = bd
-                break
-            skipped.append(item)
-        for item in skipped:
-            heappush(heap, item)
-        return choice
-
-
-class SufferageSelector:
-    """MemSufferage's selection with per-candidate scoped invalidation.
-
-    Candidate classes whose stamp component — (class touch serial, class
-    resource) — is unchanged since their last evaluation are reused
-    verbatim, resource-only changes are refreshed in O(1), and only
-    finite-capacity profile mutations trigger kernel re-evaluations.  The
-    arg-max over ``(-sufferage, preferred_eft, index)`` keys is one linear
-    pass (the key embeds the stable task index, so iteration order cannot
-    leak into the result)."""
-
-    def __init__(self, state: SchedulerState, order: dict[Task, int]) -> None:
-        self.state = state
-        self.order = order
-        self.stats = SelectorStats()
-        self._inf_cap = tuple(math.isinf(c)
-                              for c in state.platform.capacities)
-        self._live: dict[Task, _Entry] = {}
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def push(self, task: Task) -> None:
-        self._live[task] = _Entry(task, self.order[task])
-
-    def remove(self, task: Task) -> None:
-        self._live.pop(task, None)
-
-    def _rebuild_key(self, entry: _Entry) -> None:
-        """Rebuild the entry's ordering key from its (fresh) per-class
-        breakdowns, exactly as the naive scan does."""
-        feasible = [bd for bd in entry.bds if bd.feasible]
-        if not feasible:
-            entry.key = None
-            entry.breakdown = None
-            return
-        feasible.sort(key=lambda bd: bd.eft)
-        preferred = feasible[0]
-        if len(feasible) >= 2:
-            sufferage = feasible[1].eft - feasible[0].eft
-        else:
-            sufferage = math.inf  # only one memory can take it: urgent
-        entry.key = (-sufferage, preferred.eft, entry.tie)
-        entry.breakdown = preferred
-
-    def select(self) -> Optional[ESTBreakdown]:
-        state = self.state
-        stamp = _state_stamp(state, state.class_resources())
-        stale = [e for e in self._live.values() if e.stamps != stamp]
-        if stale:
-            _update_entries(state, stale, stamp, self.stats, self._inf_cap)
-            for entry in stale:
-                self._rebuild_key(entry)
-                entry.stamps = stamp
-        best_key = None
-        best_bd: Optional[ESTBreakdown] = None
-        for entry in self._live.values():
-            key = entry.key
-            if key is None:
-                continue
-            if best_key is None or key < best_key:
-                best_key = key
-                best_bd = entry.breakdown
-        return best_bd

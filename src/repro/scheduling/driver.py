@@ -3,11 +3,12 @@
 MemHEFT (Algorithm 1), MemMinMin (Algorithm 2) and MemSufferage share
 one loop: select a (task, memory) pair, commit it, release its children.
 Only the selection rule differs, and it lives in the selector
-(:mod:`repro.scheduling.candidates`: the lazy selectors, or
-:class:`~repro.scheduling.candidates.ScanSelector`'s naive rescans).
-:func:`drive` is that loop — every offline run, lazy or naive, observed
-or not, and every online planning round runs it — and :func:`run` wraps
-it for an offline heuristic.
+(:mod:`repro.scheduling.candidates`: MemMinMin's lazy
+:class:`~repro.scheduling.candidates.MinEFTSelector`, or
+:class:`~repro.scheduling.candidates.ScanSelector`'s ordered rescans for
+MemHEFT and MemSufferage).  :func:`drive` is that loop — every offline
+run, observed or not, and every online planning round runs it — and
+:func:`run` wraps it for an offline heuristic.
 
 Under :mod:`repro.obs`, :func:`run` times the select and commit phases,
 folds the selector's :class:`~repro.scheduling.candidates.SelectorStats`

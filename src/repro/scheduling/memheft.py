@@ -13,13 +13,11 @@ If no remaining task can be scheduled the memory bounds are unsatisfiable
 for this heuristic and :class:`InfeasibleScheduleError` is raised
 (the ``Error`` branch of Algorithm 1).
 
-By default the "first ready task in rank order that fits" query is served
-by a heap over the rank positions of the *ready* tasks
-(:class:`repro.scheduling.candidates.RankSelector`) instead of re-walking
-the priority list on every step; ``lazy=False`` walks it
+The "first ready task in rank order that fits" query walks the *ready*
+tasks only, kept in rank order
 (:class:`~repro.scheduling.candidates.ScanSelector` with
-:func:`~repro.scheduling.candidates.first_fit`).  Both paths run the one
-loop of :mod:`repro.scheduling.driver` and commit identical schedules.
+:func:`~repro.scheduling.candidates.first_fit`), driven by the one loop
+of :mod:`repro.scheduling.driver`.
 """
 
 from __future__ import annotations
@@ -31,20 +29,19 @@ from .._util import RngLike
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import RankSelector, ScanSelector, first_fit
+from .candidates import ScanSelector, first_fit
 from .driver import run
 from .ranks import rank_order
 from .state import SchedulerState
 
 
 def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
-            comm_policy: str = "late", lazy: bool = True) -> Schedule:
+            comm_policy: str = "late") -> Schedule:
     """Schedule ``graph`` on ``platform`` with MemHEFT.
 
     ``comm_policy`` selects when incoming transfers fire: ``"late"`` (the
     paper's choice) or ``"eager"`` (ablation, see
-    :mod:`repro.experiments.ablation`).  ``lazy`` selects the ready-task
-    heap (default) or the naive priority-list walk.
+    :mod:`repro.experiments.ablation`).
 
     The upward ranks are speed-aware: on heterogeneous platforms each
     class's execution term is normalised by its fastest processor (a no-op
@@ -58,10 +55,8 @@ def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
 
     def make_selector():
-        position = _rank_positions(graph, rng, platform)
-        if lazy:
-            return RankSelector(state, position)
-        return ScanSelector(state, position, first_fit)
+        return ScanSelector(state, _rank_positions(graph, rng, platform),
+                            first_fit)
 
     return run(state, make_selector, "memheft", lambda left: (
         "MemHEFT: no remaining task fits within the memory bounds "

@@ -40,10 +40,12 @@ MEMORY_AWARE = ("memheft", "memminmin")
 BASELINES = ("heft", "minmin")
 #: Every memory-oblivious heuristic (unbounded-memory specialisations).
 MEMORY_OBLIVIOUS = ("heft", "minmin", "sufferage")
-#: Heuristics taking the engine options (``comm_policy=``, ``lazy=``) —
-#: consumers (e.g. ``repro.service``) must key capability checks on these
-#: tuples, not hand-maintained copies, so new registry entries are
-#: advertised correctly.
+#: Heuristics taking the engine option ``comm_policy=`` — consumers (e.g.
+#: ``repro.service``) must key capability checks on these tuples, not
+#: hand-maintained copies, so new registry entries are advertised
+#: correctly.  (The service's ``lazy`` wire option is still accepted for
+#: these, but no longer reaches the library: there is one selector per
+#: heuristic.)
 ENGINE_OPTIONED = ("memheft", "memminmin", "memsufferage")
 
 

@@ -22,34 +22,28 @@ from __future__ import annotations
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import ScanSelector, SufferageSelector, max_sufferage
+from .candidates import ScanSelector, max_sufferage
 from .driver import run
 from .state import SchedulerState
 
 
 def memsufferage(graph: TaskGraph, platform: Platform, *,
-                 comm_policy: str = "late", lazy: bool = True) -> Schedule:
+                 comm_policy: str = "late") -> Schedule:
     """Schedule ``graph`` with the memory-aware Sufferage heuristic.
 
-    ``lazy`` (default) serves the per-step arg-max-sufferage from the
-    version-stamped candidate cache of
-    :class:`repro.scheduling.candidates.SufferageSelector` — candidates
-    untouched by the last commit are reused verbatim — while ``lazy=False``
-    rescans every available task
+    Every step rescans the available tasks in topological order
     (:class:`~repro.scheduling.candidates.ScanSelector` with
-    :func:`~repro.scheduling.candidates.max_sufferage`).  Both paths run
-    the one loop of :mod:`repro.scheduling.driver` and commit identical
-    schedules.
+    :func:`~repro.scheduling.candidates.max_sufferage`), driven by the
+    one loop of :mod:`repro.scheduling.driver`; the incremental EST
+    kernel's memo serves the (task, class) pairs the last commit left
+    untouched.
 
     Raises :class:`InfeasibleScheduleError` when no available task fits
     within the memory bounds (same contract as Algorithms 1-2).
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
     index = {t: k for k, t in enumerate(graph.topological_order())}
-    if lazy:
-        selector = SufferageSelector(state, index)
-    else:
-        selector = ScanSelector(state, index, max_sufferage)
+    selector = ScanSelector(state, index, max_sufferage)
     return run(state, lambda: selector, "memsufferage", lambda left: (
         "MemSufferage: no available task fits within the memory bounds "
         f"({len(selector)} available, "

@@ -90,6 +90,10 @@ PROTOCOL_VERSION = 5
 #: memory-oblivious heuristics run on fixed unbounded settings).
 _OPTIONED = frozenset(ENGINE_OPTIONED)
 
+#: ``lazy`` no longer reaches the library (each heuristic has one
+#: selector), but it stays accepted, checked, default-filled and hashed,
+#: so request digests and cached bodies are unchanged; only
+#: ``comm_policy`` is passed on.
 _DEFAULT_OPTIONS = {"comm_policy": "late", "lazy": True}
 
 #: Paths that get their own ``endpoint`` label on the request metrics;
@@ -223,7 +227,7 @@ def execute_request(graph_d: dict, platform_d: dict, algorithm: str,
         raise ServiceError(400, "bad_request", str(exc)) from exc
 
     scheduler = SCHEDULERS[algorithm]
-    kwargs = ({"comm_policy": options["comm_policy"], "lazy": options["lazy"]}
+    kwargs = ({"comm_policy": options["comm_policy"]}
               if algorithm in _OPTIONED else {})
     try:
         schedule = scheduler(graph, platform, **kwargs)

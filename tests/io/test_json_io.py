@@ -63,6 +63,31 @@ class TestPlatformRoundTrip:
         assert math.isinf(back.mem_blue)
 
 
+#: Platform objects carrying a key outside their form: before the check,
+#: each decoded to an unbounded platform, dropping the stray bounds.
+STRAY_KEY_PLATFORMS = [
+    pytest.param({"n_blue": 1, "n_red": 1, "capacities": [10, 10]},
+                 "capacities", id="dual-with-capacities"),
+    pytest.param({"proc_counts": [1, 1], "mem_blue": 10, "mem_red": 10},
+                 "mem_blue", id="kary-with-mem_blue"),
+    pytest.param({"n_blue": 1, "n_red": 1, "capacity": 10},
+                 "capacity", id="typo-capacity"),
+]
+
+
+class TestPlatformKeys:
+    @pytest.mark.parametrize("data, key", STRAY_KEY_PLATFORMS)
+    def test_key_outside_the_form_raises(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            platform_from_dict(data)
+
+    @pytest.mark.parametrize("p", [
+        Platform(1, 2, 5), Platform([1, 2, 1], [3.0, 4.0, 5.0]),
+        Platform(1, 1, 5, 5, speeds=[1.0, 2.0])], ids=str)
+    def test_every_written_form_reads_back(self, p):
+        assert platform_from_dict(platform_to_dict(p)) == p
+
+
 class TestScheduleRoundTrip:
     def test_memheft_schedule(self, tmp_path):
         g = dex()

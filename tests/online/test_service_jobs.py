@@ -137,6 +137,20 @@ class TestErrors:
         assert status == 400
         assert json.loads(body)["error"]["type"] == "bad_graph"
 
+    @pytest.mark.parametrize("platform", [
+        {"n_blue": 1, "n_red": 1, "capacities": [10, 10]},
+        {"proc_counts": [1, 1], "mem_blue": 10, "mem_red": 10},
+        {"n_blue": 1, "n_red": 1, "capacity": 10},
+    ], ids=["dual-with-capacities", "kary-with-mem_blue", "typo-capacity"])
+    def test_platform_key_outside_its_form_400(self, platform):
+        app = ServiceApp()
+        payload = {"session": "s", "release_time": 0.0, "platform": platform,
+                   "graph": graph_to_dict(random_dag(size=8, rng=1))}
+        status, _, body = app.handle("POST", "/jobs",
+                                     json.dumps(payload).encode())
+        assert status == 400
+        assert json.loads(body)["error"]["type"] == "bad_platform"
+
     def test_bad_release_400(self):
         app = ServiceApp()
         status, out = submit(app, release=True)

@@ -13,6 +13,8 @@ from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
+from .scan_reference import reference
+
 
 def _commit_on(state, task, memory):
     bd = state.est(task, memory)
@@ -87,8 +89,8 @@ class TestCommitRecordsTouchedClasses:
 
 
 class TestSelectorsStayBitIdentical:
-    """Belt-and-braces next to the goldens: lazy selection on the
-    touch-serial stamps equals the naive rescan, including k > 2."""
+    """Belt-and-braces next to the goldens: selection on the touch-serial
+    stamps equals each heuristic's reference rescan, including k > 2."""
 
     @pytest.mark.parametrize("algo,kwargs", [
         (memheft, {}), (memminmin, {}), (memsufferage, {})])
@@ -97,11 +99,11 @@ class TestSelectorsStayBitIdentical:
         graph = random_dag(size=35, rng=seed)
         platform = Platform(n_blue=2, n_red=1, mem_blue=80, mem_red=80)
         try:
-            lazy = algo(graph, platform, lazy=True, **kwargs)
-            naive = algo(graph, platform, lazy=False, **kwargs)
+            lazy = algo(graph, platform, **kwargs)
+            naive = reference(algo)(graph, platform, **kwargs)
         except Exception as exc:  # InfeasibleScheduleError: try unbounded
-            lazy = algo(graph, platform.unbounded(), lazy=True, **kwargs)
-            naive = algo(graph, platform.unbounded(), lazy=False, **kwargs)
+            lazy = algo(graph, platform.unbounded(), **kwargs)
+            naive = reference(algo)(graph, platform.unbounded(), **kwargs)
             assert "Infeasible" in type(exc).__name__
         assert [(p.task, p.proc, p.memory, p.start, p.finish)
                 for p in lazy.placements()] == \
@@ -124,8 +126,8 @@ class TestSelectorsStayBitIdentical:
                                          size=float(gen.integers(1, 8)),
                                          comm=float(gen.integers(1, 5)))
         platform = Platform([1, 1, 1], [200.0, 200.0, 200.0])
-        lazy = algo(graph, platform, lazy=True)
-        naive = algo(graph, platform, lazy=False)
+        lazy = algo(graph, platform)
+        naive = reference(algo)(graph, platform)
         assert [(p.task, p.proc, p.memory, p.start, p.finish)
                 for p in lazy.placements()] == \
                [(p.task, p.proc, p.memory, p.start, p.finish)

@@ -11,8 +11,13 @@ from repro.scheduling.candidates import MinEFTSelector, ScanSelector, min_eft
 from repro.scheduling.driver import drive
 from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 
+from .scan_reference import REFERENCES
+
 ALGOS = {"memheft": memheft, "memminmin": memminmin,
          "memsufferage": memsufferage}
+
+#: Every heuristic through its reference rescan.
+SCANS = REFERENCES
 
 #: Recorded before the loops were merged; service 422 bodies carry them
 #: verbatim, so they must not move.
@@ -35,12 +40,12 @@ def _key(schedule):
              for p in schedule.placements()], schedule.meta)
 
 
-@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("algos", [ALGOS, SCANS], ids=["default", "scan"])
 @pytest.mark.parametrize("name", sorted(ALGOS))
-def test_infeasibility_message_is_exact(name, lazy):
+def test_infeasibility_message_is_exact(name, algos):
     graph, platform = _tight()
     with pytest.raises(InfeasibleScheduleError) as info:
-        ALGOS[name](graph, platform, lazy=lazy)
+        algos[name](graph, platform)
     assert str(info.value) == MESSAGES[name]
 
 
@@ -62,9 +67,9 @@ def test_online_infeasibility_message_counts_the_whole_round():
 def test_naive_path_is_observed_and_bit_identical(name):
     graph = random_dag(size=40, rng=2)
     platform = Platform(2, 1).with_uniform_bound(120.0)
-    plain = ALGOS[name](graph, platform, lazy=False)
+    plain = SCANS[name](graph, platform)
     with obs.observing() as state:
-        observed = ALGOS[name](graph, platform, lazy=False)
+        observed = SCANS[name](graph, platform)
     assert _key(observed) == _key(plain)
     snap = state.registry.snapshot()
     alg = (("algorithm", name),)

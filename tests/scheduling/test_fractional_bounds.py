@@ -20,6 +20,8 @@ from repro.scheduling.heft import heft
 from repro.scheduling.registry import SCHEDULERS
 from repro.scheduling.state import InfeasibleScheduleError
 
+from .scan_reference import reference
+
 HEURISTICS = ("memheft", "memminmin", "memsufferage")
 
 
@@ -38,11 +40,14 @@ def _late_transfer_instance():
     return graph, Platform(1, 1, mem_blue=11.0, mem_red=4.0)
 
 
-@pytest.mark.parametrize("lazy", (True, False))
+@pytest.mark.parametrize("path", ["default", "reference"])
 @pytest.mark.parametrize("algo", HEURISTICS)
-def test_late_transfer_stays_within_bounds(algo, lazy):
+def test_late_transfer_stays_within_bounds(algo, path):
     graph, platform = _late_transfer_instance()
-    schedule = SCHEDULERS[algo](graph, platform, lazy=lazy)
+    run = SCHEDULERS[algo]
+    if path == "reference":
+        run = reference(run)
+    schedule = run(graph, platform)
     peaks = validate_schedule(graph, platform, schedule)
     assert peaks[platform.memories()[0]] <= 11.0
 

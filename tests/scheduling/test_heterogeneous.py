@@ -7,9 +7,10 @@ Three layers:
   honours the pre-chosen processor, the speed-aware validator accepts the
   per-proc durations;
 * hypothesis properties — every heterogeneous schedule validates
-  (speed-aware durations, any memory bounds), lazy and naive selection stay
-  decision-identical, and explicit ``speeds=1.0`` stays bit-identical to
-  the default homogeneous platform (the uniform-class fast path);
+  (speed-aware durations, any memory bounds), every heuristic and its
+  reference rescan stay decision-identical, and explicit
+  ``speeds=1.0`` stays bit-identical to the default homogeneous platform
+  (the uniform-class fast path);
 * the *platform dominance* property behind the "≤ all-slowest run"
   acceptance criterion: replaying the all-slowest homogeneous run's exact
   placements (same commit order, memory and processor) on the
@@ -36,6 +37,8 @@ from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import SchedulerState
 from repro.scheduling.sufferage import memsufferage
+
+from .scan_reference import reference
 
 HEURISTICS = (memheft, memminmin, memsufferage)
 
@@ -156,8 +159,8 @@ class TestHeterogeneousProperties:
     def test_lazy_equals_naive_on_heterogeneous_platforms(
             self, params, counts, speeds_seed, algo):
         graph, platform = _build(params, counts, speeds_seed)
-        lazy = algo(graph, platform, lazy=True)
-        naive = algo(graph, platform, lazy=False)
+        lazy = algo(graph, platform)
+        naive = reference(algo)(graph, platform)
         assert _same_placements(lazy, naive, graph)
 
     @settings(max_examples=25, deadline=None)

@@ -28,6 +28,7 @@ from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
 from .fresh_kernel import FreshKernel
+from .scan_reference import reference
 
 HEURISTICS = (memheft, memminmin, memsufferage)
 
@@ -316,14 +317,16 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("comm_policy", ["late", "eager"])
     @pytest.mark.parametrize("fn", HEURISTICS, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "naive"])
-    def test_fresh_path_bit_identical(self, fn, lazy, comm_policy,
+    @pytest.mark.parametrize("path", ["default", "reference"])
+    def test_fresh_path_bit_identical(self, path, fn, comm_policy,
                                       monkeypatch):
+        if path == "reference":
+            fn = reference(fn)
         graph = random_dag(size=35, rng=9)
         base = heft(graph, Platform(1, 1))
         bound = 0.8 * max(base.meta["peak_blue"], base.meta["peak_red"])
         platform = Platform(1, 1).with_uniform_bound(bound)
-        kwargs = dict(lazy=lazy, comm_policy=comm_policy)
+        kwargs = dict(comm_policy=comm_policy)
         try:
             a = fn(graph, platform, **kwargs)
         except InfeasibleScheduleError:

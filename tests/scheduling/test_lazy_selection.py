@@ -1,6 +1,9 @@
-"""The lazy candidate heaps must commit bit-identical schedules to the
-naive full-rescan selection loops, on every heuristic, across randomized
-graphs, platforms and memory bounds — including infeasibility verdicts."""
+"""Every heuristic must commit bit-identical schedules to its reference
+selection (``scan_reference``): MemMinMin's lazy candidate heap against
+the full rescan ``ScanSelector(…, min_eft)``, MemHEFT's and
+MemSufferage's ordered ready list against a rescan that sorts the ready
+set on every step — across randomized graphs, platforms and memory
+bounds, including infeasibility verdicts."""
 
 import math
 
@@ -15,26 +18,28 @@ from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import InfeasibleScheduleError
 from repro.scheduling.sufferage import memsufferage
 
+from .scan_reference import reference
+
 HEURISTICS = (memheft, memminmin, memsufferage)
 
 
 def _assert_same_outcome(fn, graph, platform, **kwargs):
-    """Run lazy and naive paths; both must agree placement-for-placement
-    (or both raise)."""
+    """Run the heuristic and its reference; both must agree
+    placement-for-placement (or both raise)."""
     try:
-        lazy = fn(graph, platform, lazy=True, **kwargs)
+        lazy = fn(graph, platform, **kwargs)
     except InfeasibleScheduleError:
         with pytest.raises(InfeasibleScheduleError):
-            fn(graph, platform, lazy=False, **kwargs)
+            reference(fn)(graph, platform, **kwargs)
         return None
-    naive = fn(graph, platform, lazy=False, **kwargs)
-    assert lazy.makespan == naive.makespan
+    scan = reference(fn)(graph, platform, **kwargs)
+    assert lazy.makespan == scan.makespan
     for task in graph.tasks():
-        pl, pn = lazy.placement(task), naive.placement(task)
+        pl, ps = lazy.placement(task), scan.placement(task)
         assert (pl.proc, pl.memory, pl.start, pl.finish) == \
-               (pn.proc, pn.memory, pn.start, pn.finish), \
+               (ps.proc, ps.memory, ps.start, ps.finish), \
             f"{fn.__name__} diverged on {task!r}"
-    assert lazy.meta["peaks"] == naive.meta["peaks"]
+    assert lazy.meta["peaks"] == scan.meta["peaks"]
     return lazy
 
 
@@ -90,12 +95,9 @@ def test_lazy_equals_naive_three_classes(seed):
             if gen.random() < 0.3:
                 g.add_dependency(i, j, size=float(gen.integers(1, 8)),
                                  comm=float(gen.integers(1, 5)))
-    platform = Platform([1, 1, 1], [math.inf] * 3)
     for fn in HEURISTICS:
-        _assert_same_outcome(fn, g, platform)
-    bounded = Platform([1, 1, 1], [30.0] * 3)
-    for fn in HEURISTICS:
-        _assert_same_outcome(fn, g, bounded)
+        _assert_same_outcome(fn, g, Platform([1, 1, 1], [math.inf] * 3))
+        _assert_same_outcome(fn, g, Platform([1, 1, 1], [30.0] * 3))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -134,8 +136,8 @@ def test_selector_lower_bound_matches_state_reference(seed):
 def test_memheft_seeded_tiebreak_matches(fn=memheft):
     graph = random_dag(size=20, rng=3)
     for rng in (0, 1, 2):
-        a = fn(graph, Platform(1, 1), rng=rng, lazy=True)
-        b = fn(graph, Platform(1, 1), rng=rng, lazy=False)
+        a = fn(graph, Platform(1, 1), rng=rng)
+        b = reference(fn)(graph, Platform(1, 1), rng=rng)
         assert a.makespan == b.makespan
         for task in graph.tasks():
             assert a.placement(task).start == b.placement(task).start

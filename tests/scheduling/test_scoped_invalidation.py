@@ -10,24 +10,18 @@ import pytest
 
 from repro import Platform
 from repro.dags import random_dag
-from repro.scheduling.candidates import (
-    MinEFTSelector,
-    ScanSelector,
-    SufferageSelector,
-    max_sufferage,
-    min_eft,
-)
+from repro.scheduling.candidates import MinEFTSelector, ScanSelector, min_eft
 from repro.scheduling.driver import drive
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
-SELECTORS = (MinEFTSelector, SufferageSelector)
+from .scan_reference import reference
+
+SELECTORS = (MinEFTSelector,)
 
 #: Each lazy selector and the scan rule it must reproduce.
-PAIRS = [pytest.param(MinEFTSelector, min_eft, id="MinEFTSelector"),
-         pytest.param(SufferageSelector, max_sufferage,
-                      id="SufferageSelector")]
+PAIRS = [pytest.param(MinEFTSelector, min_eft, id="MinEFTSelector")]
 
 
 def _drive(graph, platform, make_selector):
@@ -81,8 +75,8 @@ class TestScopedEqualsScan:
     def test_driver_kwarg_matches_naive(self, fn):
         graph = random_dag(size=30, rng=6)
         platform = Platform(2, 1, 150.0, 150.0)
-        lazy = fn(graph, platform, lazy=True)
-        naive = fn(graph, platform, lazy=False)
+        lazy = fn(graph, platform)
+        naive = reference(fn)(graph, platform)
         for t in graph.tasks():
             a, b = (s.placement(t) for s in (lazy, naive))
             assert (a.proc, a.memory, a.start, a.finish) \

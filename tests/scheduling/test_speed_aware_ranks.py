@@ -12,6 +12,8 @@ from repro.dags.toy import dex
 from repro.scheduling.memheft import memheft
 from repro.scheduling.ranks import rank_order, upward_ranks
 
+from .scan_reference import memheft_sorted_scan
+
 
 class TestSpeedAwareRanks:
     def test_speed_one_platform_is_bitwise_identical(self):
@@ -60,13 +62,14 @@ class TestSpeedAwareRanks:
 
 class TestMemheftUsesSpeedAwareRanks:
     def test_speed_one_memheft_unchanged(self):
-        """memheft now passes the platform into rank_order; on speed-1.0
-        platforms the schedule must be exactly what it always was (the
-        golden-schedule suite pins this globally; spot-check here)."""
+        """memheft passes the platform into rank_order; on speed-1.0
+        platforms the schedule must be exactly what the reference rescan
+        commits (the golden-schedule suite pins this globally; spot-check
+        here)."""
         graph = random_dag(size=25, rng=7)
         platform = Platform(2, 1, 150.0, 150.0)
-        a = memheft(graph, platform, lazy=True)
-        b = memheft(graph, platform, lazy=False)
+        a = memheft(graph, platform)
+        b = memheft_sorted_scan(graph, platform)
         assert a.makespan == b.makespan
 
     def test_heterogeneous_prioritises_by_normalised_time(self):

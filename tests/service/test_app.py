@@ -19,7 +19,11 @@ from repro.io.json_io import (
     platform_to_dict,
     schedule_to_dict,
 )
-from repro.scheduling.registry import SCHEDULERS, get_scheduler
+from repro.scheduling.registry import (
+    ENGINE_OPTIONED,
+    SCHEDULERS,
+    get_scheduler,
+)
 from repro.service.app import ServiceApp
 
 PLATFORM = Platform(n_blue=1, n_red=1, mem_blue=5, mem_red=5)
@@ -105,15 +109,22 @@ class TestSchedule:
         assert h["X-Cache"] == "miss"
         assert json.loads(late)["digest"] != json.loads(eager)["digest"]
 
-    def test_lazy_false_matches_lazy_true(self):
+    @pytest.mark.parametrize("algorithm", sorted(ENGINE_OPTIONED))
+    def test_lazy_false_matches_lazy_true(self, algorithm):
+        """``lazy`` is still accepted and hashed but selects nothing."""
         g = random_dag(size=30, rng=9)
+        platform = Platform(n_blue=1, n_red=1, mem_blue=150, mem_red=150)
         app = ServiceApp()
-        _, _, a = post(app, "/schedule",
-                       schedule_req(g, PLATFORM.unbounded()))
-        _, _, b = post(app, "/schedule",
-                       schedule_req(g, PLATFORM.unbounded(),
-                                    options={"lazy": False}))
-        assert json.loads(a)["schedule"] == json.loads(b)["schedule"]
+        status_a, _, a = post(app, "/schedule",
+                              schedule_req(g, platform, algorithm))
+        status_b, _, b = post(app, "/schedule",
+                              schedule_req(g, platform, algorithm,
+                                           options={"lazy": False}))
+        assert status_a == status_b == 200
+        a, b = json.loads(a), json.loads(b)
+        for field in ("schedule", "makespan", "peaks"):
+            assert a[field] == b[field]
+        assert a["digest"] != b["digest"]
 
 
 class TestErrorPaths:
@@ -312,6 +323,24 @@ class TestRobustness:
         error = json.loads(out)["error"]
         assert error["type"] == "bad_request"
         assert error["message"].startswith("malformed graph/platform")
+
+    @pytest.mark.parametrize("platform, key", [
+        ({"n_blue": 1, "n_red": 1, "capacities": [10, 10]}, "capacities"),
+        ({"proc_counts": [1, 1], "mem_blue": 10, "mem_red": 10},
+         "mem_blue"),
+        ({"n_blue": 1, "n_red": 1, "capacity": 10}, "capacity"),
+    ], ids=["dual-with-capacities", "kary-with-mem_blue", "typo-capacity"])
+    def test_platform_key_outside_its_form_is_400(self, platform, key):
+        """A stray bound used to be dropped: the instance scheduled
+        unbounded (peaks 21 > 10) instead of failing."""
+        req = schedule_req(random_dag(size=8, rng=1))
+        req["platform"] = platform
+        status, _, out = post(ServiceApp(), "/schedule", req)
+        assert status == 400
+        error = json.loads(out)["error"]
+        assert error["type"] == "bad_request"
+        assert error["message"].startswith("malformed graph/platform")
+        assert key in error["message"]
 
     def test_infinity_instance_does_not_poison_batch(self):
         good = schedule_req()
