@@ -40,8 +40,8 @@ def small_rand_set(n_graphs: int = 50, size: int = 30, seed: int = 2014
 
 def tiny_rand_set(n_graphs: int = 10, size: int = 7, seed: int = 7
                   ) -> list[TaskGraph]:
-    """Same family as SmallRandSet but small enough for our branch-and-bound
-    ILP solver to prove optimality (CPLEX substitution, DESIGN.md §5)."""
+    """Same family as SmallRandSet but small enough for the exact ILP
+    (HiGHS in place of the paper's CPLEX) to prove optimality."""
     graphs = []
     for idx, rng in enumerate(_seeds(seed, n_graphs)):
         g = random_dag(size=size, width=0.5, density=RAND_DENSITY,

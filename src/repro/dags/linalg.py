@@ -10,8 +10,8 @@ the *mirage* platform, in ms).  The report gives a single number per kernel;
 we ship those as the CPU (blue) times and derive GPU (red) times with
 per-kernel acceleration factors (``DEFAULT_GPU_SPEEDUP``, overridable), since
 compute-bound kernels (GEMM/SYRK) accelerate far better on a GPU than
-panel factorisations (GETRF/POTRF).  This substitution is recorded in
-DESIGN.md §5.  CPU->GPU transfer of one tile costs 50 ms, and every file is
+panel factorisations (GETRF/POTRF); Table 1's note repeats this
+substitution.  CPU->GPU transfer of one tile costs 50 ms, and every file is
 one tile (``F = 1``), so memory is measured in tiles (§6.1.2).
 """
 

@@ -7,8 +7,9 @@ every experiment driver takes a :class:`Scale`:
 * ``ci``      — seconds; used by the test suite's smoke tests;
 * ``default`` — minutes; the benchmark suite's default, already large enough
   for every qualitative conclusion of the paper to show;
-* ``paper``   — the sizes of §6.1 (ILP graph size excepted: our branch and
-  bound replaces CPLEX and proves optimality up to ~8 tasks, see DESIGN.md §5).
+* ``paper``   — the sizes of §6.1 (ILP graph size excepted: HiGHS stands in
+  for the paper's CPLEX and proves optimality on TinyRandSet's 5-8 tasks,
+  not on the paper's 30-task graphs).
 
 Select with the ``REPRO_SCALE`` environment variable or pass explicitly.
 """

@@ -67,7 +67,8 @@ class FigureResult:
 
 def table1(scale: Optional[Scale] = None, *, check: bool = False,
            jobs: int = 1) -> FigureResult:
-    """Table 1: kernel running times (+ our blue/red split, DESIGN.md §5).
+    """Table 1: kernel running times (+ our blue/red split, see
+    :mod:`repro.dags.linalg`).
 
     ``scale``/``check``/``jobs`` are accepted for driver-signature
     uniformity; the table is constant input data, not a measurement.
@@ -82,16 +83,17 @@ def table1(scale: Optional[Scale] = None, *, check: bool = False,
         "table1", "Average kernel performance on a 192x192 tile (ms)", text,
         data=dict(KERNEL_TIMES_MS),
         notes=["paper gives one time per kernel; blue = paper time, "
-               "red = blue / per-kernel GPU speedup (see DESIGN.md §5)"])
+               "red = blue / per-kernel GPU speedup (see repro.dags.linalg)"])
 
 
 def fig10(scale: Optional[Scale] = None, *, check: bool = False,
           jobs: int = 1) -> FigureResult:
     """Figure 10: SmallRandSet — normalised makespan + success rate vs alpha.
 
-    Heuristic series on SmallRandSet; the "optimal" series is computed on
-    TinyRandSet, the largest family our branch-and-bound ILP solves to
-    optimality (CPLEX substitution; see DESIGN.md §5).
+    Heuristic series on SmallRandSet; the "optimal" series is the exact §4
+    ILP, solved by HiGHS in place of the paper's CPLEX, on TinyRandSet.
+    The paper's optimal series used SmallRandSet's 30-task DAGs, where
+    HiGHS found no incumbent within 60 s on the graphs tried.
     """
     scale = scale or get_scale()
     graphs = small_rand_set(scale.small_n_graphs, scale.small_size)
@@ -117,8 +119,8 @@ def fig10(scale: Optional[Scale] = None, *, check: bool = False,
     return FigureResult(
         "fig10", "SmallRandSet: heuristics vs optimal under relative memory",
         text, data={"heuristics": heur, "optimal": opt},
-        notes=["paper's optimal series used CPLEX on 30-task DAGs; our B&B "
-               "proves optimality on the tiny set only (DESIGN.md §5)"])
+        notes=["HiGHS proves optimality on TinyRandSet; the paper's 30-task "
+               "CPLEX series stays out of reach"])
 
 
 def _absolute_grid(ref_memory: float, n: int = 12) -> list[float]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..core.graph import TaskGraph
@@ -14,23 +13,7 @@ from ..scheduling.state import InfeasibleScheduleError
 from .bruteforce import EagerSearchResult, optimal_eager
 from .extract import extract_schedule
 from .model import ILPModel, build_model
-from .solver import BBResult, solve_branch_and_bound
-
-
-@dataclass
-class ILPSolution:
-    """High-level outcome of :func:`solve_ilp`."""
-
-    status: str  # "optimal" | "feasible" | "infeasible" | "limit"
-    makespan: Optional[float]
-    schedule: Optional[Schedule]
-    lower_bound: float
-    nodes: int
-    runtime: float
-
-    @property
-    def proved_optimal(self) -> bool:
-        return self.status == "optimal"
+from .solver import ILPSolution, solve_model
 
 
 def solve_ilp(
@@ -39,15 +22,13 @@ def solve_ilp(
     *,
     node_limit: int = 20000,
     time_limit: float = 60.0,
-    seed_with_heuristics: bool = True,
-    log: bool = False,
 ) -> ILPSolution:
     """Solve the scheduling ILP for ``graph`` on ``platform``.
 
-    Heuristic schedules (when feasible) seed the incumbent: the branch and
-    bound then only needs to close the gap downwards, and if it exhausts the
-    tree without improving, the heuristic value is *proven* optimal and the
-    heuristic schedule is returned as an optimal witness.
+    The better of the MemMinMin and MemHEFT schedules (when either is
+    feasible) caps the model's makespan: HiGHS then only has to find
+    something strictly better, and if nothing is, the heuristic schedule is
+    returned as the proven-optimal witness.
 
     The ILP encodes the paper's homogeneous model (one duration per memory
     class); heterogeneous platforms are rejected rather than silently
@@ -56,50 +37,25 @@ def solve_ilp(
     if platform.is_heterogeneous:
         raise ValueError("solve_ilp only models homogeneous (all speed 1.0) "
                          "platforms; this one carries per-processor speeds")
-    incumbent_value: Optional[float] = None
-    incumbent_schedule: Optional[Schedule] = None
-    if seed_with_heuristics:
-        for algo in (memminmin, memheft):
-            try:
-                s = algo(graph, platform)
-            except InfeasibleScheduleError:
-                continue
-            if incumbent_value is None or s.makespan < incumbent_value:
-                incumbent_value = s.makespan
-                incumbent_schedule = s
+    incumbent: Optional[Schedule] = None
+    for algo in (memminmin, memheft):
+        try:
+            s = algo(graph, platform)
+        except InfeasibleScheduleError:
+            continue
+        if incumbent is None or s.makespan < incumbent.makespan:
+            incumbent = s
 
-    model = build_model(graph, platform, makespan_ub=incumbent_value)
-    result = solve_branch_and_bound(
-        model,
-        incumbent=incumbent_value,
-        node_limit=node_limit,
-        time_limit=time_limit,
-        log=log,
-    )
-
-    schedule: Optional[Schedule] = None
-    if result.x is not None:
-        schedule = extract_schedule(model, result.x)
-    elif result.objective is not None:
-        schedule = incumbent_schedule  # heuristic proven optimal (or best known)
-    if schedule is not None and result.objective is not None:
-        schedule.meta["ilp_status"] = result.status
-
-    return ILPSolution(
-        status=result.status,
-        makespan=result.objective,
-        schedule=schedule,
-        lower_bound=result.lower_bound,
-        nodes=result.nodes,
-        runtime=result.runtime,
-    )
+    model = build_model(graph, platform, makespan_ub=(
+        None if incumbent is None else incumbent.makespan))
+    return solve_model(model, incumbent=incumbent, node_limit=node_limit,
+                       time_limit=time_limit)
 
 
 __all__ = [
     "ILPModel",
     "build_model",
-    "BBResult",
-    "solve_branch_and_bound",
+    "solve_model",
     "extract_schedule",
     "ILPSolution",
     "solve_ilp",

@@ -10,7 +10,8 @@ the search optimum is:
 * a lower bound on every list-scheduling heuristic built on
   :class:`~repro.scheduling.state.SchedulerState`.
 
-Tests use the sandwich ``LB <= ILP <= eager <= heuristic`` (DESIGN.md §7.4).
+Tests use the sandwich ``LB <= ILP <= eager <= heuristic``
+(``tests/ilp/test_property.py``, ``tests/ilp/test_bruteforce.py``).
 Branch and bound prunes with per-task min-time bottom levels.
 """
 

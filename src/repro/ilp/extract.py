@@ -20,8 +20,10 @@ from .model import ILPModel
 
 Task = Hashable
 
-#: Snap solver round-off below this threshold.
-_SNAP = 1e-7
+#: Snap solver round-off below this threshold.  HiGHS meets rows only to its
+#: feasibility tolerance (1e-6), so event times come back up to about 1e-6
+#: off; a tighter snap leaves back-to-back tasks overlapping by that much.
+_SNAP = 1e-5
 
 
 def _clean(value: float) -> float:

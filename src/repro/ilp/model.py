@@ -10,11 +10,11 @@ Variables (names follow Figure 5; tuples key the
 ``("w", i)``        actual processing time of task ``i``
 ``("p", i)``        processor index of task ``i`` (continuous, 0-based; the
                     ``eps`` separation constraints make integrality
-                    unnecessary — see DESIGN.md)
+                    unnecessary)
 ``("b", i)``        1 iff task ``i`` runs on the blue memory (binary).  The
                     report's Fig 5/6 is internally inconsistent about the
                     orientation of ``b``; we use the consistent convention
-                    ``b=1 <=> blue`` throughout (DESIGN.md §4)
+                    ``b=1 <=> blue`` throughout
 ``("eps", i, j)``   1 if ``p_i < p_j`` (binary)
 ``("delta", i, j)`` 1 iff tasks ``i`` and ``j`` share a memory (binary,
                     stored once per unordered pair)
@@ -110,13 +110,12 @@ def build_model(
     platform: Platform,
     *,
     makespan_ub: Optional[float] = None,
-    strengthen: bool = True,
     presolve: bool = True,
 ) -> ILPModel:
     """Construct the full ILP of Figures 5–7 for ``graph`` on ``platform``.
 
-    ``makespan_ub`` (e.g. a heuristic makespan) tightens the ``M`` bound;
-    ``strengthen`` adds valid inequalities (path-based time windows);
+    ``makespan_ub`` (e.g. a heuristic makespan) caps ``M`` and every event
+    time; path-based time windows are always added as valid inequalities;
     ``presolve`` fixes every ordering binary implied by DAG reachability.
     """
     graph.validate()
@@ -137,7 +136,7 @@ def build_model(
         mmax = min(mmax, makespan_ub + max_c + 1.0)
     mmax = max(mmax, 1.0)
 
-    t_ub = mmax if makespan_ub is None else makespan_ub + 1e-6
+    t_ub = mmax if makespan_ub is None else makespan_ub
     v = VariableManager()
     v.add(("M",), 0.0, t_ub)
     for t in tasks:
@@ -278,6 +277,14 @@ def build_model(
         for b in tasks:
             if a != b:
                 rows.le({("sigma", a, b): 1, ("m", a, b): -1}, 0.0, "c19")
+    # "Finishes before" implies "starts before": (19) and (21) state it for
+    # task/task and transfer/task pairs, this row for transfer pairs.
+    # Without it a tie lets a zero-length transfer f set dp_fe = 1 and
+    # cp_fe = 0, and (27) then counts f's file in neither copy.
+    for e in edges:
+        for f in edges:
+            if e != f:
+                rows.le({("dp", e, f): 1, ("cp", e, f): -1}, 0.0, "c19p")
     for e in edges:
         i, j = e
         for k in tasks:
@@ -400,18 +407,14 @@ def build_model(
     # ------------------------------------------------------------------
     # strengthening (valid inequalities + tightened bounds)
     # ------------------------------------------------------------------
-    if strengthen:
-        es = _earliest_starts(graph)
-        tails = _tails(graph)
-        col_m = v[("M",)]
-        v.lb[col_m] = max(v.lb[col_m], lower_bound(graph, platform))
-        for t in tasks:
-            col = v[("t", t)]
-            v.lb[col] = max(v.lb[col], es[t])
-            rows.le({("t", t): 1, ("M",): -1}, -tails[t], "tail")
-    if makespan_ub is not None:
-        col_m = v[("M",)]
-        v.ub[col_m] = min(v.ub[col_m], makespan_ub + 1e-6)
+    es = _earliest_starts(graph)
+    tails = _tails(graph)
+    col_m = v[("M",)]
+    v.lb[col_m] = max(v.lb[col_m], lower_bound(graph, platform))
+    for t in tasks:
+        col = v[("t", t)]
+        v.lb[col] = max(v.lb[col], es[t])
+        rows.le({("t", t): 1, ("M",): -1}, -tails[t], "tail")
 
     # ------------------------------------------------------------------
     # presolve: reachability-implied fixings

@@ -1,15 +1,9 @@
-"""Branch-and-bound MILP solver over scipy/HiGHS LP relaxations.
+"""Solve a built §4 model with one HiGHS ``milp`` call (the paper used CPLEX).
 
-This is the CPLEX substitution (DESIGN.md §5): the paper solved the ILP of
-§4 with IBM CPLEX 12.5; offline we solve the *same model* with our own
-depth-first branch and bound:
-
-* LP relaxations solved by ``scipy.optimize.linprog(method="highs")``;
-* branching on the most fractional binary (nearest-integer child first);
-* incumbents seeded from the heuristics (their makespans are valid upper
-  bounds, so the search only has to close the gap downwards);
-* node and wall-clock limits with honest ``status`` reporting — a ``limit``
-  result still carries the best incumbent and the proven lower bound.
+``milp`` takes no MIP start, so a heuristic incumbent bounds the model
+through ``build_model(makespan_ub=...)``; when HiGHS finds nothing strictly
+better, the incumbent is the optimum, or the best known schedule when a
+limit stopped the search.
 """
 
 from __future__ import annotations
@@ -20,134 +14,92 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
+from ..core.schedule import Schedule
+from ..core.validation import ScheduleError, validate_schedule
+from .extract import extract_schedule
 from .model import ILPModel
 
-#: Integrality tolerance for binaries in LP solutions.
-INT_TOL = 1e-6
-#: Objective comparisons (pruning / optimality gap).
+#: A solution must beat the incumbent by more than this to replace it.
 GAP_TOL = 1e-6
+
+_OPTIMAL, _LIMIT, _INFEASIBLE = 0, 1, 2  # scipy.optimize.milp statuses
 
 
 @dataclass
-class BBResult:
-    """Outcome of one branch-and-bound run."""
+class ILPSolution:
+    """Outcome of one exact solve."""
 
     status: str  # "optimal" | "feasible" | "infeasible" | "limit"
-    objective: Optional[float]
-    x: Optional[np.ndarray]
+    makespan: Optional[float]
+    schedule: Optional[Schedule]
     lower_bound: float
     nodes: int
     runtime: float
-    incumbent_from_heuristic: bool = False
 
     @property
-    def gap(self) -> float:
-        """Relative optimality gap (0 when proven optimal)."""
-        if self.objective is None or self.objective == 0:
-            return math.inf
-        return max(0.0, (self.objective - self.lower_bound) / abs(self.objective))
+    def proved_optimal(self) -> bool:
+        return self.status == "optimal"
 
 
-def solve_branch_and_bound(
+def solve_model(
     model: ILPModel,
     *,
-    incumbent: Optional[float] = None,
+    incumbent: Optional[Schedule] = None,
     node_limit: int = 20000,
     time_limit: float = 60.0,
-    log: bool = False,
-) -> BBResult:
-    """Minimise the model's objective; see module docstring for the scheme.
+) -> ILPSolution:
+    """Minimise ``model``'s makespan; ``incumbent`` is a known schedule.
 
-    ``incumbent`` is an externally-known upper bound (heuristic makespan):
-    the search prunes against it and, if it never finds anything strictly
-    better while exhausting the tree, the incumbent value is proven optimal.
+    ``model`` must have been built with ``makespan_ub=incumbent.makespan``
+    when an incumbent is given.  Statuses: ``optimal`` (proven), ``feasible``
+    (the incumbent, when a limit stopped the search or HiGHS's schedule
+    failed :func:`~repro.core.validation.validate_schedule`), ``limit``
+    (the same, with no schedule) and ``infeasible`` (proven).  Any other
+    HiGHS outcome raises :class:`RuntimeError` with HiGHS's message.
     """
     t0 = time.perf_counter()
-    base_lb = np.array(model.vars.lb, dtype=float)
-    base_ub = np.array(model.vars.ub, dtype=float)
-    int_cols = np.array(
-        [k for k in model.vars.integer_columns() if base_lb[k] != base_ub[k]],
-        dtype=int,
+    res = milp(
+        model.c,
+        constraints=LinearConstraint(model.a_ub, -np.inf, model.b_ub),
+        bounds=Bounds(model.vars.lb, model.vars.ub),
+        integrality=np.array(model.vars.integer, dtype=np.uint8),
+        # A zero relative gap leaves HiGHS's absolute gap (1e-6 = GAP_TOL);
+        # its default 1e-4 would call schedules 0.01 % off "optimal".
+        options={"node_limit": node_limit, "time_limit": time_limit,
+                 "mip_rel_gap": 0.0},
     )
-    # Branching priority: resource-assignment variables shape the whole
-    # schedule (they pick w_i and the memory constraints), so resolve their
-    # fractionality before the ordering indicators.
-    def _prio(col: int) -> float:
-        kind = model.vars.names[col][0]
-        return {"b": 4.0, "delta": 3.0, "sigma": 2.0, "eps": 2.0}.get(kind, 1.0)
+    if res.status not in (_OPTIMAL, _LIMIT, _INFEASIBLE):
+        raise RuntimeError(f"HiGHS failed on the ILP: {res.message}")
+    dual = res.mip_dual_bound
+    lower = -math.inf if dual is None or math.isnan(dual) else float(dual)
 
-    int_prio = np.array([_prio(int(c)) for c in int_cols])
-
-    best_obj = math.inf if incumbent is None else float(incumbent)
-    best_x: Optional[np.ndarray] = None
-    nodes = 0
-    exhausted = True
-
-    # Stack entries: (lb overrides, ub overrides, parent LP bound).
-    stack: list[tuple[dict[int, float], dict[int, float], float]] = [({}, {}, -math.inf)]
-
-    while stack:
-        if nodes >= node_limit or time.perf_counter() - t0 > time_limit:
-            exhausted = False
-            break
-        lo_over, up_over, parent_bound = stack.pop()
-        if parent_bound >= best_obj - GAP_TOL:
-            continue
-        lb = base_lb.copy()
-        ub = base_ub.copy()
-        for col, val in lo_over.items():
-            lb[col] = val
-        for col, val in up_over.items():
-            ub[col] = val
-        nodes += 1
-        res = linprog(model.c, A_ub=model.a_ub, b_ub=model.b_ub,
-                      bounds=np.column_stack([lb, ub]), method="highs")
-        if res.status != 0:  # infeasible (or numerically hopeless) node
-            continue
-        obj = float(res.fun)
-        if obj >= best_obj - GAP_TOL:
-            continue
-        x = res.x
-        frac = np.abs(x[int_cols] - np.round(x[int_cols]))
-        if len(frac) == 0 or frac.max() <= INT_TOL:
-            best_obj = obj
-            best_x = x
-            if log:  # pragma: no cover - debug aid
-                print(f"[bb] node {nodes}: incumbent {best_obj:.6g}")
-            continue
-        # Most fractional within the highest-priority class that is
-        # fractional at all.
-        fractional = frac > INT_TOL
-        best_score = (int_prio * fractional) + np.minimum(frac, 1 - frac)
-        worst = int(np.argmax(best_score))
-        col = int(int_cols[worst])
-        val = x[col]
-        down = (dict(lo_over), {**up_over, col: math.floor(val)}, obj)
-        up = ({**lo_over, col: math.ceil(val)}, dict(up_over), obj)
-        # LIFO stack: push the less-likely child first, explore nearest first.
-        if val - math.floor(val) <= 0.5:
-            stack.extend([up, down])
-        else:
-            stack.extend([down, up])
-
-    runtime = time.perf_counter() - t0
-    open_bounds = [entry[2] for entry in stack]
-    if exhausted:
-        lower = best_obj if math.isfinite(best_obj) else math.inf
+    schedule, rejected = incumbent, False
+    if res.x is not None and (incumbent is None
+                              or res.fun < incumbent.makespan - GAP_TOL):
+        candidate = extract_schedule(model, res.x)
+        try:
+            validate_schedule(model.graph, model.platform, candidate)
+            schedule = candidate
+        except ScheduleError:
+            # The model can undercount memory at tied event times; such a
+            # schedule proves nothing, so the incumbent (if any) stands.
+            rejected = True
+    if res.status == _LIMIT or rejected:
+        status = "limit" if schedule is None else "feasible"
+    elif schedule is None:
+        status, lower = "infeasible", math.inf
     else:
-        candidates = [b for b in open_bounds if math.isfinite(b)]
-        lower = min(candidates) if candidates else -math.inf
-
-    if math.isinf(best_obj):
-        status = "infeasible" if exhausted else "limit"
-        return BBResult(status, None, None,
-                        lower if not exhausted else math.inf,
-                        nodes, runtime)
-    if exhausted:
         status = "optimal"
-    else:
-        status = "feasible"
-    return BBResult(status, best_obj, best_x, lower, nodes, runtime,
-                    incumbent_from_heuristic=(best_x is None))
+    makespan = None
+    if schedule is not None:
+        makespan = schedule.makespan
+        schedule.meta["ilp_status"] = status
+        # No schedule beats a proven-optimal incumbent (HiGHS may even have
+        # called the capped model infeasible); otherwise the dual bound,
+        # which round-off can lift a hair above the extracted makespan.
+        exact = status == "optimal" and schedule is incumbent
+        lower = makespan if exact else min(lower, makespan)
+    return ILPSolution(status, makespan, schedule, lower,
+                       res.mip_node_count or 0, time.perf_counter() - t0)

@@ -1,7 +1,7 @@
 """Variable manager and row builder for the ILP (§4).
 
 Thin bookkeeping layer between the model construction (:mod:`repro.ilp.model`)
-and ``scipy.optimize.linprog``: named variables with bounds and integrality,
+and ``scipy.optimize.milp``: named variables with bounds and integrality,
 and ``<=`` constraint rows collected as sparse triplets.
 """
 
@@ -69,7 +69,7 @@ class VariableManager:
         return self.lb[col]
 
     def bounds_array(self) -> np.ndarray:
-        """``(n, 2)`` bounds array for ``linprog``."""
+        """``(n, 2)`` bounds array (``lb``, ``ub`` columns)."""
         return np.column_stack([np.array(self.lb), np.array(self.ub)])
 
     def integer_columns(self) -> list[int]:

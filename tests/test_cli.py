@@ -1,6 +1,7 @@
 """End-to-end CLI tests (generate -> schedule -> validate -> bounds -> ilp)."""
 
 import json
+import re
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestBoundsAndILP:
         out = capsys.readouterr().out
         assert "optimal" in out
         assert "makespan    : 6" in out
+
+    def test_ilp_prints_exactly_four_lines(self, dex_file, capfd):
+        # capfd sees fd 1 itself, so a line HiGHS writes from C shows too.
+        rc = main(["ilp", str(dex_file), "--mem-blue", "5", "--mem-red", "5"])
+        assert rc == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert lines[:3] == ["status      : optimal",
+                             "makespan    : 6.0",
+                             "lower bound : 6"]
+        assert re.fullmatch(r"nodes       : \d+ \(\d+\.\d\ds\)", lines[3])
+        assert len(lines) == 4
 
     def test_ilp_infeasible_exit_code(self, dex_file):
         rc = main(["ilp", str(dex_file), "--mem-blue", "3", "--mem-red", "3"])
