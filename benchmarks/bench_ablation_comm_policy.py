@@ -1,4 +1,4 @@
-"""Ablation — late vs eager transfer placement (DESIGN.md §4).
+"""Ablation — late vs eager transfer placement (paper §5.1).
 
 The paper schedules a task's incoming transfers *as late as possible*
 (Algorithms 1-2).  This bench quantifies the choice: eager transfers hold

@@ -19,7 +19,7 @@ def test_fig10_regenerates(show, scale, benchmark):
     result = benchmark.pedantic(fig10, args=(scale,), rounds=1, iterations=1)
     show(result)
     heur = result.data["heuristics"]
-    # Shape assertions (DESIGN.md §3): full success at alpha = 1 ...
+    # Shape assertions (paper Fig 10): full success at alpha = 1 ...
     for algo in ("memheft", "memminmin"):
         assert heur.cell(1.0, algo).success_rate == 1.0
     # ... and success rates monotone in alpha.

@@ -17,7 +17,7 @@ select→commit loop (:mod:`repro.scheduling.driver`) and differ only in
 their selection rule.  The EST kernel of §5.1 is *incremental*:
 per-(task, memory) breakdown components are cached across the list-scan
 iterations and only candidates affected by the last commit are re-evaluated
-(see :mod:`repro.scheduling.state`), with block-decomposed
+(see :mod:`repro.scheduling.kernel`), with block-decomposed
 ``earliest_fit`` queries and amortized staircase compaction in
 :mod:`repro.core.memory_profile`.
 

@@ -219,8 +219,12 @@ def cmd_ilp(args: argparse.Namespace) -> int:
         print("error: the exact ILP only models homogeneous (all speed "
               "1.0) platforms", file=sys.stderr)
         return 2
-    sol = solve_ilp(graph, platform, node_limit=args.node_limit,
-                    time_limit=args.time_limit)
+    try:
+        sol = solve_ilp(graph, platform, node_limit=args.node_limit,
+                        time_limit=args.time_limit)
+    except RuntimeError as exc:   # HiGHS ended with an error status
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"status      : {sol.status}")
     print(f"makespan    : {sol.makespan}")
     print(f"lower bound : {sol.lower_bound:g}")

@@ -48,7 +48,7 @@ class MemoryProfile:
 
     The profile carries a ``version`` counter, bumped on every mutation that
     can change the staircase *function*; the scheduler's incremental EST
-    kernel keys its ``earliest_fit`` memoisation on it.  Merging adjacent
+    kernel keys its breakdown memo on it.  Merging adjacent
     equal-valued segments (:meth:`compact`) leaves the function — and hence
     the version — unchanged, which lets long schedules compact away dead
     breakpoints without invalidating any cached EST component.

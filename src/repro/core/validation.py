@@ -20,7 +20,7 @@ and checks every constraint of the model (§3):
   finishes, and its source copy is freed when the transfer ends.
 
 The validator is written independently from the scheduler-side bookkeeping so
-tests can cross-check the two (DESIGN.md invariant 5).  In particular
+tests can cross-check the two (README, "Design invariants").  In particular
 :func:`validate_schedule` and :func:`memory_peaks` never call the scheduler's
 :class:`~repro.core.memory_profile.MemoryProfile` (only :func:`memory_usage`
 returns profiles): they replay peaks on a list staircase of their own

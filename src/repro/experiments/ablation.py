@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of two design choices of the paper's heuristics.
 
 * :func:`comm_policy_ablation` — the paper schedules incoming transfers *as
   late as possible* (§5.1); the ``eager`` variant fires them as early as

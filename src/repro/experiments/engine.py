@@ -117,11 +117,6 @@ def set_default_hosts(hosts):
     return previous
 
 
-def default_hosts():
-    """The ambient host list/executor (``None`` = run locally)."""
-    return _DEFAULT_HOSTS
-
-
 def set_default_checkpoint(checkpoint):
     """Install the ambient checkpoint journal used when ``map_cells`` is
     called without an explicit ``checkpoint``; returns the previous value
@@ -131,11 +126,6 @@ def set_default_checkpoint(checkpoint):
     previous = _DEFAULT_CHECKPOINT
     _DEFAULT_CHECKPOINT = checkpoint
     return previous
-
-
-def default_checkpoint():
-    """The ambient checkpoint journal (``None`` = no journaling)."""
-    return _DEFAULT_CHECKPOINT
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:

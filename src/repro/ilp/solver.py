@@ -38,10 +38,6 @@ class ILPSolution:
     nodes: int
     runtime: float
 
-    @property
-    def proved_optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 def solve_model(
     model: ILPModel,

@@ -68,10 +68,6 @@ class VariableManager:
             raise ValueError(f"variable {name!r} is not fixed")
         return self.lb[col]
 
-    def bounds_array(self) -> np.ndarray:
-        """``(n, 2)`` bounds array (``lb``, ``ub`` columns)."""
-        return np.column_stack([np.array(self.lb), np.array(self.ub)])
-
     def integer_columns(self) -> list[int]:
         return [k for k, flag in enumerate(self.integer) if flag]
 

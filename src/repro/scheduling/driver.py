@@ -11,8 +11,10 @@ run, observed or not, and every online planning round runs it — and
 :func:`run` wraps it for an offline heuristic.
 
 Under :mod:`repro.obs`, :func:`run` times the select and commit phases,
-folds the selector's :class:`~repro.scheduling.candidates.SelectorStats`
-and the run counts into the metrics registry, and emits per-phase child
+folds the state's breakdown-memo counters
+(:meth:`~repro.scheduling.state.SchedulerState.eval_counts`: full
+evaluations, refreshes and reuses, for every heuristic) and the run counts
+into the metrics registry, and emits per-phase child
 spans under the algorithm span.  Unobserved runs never read the clock.
 """
 
@@ -86,7 +88,7 @@ def run(state: SchedulerState, make_selector: Callable[[], object],
 
     Under :mod:`repro.obs` the whole run is an ``algorithm`` span (the
     selector is built inside it, so MemHEFT's rank span nests there) and
-    its sampled phase timings and selector stats are recorded.
+    its sampled phase timings and memo counters are recorded.
     """
     n = state.graph.n_tasks
     st = obs.active()
@@ -105,13 +107,13 @@ def run(state: SchedulerState, make_selector: Callable[[], object],
                 scale = n / n_sampled
                 select_s *= scale
                 commit_s *= scale
-            _record_run(st, selector, algorithm, select_s, commit_s, n)
+            _record_run(st, state, algorithm, select_s, commit_s, n)
     return schedule
 
 
-def _record_run(st, selector, algorithm: str, select_s: float,
+def _record_run(st, state: SchedulerState, algorithm: str, select_s: float,
                 commit_s: float, n_commits: int) -> None:
-    """Fold one run's phase timings and selector stats into the registry
+    """Fold one run's phase timings and memo counters into the registry
     and, when tracing, emit aggregate per-phase child spans.  Metric
     handles cache on the :class:`~repro.obs.ObsState` so a sweep's
     thousands of runs skip the registry's label-key construction."""
@@ -134,8 +136,7 @@ def _record_run(st, selector, algorithm: str, select_s: float,
     commits_c.inc(n_commits)
     select_c.inc(select_s)
     commit_c.inc(commit_s)
-    stats = getattr(selector, "stats", None)
-    stats_dict = stats.as_dict() if stats is not None else {}
+    stats_dict = state.eval_counts()
     for key, count in stats_dict.items():
         counter = eval_counters.get(key)
         if counter is None:

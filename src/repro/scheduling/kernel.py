@@ -7,12 +7,35 @@ schedule.  :class:`ScalarKernel` packages that arithmetic, one candidate at
 a time in pure Python, reading the data layout the
 :class:`~repro.scheduling.state.SchedulerState` keeps for it: the cached
 per-task precedence parts over the :class:`~repro.core.graph.FlatGraph`
-CSR arrays, and the per-``(task, class)`` ``earliest_fit`` memo keyed on
-the profile ``version``.  The kernel is stateless, so one instance
-(:func:`resolve_backend`) serves every state.  Every cached component is
-bit-for-bit what a from-scratch evaluation computes; the test suite
-checks that by substituting such an oracle kernel through
-``state.kernel``.
+CSR arrays, and the per-class breakdown memo ``{task: (profile version,
+ESTBreakdown)}``.  The kernel is stateless, so one instance
+(:func:`resolve_backend`) serves every state.
+
+**The breakdown memo.**  A ready task's precedence part never changes, and
+its memory part (``task_mem``, ``comm_mem``) changes only when a commit
+moves the class's :class:`~repro.core.memory_profile.MemoryProfile`, which
+bumps the profile's ``version``.  Per (task, class) an evaluation has one
+of three outcomes, counted on the state (``n_reused``, ``n_refreshes``,
+``n_full_evals``):
+
+* *reuse* — a uniform-speed class whose profile version and
+  ``min(avail)`` are both unchanged: the cached breakdown is returned;
+* *refresh* — the version is unchanged, or the class has infinite
+  capacity (``earliest_fit`` is identically ``0.0`` there, so profile
+  moves cannot change the memory part): the memory and precedence parts
+  are kept and only the resource half is recomputed, by the same code the
+  full evaluation runs.  Heterogeneous classes, whose per-processor
+  argmin depends on every processor's avail, always refresh;
+* *full* — no entry yet, or the finite-capacity profile moved: the
+  precedence part comes from the state's cache and both ``earliest_fit``
+  queries run again.
+
+Commits on unbounded classes, or in regions of the DAG that leave a
+class's profile alone, therefore cost a candidate at most its resource
+half.  Every selector reads the memo through ``state.est`` /
+``state.best_est``.  Every cached component is bit-for-bit what a
+from-scratch evaluation computes; the test suite checks that by
+substituting such an oracle kernel through ``state.kernel``.
 """
 
 from __future__ import annotations
@@ -25,6 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .state import SchedulerState
 
 Task = Hashable
+
+_INF = math.inf
 
 
 class ESTBreakdown(NamedTuple):
@@ -78,44 +103,56 @@ class ScalarKernel:
 
     def evaluate(self, state: "SchedulerState", task: Task,
                  memory: "Memory") -> ESTBreakdown:
-        """Incremental EST/EFT breakdown of a candidate: precedence parts
-        cached per task, ``earliest_fit`` memoised per profile version."""
+        """EST/EFT breakdown of a candidate through the state's per-class
+        memo: reused, refreshed (resource half only) or evaluated in full
+        (see the module docstring)."""
         idx = memory.index
-        row = state._row[task]
-        # state.is_ready(task) and a processor in the class, inlined: a
-        # placed task has a memory class index (-1 until then).
-        if (state._memidx[row] >= 0 or state._pending_parents[task]
-                or not state.platform.proc_counts[idx]):
-            return infeasible_breakdown(task, memory)
-
-        parts = state._static.get(task)
-        if parts is None:
-            parts = state._precedence_parts(task)
-        precedence, cmax, cross_in, need_task = parts[idx]
-
         profile = state.mem[memory]
-        slot = state._fit[idx]
-        if slot[0] != profile.version:
-            slot[0] = profile.version
-            slot[1].clear()
-            cached = None
+        version = profile.version
+        memo = state._est_memo[idx]
+        hit = memo.get(task)
+        uniform = state._uniform[idx]
+        row = state._row[task]
+        if hit is not None and (hit[0] == version
+                                or profile.capacity == _INF):
+            # The memo only holds ready, unplaced tasks of classes with
+            # processors (placing a task evicts it), so a hit is feasible.
+            bd = hit[1]
+            if (uniform and hit[0] == version
+                    and bd.resource == state.avail.by_class[idx][0][0]):
+                state.n_reused += 1
+                return bd
+            state.n_refreshes += 1
+            precedence = bd.precedence
+            task_mem = bd.task_mem
+            comm_mem = bd.comm_mem
+            cmax = bd.cmax
+            comm_fit = bd.comm_fit
         else:
-            cached = slot[1].get(task)
-        if cached is not None:
-            task_mem, comm_fit = cached
-        else:
+            # state.is_ready(task) and a processor in the class, inlined: a
+            # placed task has a memory class index (-1 until then).
+            if (state._memidx[row] >= 0 or state._pending_parents[task]
+                    or not state.platform.proc_counts[idx]):
+                return infeasible_breakdown(task, memory)
+            state.n_full_evals += 1
+            parts = state._static.get(task)
+            if parts is None:
+                parts = state._precedence_parts(task)
+            precedence, cmax, cross_in, need_task = parts[idx]
             task_mem = profile.earliest_fit(need_task)
             # need_task = cross_in + out_size >= cross_in and cap - x is
             # monotone, so a zero task fit (breakpoints past 0 are > 0, so
             # only "fits now") implies a zero cross-input fit.
-            comm_fit = (profile.earliest_fit(cross_in)
-                        if task_mem != 0.0 and (cross_in > 0.0 or cmax > 0.0)
-                        else 0.0)
-            slot[1][task] = (task_mem, comm_fit)
-        comm_mem = comm_fit + cmax if cross_in > 0.0 or cmax > 0.0 else 0.0
+            if cross_in > 0.0 or cmax > 0.0:
+                comm_fit = (profile.earliest_fit(cross_in)
+                            if task_mem != 0.0 else 0.0)
+                comm_mem = comm_fit + cmax
+            else:
+                comm_fit = comm_mem = 0.0
 
+        # The resource half, shared by refresh and full evaluation.
         w = state._flat.times[row][idx]
-        if state._uniform[idx]:
+        if uniform:
             # _resource_choice's uniform branch, inlined: the class has
             # processors (checked above), so its sorted view has a head.
             resource = state.avail.by_class[idx][0][0]
@@ -126,9 +163,10 @@ class ScalarKernel:
             resource, est, duration, proc = state._resource_choice(
                 memory, precedence, task_mem, comm_mem, w)
         eft = est + duration if math.isfinite(est) else math.inf
-        return ESTBreakdown(task, memory, resource, precedence, task_mem,
-                            comm_mem, cmax, est, eft, comm_fit,
-                            duration, proc)
+        bd = ESTBreakdown(task, memory, resource, precedence, task_mem,
+                          comm_mem, cmax, est, eft, comm_fit, duration, proc)
+        memo[task] = (version, bd)
+        return bd
 
 
 _SCALAR = ScalarKernel()

@@ -42,10 +42,9 @@ breakdown into parts with different lifetimes:
   depends on the placements of the task's parents, all committed by the
   time the task is ready — computed once per (task, memory) and cached for
   the rest of the run;
-* the *memory part* (``task_mem``, ``comm_mem``) is memoised against the
-  target :class:`~repro.core.memory_profile.MemoryProfile`'s ``version``
-  counter, so candidates whose memory class was untouched by the last
-  commit are served from cache;
+* the *memory part* (``task_mem``, ``comm_mem``) only moves when a commit
+  moves the target :class:`~repro.core.memory_profile.MemoryProfile`,
+  which bumps its ``version`` counter;
 * the *resource part* is the head of a per-class sorted avail structure —
   O(1) per query and maintained through :class:`_AvailVector`, which also
   reflects direct ``avail`` mutations made by branching searches.
@@ -53,9 +52,12 @@ breakdown into parts with different lifetimes:
 The arithmetic itself lives in :mod:`repro.scheduling.kernel`.  The
 state holds the data layout the kernel reads — the
 :class:`~repro.core.graph.FlatGraph` CSR adjacency, per-row finish/class
-arrays and the ``(task, class)`` fit memo — and every cached component is
-bit-for-bit identical to a from-scratch evaluation (the test suite keeps
-such an oracle kernel and substitutes it through ``state.kernel``).
+arrays and the per-class breakdown memo ``{task: (profile version,
+ESTBreakdown)}``, which reuses a breakdown, refreshes only its resource
+half or evaluates it in full, and counts each outcome (``n_reused``,
+``n_refreshes``, ``n_full_evals``).  Every cached component is bit-for-bit
+identical to a from-scratch evaluation (the test suite keeps such an
+oracle kernel and substitutes it through ``state.kernel``).
 
 On commit the state performs the §3.2 memory bookkeeping:
 
@@ -69,8 +71,8 @@ Each of these events is one :meth:`MemoryProfile.add` on its profile, in
 edge order.
 
 Each individual transfer is clipped to start no earlier than its producer's
-finish (``max(EST - Cmax, AFT(j))``) — see DESIGN.md §4: without the clip the
-paper's common window can violate its own flow constraint.
+finish (``max(EST - Cmax, AFT(j))``; README, "Performance"): without the
+clip the paper's common window can violate its own flow constraint.
 """
 
 from __future__ import annotations
@@ -223,24 +225,18 @@ class SchedulerState:
         # per task: (precedence, cmax, cross_in, need_task) per class —
         # immutable once the task is ready (parents all committed).
         self._static: dict[Task, list[tuple[float, float, float, float]]] = {}
-        # Per class: ``[profile version, {task: (task_mem, comm_fit)}]``.
-        # A version bump invalidates the whole class dict at once (the
-        # kernel clears it lazily on first access), so the hot path never
-        # filters stale entries; commit additionally evicts the committed
-        # task, bounding the memo to ready-but-uncommitted candidates.
-        self._fit: list[list] = [[-1, {}] for _ in range(platform.n_classes)]
-        # -- per-class dirty tracking ----------------------------------
-        # Commits record which memory classes they actually mutated: one
-        # serial per commit, and per class the serial of the last commit
-        # that touched its profile.  The candidate selectors key their
-        # reuse stamps on these (a class whose serial is unchanged has a
-        # bit-identical profile), instead of chasing profile ``version``
-        # counters that can bump several times within one commit.
+        # Per class: ``{task: (profile version, ESTBreakdown)}``, the
+        # kernel's breakdown memo.  Keyed on the version of ``mem[m]``, so
+        # any profile write, a commit's or a direct one, invalidates it;
+        # commit evicts the committed task, bounding the memo to
+        # ready-but-uncommitted candidates.
+        self._est_memo: list[dict] = [{} for _ in range(platform.n_classes)]
+        # The memo's outcome counters, bumped by the kernel.
+        self.n_full_evals = 0
+        self.n_refreshes = 0
+        self.n_reused = 0
+        # One serial per commit (adopt leaves it alone).
         self.commit_serial: int = 0
-        self.class_touch_serial: list[int] = [0] * platform.n_classes
-        # Bit ci set: the most recent commit mutated class ci's profile
-        # (read through ``last_touched_classes``).
-        self._touched_mask: int = 0
         # class_resources() cache, keyed on the avail vector's version.
         self._resources_cache: Optional[list[float]] = None
         self._resources_version: int = -1
@@ -266,13 +262,6 @@ class SchedulerState:
     def ready_roots(self) -> list[Task]:
         """All source tasks (ready at time zero)."""
         return self._flat.roots()
-
-    @property
-    def last_touched_classes(self) -> tuple[int, ...]:
-        """Class indices mutated by the most recent commit, ascending
-        (diagnostics; ``()`` before the first commit)."""
-        mask = self._touched_mask
-        return tuple(ci for ci in range(mask.bit_length()) if mask >> ci & 1)
 
     def pop_newly_ready(self) -> list[Task]:
         """Tasks that became ready since the last call (after commits)."""
@@ -375,6 +364,13 @@ class SchedulerState:
         schedule.  Infeasible candidates get ``est = eft = inf``."""
         return self.kernel.evaluate(self, task, memory)
 
+    def eval_counts(self) -> dict[str, int]:
+        """The breakdown memo's outcome counters (diagnostics:
+        ``repro.obs`` records them and the memo tests pin them)."""
+        return {"n_full_evals": self.n_full_evals,
+                "n_refreshes": self.n_refreshes,
+                "n_reused": self.n_reused}
+
     def class_resources(self) -> list[float]:
         """Min processor avail per memory class (``inf`` for classes without
         processors).  Served from a cache keyed on the avail vector's
@@ -433,8 +429,9 @@ class SchedulerState:
         ties go to the lowest class index (blue in the dual case).
         ``None`` when no memory is feasible."""
         best: Optional[ESTBreakdown] = None
+        evaluate = self.kernel.evaluate
         for memory in self.memories:
-            bd = self.est(task, memory)
+            bd = evaluate(self, task, memory)
             if not bd.feasible:
                 continue
             if best is None or bd.eft < best.eft - EPS:
@@ -496,14 +493,11 @@ class SchedulerState:
         memidx_of[row] = midx
 
         dest = self.mem[memory]
-        dest_bit = 1 << midx
-        touched = 0   # bitmask of the class indices this commit mutates
         # Outputs resident in mu from the task start until each consumer is
         # committed (release scheduled then).
         out_total = flat.out_size[row]
         if out_total > 0.0:
             dest.add(out_total, est, None)
-            touched = dest_bit
 
         late = self.comm_policy == "late"
         order = flat.order
@@ -521,7 +515,6 @@ class SchedulerState:
                 # Same-memory input: freed when this task finishes.
                 if size > 0.0:
                     dest.add(-size, finish, None)
-                    touched |= dest_bit
             else:
                 # Cross-memory input transfer.  "late" (the paper's policy):
                 # share the window [EST - Cmax, EST), clipped to the
@@ -546,26 +539,9 @@ class SchedulerState:
                     dest.add(size, comm_start, finish)
                     # Source copy freed when the transfer completes.
                     mem[memories[p_idx]].add(-size, comm_end, None)
-                    touched |= dest_bit | (1 << p_idx)
 
-        # Record which classes this commit actually mutated.
         self.commit_serial += 1
-        self._touched_mask = touched
-        ci = 0
-        while touched:
-            if touched & 1:
-                self.class_touch_serial[ci] = self.commit_serial
-            touched >>= 1
-            ci += 1
-
-        # Drop the committed task's cached EST components (it will never be
-        # a candidate again) — this bounds the _static/_fit memos to the
-        # live candidate set; profile-version keys invalidate the rest.
-        self._static.pop(task, None)
-        for slot in self._fit:
-            slot[1].pop(task, None)
-
-        self._release_children(row)
+        self._placed(task, row)
         return placement
 
     def adopt(self, placement: Placement) -> None:
@@ -580,10 +556,17 @@ class SchedulerState:
         row = self._row[task]
         self._finish[row] = placement.finish
         self._memidx[row] = placement.memory.index
-        self._release_children(row)
+        self._placed(task, row)
 
-    def _release_children(self, row: int) -> None:
-        """Readiness propagation over the flat child CSR."""
+    def _placed(self, task: Task, row: int) -> None:
+        """What :meth:`commit` and :meth:`adopt` record once ``task`` is
+        placed: its cached EST components go (it is never a candidate
+        again, which bounds the _static/_est_memo caches to the live
+        candidate set; profile-version keys invalidate the rest), and
+        readiness propagates over the flat child CSR."""
+        self._static.pop(task, None)
+        for memo in self._est_memo:
+            memo.pop(task, None)
         flat = self._flat
         order = flat.order
         pending = self._pending_parents
@@ -615,10 +598,11 @@ class SchedulerState:
         clone._pending_parents = dict(self._pending_parents)
         clone._newly_ready = list(self._newly_ready)
         clone._static = dict(self._static)
-        clone._fit = [[ver, dict(d)] for ver, d in self._fit]
+        clone._est_memo = [dict(memo) for memo in self._est_memo]
+        clone.n_full_evals = self.n_full_evals
+        clone.n_refreshes = self.n_refreshes
+        clone.n_reused = self.n_reused
         clone.commit_serial = self.commit_serial
-        clone.class_touch_serial = list(self.class_touch_serial)
-        clone._touched_mask = self._touched_mask
         clone._resources_cache = None
         clone._resources_version = -1
         return clone

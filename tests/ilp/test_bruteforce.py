@@ -1,5 +1,5 @@
 """Exhaustive eager-schedule search and the LB <= ILP <= eager <= heuristic
-sandwich (DESIGN.md invariant 4)."""
+sandwich (the paper's §4 ILP against §5's heuristics)."""
 
 import math
 

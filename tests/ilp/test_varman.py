@@ -35,15 +35,6 @@ class TestVariableManager:
         with pytest.raises(ValueError):
             v.fixed_value("x")
 
-    def test_bounds_array_shape(self):
-        v = VariableManager()
-        v.add("x", 1, 2)
-        v.binary("y")
-        arr = v.bounds_array()
-        assert arr.shape == (2, 2)
-        assert arr[0].tolist() == [1, 2]
-        assert arr[1].tolist() == [0, 1]
-
     def test_integer_columns(self):
         v = VariableManager()
         v.add("x")

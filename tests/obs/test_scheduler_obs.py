@@ -70,15 +70,19 @@ class TestRunMetrics:
         hist = snap[("memsched_schedule_tasks", alg)]
         assert hist["count"] == 1
 
-    def test_selector_eval_counters(self):
+    @pytest.mark.parametrize("name", sorted(ALGOS))
+    def test_selector_eval_counters(self, name):
         graph = random_dag(size=30, rng=3)
         with obs.observing() as state:
-            memminmin(graph, Platform(2, 2))
-        evals = {labels: value for (name, labels), value
+            ALGOS[name](graph, Platform(2, 2))
+        evals = {dict(labels)["kind"]: value for (metric, labels), value
                  in state.registry.snapshot().items()
-                 if name == "memsched_selector_evals_total"}
-        assert evals, "selector stats should fold into the registry"
+                 if metric == "memsched_selector_evals_total"
+                 and dict(labels)["algorithm"] == name}
+        assert set(evals) == {"full_evals", "refreshes", "reused"}
         assert all(value >= 0 for value in evals.values())
+        # Unbounded: one full evaluation per (task, class).
+        assert evals["full_evals"] == graph.n_tasks * 2
 
     def test_metrics_accumulate_across_runs(self):
         graph = dex()

@@ -2,9 +2,12 @@
 
 :class:`FreshKernel` recomputes every (task, memory) breakdown from the
 ``TaskGraph`` parent lists and the live staircases — no precedence cache,
-no ``earliest_fit`` memo, and it always queries both fits.  Tests reach it
-the way the library reaches its own kernel: assign it to ``state.kernel``
-or patch ``repro.scheduling.state.resolve_backend``.
+no breakdown memo (it reads and bumps none of the state's memo counters),
+and it always queries both fits.  No selector caches breakdowns of its
+own, so a state running it schedules with no caching at all: it is the
+memo's oracle.  Tests reach it the way the library reaches its own
+kernel: assign it to ``state.kernel`` or patch
+``repro.scheduling.state.resolve_backend``.
 """
 
 import math

@@ -40,11 +40,11 @@ class TestAdopt:
         state = SchedulerState(fork(), PLATFORM)
         before = (profiles(state), [p.version for p in state.mem.values()],
                   list(state.avail), state.avail.version,
-                  state.commit_serial, list(state.class_touch_serial))
+                  state.commit_serial, state.eval_counts())
         state.adopt(placement)
         after = (profiles(state), [p.version for p in state.mem.values()],
                  list(state.avail), state.avail.version,
-                 state.commit_serial, list(state.class_touch_serial))
+                 state.commit_serial, state.eval_counts())
         assert after == before
         assert state.schedule.placement("p") == placement
         assert state.n_scheduled == 1
@@ -72,6 +72,17 @@ class TestAdopt:
         other.adopt(placement)
         with pytest.raises(ValueError, match="already placed"):
             other.adopt(placement)
+
+    def test_adopted_task_leaves_the_memo(self):
+        """A task evaluated and then adopted is no longer a candidate: the
+        kernel's memo must not serve its old breakdown."""
+        source = SchedulerState(fork(), PLATFORM)
+        placement = placed(source, "p")
+        state = SchedulerState(fork(), PLATFORM)
+        assert state.est("p", Memory.BLUE).feasible
+        state.adopt(placement)
+        assert all("p" not in memo for memo in state._est_memo)
+        assert not state.est("p", Memory.BLUE).feasible
 
     @pytest.mark.parametrize("child_memory", [Memory.BLUE, Memory.RED])
     @pytest.mark.parametrize("comm_policy", ["late", "eager"])

@@ -1,10 +1,12 @@
-"""Per-class dirty tracking: ``SchedulerState.commit`` records exactly the
-memory classes it mutated, and the selectors keyed on those serials still
-take bit-identical decisions (the golden-schedule suite pins the same
-property end to end)."""
+"""Per-class invalidation: ``SchedulerState.commit`` moves the profile
+versions of exactly the memory classes it writes, the kernel's breakdown
+memo re-evaluates in full only those classes, and the selectors reading
+the memo still take bit-identical decisions (the golden-schedule suite
+pins the same property end to end)."""
 
 import pytest
 
+from repro.core.graph import TaskGraph
 from repro.core.platform import Memory, Platform
 from repro.dags.daggen import random_dag
 from repro.dags.toy import dex
@@ -15,6 +17,8 @@ from repro.scheduling.sufferage import memsufferage
 
 from .scan_reference import reference
 
+BOUNDED = Platform(1, 1, 10.0, 10.0)
+
 
 def _commit_on(state, task, memory):
     bd = state.est(task, memory)
@@ -23,74 +27,125 @@ def _commit_on(state, task, memory):
     return bd
 
 
+def _versions(state):
+    return [state.mem[m].version for m in state.memories]
+
+
+def _outcomes(state, task):
+    """Per class, the memo outcome evaluating ``task`` takes now:
+    ``"full_evals"``, ``"refreshes"`` or ``"reused"``."""
+    out = []
+    for memory in state.memories:
+        before = state.eval_counts()
+        state.est(task, memory)
+        after = state.eval_counts()
+        moved = [k for k in after if after[k] != before[k]]
+        assert len(moved) == 1
+        out.append(moved[0].removeprefix("n_"))
+    return out
+
+
+def _two_roots():
+    """Roots ``a`` (feeds ``c``) and ``b`` (no files)."""
+    g = TaskGraph("two-roots")
+    g.add_task("a", w_blue=2, w_red=2)
+    g.add_task("b", w_blue=1, w_red=1)
+    g.add_task("c", w_blue=1, w_red=1)
+    g.add_dependency("a", "c", size=2, comm=1)
+    return g
+
+
 class TestCommitRecordsTouchedClasses:
     def test_root_with_outputs_touches_its_class_only(self):
-        state = SchedulerState(dex(), Platform(1, 1))
-        _commit_on(state, "T1", Memory.BLUE)   # T1 has outputs, no inputs
-        assert state.last_touched_classes == (0,)
+        state = SchedulerState(_two_roots(), BOUNDED)
+        assert _outcomes(state, "b") == ["full_evals", "full_evals"]
+        _commit_on(state, "a", Memory.BLUE)   # outputs, no inputs
         assert state.commit_serial == 1
-        assert state.class_touch_serial == [1, 0]
+        assert _versions(state)[0] > 0 and _versions(state)[1] == 0
+        # Red's profile and processors are as they were: reused verbatim.
+        assert _outcomes(state, "b") == ["full_evals", "reused"]
 
     def test_cross_memory_commit_touches_both_classes(self):
-        state = SchedulerState(dex(), Platform(1, 1))
+        state = SchedulerState(dex(), BOUNDED)
         _commit_on(state, "T1", Memory.BLUE)
+        assert _outcomes(state, "T3") == ["full_evals", "full_evals"]
         # T2 reads T1's file; placing it on red forces a transfer, which
         # allocates in red and schedules a release in blue.
+        before = _versions(state)
         _commit_on(state, "T2", Memory.RED)
-        assert state.last_touched_classes == (0, 1)
-        assert state.class_touch_serial == [2, 2]
+        assert all(a > b for a, b in zip(_versions(state), before))
+        assert _outcomes(state, "T3") == ["full_evals", "full_evals"]
 
     def test_same_memory_commit_touches_one_class(self):
-        state = SchedulerState(dex(), Platform(1, 1))
+        state = SchedulerState(dex(), BOUNDED)
         _commit_on(state, "T1", Memory.BLUE)
+        assert _outcomes(state, "T3") == ["full_evals", "full_evals"]
+        red = _versions(state)[1]
         _commit_on(state, "T2", Memory.BLUE)
-        assert state.last_touched_classes == (0,)
-        assert state.class_touch_serial == [2, 0]
+        assert _versions(state)[1] == red
+        assert _outcomes(state, "T3") == ["full_evals", "reused"]
 
     def test_task_without_files_touches_nothing(self):
-        from repro.core.graph import TaskGraph
         g = TaskGraph()
         g.add_task("a", w_blue=2, w_red=1)
-        state = SchedulerState(g, Platform(1, 1))
+        g.add_task("b", w_blue=2, w_red=1)
+        state = SchedulerState(g, BOUNDED)
+        assert _outcomes(state, "b") == ["full_evals", "full_evals"]
         _commit_on(state, "a", Memory.BLUE)
-        assert state.last_touched_classes == ()
+        assert _versions(state) == [0, 0]
         assert state.commit_serial == 1
-        assert state.class_touch_serial == [0, 0]
+        # Only blue's processor moved: its resource half is refreshed.
+        assert _outcomes(state, "b") == ["refreshes", "reused"]
 
     def test_copy_preserves_dirty_state(self):
-        state = SchedulerState(dex(), Platform(1, 1))
+        state = SchedulerState(dex(), BOUNDED)
         _commit_on(state, "T1", Memory.BLUE)
+        _outcomes(state, "T2")
+        _outcomes(state, "T3")
         clone = state.copy()
         assert clone.commit_serial == state.commit_serial
-        assert clone.class_touch_serial == state.class_touch_serial
-        assert clone.last_touched_classes == state.last_touched_classes
-        # And the clone's counters advance independently.
+        assert clone.eval_counts() == state.eval_counts()
+        assert clone._est_memo == state._est_memo
+        # The clone serves the copied memo ...
+        assert _outcomes(clone, "T3") == ["reused", "reused"]
+        # ... and its counters and memo advance independently.
         _commit_on(clone, "T2", Memory.BLUE)
         assert state.commit_serial == 1
         assert clone.commit_serial == 2
+        assert all("T2" in memo for memo in state._est_memo)
+        assert all("T2" not in memo for memo in clone._est_memo)
+        assert clone.n_reused == state.n_reused + 3
 
-    def test_serials_track_profile_mutations_exactly(self):
-        """A class's touch serial moves iff its profile version moved."""
+    def test_full_evals_track_profile_mutations_exactly(self):
+        """A ready task's class takes a full evaluation iff the class's
+        profile version moved since the task's last evaluation."""
         graph = random_dag(size=40, rng=13)
-        platform = Platform(n_blue=1, n_red=1)
+        platform = Platform(n_blue=1, n_red=1, mem_blue=400.0, mem_red=400.0)
         state = SchedulerState(graph, platform)
-        versions = {m: state.mem[m].version for m in state.memories}
         available = set(graph.roots())
+        steps = 0
         while available:
+            seen = {t: _versions(state) for t in available}
+            for task in available:
+                state.best_est(task)
             task = min(available, key=str)
-            bd = state.best_est(task)
-            state.commit(bd)
+            state.commit(state.best_est(task))
             available.discard(task)
+            for t, versions in seen.items():
+                if t == task:
+                    continue
+                moved = [a != b for a, b in zip(_versions(state), versions)]
+                assert [o == "full_evals" for o in _outcomes(state, t)] \
+                    == moved
+                steps += 1
             available.update(state.pop_newly_ready())
-            for m in state.memories:
-                moved = state.mem[m].version != versions[m]
-                assert (m.index in state.last_touched_classes) == moved
-                versions[m] = state.mem[m].version
+        assert steps > 0
 
 
 class TestSelectorsStayBitIdentical:
-    """Belt-and-braces next to the goldens: selection on the touch-serial
-    stamps equals each heuristic's reference rescan, including k > 2."""
+    """Belt-and-braces next to the goldens: selection through the
+    breakdown memo equals each heuristic's reference rescan, including
+    k > 2."""
 
     @pytest.mark.parametrize("algo,kwargs", [
         (memheft, {}), (memminmin, {}), (memsufferage, {})])
@@ -113,7 +168,6 @@ class TestSelectorsStayBitIdentical:
     @pytest.mark.parametrize("algo", [memminmin, memsufferage])
     def test_three_class_platform(self, algo):
         from repro._util import as_rng
-        from repro.core.graph import TaskGraph
         gen = as_rng(17)
         graph = TaskGraph("dirty-tri", n_classes=3)
         for k in range(22):

@@ -1,4 +1,4 @@
-"""Cross-cutting behaviour of all four heuristics (DESIGN.md invariants 1-6)."""
+"""Cross-cutting behaviour of all four heuristics."""
 
 import pytest
 

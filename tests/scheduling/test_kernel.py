@@ -1,7 +1,7 @@
 """The scalar EST kernel: ``evaluate`` agrees with the from-scratch
 reference (:class:`FreshKernel`) at every step of a real run, exact EPS
-ties resolve the way the §5.1 chains say, the ``earliest_fit`` memo
-follows the profile versions, and whole heuristic runs are byte-identical
+ties resolve the way the §5.1 chains say, the breakdown memo follows
+the profile versions, and whole heuristic runs are byte-identical
 whether the kernel serves candidates from its caches or recomputes
 them."""
 
@@ -151,8 +151,8 @@ class TestBreakdowns:
 
 class TestFreshParity:
     """``evaluate`` returns, at every step of a real run, the same
-    breakdowns as the from-scratch reference, and its ``earliest_fit``
-    memo follows the profile versions."""
+    breakdowns as the from-scratch reference, and its breakdown memo
+    follows the profile versions."""
 
     @pytest.mark.parametrize("comm_policy", ["late", "eager"])
     @pytest.mark.parametrize("platform", PLATFORMS)
@@ -170,37 +170,39 @@ class TestFreshParity:
         assert steps > 1
 
     def test_fit_memo_filled_per_version(self):
-        """Evaluations land in the shared (task, class) memo under the
-        profile's current version, and repeat evaluations reuse them."""
+        """Evaluations land in the per-class memo under the profile's
+        current version, and repeat evaluations reuse them."""
         graph = random_dag(size=30, rng=5)
         state = SchedulerState(graph, Platform(2, 2, 100.0, 100.0))
         kernel = resolve_backend()
         ready = list(state.ready_roots())
         memory = state.memories[0]
         first = [kernel.evaluate(state, t, memory) for t in ready]
-        slot = state._fit[memory.index]
-        assert slot[0] == state.mem[memory].version
-        for task in ready:
-            assert task in slot[1]
-        assert first == [kernel.evaluate(state, t, memory) for t in ready]
+        memo = state._est_memo[memory.index]
+        version = state.mem[memory].version
+        assert {t: memo[t] for t in ready} == \
+            {t: (version, bd) for t, bd in zip(ready, first)}
+        assert state.eval_counts() == {"n_full_evals": len(ready),
+                                       "n_refreshes": 0, "n_reused": 0}
+        again = [kernel.evaluate(state, t, memory) for t in ready]
+        assert all(a is b for a, b in zip(again, first))
+        assert state.n_reused == len(ready)
 
     def test_fit_memo_dropped_when_the_profile_moves(self):
+        """A direct profile write between two evaluations invalidates the
+        memo: the second evaluation is the from-scratch one."""
         graph = random_dag(size=30, rng=5)
         state = SchedulerState(graph, Platform(1, 1, 100.0, 100.0))
         kernel = resolve_backend()
         ready = list(state.ready_roots())
         blue = state.memories[0]
-        for task in ready:
-            kernel.evaluate(state, task, blue)
-        state.commit(kernel.evaluate(state, ready[0], blue))
-        slot = state._fit[blue.index]
-        assert ready[0] not in slot[1]
-        stale_version = slot[0]
-        assert stale_version != state.mem[blue].version
-        rest = ready[1:]
-        again = [kernel.evaluate(state, t, blue) for t in rest]
-        assert slot[0] == state.mem[blue].version
-        assert again == [FreshKernel().evaluate(state, t, blue) for t in rest]
+        first = [kernel.evaluate(state, t, blue) for t in ready]
+        state.mem[blue].add(95.0, 0.0, 40.0)
+        again = [kernel.evaluate(state, t, blue) for t in ready]
+        assert again == [FreshKernel().evaluate(state, t, blue)
+                         for t in ready]
+        assert again != first
+        assert state.n_full_evals == 2 * len(ready)
 
 
 class TestTieChains:
@@ -263,20 +265,27 @@ class TestPerEventCommit:
         state = SchedulerState(graph, Platform(2, 2, 150.0, 150.0),
                                comm_policy=comm_policy)
         ready = list(state.ready_roots())
-        commits = 0
+        commits = stale = 0
         while ready:
-            bd = next(b for b in map(state.best_est, ready) if b is not None)
+            # Evaluating every ready task leaves each memo entry at its
+            # class's current version.
+            bds = [state.best_est(t) for t in ready]
+            bd = next(b for b in bds if b is not None)
             expected = self._expected_events(state, bd)
             before = [state.mem[m].version for m in state.memories]
             state.commit(bd)
             after = [state.mem[m].version for m in state.memories]
             assert [a - b for a, b in zip(after, before)] == expected
-            assert state.last_touched_classes == tuple(
-                ci for ci, n in enumerate(expected) if n)
+            # So the entries left after the commit are stale exactly on
+            # the classes the commit wrote to.
+            for ci, memo in enumerate(state._est_memo):
+                assert all(v == before[ci] for v, _ in memo.values())
+                stale += bool(memo and expected[ci])
             ready = ([t for t in ready if t != bd.task]
                      + state.pop_newly_ready())
             commits += 1
         assert commits == len(list(graph.tasks()))
+        assert stale > 0
 
     def test_untouched_class_keeps_version_and_memo(self):
         g = TaskGraph("split")
@@ -290,11 +299,12 @@ class TestPerEventCommit:
         on_red = kernel.evaluate(state, "b", red)
         red_version = state.mem[red].version
         state.commit(kernel.evaluate(state, "a", blue))
-        assert state.last_touched_classes == (0,)
+        assert state.mem[blue].version != 0
         assert state.mem[red].version == red_version
-        assert state._fit[red.index][0] == red_version
-        assert "b" in state._fit[red.index][1]
-        assert kernel.evaluate(state, "b", red) == on_red
+        assert state._est_memo[red.index]["b"] == (red_version, on_red)
+        reused = state.n_reused
+        assert kernel.evaluate(state, "b", red) is on_red
+        assert state.n_reused == reused + 1
 
 
 class TestEndToEndEquivalence:

@@ -1,5 +1,5 @@
 """Property-based tests: every heuristic, on arbitrary generated instances,
-produces schedules satisfying all model constraints (DESIGN.md §7)."""
+produces schedules satisfying all model constraints of the paper's §3."""
 
 import pytest
 from hypothesis import given

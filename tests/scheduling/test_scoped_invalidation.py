@@ -1,24 +1,26 @@
-"""DAG-scoped candidate invalidation must be invisible in the schedules
+"""The kernel's breakdown memo must be invisible in the schedules
 (bit-identical to the naive rescan) while keeping full kernel
 re-evaluations to the profile mutations that demand them, and the
 commit-side cache eviction must keep the EST memos bounded to the live
 candidate set."""
 
 import math
+import sys
 
 import pytest
 
 from repro import Platform
-from repro.dags import random_dag
+from repro.dags import cholesky_dag, lu_dag, random_dag
+from repro.experiments.figures import MIRAGE_PLATFORM
+from repro.scheduling import driver
 from repro.scheduling.candidates import MinEFTSelector, ScanSelector, min_eft
 from repro.scheduling.driver import drive
+from repro.scheduling.memheft import memheft
 from repro.scheduling.memminmin import memminmin
 from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 from repro.scheduling.sufferage import memsufferage
 
 from .scan_reference import reference
-
-SELECTORS = (MinEFTSelector,)
 
 #: Each lazy selector and the scan rule it must reproduce.
 PAIRS = [pytest.param(MinEFTSelector, min_eft, id="MinEFTSelector")]
@@ -83,34 +85,62 @@ class TestScopedEqualsScan:
                 == (b.proc, b.memory, b.start, b.finish)
 
 
-class TestReEvaluationReduction:
-    @pytest.mark.parametrize("selector_cls", SELECTORS,
-                             ids=lambda c: c.__name__)
-    @pytest.mark.parametrize("size, seed", [(150, 1), (80, 2)])
-    def test_unbounded_full_evals_is_one_per_task_class(self, selector_cls,
-                                                        size, seed):
-        """On wide DAGs with untouched (unbounded) profiles, commits only
-        move processor avail: each (candidate, class) pair takes exactly
-        one full kernel evaluation (on push), and everything after is an
-        O(1) refresh or a reuse."""
-        graph = random_dag(size=size, width=0.8, rng=seed)
-        platform = Platform(2, 2)
-        _, selector = _drive(graph, platform, selector_cls)
-        stats = selector.stats
-        assert stats.n_full_evals == graph.n_tasks * platform.n_classes
-        assert stats.n_refreshes > 0
+def _run_state(fn, graph, platform, monkeypatch):
+    """Run heuristic ``fn`` unchanged; return the state it scheduled on."""
+    states = []
 
-    def test_stats_dict_roundtrip(self):
+    def spy(state, *args):
+        states.append(state)
+        return driver.run(state, *args)
+
+    monkeypatch.setattr(sys.modules[fn.__module__], "run", spy)
+    fn(graph, platform)
+    return states[0]
+
+
+GRAPHS = {
+    "rand150": lambda: random_dag(size=150, width=0.8, rng=1),
+    "rand80": lambda: random_dag(size=80, width=0.8, rng=2),
+    "lu6": lambda: lu_dag(6),
+    "cholesky6": lambda: cholesky_dag(6),
+}
+
+
+class TestReEvaluationReduction:
+    @pytest.mark.parametrize("fn", (memheft, memminmin, memsufferage),
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("graph_id", GRAPHS)
+    @pytest.mark.parametrize("platform", [Platform(2, 2), MIRAGE_PLATFORM],
+                             ids=["2+2", "mirage"])
+    def test_unbounded_full_evals_is_one_per_task_class(
+            self, fn, graph_id, platform, monkeypatch):
+        """With untouched (unbounded) profiles, commits only move
+        processor avail: each (candidate, class) pair takes exactly one
+        full kernel evaluation, and everything after is an O(1) refresh
+        or a reuse.  MemHEFT commits the first ready task it evaluates on
+        an unbounded platform, so it never re-evaluates one."""
+        graph = GRAPHS[graph_id]()
+        state = _run_state(fn, graph, platform, monkeypatch)
+        assert state.n_full_evals == graph.n_tasks * platform.n_classes
+        if fn is memheft:
+            assert state.n_refreshes == 0
+        else:
+            assert state.n_refreshes > 0
+
+    def test_stats_dict_roundtrip(self, monkeypatch):
         graph = random_dag(size=20, rng=0)
-        _, selector = _drive(graph, Platform(1, 1), MinEFTSelector)
-        d = selector.stats.as_dict()
-        assert set(d) == {"n_full_evals", "n_refreshes", "n_reused"}
+        state = _run_state(memminmin, graph, Platform(1, 1), monkeypatch)
+        d = state.eval_counts()
+        assert d == {"n_full_evals": state.n_full_evals,
+                     "n_refreshes": state.n_refreshes,
+                     "n_reused": state.n_reused}
         assert all(v >= 0 for v in d.values())
 
 
 class TestCommitEviction:
-    """Satellite: commit must evict the committed task's memo entries, so
-    the _static/_fit caches stay bounded to ready-but-uncommitted tasks."""
+    """Commit must evict the committed task's memo entries, so the
+    _static/_est_memo caches stay bounded to ready-but-uncommitted
+    tasks."""
 
     def test_fit_and_static_evicted_on_commit(self):
         graph = random_dag(size=25, rng=3)
@@ -127,12 +157,12 @@ class TestCommitEviction:
             committed.append(task)
             for t in committed:
                 assert t not in state._static
-                assert all(t not in slot[1] for slot in state._fit)
+                assert all(t not in memo for memo in state._est_memo)
             ready = ready[1:] + state.pop_newly_ready()
         # Everything committed -> both memos fully drained.
         assert state.done
         assert not state._static
-        assert all(not slot[1] for slot in state._fit)
+        assert not any(state._est_memo)
 
     def test_memo_never_exceeds_live_candidate_count(self):
         graph = random_dag(size=40, width=0.7, rng=8)
@@ -153,8 +183,7 @@ class TestCommitEviction:
                 break
             n_uncommitted = graph.n_tasks - state.n_scheduled
             assert len(state._static) <= n_uncommitted
-            assert sum(len(slot[1]) for slot in state._fit) \
-                <= n_uncommitted * k
+            assert sum(map(len, state._est_memo)) <= n_uncommitted * k
             state.commit(bd)
             available.discard(bd.task)
             available.update(state.pop_newly_ready())

@@ -168,6 +168,20 @@ class TestBoundsAndILP:
         rc = main(["ilp", str(dex_file), "--mem-blue", "3", "--mem-red", "3"])
         assert rc == 2
 
+    def test_ilp_solver_error_is_one_line(self, dex_file, capsys,
+                                          monkeypatch):
+        def solve_error(*args, **kwargs):
+            raise RuntimeError("HiGHS failed on the ILP: "
+                               "(HiGHS Status 4: Solve error)")
+
+        monkeypatch.setattr("repro.cli.solve_ilp", solve_error)
+        rc = main(["ilp", str(dex_file), "--mem-blue", "5", "--mem-red", "5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: HiGHS failed on the ILP: "
+                                "(HiGHS Status 4: Solve error)\n")
+
 
 class TestExperiment:
     def test_table1(self, capsys):
