@@ -90,7 +90,8 @@ from ..scheduling.candidates import (
 )
 from ..scheduling.driver import drive
 from ..scheduling.kernel import ESTBreakdown
-from ..scheduling.ranks import rank_order, upward_rank_rows
+from ..scheduling.ranks import upward_rank_rows
+from ..scheduling.ranks import rank_order  # noqa: F401 (perfbench patches it here)
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
 from ..scheduling.state import SchedulerState
 from .policies import make_policy
@@ -529,6 +530,7 @@ class OnlineSession:
                         task=task, proc=placed.proc, memory=placed.memory,
                         start=placed.start, finish=placed.finish))
         state.pop_newly_ready()   # the driver derives readiness itself
+        n_adopted = state.n_scheduled
 
         # The round commits ``end`` decisions (kept replays, then the
         # driver's), and the new log's never-revocable prefix ends
@@ -550,7 +552,9 @@ class OnlineSession:
                 state.pop_newly_ready()   # readiness comes from the log
                 if n == cut:
                     fold = _fold(state)
-            records, fold_in_drive = self._drive(state, blocks, floor,
+            positions = (self._rank_positions(blocks)
+                         if self.algorithm == "memheft" else None)
+            records, fold_in_drive = self._drive(state, positions, floor,
                                                  cut - len(kept))
         except BaseException:
             for profile in base.profiles.values():
@@ -563,7 +567,7 @@ class OnlineSession:
             profile.forget()
         self._base = _Checkpoint(base.profiles, avail, base.length + cut)
         self._tail = (kept + records)[cut:]
-        self._publish_placements(state, jobs)
+        self._publish_placements(state, jobs, n_adopted)
         still_open = {_split_ns(d.task)[0] for d in self._tail}
         self._blocks = {job_id: block
                         for job_id, block in self._blocks.items()
@@ -578,35 +582,30 @@ class OnlineSession:
             block = self._blocks[job.job_id] = _JobBlock(job, self.platform)
         return block
 
-    def _rank_positions(self, union) -> dict:
+    @staticmethod
+    def _rank_positions(blocks) -> dict:
         """Each task's position in MemHEFT's priority list, exactly
         ``rank_order(union graph, rng=None)``: non-increasing upward rank,
-        ties in union insertion order (arrival, then node order).  A
-        round's job blocks give it as one stable sort of their cached
-        ranks; a union :class:`TaskGraph` is ranked from scratch."""
-        if isinstance(union, TaskGraph):
-            order = rank_order(union, rng=None, platform=self.platform)
-        else:
-            ids = [t for block in union for t in block.ids]
-            neg_ranks = [r for block in union for r in block.neg_ranks]
-            order = [ids[i] for i in sorted(range(len(ids)),
-                                            key=neg_ranks.__getitem__)]
-        return {t: k for k, t in enumerate(order)}
+        ties in union insertion order (arrival, then node order) — one
+        stable sort of the round's job blocks' cached ranks."""
+        ids = [t for block in blocks for t in block.ids]
+        neg_ranks = [r for block in blocks for r in block.neg_ranks]
+        return {ids[i]: k for k, i in enumerate(
+            sorted(range(len(ids)), key=neg_ranks.__getitem__))}
 
-    def _drive(self, state: SchedulerState, union, floor: float,
+    def _drive(self, state: SchedulerState, positions: Optional[dict],
+               floor: float,
                cut: int = -1) -> tuple[list[_Decision], Optional[tuple]]:
         """The offline heuristic's selector, driven by the one loop of
         :mod:`repro.scheduling.driver` with the release-floor clamp —
         with ``floor == 0`` and nothing committed this is bit-for-bit the
-        offline heuristic.  ``union`` is the round's job blocks (or a
-        union :class:`TaskGraph`), consulted for MemHEFT's rank order
-        only; the rest comes from the state's flat arrays.  Returns the
-        decisions and, right after the ``cut``-th of them, the state's
-        :func:`_fold`."""
+        offline heuristic.  ``positions`` is MemHEFT's rank position per
+        task (``None`` for the other heuristics); the rest comes from the
+        state's flat arrays.  Returns the decisions and, right after the
+        ``cut``-th of them, the state's :func:`_fold`."""
         flat = state._flat
         if self.algorithm == "memheft":
-            selector = ScanSelector(state, self._rank_positions(union),
-                                    first_fit)
+            selector = ScanSelector(state, positions, first_fit)
         elif self.algorithm == "memminmin":
             selector = MinEFTSelector(state, flat.index)
         else:   # memsufferage (constructor rejects anything else)
@@ -639,16 +638,16 @@ class OnlineSession:
                    for best, placement in pairs]
         return records, fold
 
-    def _publish_placements(self, state: SchedulerState, jobs) -> None:
+    def _publish_placements(self, state: SchedulerState, jobs,
+                            n_adopted: int) -> None:
         """Copy the placements the round state committed back into
-        per-job views (original task names, node order).  Adopted tasks
-        keep their published :class:`Placement` objects: they are the
-        ones the state adopted, unchanged by construction."""
-        # ``adopt`` adds a placement without a commit serial, and the
-        # round adopts before it commits: the commits are the tail.
+        per-job views (original task names, node order).  The round
+        adopts ``n_adopted`` placements before it commits anything, so
+        the commits are the schedule's tail; adopted tasks keep their
+        published :class:`Placement` objects: they are the ones the state
+        adopted, unchanged by construction."""
         committed = {p.task: p for p in itertools.islice(
-            state.schedule.placements(),
-            state.n_scheduled - state.commit_serial, None)}
+            state.schedule.placements(), n_adopted, None)}
         for job in jobs:
             block = self._block(job)
             if not block.ids:

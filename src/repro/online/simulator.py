@@ -115,15 +115,16 @@ def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
         heapq.heappush(queue, (release, next(seq), "release",
                                job_id, graph))
     events: list = []
-    completions: set = set()
 
-    def note_completions() -> None:
+    def note_completions(planned) -> None:
         # Completion events join the shared timeline as placements
         # commit; they are observational (resource reuse is already
-        # encoded in the avail vector and memory profiles).
-        for job in session.jobs.values():
-            if job.placements is not None and job.job_id not in completions:
-                completions.add(job.job_id)
+        # encoded in the avail vector and memory profiles).  A job is
+        # planned once (an empty one stays unplaced); arrival order keeps
+        # equal-time completions in submission order.
+        for job in sorted(map(session.jobs.__getitem__, planned),
+                          key=lambda job: job.arrival_index):
+            if job.placements is not None:
                 heapq.heappush(queue, (job.finish, next(seq), "complete",
                                        job.job_id, None))
 
@@ -139,10 +140,8 @@ def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
             else:
                 events.append({"t": t, "kind": "complete", "job": job_id})
         if releases:
-            session.poll(t)
-            note_completions()
-    session.flush()
-    note_completions()
+            note_completions(session.poll(t))
+    note_completions(session.flush())
     while queue:
         t, _, kind, job_id, _ = heapq.heappop(queue)
         events.append({"t": t, "kind": kind, "job": job_id})

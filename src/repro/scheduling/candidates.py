@@ -28,7 +28,9 @@ keyed on the *fastest processor of each class* — a lower bound of
 immutable once a task is ready, processor avail times only advance, no
 assignment runs faster than the class's fastest processor), so it is a
 sound *eternal* heap key: candidates whose key exceeds the best exact EFT
-found so far need not be touched at all.
+found so far need not be touched at all.  The selector owns that key: it
+builds it from the state's cached precedence parts, the platform's
+fastest speeds and each class's ``min(avail)``, read once per ``select``.
 
 No selector caches breakdowns of its own: every one reads them through
 ``state.best_est`` / ``state.est``, whose kernel memo reuses a breakdown,
@@ -55,7 +57,7 @@ from heapq import heappop, heappush
 from typing import Hashable, Optional
 
 from .._util import EPS
-from .state import ESTBreakdown, SchedulerState, lower_bound_from_parts
+from .state import ESTBreakdown, SchedulerState
 
 Task = Hashable
 
@@ -74,7 +76,7 @@ class _Entry:
         #: Static ``(Wmin^(c), precedence_c + Wmin^(c))`` pair per class
         #: (``None`` for classes without processors) — the memory-free
         #: lower bound of the class-c EFT is ``max(resource_c + W, prec + W)``.
-        self.lbparts: Optional[tuple] = None
+        self.lbparts: Optional[list] = None
 
 
 def first_fit(state: SchedulerState, tasks) -> Optional[ESTBreakdown]:
@@ -200,13 +202,30 @@ class MinEFTSelector:
             entry.alive = False
 
     def _lower_bound(self, entry: _Entry, resources: list[float]) -> float:
-        """The entry's eternal heap key, from its cached static parts (see
-        :meth:`SchedulerState.est_lower_bound` for why it is sound)."""
+        """The entry's eternal heap key ``min_c max(resources[c],
+        precedence_c) + Wmin^(c)`` (see the module docstring for why it is
+        sound), from its cached static parts."""
         parts = entry.lbparts
         if parts is None:
-            parts = entry.lbparts = \
-                self.state.est_lower_bound_parts(entry.task)
-        return lower_bound_from_parts(parts, resources)
+            state = self.state
+            platform = state.platform
+            precedence = state._precedence_parts(entry.task)
+            parts = entry.lbparts = [
+                (w / fastest, part[0] + w / fastest) if count else None
+                for w, fastest, count, part in zip(
+                    state._flat.times[state._row[entry.task]],
+                    platform.max_class_speeds, platform.proc_counts,
+                    precedence)]
+        best = math.inf
+        for ci, part in enumerate(parts):
+            if part is None:
+                continue
+            lb = resources[ci] + part[0]
+            if part[1] > lb:
+                lb = part[1]
+            if lb < best:
+                best = lb
+        return best
 
     def select(self) -> Optional[ESTBreakdown]:
         """The candidate the naive scan would commit, or ``None`` when no
@@ -214,7 +233,8 @@ class MinEFTSelector:
         state = self.state
         heap = self._heap
         best_est = state.best_est
-        resources = state.class_resources()
+        avail = state.avail
+        resources = [avail.class_min(ci) for ci in range(len(state.memories))]
         window = 2.0 * EPS
         m = math.inf
         popped: list[_Entry] = []

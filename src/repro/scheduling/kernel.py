@@ -13,17 +13,18 @@ ESTBreakdown)}``.  The kernel is stateless, so one instance
 
 **The breakdown memo.**  A ready task's precedence part never changes, and
 its memory part (``task_mem``, ``comm_mem``) changes only when a commit
-moves the class's :class:`~repro.core.memory_profile.MemoryProfile`, which
-bumps the profile's ``version``.  Per (task, class) an evaluation has one
-of three outcomes, counted on the state (``n_reused``, ``n_refreshes``,
+moves the class's :class:`~repro.core.memory_profile.MemoryProfile`,
+which bumps the profile's ``version``.  A memo entry's memory part is
+*valid* while that version is unchanged, or always on a class of infinite
+capacity (``earliest_fit`` is identically ``0.0`` there, so profile moves
+cannot change it).  Per (task, class) an evaluation has one of three
+outcomes, counted on the state (``n_reused``, ``n_refreshes``,
 ``n_full_evals``):
 
-* *reuse* — a uniform-speed class whose profile version and
-  ``min(avail)`` are both unchanged: the cached breakdown is returned;
-* *refresh* — the version is unchanged, or the class has infinite
-  capacity (``earliest_fit`` is identically ``0.0`` there, so profile
-  moves cannot change the memory part): the memory and precedence parts
-  are kept and only the resource half is recomputed, by the same code the
+* *reuse* — a valid entry of a uniform-speed class whose ``resource`` is
+  still the class's ``min(avail)``: the cached breakdown is returned;
+* *refresh* — any other valid entry: the memory and precedence parts are
+  kept and only the resource half is recomputed, by the same code the
   full evaluation runs.  Heterogeneous classes, whose per-processor
   argmin depends on every processor's avail, always refresh;
 * *full* — no entry yet, or the finite-capacity profile moved: the
@@ -32,10 +33,11 @@ of three outcomes, counted on the state (``n_reused``, ``n_refreshes``,
 
 Commits on unbounded classes, or in regions of the DAG that leave a
 class's profile alone, therefore cost a candidate at most its resource
-half.  Every selector reads the memo through ``state.est`` /
-``state.best_est``.  Every cached component is bit-for-bit what a
-from-scratch evaluation computes; the test suite checks that by
-substituting such an oracle kernel through ``state.kernel``.
+half, and nothing while the class's earliest processor stays put.  Every
+selector reads the memo through ``state.est`` / ``state.best_est``.
+Every cached component is bit-for-bit what a from-scratch evaluation
+computes; the test suite checks that by substituting such an oracle
+kernel through ``state.kernel``.
 """
 
 from __future__ import annotations
@@ -82,11 +84,6 @@ class ESTBreakdown(NamedTuple):
     proc: int = -1
 
     @property
-    def cls(self) -> int:
-        """Memory-class index (generic alias for ``memory.index``)."""
-        return self.memory.index
-
-    @property
     def feasible(self) -> bool:
         return math.isfinite(self.eft)
 
@@ -118,8 +115,7 @@ class ScalarKernel:
             # The memo only holds ready, unplaced tasks of classes with
             # processors (placing a task evicts it), so a hit is feasible.
             bd = hit[1]
-            if (uniform and hit[0] == version
-                    and bd.resource == state.avail.by_class[idx][0][0]):
+            if uniform and bd.resource == state.avail.by_class[idx][0][0]:
                 state.n_reused += 1
                 return bd
             state.n_refreshes += 1
@@ -153,15 +149,18 @@ class ScalarKernel:
         # The resource half, shared by refresh and full evaluation.
         w = state._flat.times[row][idx]
         if uniform:
-            # _resource_choice's uniform branch, inlined: the class has
-            # processors (checked above), so its sorted view has a head.
+            # min(avail) of the class: it has processors (checked above),
+            # so its sorted view has a head.  The processor is chosen at
+            # commit time.
             resource = state.avail.by_class[idx][0][0]
             est = max(resource, precedence, task_mem, comm_mem)
             duration = w / state.platform.max_class_speeds[idx]
             proc = -1
         else:
-            resource, est, duration, proc = state._resource_choice(
-                memory, precedence, task_mem, comm_mem, w)
+            floor = max(precedence, task_mem, comm_mem)
+            proc, resource, duration = state._resource_choice(
+                memory, floor, w)
+            est = max(floor, resource)
         eft = est + duration if math.isfinite(est) else math.inf
         bd = ESTBreakdown(task, memory, resource, precedence, task_mem,
                           comm_mem, cmax, est, eft, comm_fit, duration, proc)

@@ -50,14 +50,17 @@ breakdown into parts with different lifetimes:
   reflects direct ``avail`` mutations made by branching searches.
 
 The arithmetic itself lives in :mod:`repro.scheduling.kernel`.  The
-state holds the data layout the kernel reads — the
-:class:`~repro.core.graph.FlatGraph` CSR adjacency, per-row finish/class
-arrays and the per-class breakdown memo ``{task: (profile version,
+state holds only what the kernel and :meth:`SchedulerState.commit` read —
+the :class:`~repro.core.graph.FlatGraph` CSR adjacency, per-row
+finish/class arrays, the precedence parts, the heterogeneous resource
+choice and the per-class breakdown memo ``{task: (profile version,
 ESTBreakdown)}``, which reuses a breakdown, refreshes only its resource
 half or evaluates it in full, and counts each outcome (``n_reused``,
 ``n_refreshes``, ``n_full_evals``).  Every cached component is bit-for-bit
 identical to a from-scratch evaluation (the test suite keeps such an
-oracle kernel and substitutes it through ``state.kernel``).
+oracle kernel and substitutes it through ``state.kernel``).  Selector
+keys are the selectors' own business (MemMinMin's lazy-heap bound lives
+in :class:`~repro.scheduling.candidates.MinEFTSelector`).
 
 On commit the state performs the §3.2 memory bookkeeping:
 
@@ -99,48 +102,27 @@ class InfeasibleScheduleError(RuntimeError):
     (the ``Error`` branch of Algorithms 1 and 2)."""
 
 
-def lower_bound_from_parts(
-        parts: tuple, resources: "list[float]") -> float:
-    """``min_c max(resource_c, precedence_c) + W^(c)`` from the static
-    pairs of :meth:`SchedulerState.est_lower_bound_parts` — the single
-    implementation of the lazy-heap key (used both by
-    :meth:`SchedulerState.est_lower_bound` and the candidate selectors)."""
-    best = math.inf
-    for ci, part in enumerate(parts):
-        if part is None:
-            continue
-        lb = resources[ci] + part[0]
-        if part[1] > lb:
-            lb = part[1]
-        if lb < best:
-            best = lb
-    return best
-
-
 class _AvailVector(list):
     """Processor avail times with per-class sorted ``(avail, proc)`` views.
 
     Behaves as the historical plain list (the branching searches and tests
     assign ``state.avail[p] = t`` directly), but every write keeps a
-    per-class sorted structure and bumps a ``version`` counter, which:
+    per-class sorted structure, which:
 
     * serves ``min(avail of class)`` in O(1) (the resource part of every
       uniform-class EST evaluation);
     * lets :meth:`SchedulerState.choose_proc` bisect the free-at-``est``
-      prefix instead of scanning every processor of the class;
-    * keys the :meth:`SchedulerState.class_resources` cache, so direct
-      mutations invalidate it without any extra bookkeeping protocol.
+      prefix instead of scanning every processor of the class.
 
     Structural list mutations (append/pop/...) are forbidden — the vector
     is born with one slot per processor and keeps them for life.
     """
 
-    __slots__ = ("proc_classes", "by_class", "version")
+    __slots__ = ("proc_classes", "by_class")
 
     def __init__(self, values, proc_classes: tuple, n_classes: int) -> None:
         super().__init__(values)
         self.proc_classes = proc_classes
-        self.version = 0
         self.by_class: list[list[tuple[float, int]]] = \
             [[] for _ in range(n_classes)]
         for p, a in enumerate(values):
@@ -160,7 +142,6 @@ class _AvailVector(list):
         i = bisect_left(entries, (old, proc))
         del entries[i]
         insort(entries, (value, proc))
-        self.version += 1
 
     def class_min(self, ci: int) -> float:
         """Min avail over the processors of class ``ci`` (inf when none)."""
@@ -227,19 +208,15 @@ class SchedulerState:
         self._static: dict[Task, list[tuple[float, float, float, float]]] = {}
         # Per class: ``{task: (profile version, ESTBreakdown)}``, the
         # kernel's breakdown memo.  Keyed on the version of ``mem[m]``, so
-        # any profile write, a commit's or a direct one, invalidates it;
-        # commit evicts the committed task, bounding the memo to
-        # ready-but-uncommitted candidates.
+        # any profile write, a commit's or a direct one, invalidates its
+        # memory part on a finite-capacity class; commit evicts the
+        # committed task, bounding the memo to ready-but-uncommitted
+        # candidates.
         self._est_memo: list[dict] = [{} for _ in range(platform.n_classes)]
         # The memo's outcome counters, bumped by the kernel.
         self.n_full_evals = 0
         self.n_refreshes = 0
         self.n_reused = 0
-        # One serial per commit (adopt leaves it alone).
-        self.commit_serial: int = 0
-        # class_resources() cache, keyed on the avail vector's version.
-        self._resources_cache: Optional[list[float]] = None
-        self._resources_version: int = -1
 
     # ------------------------------------------------------------------
     # readiness
@@ -251,9 +228,6 @@ class SchedulerState:
     @property
     def done(self) -> bool:
         return self.n_scheduled == self._flat.n_tasks
-
-    def is_scheduled(self, task: Task) -> bool:
-        return task in self.schedule
 
     def is_ready(self, task: Task) -> bool:
         """All parents scheduled, task itself not yet scheduled."""
@@ -271,14 +245,16 @@ class SchedulerState:
     # ------------------------------------------------------------------
     # EST computation (§5.1) — arithmetic in repro.scheduling.kernel
     # ------------------------------------------------------------------
-    def _finish_choice(self, memory: Memory, floor: float,
-                       w: float) -> tuple[int, float, float]:
-        """Per-processor finish-time minimisation for a *heterogeneous*
-        class: returns ``(proc, avail[proc], duration)`` for the processor
-        minimising ``max(floor, avail[p]) + w / speed(p)``.  Exact-equality
-        ties prefer the later-available processor (least idle time, the
-        same preference ``choose_proc`` applies on uniform classes), then
-        the lower index (iteration order)."""
+    def _resource_choice(self, memory: Memory, floor: float,
+                         w: float) -> tuple[int, float, float]:
+        """The resource half of an EST evaluation on a *heterogeneous*
+        class (the kernel inlines the uniform ``min(avail)`` case):
+        returns ``(proc, avail[proc], duration)`` for the processor
+        minimising ``max(floor, avail[p]) + w / speed(p)``, ``floor``
+        being the precedence/memory components.  Exact-equality ties
+        prefer the later-available processor (least idle time, the same
+        preference ``choose_proc`` applies on uniform classes), then the
+        lower index (iteration order)."""
         avail = self.avail
         speeds = self.platform.speeds
         best_proc = -1
@@ -294,24 +270,6 @@ class SchedulerState:
                 best_proc, best_finish, best_avail, best_dur = (
                     p, finish, a, dur)
         return best_proc, best_avail, best_dur
-
-    def _resource_choice(self, memory: Memory, precedence: float,
-                         task_mem: float, comm_mem: float,
-                         w: float) -> tuple[float, float, float, int]:
-        """The resource/processor half of one EST evaluation, shared by
-        the kernel paths: returns ``(resource, est, duration, proc)``.
-        Uniform-speed classes take the class-wide ``min(avail)`` fast path
-        (bit-identical to the homogeneous arithmetic at speed 1.0; the
-        processor is chosen at commit time); heterogeneous ones minimise
-        per-processor finish times via :meth:`_finish_choice`."""
-        idx = memory.index
-        if self._uniform[idx]:
-            resource = self.avail.class_min(idx)
-            est = max(resource, precedence, task_mem, comm_mem)
-            return resource, est, w / self.platform.max_class_speeds[idx], -1
-        floor = max(precedence, task_mem, comm_mem)
-        proc, resource, duration = self._finish_choice(memory, floor, w)
-        return resource, max(floor, resource), duration, proc
 
     def _precedence_parts(self, task: Task) -> list[tuple[float, float, float, float]]:
         """``(precedence, cmax, cross_in, need_task)`` per memory class.
@@ -370,59 +328,6 @@ class SchedulerState:
         return {"n_full_evals": self.n_full_evals,
                 "n_refreshes": self.n_refreshes,
                 "n_reused": self.n_reused}
-
-    def class_resources(self) -> list[float]:
-        """Min processor avail per memory class (``inf`` for classes without
-        processors).  Served from a cache keyed on the avail vector's
-        version counter — commits and direct ``avail`` writes both bump it.
-        Callers must treat the returned list as read-only."""
-        avail = self.avail
-        if self._resources_version != avail.version:
-            self._resources_cache = [avail.class_min(ci)
-                                     for ci in range(len(self.memories))]
-            self._resources_version = avail.version
-        return self._resources_cache
-
-    def est_lower_bound_parts(
-            self, task: Task) -> tuple[Optional[tuple[float, float]], ...]:
-        """Static ``(Wmin^(c), precedence_c + Wmin^(c))`` pair per class
-        for a *ready* task (``None`` for classes without processors) —
-        immutable for the rest of the run, so callers may cache the tuple
-        and combine it with live resources via
-        :func:`lower_bound_from_parts`.
-
-        ``Wmin^(c) = W^(c) / max_speed(c)`` is keyed on the *fastest*
-        processor of the class: every real assignment runs at least that
-        long, so the bound stays sound on heterogeneous classes (and
-        reduces to ``W^(c)`` bit-for-bit on speed-1.0 platforms)."""
-        parts = self._precedence_parts(task)
-        times = self._flat.times[self._row[task]]
-        counts = self.platform.proc_counts
-        fastest = self.platform.max_class_speeds
-        out = []
-        for ci in range(len(times)):
-            if not counts[ci]:
-                out.append(None)
-                continue
-            wmin = times[ci] / fastest[ci]
-            out.append((wmin, parts[ci][0] + wmin))
-        return tuple(out)
-
-    def est_lower_bound(self, task: Task,
-                        resources: Optional[list[float]] = None) -> float:
-        """Memory-free lower bound on ``best_est(task).eft`` for a *ready*
-        task: ``min_c max(resource_c, precedence_c) + W^(c)``.
-
-        Unlike a cached EFT — whose memory components can *drop* when a
-        commit releases memory — this bound only ever grows (precedence is
-        immutable once the task is ready, resources only advance), which is
-        what makes it a sound lazy-heap key
-        (:class:`repro.scheduling.candidates.MinEFTSelector`).
-        """
-        if resources is None:
-            resources = self.class_resources()
-        return lower_bound_from_parts(self.est_lower_bound_parts(task),
-                                      resources)
 
     def best_est(self, task: Task) -> Optional[ESTBreakdown]:
         """The memory choice minimising EFT (§5.1 memory-selection phase);
@@ -540,7 +445,6 @@ class SchedulerState:
                     # Source copy freed when the transfer completes.
                     mem[memories[p_idx]].add(-size, comm_end, None)
 
-        self.commit_serial += 1
         self._placed(task, row)
         return placement
 
@@ -550,7 +454,7 @@ class SchedulerState:
         seeds ``mem`` and ``avail`` from a checkpoint of the committed
         prefix): the placement, its finish time and memory class, and the
         readiness of its children, exactly as :meth:`commit` records them
-        — but no profile, avail or commit-serial change."""
+        — but no profile or avail change."""
         task = placement.task
         self.schedule.add(placement)   # rejects an already placed task
         row = self._row[task]
@@ -602,9 +506,6 @@ class SchedulerState:
         clone.n_full_evals = self.n_full_evals
         clone.n_refreshes = self.n_refreshes
         clone.n_reused = self.n_reused
-        clone.commit_serial = self.commit_serial
-        clone._resources_cache = None
-        clone._resources_version = -1
         return clone
 
     # ------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.dags import random_dag
 from repro.io.json_io import graph_from_dict
 from repro.online import OnlineSession, build_union_graph, poisson_trace
 from repro.online import session as session_mod
+from repro.scheduling.ranks import rank_order
 from repro.scheduling.state import InfeasibleScheduleError, SchedulerState
 
 pytest.importorskip("numpy")
@@ -56,9 +57,11 @@ class RebuildSession(OnlineSession):
         for decision in kept:
             state.commit(decision.breakdown(memories))
             state.pop_newly_ready()
-        records, _ = self._drive(state, union, floor)
+        positions = {t: k for k, t in enumerate(
+            rank_order(union, rng=None, platform=self.platform))}
+        records, _ = self._drive(state, positions, floor)
         self.full_log = kept + records
-        self._publish_placements(state, in_round)
+        self._publish_placements(state, in_round, n_adopted=0)
         return {"replanned": len(log) - len(kept)}
 
 

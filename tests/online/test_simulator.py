@@ -1,6 +1,9 @@
 """Event-driven simulator: event ordering, determinism, latency stats,
 regret plumbing."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import Platform
@@ -78,3 +81,27 @@ def test_policies_share_the_stream(trace):
         immediate.session.summary()["n_rounds"]
     assert batched.session.summary()["n_planned"] == \
         immediate.session.summary()["n_planned"]
+
+
+#: sha256 of ``json.dumps(events, sort_keys=True)`` for a 60-arrival
+#: trace quantized to tick 1.0 (batched and replan rounds then complete
+#: several jobs at one instant, so the order of equal-time events is
+#: pinned too).
+EVENT_DIGESTS = {
+    "immediate":
+        "50ed693c2708300280ebb7d8c2b4d75ea3cad0d92846368968fbd4a9cd9d955e",
+    "batched:1.5":
+        "7bb33ef3b84b7d1cff28caf154f8de25b3b0765eb17c56d559b3ef9fb7ec82d5",
+    "replan:4":
+        "ff2efdfa7268d28a169c34f77b31be421df6fa880772ba39f186224f1e036f8a",
+}
+
+
+@pytest.mark.parametrize("policy", EVENT_DIGESTS)
+def test_events_pinned(policy):
+    trace = poisson_trace(60, seed=4, rate=2.0, tick=1.0, size=8)
+    events = simulate(trace, PLATFORM, policy=policy).events
+    assert len(events) == 2 * len(trace)
+    digest = hashlib.sha256(
+        json.dumps(events, sort_keys=True).encode()).hexdigest()
+    assert digest == EVENT_DIGESTS[policy]

@@ -1,9 +1,11 @@
 """The from-scratch EST oracle the kernel tests compare against.
 
 :class:`FreshKernel` recomputes every (task, memory) breakdown from the
-``TaskGraph`` parent lists and the live staircases — no precedence cache,
-no breakdown memo (it reads and bumps none of the state's memo counters),
-and it always queries both fits.  No selector caches breakdowns of its
+``TaskGraph`` parent lists, the live staircases and the raw ``avail`` list
+— no precedence cache, no breakdown memo (it reads and bumps none of the
+state's memo counters), it always queries both fits, and it picks the
+resource itself from ``state.avail`` and ``platform.speeds``, sharing no
+resource code with the kernel.  No selector caches breakdowns of its
 own, so a state running it schedules with no caching at all: it is the
 memo's oracle.  Tests reach it the way the library reaches its own
 kernel: assign it to ``state.kernel`` or patch
@@ -52,8 +54,25 @@ class FreshKernel(ScalarKernel):
         else:
             comm_mem = 0.0
 
-        resource, est, duration, proc = state._resource_choice(
-            memory, precedence, task_mem, comm_mem, graph.w(task, memory))
+        w = graph.w(task, memory)
+        floor = max(precedence, task_mem, comm_mem)
+        procs = state.platform.procs(memory)
+        speeds = state.platform.speeds
+        avail = list(state.avail)
+        if len({speeds[p] for p in procs}) == 1:
+            # Uniform class: the earliest processor; which one is chosen
+            # at commit time.
+            resource = min(avail[p] for p in procs)
+            duration = w / speeds[procs[0]]
+            proc = -1
+        else:
+            # Earliest finish; ties to the later-available processor,
+            # then the lower index.
+            proc = min(procs, key=lambda p: (max(floor, avail[p])
+                                             + w / speeds[p], -avail[p], p))
+            resource = avail[proc]
+            duration = w / speeds[proc]
+        est = max(floor, resource)
         eft = est + duration if math.isfinite(est) else math.inf
         return ESTBreakdown(task, memory, resource, precedence, task_mem,
                             comm_mem, cmax, est, eft, comm_fit,

@@ -34,17 +34,17 @@ def placed(state, task, memory=Memory.BLUE):
 
 
 class TestAdopt:
-    def test_no_memory_avail_or_serial_effect(self):
+    def test_no_memory_or_avail_effect(self):
         source = SchedulerState(fork(), PLATFORM)
         placement = placed(source, "p")
         state = SchedulerState(fork(), PLATFORM)
         before = (profiles(state), [p.version for p in state.mem.values()],
-                  list(state.avail), state.avail.version,
-                  state.commit_serial, state.eval_counts())
+                  list(state.avail), list(map(list, state.avail.by_class)),
+                  state.eval_counts())
         state.adopt(placement)
         after = (profiles(state), [p.version for p in state.mem.values()],
-                 list(state.avail), state.avail.version,
-                 state.commit_serial, state.eval_counts())
+                 list(state.avail), list(map(list, state.avail.by_class)),
+                 state.eval_counts())
         assert after == before
         assert state.schedule.placement("p") == placement
         assert state.n_scheduled == 1

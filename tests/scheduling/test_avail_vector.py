@@ -37,13 +37,14 @@ class TestAvailVector:
         assert v.class_min(0) == 5.0
         assert v.class_min(1) == 0.0
 
-    def test_version_bumps_on_change_only(self):
+    def test_by_class_moves_on_change_only(self):
         v = self._vec([1.0, 2.0], (1, 1))
-        before = v.version
+        entry = v.by_class[0][0]
         v[0] = 1.0  # equal write: no-op
-        assert v.version == before
+        assert v.by_class[0][0] is entry
         v[0] = 1.5
-        assert v.version == before + 1
+        assert v.by_class[0] == [(1.5, 0)]
+        assert v.by_class[1] == [(2.0, 1)]
 
     def test_empty_class_min_is_inf(self):
         v = self._vec([0.0], (1, 0))

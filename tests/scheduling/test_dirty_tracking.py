@@ -60,7 +60,7 @@ class TestCommitRecordsTouchedClasses:
         state = SchedulerState(_two_roots(), BOUNDED)
         assert _outcomes(state, "b") == ["full_evals", "full_evals"]
         _commit_on(state, "a", Memory.BLUE)   # outputs, no inputs
-        assert state.commit_serial == 1
+        assert state.n_scheduled == 1
         assert _versions(state)[0] > 0 and _versions(state)[1] == 0
         # Red's profile and processors are as they were: reused verbatim.
         assert _outcomes(state, "b") == ["full_evals", "reused"]
@@ -93,7 +93,7 @@ class TestCommitRecordsTouchedClasses:
         assert _outcomes(state, "b") == ["full_evals", "full_evals"]
         _commit_on(state, "a", Memory.BLUE)
         assert _versions(state) == [0, 0]
-        assert state.commit_serial == 1
+        assert state.n_scheduled == 1
         # Only blue's processor moved: its resource half is refreshed.
         assert _outcomes(state, "b") == ["refreshes", "reused"]
 
@@ -103,15 +103,15 @@ class TestCommitRecordsTouchedClasses:
         _outcomes(state, "T2")
         _outcomes(state, "T3")
         clone = state.copy()
-        assert clone.commit_serial == state.commit_serial
+        assert clone.n_scheduled == state.n_scheduled
         assert clone.eval_counts() == state.eval_counts()
         assert clone._est_memo == state._est_memo
         # The clone serves the copied memo ...
         assert _outcomes(clone, "T3") == ["reused", "reused"]
         # ... and its counters and memo advance independently.
         _commit_on(clone, "T2", Memory.BLUE)
-        assert state.commit_serial == 1
-        assert clone.commit_serial == 2
+        assert state.n_scheduled == 1
+        assert clone.n_scheduled == 2
         assert all("T2" in memo for memo in state._est_memo)
         assert all("T2" not in memo for memo in clone._est_memo)
         assert clone.n_reused == state.n_reused + 3

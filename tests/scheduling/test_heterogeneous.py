@@ -104,13 +104,19 @@ class TestPerProcessorKernel:
             with pytest.raises(ScheduleError):
                 validate_schedule(g, plat.with_speeds(None), s)
 
-    def test_est_lower_bound_uses_fastest_processor(self):
+    def test_lower_bound_uses_fastest_processor(self):
+        from repro.scheduling.candidates import MinEFTSelector
         g = dex()
         plat = Platform(n_blue=2, n_red=1, speeds=[1.0, 4.0, 1.0])
         st_ = SchedulerState(g, plat)
-        parts = st_.est_lower_bound_parts("T1")
-        assert parts[0][0] == g.w_blue("T1") / 4.0
-        assert parts[1][0] == g.w_red("T1")
+        selector = MinEFTSelector(st_, {"T1": 0})
+        selector.push("T1")
+        entry = selector._live["T1"]
+        key = selector._lower_bound(entry, [0.0, 0.0])
+        # T1 is a root: Wmin^(c) alone, on blue's x4 processor.
+        assert entry.lbparts[0][0] == g.w_blue("T1") / 4.0
+        assert entry.lbparts[1][0] == g.w_red("T1")
+        assert key == min(g.w_blue("T1") / 4.0, g.w_red("T1"))
 
 
 # ----------------------------------------------------------------------

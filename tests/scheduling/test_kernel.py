@@ -109,7 +109,7 @@ class TestBreakdowns:
         memory = Platform(1, 1).memories()[1]
         bd = infeasible_breakdown("t", memory)
         assert not bd.feasible
-        assert bd.cls == 1
+        assert bd.memory.index == 1
         assert math.isinf(bd.est) and math.isinf(bd.eft)
 
     def test_not_ready_task_is_infeasible(self):
@@ -203,6 +203,27 @@ class TestFreshParity:
                          for t in ready]
         assert again != first
         assert state.n_full_evals == 2 * len(ready)
+
+    def test_unbounded_class_reuses_across_profile_writes(self):
+        """On an infinite-capacity class the memory part cannot move, so
+        a profile write that leaves ``min(avail)`` alone keeps the cached
+        breakdown: the very same object comes back, counted as a reuse."""
+        graph = random_dag(size=30, rng=5)
+        state = SchedulerState(graph, Platform(2, 2))
+        kernel = resolve_backend()
+        ready = list(state.ready_roots())
+        blue = state.memories[0]
+        first = [kernel.evaluate(state, t, blue) for t in ready]
+        version = state.mem[blue].version
+        state.mem[blue].add(95.0, 0.0, 40.0)
+        assert state.mem[blue].version != version
+        before = state.eval_counts()
+        again = [kernel.evaluate(state, t, blue) for t in ready]
+        assert all(a is b for a, b in zip(again, first))
+        assert state.eval_counts() == dict(
+            before, n_reused=before["n_reused"] + len(ready))
+        assert again == [FreshKernel().evaluate(state, t, blue)
+                         for t in ready]
 
 
 class TestTieChains:

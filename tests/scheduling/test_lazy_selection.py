@@ -101,26 +101,34 @@ def test_lazy_equals_naive_three_classes(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_selector_lower_bound_matches_state_reference(seed):
-    """MinEFTSelector's cached lower bound must agree with the reference
-    implementation (SchedulerState.est_lower_bound) and actually bound the
-    exact best-class EFT from below at every step."""
+def test_selector_lower_bound_matches_breakdown_bound(seed):
+    """MinEFTSelector's cached lower bound must equal the memory-free
+    bound ``min_c max(class_min, precedence_c) + W^(c)/fastest(c)``
+    computed from the state's breakdowns, and actually bound the exact
+    best-class EFT from below at every step."""
     from repro.scheduling.candidates import MinEFTSelector
     from repro.scheduling.state import SchedulerState
 
     graph = random_dag(size=25, rng=seed)
     base = heft(graph, Platform(1, 1))
     bound = 0.8 * max(base.meta["peak_blue"], base.meta["peak_red"])
-    state = SchedulerState(graph, Platform(1, 1).with_uniform_bound(bound))
+    platform = Platform(1, 1).with_uniform_bound(bound)
+    state = SchedulerState(graph, platform)
+    fastest = [max(platform.speeds[p] for p in platform.procs(m))
+               for m in state.memories]
     index = {t: k for k, t in enumerate(graph.topological_order())}
     selector = MinEFTSelector(state, index)
     for task in graph.roots():
         selector.push(task)
     while len(selector):
-        resources = state.class_resources()
+        resources = [state.avail.class_min(ci)
+                     for ci in range(len(state.memories))]
         for task, entry in selector._live.items():
             cached = selector._lower_bound(entry, resources)
-            assert cached == state.est_lower_bound(task, resources)
+            assert cached == min(
+                max(resources[ci], state.est(task, m).precedence)
+                + graph.w(task, m) / fastest[ci]
+                for ci, m in enumerate(state.memories))
             best = state.best_est(task)
             if best is not None:
                 assert cached <= best.eft + 1e-12

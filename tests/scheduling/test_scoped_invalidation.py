@@ -40,7 +40,7 @@ def _drive(graph, platform, make_selector):
     except InfeasibleScheduleError:
         pass
     snap = {t: (p.proc, p.memory.index, p.start, p.finish)
-            for t in graph.tasks() if state.is_scheduled(t)
+            for t in graph.tasks() if t in state.schedule
             for p in (state.schedule.placement(t),)}
     return snap, selector
 
@@ -127,6 +127,24 @@ class TestReEvaluationReduction:
         else:
             assert state.n_refreshes > 0
 
+    @pytest.mark.parametrize("fn, makespan, counts", [
+        (memminmin, 29219.0,
+         {"n_full_evals": 4214, "n_refreshes": 21123, "n_reused": 84729}),
+        (memsufferage, 31457.0,
+         {"n_full_evals": 4214, "n_refreshes": 24299, "n_reused": 193953}),
+    ], ids=["memminmin", "memsufferage"])
+    def test_lu13_mirage_memo_counts(self, fn, makespan, counts,
+                                     monkeypatch):
+        """Unbounded LU 13 on the Mirage platform, the memo's recorded
+        outcomes: one full evaluation per (task, class), and refreshes
+        only where a class's ``min(avail)`` moved (an unbounded class's
+        memory part stays valid across profile moves; keying reuse on
+        the profile version as well refreshed 97,870 and 143,473
+        times)."""
+        state = _run_state(fn, lu_dag(13), MIRAGE_PLATFORM, monkeypatch)
+        assert state.schedule.makespan == makespan
+        assert state.eval_counts() == counts
+
     def test_stats_dict_roundtrip(self, monkeypatch):
         graph = random_dag(size=20, rng=0)
         state = _run_state(memminmin, graph, Platform(1, 1), monkeypatch)
@@ -189,41 +207,49 @@ class TestCommitEviction:
             available.update(state.pop_newly_ready())
 
 
-class TestClassResourcesCache:
-    """Satellite: class_resources() is cached on the avail vector's
-    version counter and invalidated by commits *and* direct writes."""
+def _class_mins(state):
+    return [state.avail.class_min(ci) for ci in range(len(state.memories))]
 
-    def test_cached_until_avail_moves(self):
+
+class TestClassMinima:
+    """The resources every selector reads, ``state.avail.class_min``,
+    follow commits *and* direct writes."""
+
+    def test_class_min_follows_commits(self):
         graph = random_dag(size=10, rng=0)
         state = SchedulerState(graph, Platform(2, 1))
-        first = state.class_resources()
-        assert state.class_resources() is first  # served from cache
-        bd = state.best_est(graph.roots()[0])
-        state.commit(bd)
-        second = state.class_resources()
-        assert second is not first
+        available = list(graph.roots())
+        while available:
+            bd = state.best_est(available.pop(0))
+            state.commit(bd)
+            assert _class_mins(state) == [
+                min(state.avail[p] for p in state.platform.procs(m))
+                for m in state.memories]
+            available += state.pop_newly_ready()
+        assert max(_class_mins(state)) > 0.0
 
-    def test_direct_avail_write_invalidates(self):
+    def test_direct_avail_write_moves_class_min(self):
         graph = random_dag(size=10, rng=0)
         state = SchedulerState(graph, Platform(2, 1))
-        assert state.class_resources() == [0.0, 0.0]
+        assert _class_mins(state) == [0.0, 0.0]
         state.avail[0] = 7.0
-        assert state.class_resources() == [0.0, 0.0]  # proc 1 still free
+        assert _class_mins(state) == [0.0, 0.0]  # proc 1 still free
         state.avail[1] = 9.0
-        assert state.class_resources() == [7.0, 0.0]
+        assert _class_mins(state) == [7.0, 0.0]
 
-    def test_equal_value_write_keeps_cache(self):
+    def test_equal_value_write_leaves_by_class_untouched(self):
         graph = random_dag(size=10, rng=0)
         state = SchedulerState(graph, Platform(1, 1))
-        first = state.class_resources()
-        v = state.avail.version
+        before = [list(entries) for entries in state.avail.by_class]
         state.avail[0] = 0.0  # no-op write
-        assert state.avail.version == v
-        assert state.class_resources() is first
+        # The same entry objects: nothing was removed and reinserted.
+        assert all(a is b for old, new in zip(before, state.avail.by_class)
+                   for a, b in zip(old, new))
+        assert _class_mins(state) == [0.0, 0.0]
 
     def test_no_proc_class_is_inf(self):
         from repro.core.graph import TaskGraph
         g = TaskGraph(n_classes=3)
         g.add_task("a", times=(1.0, 1.0, 1.0))
         state = SchedulerState(g, Platform([1, 1, 0]))
-        assert state.class_resources() == [0.0, 0.0, math.inf]
+        assert _class_mins(state) == [0.0, 0.0, math.inf]
