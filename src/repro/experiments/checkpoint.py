@@ -119,15 +119,13 @@ class CellCheckpoint:
                 injector.plan.corrupt_limit):
             line = line[:max(1, len(line) // 2)]   # torn write
         st = obs.active()
-        if st is None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            return
-        t0 = time.perf_counter()
+        if st is not None:
+            t0 = time.perf_counter()
         self._fh.write(line + "\n")
         self._fh.flush()
-        st.registry.histogram("memsched_checkpoint_write_seconds").observe(
-            time.perf_counter() - t0)
+        if st is not None:
+            st.registry.histogram("memsched_checkpoint_write_seconds"
+                                  ).observe(time.perf_counter() - t0)
 
     def record(self, key: str, result_wire: object) -> None:
         """Journal one completed cell (flushed: survives coordinator

@@ -190,7 +190,6 @@ def map_cells(
     cells: Sequence[object],
     *,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     hosts=None,
     checkpoint=None,
 ) -> list:
@@ -201,8 +200,8 @@ def map_cells(
     ``payload``; ``cache`` is a dict scoped to the executing process
     (short-lived for ``jobs=1``) that survives across that worker's cells.
     With ``jobs > 1`` the cells are fanned out over a process pool in
-    chunks; exceptions raised by any cell propagate to the caller in both
-    modes.
+    chunks of :func:`default_chunk_size`; exceptions raised by any cell
+    propagate to the caller in both modes.
 
     ``hosts`` — a list of ``"host:port"`` addresses of running ``memsched
     serve`` instances (or a prepared
@@ -229,13 +228,11 @@ def map_cells(
         checkpoint = _DEFAULT_CHECKPOINT
     if checkpoint is not None and cells:
         return _map_cells_checkpointed(worker, payload, cells, jobs=jobs,
-                                       chunk_size=chunk_size, hosts=hosts,
-                                       checkpoint=checkpoint)
-    return _map_cells_direct(worker, payload, cells, jobs=jobs,
-                             chunk_size=chunk_size, hosts=hosts)
+                                       hosts=hosts, checkpoint=checkpoint)
+    return _map_cells_direct(worker, payload, cells, jobs=jobs, hosts=hosts)
 
 
-def _map_cells_direct(worker, payload, cells, *, jobs, chunk_size, hosts,
+def _map_cells_direct(worker, payload, cells, *, jobs, hosts,
                       on_result=None):
     """The three execution modes, un-checkpointed.  ``on_result(index,
     result_object)`` (local modes) is invoked as each cell lands, in
@@ -246,22 +243,10 @@ def _map_cells_direct(worker, payload, cells, *, jobs, chunk_size, hosts,
         from .remote import run_remote  # deferred: remote imports engine
         with obs.span("map_cells", mode="remote", n_cells=len(cells)):
             return run_remote(worker, payload, cells, hosts,
-                              chunk_size=chunk_size, on_result_wire=on_result)
+                              on_result_wire=on_result)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(cells) <= 1:
-        st = obs.active()
-        if st is None:
-            cache: dict = {}
-            results = []
-            for i, cell in enumerate(cells):
-                result = worker(payload, cache, cell)
-                if on_result is not None:
-                    on_result(i, result)
-                results.append(result)
-            return results
-        return _serial_cells_observed(worker, payload, cells, on_result, st)
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(cells), jobs)
+        return _serial_cells(worker, payload, cells, on_result)
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(cells)),
         initializer=_init_worker,
@@ -271,44 +256,51 @@ def _map_cells_direct(worker, payload, cells, *, jobs, chunk_size, hosts,
         results = []
         # pool.map yields in cell order as results arrive, so the hook
         # sees completed prefixes incrementally, not one burst at the end.
-        for i, result in enumerate(
-                pool.map(_call_cell, cells, chunksize=chunk_size)):
+        for i, result in enumerate(pool.map(
+                _call_cell, cells,
+                chunksize=default_chunk_size(len(cells), jobs))):
             if on_result is not None:
                 on_result(i, result)
             results.append(result)
         return results
 
 
-def _serial_cells_observed(worker, payload, cells, on_result, st):
-    """The serial ``map_cells`` loop with :mod:`repro.obs` active: each
+def _serial_cells(worker, payload, cells, on_result):
+    """The serial ``map_cells`` loop.  With :mod:`repro.obs` active each
     cell lands in the ``memsched_cell_seconds{mode="serial"}`` histogram
     and (with a tracer attached) emits a ``cell`` span keyed by its grid
     index — structurally identical to the spans the distributed
-    coordinator re-emits, so serial and sharded traces line up."""
-    hist = st.registry.histogram("memsched_cell_seconds", mode="serial")
-    tracer = st.tracer
+    coordinator re-emits, so serial and sharded traces line up.  Without
+    it the loop never reads the clock."""
+    st = obs.active()
     cache: dict = {}
     results = []
     with obs.span("map_cells", mode="serial", n_cells=len(cells)):
-        parent = tracer.current() if tracer is not None else None
+        if st is not None:
+            hist = st.registry.histogram("memsched_cell_seconds",
+                                         mode="serial")
+            tracer = st.tracer
+            parent = tracer.current() if tracer is not None else None
         for i, cell in enumerate(cells):
-            t0 = time.perf_counter()
+            if st is not None:
+                t0 = time.perf_counter()
             result = worker(payload, cache, cell)
-            duration = time.perf_counter() - t0
-            hist.observe(duration)
-            if tracer is not None:
-                tracer.emit(
-                    "cell",
-                    span_id=tracer.child_id(parent, "cell", key=i),
-                    parent_id=parent, dur=duration, attrs={"i": i})
+            if st is not None:
+                duration = time.perf_counter() - t0
+                hist.observe(duration)
+                if tracer is not None:
+                    tracer.emit(
+                        "cell",
+                        span_id=tracer.child_id(parent, "cell", key=i),
+                        parent_id=parent, dur=duration, attrs={"i": i})
             if on_result is not None:
                 on_result(i, result)
             results.append(result)
     return results
 
 
-def _map_cells_checkpointed(worker, payload, cells, *, jobs, chunk_size,
-                            hosts, checkpoint):
+def _map_cells_checkpointed(worker, payload, cells, *, jobs, hosts,
+                            checkpoint):
     """Resolve ``cells`` against a checkpoint journal, execute only the
     missing ones (journaling each as it completes), and return the full
     result list — byte-identical to an uninterrupted run, because cell
@@ -351,7 +343,7 @@ def _map_cells_checkpointed(worker, payload, cells, *, jobs, chunk_size,
             hook = on_result_wire if hosts is not None else on_result
             sub = _map_cells_direct(
                 worker, payload, [cells[i] for i in pending], jobs=jobs,
-                chunk_size=chunk_size, hosts=hosts, on_result=hook)
+                hosts=hosts, on_result=hook)
             for j, i in enumerate(pending):
                 results[i] = sub[j]
         # Fill duplicates (and anything else) from the journal.
@@ -484,12 +476,10 @@ def frontier_sweep(
     rel_tol: float = 1e-2,
     verify_samples: int = 0,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> list[FrontierPoint]:
     """Feasibility frontier of every (graph, algorithm) pair, sharded over
     ``jobs`` processes.  A logarithmic-probe replacement for sweeping a
     dense alpha grid when only the success boundary is of interest."""
     cells = [(gi, name) for gi in range(len(graphs)) for name in algorithms]
     payload = (tuple(graphs), platform, rel_tol, verify_samples)
-    return map_cells(_frontier_cell, payload, cells,
-                     jobs=jobs, chunk_size=chunk_size)
+    return map_cells(_frontier_cell, payload, cells, jobs=jobs)

@@ -14,7 +14,8 @@ Scheduling model:
 
 * **Weighted partitioning.**  Every host's ``GET /healthz`` advertises its
   process-pool size (``workers``); the coordinator splits the cell list
-  into contiguous chunks and each dispatch to a host takes ``workers``
+  into contiguous chunks of ``n // (4 * total workers)`` cells (at least
+  one), about four per worker, and each dispatch to a host takes ``workers``
   chunks at a time, so a 4-worker box pulls four times the cells of a
   1-worker box — and, because hosts pull from a shared queue as they
   finish, slow hosts naturally end up with less.
@@ -221,7 +222,6 @@ class RemoteExecutor:
     # ------------------------------------------------------------------
     def map_cells(self, worker: Union[Callable, str], payload: object,
                   cells: Sequence[object], *,
-                  chunk_size: Optional[int] = None,
                   on_result_wire: Optional[Callable] = None) -> list:
         """Run ``worker`` over ``cells`` across the hosts; results in cell
         order, exactly as the serial engine would produce them.
@@ -251,7 +251,7 @@ class RemoteExecutor:
         wires = [to_cell_wire(c) for c in cells]
         n = len(wires)
         total_weight = sum(h.weight for h in alive)
-        base = chunk_size if chunk_size else max(1, n // (4 * total_weight))
+        base = max(1, n // (4 * total_weight))
         #: Work queue of (start_index, [cell wires]) chunks.
         chunks: deque = deque((i, wires[i:i + base])
                               for i in range(0, n, base))
@@ -601,7 +601,6 @@ def format_host_stats(stats: dict) -> list[str]:
 def run_remote(worker: Union[Callable, str], payload: object,
                cells: Sequence[object],
                hosts: Union[RemoteExecutor, Sequence], *,
-               chunk_size: Optional[int] = None,
                on_result_wire: Optional[Callable] = None) -> list:
     """One distributed ``map_cells`` call (the hook
     :func:`repro.experiments.engine.map_cells` delegates to when given
@@ -611,7 +610,6 @@ def run_remote(worker: Union[Callable, str], payload: object,
     executor = hosts if isinstance(hosts, RemoteExecutor) \
         else RemoteExecutor(hosts)
     return executor.map_cells(worker, payload, cells,
-                              chunk_size=chunk_size,
                               on_result_wire=on_result_wire)
 
 

@@ -169,7 +169,6 @@ def normalized_sweep(
     ] = None,
     extra_name: str = "optimal",
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> SweepResult:
     """Normalised-memory sweep over a set of graphs (Figures 10 and 12).
 
@@ -201,8 +200,7 @@ def normalized_sweep(
     # the order does not affect the result.
     cells = [(gi, alpha) for gi in range(len(graphs)) for alpha in alphas]
     payload = (tuple(graphs), platform, algorithms, check, refs)
-    rows = map_cells(_normalized_cell, payload, cells,
-                     jobs=jobs, chunk_size=chunk_size)
+    rows = map_cells(_normalized_cell, payload, cells, jobs=jobs)
     cell_of = dict(zip(cells, rows))
 
     extra_scores: dict[tuple[int, float], Optional[float]] = {}
@@ -349,7 +347,6 @@ def heterogeneity_sweep(
     *,
     check: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> HeterogeneitySweepResult:
     """Speed-spread sweep over a set of graphs.
 
@@ -369,8 +366,7 @@ def heterogeneity_sweep(
     # mostly reuses its process's cached homogeneous baselines.
     cells = [(gi, spread) for gi in range(len(graphs)) for spread in spreads]
     payload = (tuple(graphs), platform, algorithms, check)
-    rows = map_cells(_heterogeneity_cell, payload, cells,
-                     jobs=jobs, chunk_size=chunk_size)
+    rows = map_cells(_heterogeneity_cell, payload, cells, jobs=jobs)
     cell_of = dict(zip(cells, rows))
 
     for spread in spreads:
@@ -456,7 +452,6 @@ def absolute_sweep(
     *,
     check: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
 ) -> AbsoluteSweepResult:
     """Makespan-vs-memory for one graph (Figures 11, 13, 14, 15).
 
@@ -466,8 +461,7 @@ def absolute_sweep(
     ref_minmin = minmin(graph, platform)
     algorithms = tuple(algorithms)
     payload = (graph, platform, algorithms, check)
-    rows = map_cells(_absolute_cell, payload, list(memories),
-                     jobs=jobs, chunk_size=chunk_size)
+    rows = map_cells(_absolute_cell, payload, list(memories), jobs=jobs)
     points = [
         AbsolutePoint(bound, name, span)
         for bound, row in zip(memories, rows)

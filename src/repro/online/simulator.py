@@ -1,11 +1,11 @@
 """Event-driven simulator over one :class:`OnlineSession` timeline.
 
-A heap of ``(time, seq, kind)`` events — job *releases* from the arrival
-trace, job *completions* computed as placements commit — drives the
-session: all releases sharing one timestamp are ingested before the
-session is polled, so simultaneous arrivals land in one planning round
-(with all-zero release times that single round is bit-identical to the
-offline heuristic on the union DAG).
+The arrival trace's job *releases*, in time order, drive the session:
+all releases sharing one timestamp are ingested before the session is
+polled, so simultaneous arrivals land in one planning round (with
+all-zero release times that single round is bit-identical to the offline
+heuristic on the union DAG).  Once the stream is flushed, each placed
+job adds one *completion* event at its final finish time.
 
 The result bundles the deterministic decision journal (byte-comparable
 across runs and processes), the chronological event log, per-round
@@ -15,8 +15,8 @@ clairvoyant offline schedule of the union DAG.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 from ..core.platform import Platform
@@ -109,40 +109,25 @@ def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
     """
     session = OnlineSession(platform, algorithm=algorithm, policy=policy,
                             comm_policy=comm_policy)
-    seq = itertools.count()
-    queue: list = []
-    for job_id, graph, release in _trace_jobs(trace):
-        heapq.heappush(queue, (release, next(seq), "release",
-                               job_id, graph))
     events: list = []
-
-    def note_completions(planned) -> None:
-        # Completion events join the shared timeline as placements
-        # commit; they are observational (resource reuse is already
-        # encoded in the avail vector and memory profiles).  A job is
-        # planned once (an empty one stays unplaced); arrival order keeps
-        # equal-time completions in submission order.
-        for job in sorted(map(session.jobs.__getitem__, planned),
-                          key=lambda job: job.arrival_index):
-            if job.placements is not None:
-                heapq.heappush(queue, (job.finish, next(seq), "complete",
-                                       job.job_id, None))
-
-    while queue:
-        t = queue[0][0]
-        releases = False
-        while queue and queue[0][0] <= t:
-            _, _, kind, job_id, graph = heapq.heappop(queue)
-            if kind == "release":
-                session.submit(graph, release=t, job_id=job_id)
-                events.append({"t": t, "kind": "release", "job": job_id})
-                releases = True
-            else:
-                events.append({"t": t, "kind": "complete", "job": job_id})
-        if releases:
-            note_completions(session.poll(t))
-    note_completions(session.flush())
-    while queue:
-        t, _, kind, job_id, _ = heapq.heappop(queue)
-        events.append({"t": t, "kind": kind, "job": job_id})
+    # A stable sort keeps equal-time releases in trace order.
+    releases = sorted(_trace_jobs(trace), key=itemgetter(2))
+    for t, group in groupby(releases, key=itemgetter(2)):
+        for job_id, graph, _ in group:
+            session.submit(graph, release=t, job_id=job_id)
+            events.append({"t": t, "kind": "release", "job": job_id})
+        session.poll(t)
+    session.flush()
+    # Completions are observational (resource reuse is already encoded in
+    # the avail vector and memory profiles), so they are read once the
+    # session is drained: a replan round may still move a job's finish
+    # after the round that first placed it.  An empty job stays unplaced.
+    for job in sorted(session.jobs.values(),
+                      key=lambda job: job.arrival_index):
+        if job.placements is not None:
+            events.append({"t": job.finish, "kind": "complete",
+                           "job": job.job_id})
+    # Stable: releases before completions at one instant, then trace and
+    # arrival order.
+    events.sort(key=lambda e: (e["t"], e["kind"] == "complete"))
     return OnlineResult(session, events)

@@ -30,7 +30,8 @@ assignment runs faster than the class's fastest processor), so it is a
 sound *eternal* heap key: candidates whose key exceeds the best exact EFT
 found so far need not be touched at all.  The selector owns that key: it
 builds it from the state's cached precedence parts, the platform's
-fastest speeds and each class's ``min(avail)``, read once per ``select``.
+fastest speeds and each class's ``min(avail)``, which the avail vector
+keeps in ``state.avail.mins``.
 
 No selector caches breakdowns of its own: every one reads them through
 ``state.best_est`` / ``state.est``, whose kernel memo reuses a breakdown,
@@ -233,8 +234,8 @@ class MinEFTSelector:
         state = self.state
         heap = self._heap
         best_est = state.best_est
-        avail = state.avail
-        resources = [avail.class_min(ci) for ci in range(len(state.memories))]
+        # select() commits nothing, so the live minima stay put.
+        resources = state.avail.mins
         window = 2.0 * EPS
         m = math.inf
         popped: list[_Entry] = []

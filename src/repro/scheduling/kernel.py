@@ -7,9 +7,10 @@ schedule.  :class:`ScalarKernel` packages that arithmetic, one candidate at
 a time in pure Python, reading the data layout the
 :class:`~repro.scheduling.state.SchedulerState` keeps for it: the cached
 per-task precedence parts over the :class:`~repro.core.graph.FlatGraph`
-CSR arrays, and the per-class breakdown memo ``{task: (profile version,
-ESTBreakdown)}``.  The kernel is stateless, so one instance
-(:func:`resolve_backend`) serves every state.
+CSR arrays, the per-class minimum avail times (``state.avail.mins``), and
+the per-class breakdown memo ``{task: (profile version, ESTBreakdown)}``.
+The kernel is stateless, so one instance (:func:`resolve_backend`) serves
+every state.
 
 **The breakdown memo.**  A ready task's precedence part never changes, and
 its memory part (``task_mem``, ``comm_mem``) changes only when a commit
@@ -115,7 +116,7 @@ class ScalarKernel:
             # The memo only holds ready, unplaced tasks of classes with
             # processors (placing a task evicts it), so a hit is feasible.
             bd = hit[1]
-            if uniform and bd.resource == state.avail.by_class[idx][0][0]:
+            if uniform and bd.resource == state.avail.mins[idx]:
                 state.n_reused += 1
                 return bd
             state.n_refreshes += 1
@@ -149,10 +150,9 @@ class ScalarKernel:
         # The resource half, shared by refresh and full evaluation.
         w = state._flat.times[row][idx]
         if uniform:
-            # min(avail) of the class: it has processors (checked above),
-            # so its sorted view has a head.  The processor is chosen at
-            # commit time.
-            resource = state.avail.by_class[idx][0][0]
+            # min(avail) of the class (finite: it has processors, checked
+            # above).  The processor is chosen at commit time.
+            resource = state.avail.mins[idx]
             est = max(resource, precedence, task_mem, comm_mem)
             duration = w / state.platform.max_class_speeds[idx]
             proc = -1

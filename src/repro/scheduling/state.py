@@ -45,9 +45,10 @@ breakdown into parts with different lifetimes:
 * the *memory part* (``task_mem``, ``comm_mem``) only moves when a commit
   moves the target :class:`~repro.core.memory_profile.MemoryProfile`,
   which bumps its ``version`` counter;
-* the *resource part* is the head of a per-class sorted avail structure —
-  O(1) per query and maintained through :class:`_AvailVector`, which also
-  reflects direct ``avail`` mutations made by branching searches.
+* the *resource part* is the class's minimum avail time, read in O(1)
+  from :class:`_AvailVector`'s ``mins``, which every ``avail`` write
+  recomputes (commits and the direct writes of branching searches
+  alike).
 
 The arithmetic itself lives in :mod:`repro.scheduling.kernel`.  The
 state holds only what the kernel and :meth:`SchedulerState.commit` read —
@@ -81,8 +82,7 @@ clip the paper's common window can violate its own flow constraint.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
-from operator import itemgetter, sub
+from operator import sub
 from typing import Hashable, Optional
 
 from .. import obs
@@ -103,50 +103,34 @@ class InfeasibleScheduleError(RuntimeError):
 
 
 class _AvailVector(list):
-    """Processor avail times with per-class sorted ``(avail, proc)`` views.
+    """Processor avail times with the minimum of each class kept in ``mins``.
 
     Behaves as the historical plain list (the branching searches and tests
-    assign ``state.avail[p] = t`` directly), but every write keeps a
-    per-class sorted structure, which:
-
-    * serves ``min(avail of class)`` in O(1) (the resource part of every
-      uniform-class EST evaluation);
-    * lets :meth:`SchedulerState.choose_proc` bisect the free-at-``est``
-      prefix instead of scanning every processor of the class.
+    assign ``state.avail[p] = t`` directly), but every write recomputes
+    its class's minimum over the class's contiguous processor slice, so
+    ``mins[c]`` is always ``min(avail of class c)`` (``inf`` for a class
+    without processors) — the resource part of every uniform-class EST
+    evaluation.
 
     Structural list mutations (append/pop/...) are forbidden — the vector
     is born with one slot per processor and keeps them for life.
     """
 
-    __slots__ = ("proc_classes", "by_class")
+    __slots__ = ("proc_classes", "slices", "mins")
 
-    def __init__(self, values, proc_classes: tuple, n_classes: int) -> None:
+    def __init__(self, values, platform: Platform) -> None:
         super().__init__(values)
-        self.proc_classes = proc_classes
-        self.by_class: list[list[tuple[float, int]]] = \
-            [[] for _ in range(n_classes)]
-        for p, a in enumerate(values):
-            self.by_class[proc_classes[p]].append((a, p))
-        for entries in self.by_class:
-            entries.sort()
+        self.proc_classes = platform.proc_classes
+        self.slices = [slice(r.start, r.stop) for r in
+                       map(platform.procs, range(platform.n_classes))]
+        self.mins = [min(self[s], default=math.inf) for s in self.slices]
 
     def __setitem__(self, proc, value) -> None:
         if not isinstance(proc, int):
             raise TypeError("avail only supports single-processor writes")
-        old = list.__getitem__(self, proc)
-        value = float(value)
-        if value == old:
-            return
-        list.__setitem__(self, proc, value)
-        entries = self.by_class[self.proc_classes[proc]]
-        i = bisect_left(entries, (old, proc))
-        del entries[i]
-        insort(entries, (value, proc))
-
-    def class_min(self, ci: int) -> float:
-        """Min avail over the processors of class ``ci`` (inf when none)."""
-        entries = self.by_class[ci]
-        return entries[0][0] if entries else math.inf
+        list.__setitem__(self, proc, float(value))
+        ci = self.proc_classes[proc]
+        self.mins[ci] = min(self[self.slices[ci]])
 
     def _blocked(self, *a, **kw):  # pragma: no cover - defensive
         raise TypeError("avail vector has a fixed processor count")
@@ -184,9 +168,8 @@ class SchedulerState:
         # per-processor finish-time path.
         self._uniform = platform.uniform_classes
         self.schedule = Schedule(platform)
-        self.avail: _AvailVector = _AvailVector(
-            [0.0] * platform.n_procs, platform.proc_classes,
-            platform.n_classes)
+        self.avail: _AvailVector = _AvailVector([0.0] * platform.n_procs,
+                                                platform)
         self.mem: dict[Memory, MemoryProfile] = {
             m: MemoryProfile(platform.capacity(m)) for m in self.memories
         }
@@ -348,25 +331,20 @@ class SchedulerState:
     # ------------------------------------------------------------------
     def choose_proc(self, memory: Memory, est: float) -> int:
         """Processor of ``memory`` minimising idle time ``est - avail[p]``
-        among those already free at ``est`` (ties: lowest index).
-
-        Served from the avail vector's per-class sorted view: the
-        free-at-``est`` prefix comes from one bisect and only *its*
-        processors replay the historical index-order EPS-chain, instead of
-        scanning every processor of the class per commit.
+        among those already free at ``est`` (ties: lowest index), by an
+        index-order scan of the class's processors.
 
         Only meaningful on *uniform-speed* classes, where every free
         processor finishes the task at the same time; heterogeneous
         breakdowns pre-select their processor in :meth:`est`
         (``breakdown.proc``) and bypass this method at commit time."""
-        entries = self.avail.by_class[memory.index]
-        # All (a, p) with a <= est + EPS: bisecting with a proc sentinel
-        # above any real index keeps a == est + EPS entries inside.
-        hi = bisect_right(entries, (est + EPS, self.platform.n_procs))
+        avail = self.avail
+        limit = est + EPS
         best_proc = -1
         best_avail = -math.inf
-        for a, p in sorted(entries[:hi], key=itemgetter(1)):
-            if a > best_avail + EPS:
+        for p in self.platform.procs(memory):
+            a = avail[p]
+            if a <= limit and a > best_avail + EPS:
                 best_avail = a
                 best_proc = p
         if best_proc < 0:  # pragma: no cover - est >= resource_EST prevents this
@@ -491,9 +469,7 @@ class SchedulerState:
         clone.memories = self.memories
         clone._uniform = self._uniform
         clone.schedule = self.schedule.copy()
-        clone.avail = _AvailVector(list(self.avail),
-                                   self.platform.proc_classes,
-                                   self.platform.n_classes)
+        clone.avail = _AvailVector(self.avail, self.platform)
         clone.mem = {m: p.copy() for m, p in self.mem.items()}
         clone._flat = self._flat
         clone._row = self._row

@@ -284,16 +284,8 @@ def _run_one_cell(fn, payload_obj, worker_cache: dict, cell_wire: object,
     wire stays compatible and results stay byte-identical.
     """
     st = obs.active()
-    if st is None:
-        try:
-            cell = from_cell_wire(cell_wire)
-            result = fn(payload_obj, worker_cache, cell)
-            return {"i": index, "r": to_cell_wire(result)}
-        except Exception as exc:  # noqa: BLE001 — must answer, not crash
-            return {"i": index,
-                    "error": {"type": "cell_error",
-                              "message": f"{type(exc).__name__}: {exc}"}}
-    t0 = time.perf_counter()
+    if st is not None:
+        t0 = time.perf_counter()
     try:
         cell = from_cell_wire(cell_wire)
         result = fn(payload_obj, worker_cache, cell)
@@ -302,11 +294,12 @@ def _run_one_cell(fn, payload_obj, worker_cache: dict, cell_wire: object,
         row = {"i": index,
                "error": {"type": "cell_error",
                          "message": f"{type(exc).__name__}: {exc}"}}
-    duration = time.perf_counter() - t0
-    st.registry.histogram("memsched_cell_seconds",
-                          mode="service").observe(duration)
-    if ctx is not None:
-        row["obs"] = {"dur": round(duration, 6), "pid": os.getpid()}
+    if st is not None:
+        duration = time.perf_counter() - t0
+        st.registry.histogram("memsched_cell_seconds",
+                              mode="service").observe(duration)
+        if ctx is not None:
+            row["obs"] = {"dur": round(duration, 6), "pid": os.getpid()}
     return row
 
 

@@ -51,6 +51,24 @@ class TestMapCells:
         map_cells(worker, None, [1, 2, 3])
         assert seen["n"] == 3
 
+    def test_observed_serial_loop_times_and_traces_every_cell(
+            self, tmp_path):
+        from repro import obs
+        from repro.obs.report import load_trace
+
+        cells = [3, 1, 2, 5]
+        plain = map_cells(_square_cell, 2, cells)
+        path = tmp_path / "serial.jsonl"
+        with obs.observing(path, trace_ident=("test", "serial")) as st:
+            observed = map_cells(_square_cell, 2, cells)
+            hist = st.registry.histogram("memsched_cell_seconds",
+                                         mode="serial")
+            assert hist.count == len(cells)
+        assert observed == plain == [18, 2, 8, 50]
+        spans = [row for row in load_trace(path) if row["name"] == "cell"]
+        assert sorted(row["attrs"]["i"] for row in spans) == \
+            list(range(len(cells)))
+
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(1) == 1

@@ -168,8 +168,7 @@ class TestWeighting:
 
     def test_all_cells_accounted_across_hosts(self, two_hosts):
         executor = RemoteExecutor(two_hosts)
-        out = map_cells(_double_cell, 1, list(range(24)), hosts=executor,
-                        chunk_size=2)
+        out = map_cells(_double_cell, 1, list(range(24)), hosts=executor)
         assert out == list(range(24))
         stats = executor.stats()
         assert sum(h["cells"] for h in stats["hosts"].values()) == 24
@@ -187,8 +186,7 @@ class TestFailurePaths:
             executor = RemoteExecutor(
                 [f"{good.host}:{good.port}", f"{bad.host}:{bad.port}"])
             cells = list(range(12))
-            out = map_cells(_double_cell, 10, cells, hosts=executor,
-                            chunk_size=1)
+            out = map_cells(_double_cell, 10, cells, hosts=executor)
         assert out == [10 * c for c in cells]          # no cell lost
         stats = executor.stats()
         bad_addr = f"{bad.host}:{bad.port}"
@@ -204,8 +202,7 @@ class TestFailurePaths:
             executor = RemoteExecutor(
                 [f"{good.host}:{good.port}", f"{bad.host}:{bad.port}"])
             cells = list(range(10))
-            out = map_cells(_double_cell, 4, cells, hosts=executor,
-                            chunk_size=1)
+            out = map_cells(_double_cell, 4, cells, hosts=executor)
         assert out == [4 * c for c in cells]
         info = executor.stats()["hosts"][f"{bad.host}:{bad.port}"]
         assert not info["alive"]
@@ -221,8 +218,7 @@ class TestFailurePaths:
             executor = RemoteExecutor(
                 [f"{good.host}:{good.port}", f"{stale.host}:{stale.port}"])
             cells = list(range(10))
-            out = map_cells(_double_cell, 6, cells, hosts=executor,
-                            chunk_size=1)
+            out = map_cells(_double_cell, 6, cells, hosts=executor)
         assert out == [6 * c for c in cells]
         info = executor.stats()["hosts"][f"{stale.host}:{stale.port}"]
         assert not info["alive"]

@@ -93,7 +93,7 @@ EVENT_DIGESTS = {
     "batched:1.5":
         "7bb33ef3b84b7d1cff28caf154f8de25b3b0765eb17c56d559b3ef9fb7ec82d5",
     "replan:4":
-        "ff2efdfa7268d28a169c34f77b31be421df6fa880772ba39f186224f1e036f8a",
+        "5b72c683fcc7130294dd8823b098ee38573d65eeef1f4e191dbdb99c07c3a096",
 }
 
 
@@ -105,3 +105,17 @@ def test_events_pinned(policy):
     digest = hashlib.sha256(
         json.dumps(events, sort_keys=True).encode()).hexdigest()
     assert digest == EVENT_DIGESTS[policy]
+
+
+@pytest.mark.parametrize("policy", ["replan:4", "replan:16"])
+def test_completions_are_final_finishes(policy):
+    """Replan rounds move placed jobs after the round that first planned
+    them; each job's one completion event is its final finish time."""
+    trace = poisson_trace(60, seed=4, rate=2.0, tick=1.0, size=8)
+    result = simulate(trace, PLATFORM, policy=policy)
+    jobs = result.session.jobs
+    completes = [e for e in result.events if e["kind"] == "complete"]
+    placed = [j for j, job in jobs.items() if job.placements is not None]
+    assert sorted(e["job"] for e in completes) == sorted(placed)
+    for e in completes:
+        assert e["t"] == jobs[e["job"]].finish

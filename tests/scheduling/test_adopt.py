@@ -39,11 +39,11 @@ class TestAdopt:
         placement = placed(source, "p")
         state = SchedulerState(fork(), PLATFORM)
         before = (profiles(state), [p.version for p in state.mem.values()],
-                  list(state.avail), list(map(list, state.avail.by_class)),
+                  list(state.avail), list(state.avail.mins),
                   state.eval_counts())
         state.adopt(placement)
         after = (profiles(state), [p.version for p in state.mem.values()],
-                 list(state.avail), list(map(list, state.avail.by_class)),
+                 list(state.avail), list(state.avail.mins),
                  state.eval_counts())
         assert after == before
         assert state.schedule.placement("p") == placement

@@ -1,6 +1,7 @@
-"""The flat data layout under the kernel: the per-class sorted avail
-vector (list semantics + O(1) class minima + bisected choose_proc) and the
-FlatGraph CSR adjacency (edge-order faithful to the TaskGraph views)."""
+"""The flat data layout under the kernel: the avail vector (list
+semantics + per-class minima kept on every write + index-order
+choose_proc) and the FlatGraph CSR adjacency (edge-order faithful to the
+TaskGraph views)."""
 
 import math
 
@@ -17,8 +18,7 @@ from repro.scheduling.state import SchedulerState, _AvailVector
 class TestAvailVector:
     def _vec(self, values, counts):
         platform = Platform(list(counts), [math.inf] * len(counts))
-        return _AvailVector(values, platform.proc_classes,
-                            platform.n_classes)
+        return _AvailVector(values, platform)
 
     def test_list_semantics(self):
         v = self._vec([0.0, 0.0, 0.0], (2, 1))
@@ -28,27 +28,41 @@ class TestAvailVector:
 
     def test_class_min_tracks_writes(self):
         v = self._vec([0.0, 0.0, 0.0], (2, 1))
-        assert v.class_min(0) == 0.0
+        assert v.mins[0] == 0.0
         v[0] = 5.0
-        assert v.class_min(0) == 0.0
+        assert v.mins[0] == 0.0
         v[1] = 2.0
-        assert v.class_min(0) == 2.0
+        assert v.mins[0] == 2.0
         v[1] = 7.0
-        assert v.class_min(0) == 5.0
-        assert v.class_min(1) == 0.0
+        assert v.mins[0] == 5.0
+        assert v.mins[1] == 0.0
 
-    def test_by_class_moves_on_change_only(self):
+    def test_equal_write_leaves_mins_equal(self):
         v = self._vec([1.0, 2.0], (1, 1))
-        entry = v.by_class[0][0]
-        v[0] = 1.0  # equal write: no-op
-        assert v.by_class[0][0] is entry
+        v[0] = 1.0
+        assert v.mins == [1.0, 2.0]
         v[0] = 1.5
-        assert v.by_class[0] == [(1.5, 0)]
-        assert v.by_class[1] == [(2.0, 1)]
+        assert v.mins == [1.5, 2.0]
 
     def test_empty_class_min_is_inf(self):
         v = self._vec([0.0], (1, 0))
-        assert v.class_min(1) == math.inf
+        assert v.mins[1] == math.inf
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mins_match_class_minima_after_random_writes(self, seed):
+        import random
+        rnd = random.Random(seed)
+        counts = (3, 0, 4, 1)
+        v = self._vec([0.0] * sum(counts), counts)
+        platform = Platform(list(counts), [math.inf] * len(counts))
+        for _ in range(200):
+            p = rnd.randrange(len(v))
+            # A small value pool makes equal-value writes common.
+            v[p] = v[p] if rnd.random() < 0.2 else rnd.choice(
+                [0.0, 0.5, 1.0, 2.5, 4.0, 8.0])
+            assert v.mins == [
+                min((v[q] for q in platform.procs(ci)), default=math.inf)
+                for ci in range(len(counts))]
 
     def test_structural_mutation_forbidden(self):
         v = self._vec([0.0, 0.0], (1, 1))
@@ -68,8 +82,8 @@ class TestAvailVector:
         clone.avail[1] = 9.0
         assert state.avail[1] == 0.0
         assert clone.avail[0] == 4.0
-        assert clone.avail.class_min(0) == 4.0
-        assert state.avail.class_min(0) == 0.0
+        assert clone.avail.mins[0] == 4.0
+        assert state.avail.mins[0] == 0.0
 
 
 class TestChooseProc:

@@ -103,7 +103,7 @@ def test_lazy_equals_naive_three_classes(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_selector_lower_bound_matches_breakdown_bound(seed):
     """MinEFTSelector's cached lower bound must equal the memory-free
-    bound ``min_c max(class_min, precedence_c) + W^(c)/fastest(c)``
+    bound ``min_c max(min(avail_c), precedence_c) + W^(c)/fastest(c)``
     computed from the state's breakdowns, and actually bound the exact
     best-class EFT from below at every step."""
     from repro.scheduling.candidates import MinEFTSelector
@@ -121,8 +121,7 @@ def test_selector_lower_bound_matches_breakdown_bound(seed):
     for task in graph.roots():
         selector.push(task)
     while len(selector):
-        resources = [state.avail.class_min(ci)
-                     for ci in range(len(state.memories))]
+        resources = list(state.avail.mins)
         for task, entry in selector._live.items():
             cached = selector._lower_bound(entry, resources)
             assert cached == min(

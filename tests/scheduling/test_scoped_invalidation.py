@@ -208,12 +208,12 @@ class TestCommitEviction:
 
 
 def _class_mins(state):
-    return [state.avail.class_min(ci) for ci in range(len(state.memories))]
+    return list(state.avail.mins)
 
 
 class TestClassMinima:
-    """The resources every selector reads, ``state.avail.class_min``,
-    follow commits *and* direct writes."""
+    """The resources every selector reads, ``state.avail.mins``, follow
+    commits *and* direct writes."""
 
     def test_class_min_follows_commits(self):
         graph = random_dag(size=10, rng=0)
@@ -237,15 +237,12 @@ class TestClassMinima:
         state.avail[1] = 9.0
         assert _class_mins(state) == [7.0, 0.0]
 
-    def test_equal_value_write_leaves_by_class_untouched(self):
+    def test_equal_value_write_leaves_mins_equal(self):
         graph = random_dag(size=10, rng=0)
         state = SchedulerState(graph, Platform(1, 1))
-        before = [list(entries) for entries in state.avail.by_class]
-        state.avail[0] = 0.0  # no-op write
-        # The same entry objects: nothing was removed and reinserted.
-        assert all(a is b for old, new in zip(before, state.avail.by_class)
-                   for a, b in zip(old, new))
+        state.avail[0] = 0.0
         assert _class_mins(state) == [0.0, 0.0]
+        assert list(state.avail) == [0.0, 0.0]
 
     def test_no_proc_class_is_inf(self):
         from repro.core.graph import TaskGraph

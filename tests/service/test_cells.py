@@ -73,6 +73,24 @@ class TestCellsEndpoint:
         assert "unlucky cell" in rows[1]["error"]["message"]
         assert from_cell_wire(rows[2]["r"]) == 2
 
+    def test_error_row_same_with_and_without_obs(self):
+        from repro import obs
+        from repro.service.app import _run_one_cell
+
+        def run():
+            return _run_one_cell(_explode_cell, None, {}, to_cell_wire(13),
+                                 4)
+
+        plain = run()
+        with obs.observing() as st:
+            observed = run()
+            hist = st.registry.histogram("memsched_cell_seconds",
+                                         mode="service")
+            assert hist.count == 1
+        assert observed == plain == {
+            "i": 4, "error": {"type": "cell_error",
+                              "message": "RuntimeError: unlucky cell"}}
+
     def test_unknown_worker_404(self):
         app = ServiceApp(workers=1)
         status, _headers, body = app.handle(
