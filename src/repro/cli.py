@@ -41,7 +41,7 @@ from .io.dot import to_dot
 from .io.gantt import ascii_gantt, memory_sparkline, schedule_summary
 from .io.json_io import load_graph, load_schedule, save_graph, save_schedule
 from .scheduling.registry import ENGINE_OPTIONED, SCHEDULERS, get_scheduler
-from .scheduling.state import InfeasibleScheduleError
+from .scheduling.state import COMM_POLICIES, InfeasibleScheduleError
 
 if HAS_NUMPY:   # the experiment drivers and the ILP need numpy
     from .experiments.config import SCALES, get_scale
@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graph JSON file(s); several go as one /batch")
     p.add_argument("--algo", choices=sorted(SCHEDULERS), default="memheft")
     _add_platform_args(p)
-    p.add_argument("--comm-policy", choices=("late", "eager"), default="late")
+    p.add_argument("--comm-policy", choices=COMM_POLICIES, default="late")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8123)
     p.add_argument("--timeout", type=float, default=60.0,
@@ -682,8 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="memheft")
     po.add_argument("--policy", default="immediate", metavar="POLICY",
                     help="arrival policy: immediate | batched:Q | replan:W")
-    po.add_argument("--comm-policy", choices=("late", "eager"),
-                    default="late")
+    po.add_argument("--comm-policy", choices=COMM_POLICIES, default="late")
     _add_platform_args(po)
     po.add_argument("--journal", default=None, metavar="FILE",
                     help="write the deterministic decision journal here")

@@ -7,11 +7,13 @@ per memory class (``W^(c)`` for class ``c``; the paper's dual platform has
 either endpoint executes, and whose transfer between two *different*
 memories takes ``C_ij`` time units (regardless of which pair of classes).
 
-The class wraps a :class:`networkx.DiGraph` and exposes the accessors the
-schedulers need (parents/children, per-memory time, memory requirement of a
-task, cached topological order).  The historical dual-memory accessors
-(``add_task(t, w_blue, w_red)``, ``w_blue``/``w_red``) remain available on
-``k = 2`` graphs.
+The class keeps three insertion-ordered dicts — per-task times, and the
+successor and predecessor maps whose edges carry ``(size, comm)`` — and
+exposes the accessors the schedulers need (parents/children, per-memory
+time, memory requirement of a task, cached topological order).  networkx
+is needed only by :meth:`TaskGraph.to_networkx`.  The historical
+dual-memory accessors (``add_task(t, w_blue, w_red)``,
+``w_blue``/``w_red``) remain available on ``k = 2`` graphs.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ import math
 from bisect import bisect_right
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
-import networkx as nx
-
 from .platform import Memory
 
 Task = Hashable
 Edge = tuple[Task, Task]
 
-#: Node attribute holding the per-class processing-time tuple.
+#: networkx interop (:meth:`TaskGraph.to_networkx` / ``from_networkx``):
+#: the node attribute holding the per-class processing-time tuple.
 ATTR_TIMES = "times"
 #: Legacy node attribute names (kept on k = 2 graphs for interop).
 ATTR_W_BLUE = "w_blue"
@@ -46,11 +47,11 @@ class FlatGraph:
     iteration order of :meth:`TaskGraph.parents` /
     :meth:`TaskGraph.children`, so a kernel walking the flat arrays
     accumulates floating-point sums in the same order — and hence to the
-    same bits — as one walking the networkx adjacency.  Built once per
-    graph by :meth:`TaskGraph.flatten` (cached on the graph, invalidated
-    by mutation), or directly from arrays (an online session concatenates
-    per-job views into a round's union); everything here is immutable
-    plain-Python data, shared freely between states.
+    same bits — as one walking the graph's adjacency dicts.  Built once
+    per graph by :meth:`TaskGraph.flatten` (cached on the graph,
+    invalidated by mutation), or directly from arrays (an online session
+    concatenates per-job flats into a round's union); everything here is
+    immutable plain-Python data, shared freely between states.
     """
 
     __slots__ = ("order", "index", "parent_ptr", "parent_row", "parent_comm",
@@ -72,35 +73,6 @@ class FlatGraph:
         self.times = times
         self.n_classes = n_classes
 
-    @classmethod
-    def from_adjacency(cls, order, parents, children, times,
-                       n_classes: int) -> "FlatGraph":
-        """Build from per-row adjacency lists: ``parents[i]`` holds
-        ``(row, comm, size)`` and ``children[i]`` ``(row, size)`` for the
-        edges of row ``i``, in the order the CSR keeps them (output sizes
-        are summed in the children's order)."""
-        parent_ptr = [0]
-        parent_row: list[int] = []
-        parent_comm: list[float] = []
-        parent_size: list[float] = []
-        child_ptr = [0]
-        child_row: list[int] = []
-        out_size: list[float] = []
-        for ins, outs in zip(parents, children):
-            for row, comm, size in ins:
-                parent_row.append(row)
-                parent_comm.append(comm)
-                parent_size.append(size)
-            parent_ptr.append(len(parent_row))
-            total = 0.0
-            for row, size in outs:
-                child_row.append(row)
-                total += size
-            child_ptr.append(len(child_row))
-            out_size.append(total)
-        return cls(order, parent_ptr, parent_row, parent_comm, parent_size,
-                   child_ptr, child_row, out_size, times, n_classes)
-
     @property
     def n_tasks(self) -> int:
         return len(self.order)
@@ -118,14 +90,22 @@ class FlatGraph:
 
 class TaskGraph:
     """Directed acyclic task graph with per-class processing times and
-    file edges."""
+    file edges.
+
+    ``_times`` maps each task to its times tuple, in insertion order;
+    ``_succ[u][v]`` and ``_pred[v][u]`` hold edge ``(u, v)``'s
+    ``(size, comm)`` tuple (the same object), each inner dict in edge
+    insertion order.
+    """
 
     def __init__(self, name: str = "taskgraph", n_classes: int = 2) -> None:
         if n_classes < 1:
             raise ValueError("need at least one memory class")
         self.name = name
         self.n_classes = n_classes
-        self._g = nx.DiGraph()
+        self._times: dict[Task, tuple[float, ...]] = {}
+        self._succ: dict[Task, dict[Task, tuple[float, float]]] = {}
+        self._pred: dict[Task, dict[Task, tuple[float, float]]] = {}
         self._topo_cache: Optional[tuple[Task, ...]] = None
         self._flat_cache: Optional[FlatGraph] = None
 
@@ -160,25 +140,21 @@ class TaskGraph:
         self.add_dependencies(((u, v, size, comm),))
 
     def _invalidate(self) -> None:
-        """Drop the views derived from the graph, before a mutation.  The
-        bulk adders write networkx's dicts directly, so they also clear
-        the conversion cache networkx's own mutators would."""
+        """Drop the views derived from the graph, before a mutation."""
         self._topo_cache = None
         self._flat_cache = None
-        getattr(self._g, "__networkx_cache__", {}).clear()
 
     def add_tasks(self, rows: Iterable[tuple[Task, Sequence[float]]]) -> None:
         """Add ``(task, times)`` rows in order (:meth:`add_task` is the
         one-row case).  A duplicate id, a wrong number of times or a
         negative or non-finite time raises ``ValueError``, with the rows
         before it already added."""
-        g = self._g
-        succ, pred, node = g._succ, g._pred, g._node
+        succ, pred, node = self._succ, self._pred, self._times
         n_classes = self.n_classes
         isfinite = math.isfinite
         self._invalidate()
         for task, times in rows:
-            if task in g:
+            if task in self:
                 raise ValueError(f"duplicate task {task!r}")
             times = tuple(map(float, times))
             if len(times) != n_classes:
@@ -188,11 +164,11 @@ class TaskGraph:
                 if w < 0 or not isfinite(w):
                     raise ValueError(
                         f"processing times of {task!r} must be finite and >= 0")
-            if task is None:   # as networkx's add_node words it
+            if task is None:
                 raise ValueError("None cannot be a node")
             succ[task] = {}
             pred[task] = {}
-            node[task] = {ATTR_TIMES: times}
+            node[task] = times
 
     def add_dependencies(self, rows: Iterable[tuple[Task, Task, float, float]]
                          ) -> None:
@@ -201,14 +177,13 @@ class TaskGraph:
         a self-loop, a duplicate edge or a negative or non-finite size or
         transfer time raises ``ValueError``, with the rows before it
         already added."""
-        g = self._g
-        succ, pred, node = g._succ, g._pred, g._node
+        succ, pred, node = self._succ, self._pred, self._times
         isfinite = math.isfinite
         self._invalidate()
         for u, v, size, comm in rows:
             try:
                 known = u in node and v in node
-            except TypeError:   # unhashable: not a task, as `u in g` says
+            except TypeError:   # unhashable: not a task
                 known = False
             if not known:
                 raise ValueError(f"both endpoints of ({u!r}, {v!r}) must be tasks")
@@ -221,104 +196,109 @@ class TaskGraph:
                 raise ValueError(f"size/comm of ({u!r}, {v!r}) must be finite and >= 0")
             # Acyclicity is checked lazily (validate() / topological_order()):
             # a per-edge reachability test would make construction quadratic.
-            children[v] = pred[v][u] = {ATTR_SIZE: float(size),
-                                        ATTR_COMM: float(comm)}
+            children[v] = pred[v][u] = (float(size), float(comm))
 
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
     @property
     def n_tasks(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._times)
 
     @property
     def n_edges(self) -> int:
-        return self._g.number_of_edges()
+        return sum(map(len, self._succ.values()))
 
     def __len__(self) -> int:
         return self.n_tasks
 
     def __contains__(self, task: Task) -> bool:
-        return task in self._g
+        try:
+            return task in self._times
+        except TypeError:   # unhashable: not a task
+            return False
 
     def tasks(self) -> Iterator[Task]:
-        return iter(self._g.nodes)
+        return iter(self._times)
 
     def edges(self) -> Iterator[Edge]:
-        return iter(self._g.edges)
+        """Every edge, u-major: tasks in node order, each one's children
+        in edge insertion order."""
+        return ((u, v) for u, children in self._succ.items()
+                for v in children)
 
     def edge_items(self) -> Iterator[tuple[Task, Task, float, float]]:
         """``(u, v, size, comm)`` of every edge, in :meth:`edges` order."""
-        return ((u, v, d[ATTR_SIZE], d[ATTR_COMM])
-                for u, v, d in self._g.edges(data=True))
+        return ((u, v, size, comm) for u, children in self._succ.items()
+                for v, (size, comm) in children.items())
 
     def parents(self, task: Task) -> list[Task]:
         """Immediate predecessors of ``task``."""
-        return list(self._g.predecessors(task))
+        return list(self._pred[task])
 
     def children(self, task: Task) -> list[Task]:
         """Immediate successors of ``task``."""
-        return list(self._g.successors(task))
+        return list(self._succ[task])
 
     def in_degree(self, task: Task) -> int:
-        return self._g.in_degree(task)
+        return len(self._pred[task])
 
     def out_degree(self, task: Task) -> int:
-        return self._g.out_degree(task)
+        return len(self._succ[task])
 
     def roots(self) -> list[Task]:
         """Tasks without predecessors."""
-        return [t for t in self._g.nodes if self._g.in_degree(t) == 0]
+        return [t for t, ps in self._pred.items() if not ps]
 
     def sinks(self) -> list[Task]:
         """Tasks without successors."""
-        return [t for t in self._g.nodes if self._g.out_degree(t) == 0]
+        return [t for t, cs in self._succ.items() if not cs]
 
     # ------------------------------------------------------------------
     # weights
     # ------------------------------------------------------------------
     def times(self, task: Task) -> tuple[float, ...]:
         """Per-class processing times of ``task``."""
-        return self._g.nodes[task][ATTR_TIMES]
+        return self._times[task]
 
     def w(self, task: Task, memory: Union[Memory, int]) -> float:
         """Processing time of ``task`` on a processor of ``memory``."""
         idx = memory.index if isinstance(memory, Memory) else int(memory)
-        return self._g.nodes[task][ATTR_TIMES][idx]
+        return self._times[task][idx]
 
     def w_blue(self, task: Task) -> float:
-        return self._g.nodes[task][ATTR_TIMES][0]
+        return self._times[task][0]
 
     def w_red(self, task: Task) -> float:
-        return self._g.nodes[task][ATTR_TIMES][1]
+        return self._times[task][1]
 
     def w_min(self, task: Task) -> float:
         """Fastest processing time of ``task`` over all resources."""
-        return min(self._g.nodes[task][ATTR_TIMES])
+        return min(self._times[task])
 
     def w_mean(self, task: Task) -> float:
         """Mean processing time (used by the HEFT upward rank)."""
-        times = self._g.nodes[task][ATTR_TIMES]
+        times = self._times[task]
         return sum(times) / len(times)
 
     def size(self, u: Task, v: Task) -> float:
         """File size ``F_uv`` of edge ``(u, v)``."""
-        return self._g.edges[u, v][ATTR_SIZE]
+        return self._succ[u][v][0]
 
     def comm(self, u: Task, v: Task) -> float:
         """Cross-memory transfer time ``C_uv`` of edge ``(u, v)``."""
-        return self._g.edges[u, v][ATTR_COMM]
+        return self._succ[u][v][1]
 
     # ------------------------------------------------------------------
     # memory requirements (paper §3.2)
     # ------------------------------------------------------------------
     def in_size(self, task: Task) -> float:
         """Total size of the input files of ``task``."""
-        return sum(self._g.edges[p, task][ATTR_SIZE] for p in self._g.predecessors(task))
+        return sum(size for size, _ in self._pred[task].values())
 
     def out_size(self, task: Task) -> float:
         """Total size of the output files of ``task``."""
-        return sum(self._g.edges[task, c][ATTR_SIZE] for c in self._g.successors(task))
+        return sum(size for size, _ in self._succ[task].values())
 
     def mem_req(self, task: Task) -> float:
         """``MemReq(i)``: memory needed while ``task`` executes
@@ -331,15 +311,15 @@ class TaskGraph:
     def topological_order(self) -> tuple[Task, ...]:
         """A (cached) topological order of the tasks.
 
-        Generation-major, each generation in the order networkx's
-        ``topological_sort`` gives it: the parentless tasks in node order,
-        then each generation's children in the order its last parent
-        released them.  Raises ``ValueError`` if the graph contains a cycle.
+        Generation-major (the order networkx's ``topological_sort`` gives):
+        the parentless tasks in node order, then each generation's
+        children in the order its last parent released them.  Raises
+        ``ValueError`` if the graph contains a cycle.
         """
         if self._topo_cache is None:
-            succ = self._g._succ
-            pending = {t: len(ps) for t, ps in self._g._pred.items() if ps}
-            generation = [t for t, ps in self._g._pred.items() if not ps]
+            succ = self._succ
+            pending = {t: len(ps) for t, ps in self._pred.items() if ps}
+            generation = [t for t, ps in self._pred.items() if not ps]
             order: list[Task] = []
             while generation:
                 order += generation
@@ -363,13 +343,12 @@ class TaskGraph:
 
         Rebuilt lazily after any mutation; raises ``ValueError`` on cyclic
         graphs (the flattening is row-ordered by :meth:`topological_order`).
-        One walk over the networkx adjacency dicts fills the CSR arrays
-        (what :meth:`FlatGraph.from_adjacency` does from per-row lists).
+        One walk over the adjacency dicts fills the CSR arrays.
         """
         if self._flat_cache is None:
             order = self.topological_order()
             index = dict(zip(order, range(len(order))))
-            pred, succ, node = self._g._pred, self._g._succ, self._g._node
+            pred, succ = self._pred, self._succ
             parent_ptr = [0]
             parent_row: list[int] = []
             parent_comm: list[float] = []
@@ -378,28 +357,28 @@ class TaskGraph:
             child_row: list[int] = []
             out_size: list[float] = []
             for t in order:
-                for p, d in pred[t].items():
+                for p, (size, comm) in pred[t].items():
                     parent_row.append(index[p])
-                    parent_comm.append(d[ATTR_COMM])
-                    parent_size.append(d[ATTR_SIZE])
+                    parent_comm.append(comm)
+                    parent_size.append(size)
                 parent_ptr.append(len(parent_row))
                 total = 0.0
-                for c, d in succ[t].items():
+                for c, (size, _) in succ[t].items():
                     child_row.append(index[c])
-                    total += d[ATTR_SIZE]
+                    total += size
                 child_ptr.append(len(child_row))
                 out_size.append(total)
             self._flat_cache = FlatGraph(
                 order, parent_ptr, parent_row, parent_comm, parent_size,
                 child_ptr, child_row, out_size,
-                [node[t][ATTR_TIMES] for t in order], self.n_classes)
+                list(map(self._times.__getitem__, order)), self.n_classes)
         return self._flat_cache
 
     def ancestors(self, task: Task) -> set[Task]:
-        return nx.ancestors(self._g, task)
+        return _reachable(self._pred, task)
 
     def descendants(self, task: Task) -> set[Task]:
-        return nx.descendants(self._g, task)
+        return _reachable(self._succ, task)
 
     def longest_path_length(self, weight: str = "min") -> float:
         """Length of the longest path using per-task weights (``min``,
@@ -420,7 +399,7 @@ class TaskGraph:
             raise KeyError(weight)
         best: dict[Task, float] = {}
         for t in self.topological_order():
-            incoming = max((best[p] for p in self._g.predecessors(t)), default=0.0)
+            incoming = max((best[p] for p in self._pred[t]), default=0.0)
             best[t] = incoming + pick(t)
         return max(best.values(), default=0.0)
 
@@ -434,21 +413,29 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # conversion
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying :class:`networkx.DiGraph`.
+    def to_networkx(self):
+        """The graph as a new :class:`networkx.DiGraph`: nodes in node
+        order carrying ``times``, edges in :meth:`edges` order carrying
+        ``size`` and ``comm``.
 
         On dual graphs every node also carries the legacy ``w_blue`` /
         ``w_red`` attributes next to ``times``, for interop with external
         tooling written against the dual-memory layout.
         """
-        g = self._g.copy()
+        import networkx as nx
+
+        g = nx.DiGraph()
+        g.add_nodes_from((t, {ATTR_TIMES: times})
+                         for t, times in self._times.items())
         if self.n_classes == 2:
             for _node, data in g.nodes(data=True):
                 data[ATTR_W_BLUE], data[ATTR_W_RED] = data[ATTR_TIMES]
+        g.add_edges_from((u, v, {ATTR_SIZE: size, ATTR_COMM: comm})
+                         for u, v, size, comm in self.edge_items())
         return g
 
     @classmethod
-    def from_networkx(cls, g: nx.DiGraph, name: str = "taskgraph") -> "TaskGraph":
+    def from_networkx(cls, g, name: str = "taskgraph") -> "TaskGraph":
         """Build from a DiGraph carrying either ``times`` tuples or legacy
         ``w_blue``/``w_red`` node attributes, and ``size``/``comm`` edge
         attributes (missing edge attrs default 0)."""
@@ -467,17 +454,10 @@ class TaskGraph:
             tg.add_dependency(u, v, data.get(ATTR_SIZE, 0.0), data.get(ATTR_COMM, 0.0))
         return tg
 
-    def _empty_like(self) -> "TaskGraph":
-        """A new empty graph of the same concrete type/arity (overridden by
-        subclasses with different constructor signatures)."""
-        return TaskGraph(name=self.name, n_classes=self.n_classes)
-
     def copy(self) -> "TaskGraph":
-        clone = self._empty_like()
-        clone.add_tasks((node, data[ATTR_TIMES])
-                        for node, data in self._g.nodes(data=True))
-        clone.add_dependencies((u, v, data[ATTR_SIZE], data[ATTR_COMM])
-                               for u, v, data in self._g.edges(data=True))
+        clone = TaskGraph(name=self.name, n_classes=self.n_classes)
+        clone.add_tasks(self._times.items())
+        clone.add_dependencies(self.edge_items())
         return clone
 
     # ------------------------------------------------------------------
@@ -486,16 +466,29 @@ class TaskGraph:
     def total_work(self, memory: Optional[Union[Memory, int]] = None) -> float:
         """Sum of processing times (on ``memory``, or the per-task minimum)."""
         if memory is None:
-            return sum(self.w_min(t) for t in self._g.nodes)
-        return sum(self.w(t, memory) for t in self._g.nodes)
+            return sum(self.w_min(t) for t in self._times)
+        return sum(self.w(t, memory) for t in self._times)
 
     def total_comm(self) -> float:
         """Sum of all edge transfer times."""
-        return sum(d[ATTR_COMM] for _, _, d in self._g.edges(data=True))
+        return sum(comm for _, _, _, comm in self.edge_items())
 
     def total_file_size(self) -> float:
         """Sum of all file sizes."""
-        return sum(d[ATTR_SIZE] for _, _, d in self._g.edges(data=True))
+        return sum(size for _, _, size, _ in self.edge_items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TaskGraph({self.name!r}, n_tasks={self.n_tasks}, n_edges={self.n_edges})"
+
+
+def _reachable(adjacency: dict, task: Task) -> set[Task]:
+    """The tasks other than ``task`` reachable from it along
+    ``adjacency`` (``_succ`` or ``_pred``), walked breadth first."""
+    seen = {task}
+    queue = [task]
+    for t in queue:
+        for nxt in adjacency[t]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return set(queue[1:])

@@ -216,30 +216,26 @@ class MemoryProfile:
                     return k
         return -1
 
-    def earliest_fit(self, need: float, not_before: float = 0.0) -> float:
-        """Earliest ``t >= not_before`` such that ``free(t') >= need`` for all
+    def earliest_fit(self, need: float) -> float:
+        """Earliest ``t >= 0`` such that ``free(t') >= need`` for all
         ``t' >= t`` — the query behind ``task_mem_EST`` / ``comm_mem_EST``
         (§5.1).  Returns ``inf`` when ``need`` exceeds the capacity or the
         tail of the profile never frees enough memory.
-
-        Every "fits now" exit returns ``max(0.0, not_before)``, spelled as
-        one comparison on this hot path.
         """
         if need <= EPS:
-            return not_before if not_before > 0.0 else 0.0
+            return 0.0
         capacity = self.capacity
         if need > capacity + EPS:
             return math.inf
         if capacity == math.inf:
-            return not_before if not_before > 0.0 else 0.0
+            return 0.0
         # Find the rightmost segment still too full; everything after fits.
         j = self._rightmost_above(capacity - need)
         if j < 0:
-            return not_before if not_before > 0.0 else 0.0
+            return 0.0
         if j == len(self._vals) - 1:
             return math.inf  # tail value itself exceeds the threshold
-        x = self._xs[j + 1]
-        return not_before if not_before > x else x
+        return self._xs[j + 1]
 
     # ------------------------------------------------------------------
     # introspection / invariants

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Hashable
 
-from .graph import ATTR_COMM, ATTR_SIZE, ATTR_TIMES, TaskGraph
+from .graph import TaskGraph
 from .memory_profile import MemoryProfile
 from .platform import Memory, Platform
 from .schedule import Schedule
@@ -140,13 +140,13 @@ def validate_schedule(
     # The containers themselves: one dict lookup per task and per edge.
     placements = schedule._placements
     comms = schedule._comms
-    nodes = graph._g._node
-    succ = graph._g._succ
+    times = graph._times
+    succ = graph._succ
     proc_ranges = [platform.procs(c) for c in platform.classes()]
     speeds = platform.speeds
 
     # -- completeness and durations ------------------------------------
-    for task, data in nodes.items():
+    for task, task_times in times.items():
         p = placements.get(task)
         if p is None:
             raise ScheduleError(f"task {task!r} is not scheduled")
@@ -162,15 +162,15 @@ def validate_schedule(
                 f"task {task!r} placed on processor {p.proc}, which is not "
                 f"attached to memory {memory}"
             )
-        expect = data[ATTR_TIMES][memory.index] / speeds[p.proc]
+        expect = task_times[memory.index] / speeds[p.proc]
         if abs(p.finish - p.start - expect) > eps:
             raise ScheduleError(
                 f"task {task!r} runs for {p.duration} but "
                 f"W^({memory}) / speed(P{p.proc}) = {expect}"
             )
 
-    if len(placements) != len(nodes):
-        extra = set(placements) - set(nodes)
+    if len(placements) != len(times):
+        extra = set(placements) - set(times)
         raise ScheduleError(f"schedule places unknown tasks: {sorted(map(repr, extra))}")
 
     # -- flow constraints, collecting file residencies -----------------
@@ -180,9 +180,8 @@ def validate_schedule(
         pu = placements[u]
         mu = pu.memory
         u_rows = rows[mu.index]
-        for v, data in nbrs.items():
+        for v, (size, comm) in nbrs.items():
             pv = placements[v]
-            size = data[ATTR_SIZE]
             if mu is pv.memory:
                 if (u, v) in comms:
                     raise ScheduleError(f"same-memory edge ({u!r}, {v!r}) has a communication")
@@ -208,10 +207,10 @@ def validate_schedule(
                     f"communication ({u!r}, {v!r}) ends at {ev.finish} "
                     f"after consumer starts at {pv.start}"
                 )
-            if ev.finish - ev.start < data[ATTR_COMM] - eps:
+            if ev.finish - ev.start < comm - eps:
                 raise ScheduleError(
                     f"communication ({u!r}, {v!r}) lasts {ev.duration} "
-                    f"< C = {data[ATTR_COMM]}"
+                    f"< C = {comm}"
                 )
             if size != 0.0:
                 if ev.finish > pu.start:

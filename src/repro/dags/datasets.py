@@ -25,31 +25,34 @@ def _seeds(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _rand_set(prefix: str, n_graphs: int, size: int, seed: int, *,
+              width: float = RAND_WIDTH, jumps: int = RAND_JUMPS,
+              w_range=(1, 20), c_range=(1, 10), f_range=(1, 10)
+              ) -> list[TaskGraph]:
+    """``n_graphs`` daggen DAGs named ``prefix[idx]``, one spawned seed
+    each."""
+    graphs = []
+    for idx, rng in enumerate(_seeds(seed, n_graphs)):
+        g = random_dag(size=size, width=width, density=RAND_DENSITY,
+                       jumps=jumps, rng=rng, w_range=w_range,
+                       c_range=c_range, f_range=f_range)
+        g.name = f"{prefix}[{idx}]"
+        graphs.append(g)
+    return graphs
+
+
 def small_rand_set(n_graphs: int = 50, size: int = 30, seed: int = 2014
                    ) -> list[TaskGraph]:
     """SmallRandSet: 50 DAGs, 30 tasks, ``W in [1,20]``, ``C, F in [1,10]``."""
-    graphs = []
-    for idx, rng in enumerate(_seeds(seed, n_graphs)):
-        g = random_dag(size=size, width=RAND_WIDTH, density=RAND_DENSITY,
-                       jumps=RAND_JUMPS, rng=rng,
-                       w_range=(1, 20), c_range=(1, 10), f_range=(1, 10))
-        g.name = f"small_rand[{idx}]"
-        graphs.append(g)
-    return graphs
+    return _rand_set("small_rand", n_graphs, size, seed)
 
 
 def tiny_rand_set(n_graphs: int = 10, size: int = 7, seed: int = 7
                   ) -> list[TaskGraph]:
     """Same family as SmallRandSet but small enough for the exact ILP
     (HiGHS in place of the paper's CPLEX) to prove optimality."""
-    graphs = []
-    for idx, rng in enumerate(_seeds(seed, n_graphs)):
-        g = random_dag(size=size, width=0.5, density=RAND_DENSITY,
-                       jumps=min(RAND_JUMPS, 3), rng=rng,
-                       w_range=(1, 20), c_range=(1, 10), f_range=(1, 10))
-        g.name = f"tiny_rand[{idx}]"
-        graphs.append(g)
-    return graphs
+    return _rand_set("tiny_rand", n_graphs, size, seed, width=0.5,
+                     jumps=min(RAND_JUMPS, 3))
 
 
 def large_rand_set(n_graphs: int = 15, size: int = 150, seed: int = 1000
@@ -57,14 +60,8 @@ def large_rand_set(n_graphs: int = 15, size: int = 150, seed: int = 1000
     """LargeRandSet: the paper uses 100 DAGs of 1000 tasks with all weights
     in ``[1, 100]``; defaults here are scaled down for a pure-Python run
     (pass ``n_graphs=100, size=1000`` for paper scale)."""
-    graphs = []
-    for idx, rng in enumerate(_seeds(seed, n_graphs)):
-        g = random_dag(size=size, width=RAND_WIDTH, density=RAND_DENSITY,
-                       jumps=RAND_JUMPS, rng=rng,
-                       w_range=(1, 100), c_range=(1, 100), f_range=(1, 100))
-        g.name = f"large_rand[{idx}]"
-        graphs.append(g)
-    return graphs
+    return _rand_set("large_rand", n_graphs, size, seed, w_range=(1, 100),
+                     c_range=(1, 100), f_range=(1, 100))
 
 
 def huge_rand_set(n_graphs: int = 5, size: int = 500, seed: int = 5000
@@ -76,14 +73,8 @@ def huge_rand_set(n_graphs: int = 5, size: int = 500, seed: int = 5000
     structure parameters at an intermediate, pure-Python-tractable size —
     tests using it are ``slow``-marked.
     """
-    graphs = []
-    for idx, rng in enumerate(_seeds(seed, n_graphs)):
-        g = random_dag(size=size, width=RAND_WIDTH, density=RAND_DENSITY,
-                       jumps=RAND_JUMPS, rng=rng,
-                       w_range=(1, 100), c_range=(1, 100), f_range=(1, 100))
-        g.name = f"huge_rand[{idx}]"
-        graphs.append(g)
-    return graphs
+    return _rand_set("huge_rand", n_graphs, size, seed, w_range=(1, 100),
+                     c_range=(1, 100), f_range=(1, 100))
 
 
 def lu_set(tile_counts: Sequence[int] = (4, 8, 13)) -> list[TaskGraph]:

@@ -23,8 +23,10 @@ structures fully summarise every commitment of the prefix.
    the tail plus the group being planned, in arrival order — as one
    :class:`~repro.core.graph.FlatGraph` concatenated from per-job blocks
    (:class:`_JobBlock`: ids, times, edges, topological generations and
-   upward ranks, built at a job's first round and cached while it is
-   open), with no networkx graph;
+   upward ranks, built at a job's first round from the job's own
+   ``build_union_graph((job,)).flatten()`` and cached while it is open);
+   the round's union is never built as a
+   :class:`~repro.core.graph.TaskGraph`;
 3. seeds a fresh state with the checkpoint's own profiles, mutated in
    place under an undo log (:meth:`MemoryProfile.record`; copying them
    would cost O(history) per round), and a copy of its avail vector;
@@ -93,7 +95,7 @@ from ..scheduling.kernel import ESTBreakdown
 from ..scheduling.ranks import upward_rank_rows
 from ..scheduling.ranks import rank_order  # noqa: F401 (perfbench patches it here)
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
-from ..scheduling.state import SchedulerState
+from ..scheduling.state import COMM_POLICIES, SchedulerState
 from .policies import make_policy
 
 Task = Hashable
@@ -216,11 +218,10 @@ def build_union_graph(jobs, n_classes: int,
     for job in jobs:
         prefix = job.job_id + "/"
         jg = job.graph
-        for t in jg.tasks():
-            union.add_task(prefix + str(t), times=jg.times(t))
-        for u, v in jg.edges():
-            union.add_dependency(prefix + str(u), prefix + str(v),
-                                 size=jg.size(u, v), comm=jg.comm(u, v))
+        ids = {t: prefix + str(t) for t in jg.tasks()}
+        union.add_tasks(zip(ids.values(), map(jg.times, ids)))
+        union.add_dependencies((ids[u], ids[v], size, comm)
+                               for u, v, size, comm in jg.edge_items())
     return union
 
 
@@ -230,17 +231,17 @@ class _JobBlock:
     topological generations and upward ranks never change once it has
     been submitted.
 
-    ``generations`` holds, per topological generation, the rows that job
-    contributes to ``build_union_graph(jobs).flatten()`` — namespaced ids,
-    times, output sizes, then the parent and child CSR pieces as per-row
-    edge counts, job-local rows and edge data — and the job-local row of
-    its first task.  Job-local rows number the job's tasks generation by
-    generation; parent edges come in the union's order, ``graph.edges()``
-    order (u-major), which is not the job graph's own predecessor order
-    when its edges were inserted in another order.  ``keys`` (original
-    task keys), ``names`` (their ``str``), ``ids`` (namespaced) and
-    ``neg_ranks`` (negated upward ranks on the session platform) are in
-    node order.
+    The rows are those of ``build_union_graph((job,)).flatten()``:
+    namespaced ids in topological order, parent edges in the union's
+    ``graph.edges()`` order (u-major), which is not the job graph's own
+    predecessor order when its edges were inserted in another order.
+    ``generations`` cuts them per topological generation into the pieces
+    :func:`_union_flat` concatenates — ids, times, output sizes, then the
+    parent and child CSR pieces as per-row edge counts, job-local rows
+    and edge data — each with its first job-local row.  ``keys``
+    (original task keys), ``names`` (their ``str``), ``ids``
+    (namespaced) and ``neg_ranks`` (negated upward ranks on the session
+    platform) are in node order.
     """
 
     __slots__ = ("generations", "keys", "names", "ids", "neg_ranks")
@@ -249,64 +250,40 @@ class _JobBlock:
         graph = job.graph
         keys = list(graph.tasks())
         names = [str(t) for t in keys]
-        prefix = job.job_id + "/"
-        ids = [prefix + name for name in names]
-        node = {t: i for i, t in enumerate(keys)}
-        parents: list[list] = [[] for _ in keys]   # (node, comm, size)
-        children: list[list] = [[] for _ in keys]  # (node, size)
-        for u, v, size, comm in graph.edge_items():
-            parents[node[v]].append((node[u], comm, size))
-            children[node[u]].append((node[v], size))
-        # The topological generations, formed as networkx forms them.
-        pending = [len(p) for p in parents]
-        generation = [i for i, n in enumerate(pending) if n == 0]
-        topo: list[int] = []
-        gen_ptr = [0]
-        while generation:
-            topo += generation
-            gen_ptr.append(len(topo))
-            following = []
-            for i in generation:
-                for child, _ in children[i]:
-                    pending[child] -= 1
-                    if pending[child] == 0:
-                        following.append(child)
-            generation = following
-        if len(topo) != len(keys):
-            raise ValueError("task graph contains a cycle")
-        row = [0] * len(keys)
-        for r, i in enumerate(topo):
-            row[i] = r
-        times = [graph.times(keys[i]) for i in topo]
-        flat = FlatGraph.from_adjacency(
-            [ids[i] for i in topo],
-            [[(row[p], comm, size) for p, comm, size in parents[i]]
-             for i in topo],
-            [[(row[c], size) for c, size in children[i]] for i in topo],
-            times, graph.n_classes)
-        ranks = upward_rank_rows(flat, platform)
-        parent_count = [len(parents[i]) for i in topo]
-        child_count = [len(children[i]) for i in topo]
+        union = build_union_graph((job,), graph.n_classes)
+        ids = list(union.tasks())
+        flat = union.flatten()
         p_ptr, c_ptr = flat.parent_ptr, flat.child_ptr
+        # Rows are generation-major, and a row's generation is one more
+        # than that of its latest parent: a row opens a new generation
+        # when one of its parents is in the current one.
+        gen_ptr = [0]
+        for r, (lo, hi) in enumerate(zip(p_ptr, p_ptr[1:])):
+            if max(flat.parent_row[lo:hi], default=-1) >= gen_ptr[-1]:
+                gen_ptr.append(r)
+        gen_ptr.append(flat.n_tasks)
+        parent_count = [hi - lo for lo, hi in zip(p_ptr, p_ptr[1:])]
+        child_count = [hi - lo for lo, hi in zip(c_ptr, c_ptr[1:])]
         self.generations = [
-            (flat.order[lo:hi], times[lo:hi], flat.out_size[lo:hi],
+            (flat.order[lo:hi], flat.times[lo:hi], flat.out_size[lo:hi],
              parent_count[lo:hi], flat.parent_row[p_ptr[lo]:p_ptr[hi]],
              flat.parent_comm[p_ptr[lo]:p_ptr[hi]],
              flat.parent_size[p_ptr[lo]:p_ptr[hi]], child_count[lo:hi],
              flat.child_row[c_ptr[lo]:c_ptr[hi]], lo)
             for lo, hi in zip(gen_ptr, gen_ptr[1:])]
+        ranks = upward_rank_rows(flat, platform)
         self.keys = keys
         self.names = names
         self.ids = ids
-        self.neg_ranks = [-ranks[r] for r in row]
+        self.neg_ranks = [-ranks[flat.index[t]] for t in ids]
 
 
 def _union_flat(blocks, n_classes: int) -> FlatGraph:
     """The disjoint union of the blocks' jobs (in arrival order) as one
     :class:`FlatGraph`, field for field ``build_union_graph(jobs)
     .flatten()``: rows generation-major, then arrival order, then each
-    job's order inside the generation — the order networkx's topological
-    sort gives a disjoint union."""
+    job's order inside the generation — the order
+    :meth:`TaskGraph.topological_order` gives a disjoint union."""
     order: list = []
     times: list = []
     out_size: list = []
@@ -384,6 +361,9 @@ class OnlineSession:
             raise ValueError(
                 f"online sessions support the engine heuristics "
                 f"{sorted(ENGINE_OPTIONED)}, got {algorithm!r}")
+        if comm_policy not in COMM_POLICIES:
+            raise ValueError(f"comm_policy must be 'late' or 'eager', "
+                             f"got {comm_policy!r}")
         self.platform = platform
         self.algorithm = algorithm
         self.policy = make_policy(policy)
@@ -430,6 +410,9 @@ class OnlineSession:
             raise ValueError(f"duplicate job id {job_id!r}")
         if "/" in job_id:
             raise ValueError(f"job id {job_id!r} must not contain '/'")
+        if len(set(map(str, graph.tasks()))) != graph.n_tasks:
+            raise ValueError("job task ids must be distinct as strings")
+        graph.validate()   # a cyclic graph would fail every round
         job = OnlineJob(job_id, graph, float(release),
                         self.policy.due(float(release)), index)
         self.jobs[job_id] = job

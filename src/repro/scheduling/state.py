@@ -96,6 +96,9 @@ from .kernel import ESTBreakdown, resolve_backend
 
 Task = Hashable
 
+#: The accepted ``comm_policy`` values (:class:`SchedulerState`).
+COMM_POLICIES = ("late", "eager")
+
 
 class InfeasibleScheduleError(RuntimeError):
     """The graph cannot be scheduled within the given memory bounds
@@ -152,7 +155,7 @@ class SchedulerState:
 
     def __init__(self, graph: "TaskGraph | FlatGraph", platform: Platform,
                  comm_policy: str = "late") -> None:
-        if comm_policy not in ("late", "eager"):
+        if comm_policy not in COMM_POLICIES:
             raise ValueError(f"comm_policy must be 'late' or 'eager', got {comm_policy!r}")
         if graph.n_classes != platform.n_classes:
             raise ValueError(

@@ -70,7 +70,7 @@ from ..scheduling.registry import (
     MEMORY_OBLIVIOUS,
     SCHEDULERS,
 )
-from ..scheduling.state import InfeasibleScheduleError
+from ..scheduling.state import COMM_POLICIES, InfeasibleScheduleError
 from ..online import OnlineSession
 
 #: Protocol revision, reported by ``GET /healthz``.  v2 added the
@@ -146,7 +146,7 @@ def normalize_options(options: Optional[dict], algorithm: str) -> dict:
             f"(known: {sorted(_DEFAULT_OPTIONS)})")
     out = dict(_DEFAULT_OPTIONS)
     out.update(options)
-    if out["comm_policy"] not in ("late", "eager"):
+    if out["comm_policy"] not in COMM_POLICIES:
         raise ServiceError(400, "bad_request",
                            f"comm_policy must be 'late' or 'eager', "
                            f"got {out['comm_policy']!r}")
@@ -898,18 +898,12 @@ class ServiceApp:
             if not isinstance(options, dict):
                 raise ServiceError(400, "bad_request",
                                    "'options' must be an object")
-            comm_policy = options.get("comm_policy", "late")
-            if comm_policy not in ("late", "eager"):
-                raise ServiceError(
-                    400, "bad_request",
-                    f"options.comm_policy must be 'late' or 'eager', "
-                    f"got {comm_policy!r}")
             try:
                 session = OnlineSession(
                     platform,
                     algorithm=payload.get("algorithm", "memheft"),
                     policy=payload.get("policy", "immediate"),
-                    comm_policy=comm_policy)
+                    comm_policy=options.get("comm_policy", "late"))
             except ValueError as exc:
                 raise ServiceError(400, "bad_request", str(exc)) from exc
             entry = self._sessions[name] = _SessionEntry(session)

@@ -84,7 +84,6 @@ class TestEarliestFit:
         p = MemoryProfile(10)
         p.add(10, 0, None)
         assert p.earliest_fit(0) == 0
-        assert p.earliest_fit(0, not_before=3) == 3
 
     def test_over_capacity_never_fits(self):
         p = MemoryProfile(10)
@@ -109,11 +108,6 @@ class TestEarliestFit:
         assert p.earliest_fit(2) == math.inf
         assert p.earliest_fit(1) == 0
 
-    def test_not_before(self):
-        p = MemoryProfile(10)
-        p.add(8, 0, 5)
-        assert p.earliest_fit(4, not_before=7) == 7
-
     def test_infinite_capacity(self):
         p = MemoryProfile()
         p.add(1e9, 0, None)
@@ -130,7 +124,6 @@ class TestEarliestFit:
         assert p.n_segments() > 3 * MemoryProfile._BLOCK
         assert p.earliest_fit(60) == spike_at + 1
         assert p.earliest_fit(40) == 0
-        assert p.earliest_fit(60, not_before=399) == 399
 
 
 class TestInvariantsAndCopy:
@@ -277,15 +270,9 @@ float_amount = st.one_of(
     st.floats(min_value=-8.0, max_value=8.0, allow_nan=False,
               allow_infinity=False),
 )
-#: ``not_before`` of a fit query: negative, signed zeros, positive.
-not_before = st.one_of(
-    st.sampled_from((-1.0, -0.0, 0.0, 0.1, 2.5, 12.0, 30.0)),
-    st.floats(min_value=-2.0, max_value=25.0, allow_nan=False,
-              allow_infinity=False),
-)
 #: ("add", amount, start, end-or-None) | ("release", amount, start) |
 #: ("snap", amount, start, k): an add ending exactly on the profile's
-#: k-th (mod count) current breakpoint | ("fit", need, not_before) —
+#: k-th (mod count) current breakpoint | ("fit", need) —
 #: queries interleave with mutations so the profile's lazily repaired
 #: block maxima are read mid-sequence.
 profile_op = st.one_of(
@@ -295,7 +282,7 @@ profile_op = st.one_of(
     st.tuples(st.just("snap"), float_amount, float_time,
               st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("fit"), st.floats(min_value=0.0, max_value=40.0,
-                                        allow_nan=False), not_before),
+                                        allow_nan=False)),
 )
 
 
@@ -338,16 +325,16 @@ class NaiveProfile:
     def peak(self) -> float:
         return max(self.breakpoints().values())
 
-    def earliest_fit(self, need: float, not_before: float = 0.0) -> float:
+    def earliest_fit(self, need: float) -> float:
         if need <= EPS:
-            return max(0.0, not_before)
+            return 0.0
         if need > self.capacity + EPS:
             return math.inf
         bound = self.capacity - need + EPS
         for start, end, used in reversed(self.segments()):
             if used > bound:
-                return max(end, not_before)
-        return max(0.0, not_before)
+                return end
+        return 0.0
 
 
 def _merged(points) -> list:
@@ -377,8 +364,7 @@ def _same(a: float, b: float) -> bool:
 
 def _check_fits(p: MemoryProfile, ref: NaiveProfile, capacity: float) -> None:
     for need in (0.0, 0.5, 3.0, capacity / 2, capacity - 0.25, capacity):
-        for nb in (-1.0, -0.0, 0.0, 2.5):
-            assert _same(p.earliest_fit(need, nb), ref.earliest_fit(need, nb))
+        assert _same(p.earliest_fit(need), ref.earliest_fit(need))
 
 
 @settings(max_examples=400)
@@ -449,9 +435,7 @@ def test_long_sequence_matches_naive_reference(capacity, monkeypatch):
         if k % 20 == 19:
             for _ in range(4):
                 need = rng.uniform(0.0, capacity)
-                nb = rng.choice((-0.5, -0.0, 0.0, t / 2, t + 1.0))
-                assert _same(p.earliest_fit(need, nb),
-                             ref.earliest_fit(need, nb))
+                assert _same(p.earliest_fit(need), ref.earliest_fit(need))
                 n_ops += 1
     assert n_ops >= 400
     assert most > 4 * MemoryProfile._BLOCK

@@ -1,5 +1,7 @@
 """Benchmark dataset builders: sizes, ranges, per-graph determinism."""
 
+import hashlib
+
 import pytest
 
 from repro.dags import (
@@ -10,6 +12,29 @@ from repro.dags import (
     small_rand_set,
     tiny_rand_set,
 )
+from repro.io.json_io import canonical_json, graph_to_dict
+
+#: sha256 of ``canonical_json(graph_to_dict(g))`` for the first graph of
+#: each random set at its default size and seed, recorded before the four
+#: set functions shared one loop.
+FIRST_GRAPH_DIGESTS = {
+    small_rand_set: "faf07e2868d3e212801ddd7f09e4d295"
+                    "4523e67dd0f99adbfbc460b9c7540c93",
+    tiny_rand_set: "9251bf5d988e3091b9cd9d1d126775cd"
+                   "6464070ad718a61cc45b08f078dbc041",
+    large_rand_set: "7d67a99c4340495993d933c1b76ef2c8"
+                    "34f942922083c058762857df8e49d1e4",
+    huge_rand_set: "25b5ec6f00dbb85181d5b2af080942c0"
+                   "ac5e5199c788480dc2919a91eeb8db5d",
+}
+
+
+@pytest.mark.parametrize("build", list(FIRST_GRAPH_DIGESTS),
+                         ids=lambda build: build.__name__)
+def test_first_graphs_are_pinned(build):
+    graph = build(n_graphs=1)[0]
+    payload = canonical_json(graph_to_dict(graph)).encode()
+    assert hashlib.sha256(payload).hexdigest() == FIRST_GRAPH_DIGESTS[build]
 
 
 class TestRandomSets:

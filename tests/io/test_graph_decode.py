@@ -55,11 +55,11 @@ def k3_graph():
 def test_bulk_decode_equals_one_by_one(make, seed):
     data = shuffled(graph_to_dict(make()), seed)
     got, want = graph_from_dict(data), built_one_by_one(data)
-    assert list(got._g._node.items()) == list(want._g._node.items())
+    assert list(got._times.items()) == list(want._times.items())
     assert list(got.edge_items()) == list(want.edge_items())
     for t in want.tasks():
-        assert list(got._g._pred[t]) == list(want._g._pred[t])
-        assert list(got._g._succ[t]) == list(want._g._succ[t])
+        assert list(got._pred[t]) == list(want._pred[t])
+        assert list(got._succ[t]) == list(want._succ[t])
     assert got.topological_order() == want.topological_order()
     flat_got, flat_want = got.flatten(), want.flatten()
     for field in FLAT_FIELDS:

@@ -1,8 +1,9 @@
-"""A planning round's flat union against the networkx union.
+"""A planning round's flat union against the union ``TaskGraph``.
 
-Each open job's block (namespaced ids, times, edges in the union's
-order, topological generations, upward ranks) is cached while the job
-is open, and a round concatenates the blocks into one ``FlatGraph``.
+Each open job's block (the rows of its one-job union's ``flatten()``
+cut into topological generations, and its upward ranks) is cached
+while the job is open, and a round concatenates the blocks into one
+``FlatGraph``.
 That flat must be ``build_union_graph(jobs).flatten()`` field for field,
 and its rank order ``rank_order(build_union_graph(jobs))``, for any job
 set: relabelled task ids, tasks and edges inserted in shuffled order,
@@ -90,7 +91,7 @@ def test_union_flat_is_the_networkx_union_flattened(case):
 @given(job_sets())
 def test_csr_ranks_are_the_networkx_walk(case):
     """``upward_ranks`` over the CSR arrays gives the bits of the direct
-    walk over the networkx children in reverse topological order."""
+    walk over the graph's children in reverse topological order."""
     jobs, platform = case
     for graph in (job.graph for job in jobs):
         for plat in (None, platform):

@@ -170,6 +170,32 @@ class TestErrors:
         status, out = submit(app, platform=tight)
         assert (status, out["error"]["type"]) == (422, "infeasible")
 
+    def test_cyclic_graph_400_registers_nothing(self):
+        app = ServiceApp()
+        cyclic = {"name": "cyclic", "n_classes": 2,
+                  "tasks": [{"id": t, "w_blue": 1.0, "w_red": 1.0}
+                            for t in "ab"],
+                  "edges": [{"src": "a", "dst": "b"},
+                            {"src": "b", "dst": "a"}]}
+        payload = {"session": "s", "platform": platform_to_dict(PLATFORM),
+                   "job_id": "j", "graph": cyclic}
+        status, _, body = app.handle("POST", "/jobs",
+                                     json.dumps(payload).encode())
+        assert (status, json.loads(body)["error"]["type"]) \
+            == (400, "bad_request")
+        status, out = get(app, "/jobs/j?session=s")
+        assert (status, out["error"]["type"]) == (404, "unknown_job")
+        status, out = submit(app, job_id="j")
+        assert (status, out["arrival_index"]) == (200, 0)
+
+    def test_bad_comm_policy_400_opens_no_session(self):
+        app = ServiceApp()
+        status, out = submit(app, options={"comm_policy": "bogus"})
+        assert (status, out["error"]["type"]) == (400, "bad_request")
+        assert "comm_policy" in out["error"]["message"]
+        status, out = get(app, "/jobs?session=s")
+        assert (status, out["error"]["type"]) == (404, "unknown_session")
+
     def test_classic_algorithm_rejected(self):
         app = ServiceApp()
         status, out = submit(app, session="x", algorithm="heft")

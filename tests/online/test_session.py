@@ -4,6 +4,7 @@ journals, replanning."""
 import pytest
 
 from repro import Platform, validate_schedule
+from repro.core.graph import TaskGraph
 from repro.dags import random_dag
 from repro.dags.toy import dex
 from repro.online import (
@@ -81,6 +82,41 @@ class TestSubmit:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="heft"):
             OnlineSession(PLATFORM, algorithm="heft")
+
+    def test_unknown_comm_policy_rejected(self):
+        with pytest.raises(ValueError, match="comm_policy"):
+            OnlineSession(PLATFORM, comm_policy="bogus")
+
+    def test_cyclic_graph_rejected_before_registering(self):
+        """A cyclic job is refused at submit: nothing is registered, so
+        its id can be reused and the next job is arrival 0."""
+        cyclic = TaskGraph("cyclic")
+        for t in "ab":
+            cyclic.add_task(t, w_blue=1.0, w_red=1.0)
+        cyclic.add_dependency("a", "b")
+        cyclic.add_dependency("b", "a")
+        session = OnlineSession(PLATFORM)
+        with pytest.raises(ValueError, match="cycle"):
+            session.submit(cyclic, job_id="j")
+        assert session.jobs == {}
+        assert session.n_pending == 0
+        assert session.submit(dex(), job_id="j") == "j"
+        assert session.jobs["j"].arrival_index == 0
+        assert session.flush() == ["j"]
+        assert session.jobs["j"].state == "scheduled"
+
+    def test_ids_equal_as_strings_rejected_before_registering(self):
+        """Tasks ``1`` and ``"1"`` would share the namespaced id
+        ``"j/1"``: the job is refused at submit, not left queued."""
+        clash = TaskGraph("clash")
+        for t in (1, "1"):
+            clash.add_task(t, w_blue=1.0, w_red=1.0)
+        session = OnlineSession(PLATFORM)
+        with pytest.raises(ValueError, match="distinct as strings"):
+            session.submit(clash, job_id="j")
+        assert session.jobs == {}
+        assert session.submit(dex(), job_id="j") == "j"
+        assert session.jobs["j"].arrival_index == 0
 
 
 class TestPoll:

@@ -135,5 +135,4 @@ class TestProfileCompaction:
         assert p.earliest_fit(3.0) == 5.0   # blocked by [2,5) until 5...
         assert p.earliest_fit(6.0) == 5.0
         assert p.earliest_fit(6.5) == math.inf  # tail only has 6 free
-        assert p.earliest_fit(3.0, not_before=6.0) == 6.0
         assert p.earliest_fit(11.0) == math.inf

@@ -1,7 +1,8 @@
-"""numpy is an *optional* dependency: with it missing the package must
-import, every heuristic must run, and numpy-only
-features must fail with pointed errors.  Run in a subprocess whose meta_path
-blocks numpy, so the test is faithful to a real numpy-less interpreter."""
+"""numpy, scipy and networkx are *optional* dependencies: with them
+missing the package must import, every heuristic and an online session
+round must run, and numpy-only features must fail with pointed errors.
+Run in a subprocess whose meta_path blocks the three, so the test is
+faithful to a standard-library-only interpreter."""
 
 import json
 import os
@@ -14,29 +15,34 @@ _SCRIPT = r"""
 import sys
 
 
+BLOCKED = ("numpy", "scipy", "networkx")
+
+
+def _blocked(name):
+    return name.partition(".")[0] in BLOCKED
+
+
 class _Block:
     def find_module(self, name, path=None):  # pragma: no cover - py<3.12
         return None
 
     def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ModuleNotFoundError("No module named 'numpy' (blocked)")
+        if _blocked(name):
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
         return None
 
 
 sys.meta_path.insert(0, _Block())
 for mod in list(sys.modules):
-    if mod == "numpy" or mod.startswith("numpy."):
+    if _blocked(mod):
         del sys.modules[mod]
 
 import json
 import repro
 from repro import Platform
 from repro.core.graph import TaskGraph
-from repro.scheduling.heft import heft
-from repro.scheduling.memheft import memheft
-from repro.scheduling.memminmin import memminmin
-from repro.scheduling.sufferage import memsufferage
+from repro.online import OnlineSession
+from repro.scheduling.registry import SCHEDULERS
 from repro.scheduling.kernel import resolve_backend
 
 out = {}
@@ -52,12 +58,16 @@ g.add_dependency("a", "c", size=2.0, comm=1.0)
 platform = Platform(2, 1, 50.0, 50.0)
 
 makespans = {}
-for name, fn in (("heft", heft), ("memheft", memheft),
-                 ("memminmin", memminmin), ("memsufferage", memsufferage)):
+for name, fn in SCHEDULERS.items():
     schedule = fn(g, platform)
     repro.validate_schedule(g, platform, schedule)
     makespans[name] = schedule.makespan
 out["makespans"] = makespans
+
+session = OnlineSession(platform, policy="replan:2")
+session.submit(g, job_id="j0")
+session.submit(g, release=1.0, job_id="j1")
+out["online"] = [session.flush(), session.makespan]
 
 try:
     from repro.core.bounds import split_work_lower_bound
@@ -110,8 +120,10 @@ def test_only_scalar_backend_available(no_numpy_result):
 
 
 def test_heuristics_run_on_scalar_fallback(no_numpy_result):
+    from repro.scheduling.registry import SCHEDULERS
+
     ms = no_numpy_result["makespans"]
-    assert set(ms) == {"heft", "memheft", "memminmin", "memsufferage"}
+    assert set(ms) == set(SCHEDULERS)
     assert all(v > 0 for v in ms.values())
 
 
@@ -121,10 +133,7 @@ def test_scalar_fallback_matches_numpy_interpreter(no_numpy_result):
     functional."""
     from repro import Platform
     from repro.core.graph import TaskGraph
-    from repro.scheduling.heft import heft
-    from repro.scheduling.memheft import memheft
-    from repro.scheduling.memminmin import memminmin
-    from repro.scheduling.sufferage import memsufferage
+    from repro.scheduling.registry import SCHEDULERS
 
     g = TaskGraph("fallback")
     g.add_task("a", w_blue=2.0, w_red=3.0)
@@ -133,11 +142,15 @@ def test_scalar_fallback_matches_numpy_interpreter(no_numpy_result):
     g.add_dependency("a", "b", size=1.0, comm=2.0)
     g.add_dependency("a", "c", size=2.0, comm=1.0)
     platform = Platform(2, 1, 50.0, 50.0)
-    here = {"heft": heft(g, platform).makespan,
-            "memheft": memheft(g, platform).makespan,
-            "memminmin": memminmin(g, platform).makespan,
-            "memsufferage": memsufferage(g, platform).makespan}
+    here = {name: fn(g, platform).makespan
+            for name, fn in SCHEDULERS.items()}
     assert no_numpy_result["makespans"] == here
+
+
+def test_online_round_runs(no_numpy_result):
+    planned, makespan = no_numpy_result["online"]
+    assert planned == ["j0", "j1"]
+    assert makespan > 0
 
 
 def test_lp_bound_raises_importerror(no_numpy_result):
