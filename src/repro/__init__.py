@@ -57,7 +57,9 @@ from .core import (
     Schedule,
     ScheduleError,
     TaskGraph,
+    critical_path_lower_bound,
     is_valid,
+    lower_bound,
     memory_peaks,
     memory_usage,
     validate_schedule,
@@ -79,23 +81,6 @@ from .scheduling import (
 )
 
 __version__ = "1.0.0"
-
-#: Lower bounds are re-exported lazily: they pull in numpy/scipy, which are
-#: optional dependencies (the scheduling engine itself runs on the pure-
-#: Python scalar kernel; see repro.scheduling.kernel).
-_LAZY_CORE_EXPORTS = ("critical_path_lower_bound", "lower_bound")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_CORE_EXPORTS:
-        from . import core
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(globals()))
-
 
 __all__ = [
     "TaskGraph",

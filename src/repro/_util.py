@@ -1,25 +1,35 @@
 """Small shared helpers (tolerances, RNG coercion).
 
 ``numpy`` is an *optional* dependency of the core library: the scheduling
-engine is pure Python (the RNG-driven DAG generators are the only
-consumers).
-The import is guarded here once; everything else checks :data:`HAS_NUMPY`
-or calls :func:`require_numpy` at the point of use.
+engine is pure Python (the RNG-driven DAG generators, the dataset
+builders and the sweep statistics are its only consumers).  It is never
+imported here at module load: :data:`HAS_NUMPY` only asks the import
+system whether it *could* be imported, and :func:`require_numpy` /
+:func:`as_rng` import it on their first call, so ``import repro`` (and
+the CLI, the service and online sessions built on it) start without it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import TYPE_CHECKING, Union
-
-try:
-    import numpy as np
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None  # type: ignore[assignment]
-    HAS_NUMPY = False
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy  # noqa: F401
+
+
+def is_installed(name: str) -> bool:
+    """Whether top-level module ``name`` can be imported, without
+    importing it.  A finder that refuses the name by raising (an
+    import blocker on ``sys.meta_path``) counts as not installed."""
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):
+        return False
+
+
+#: Whether numpy can be imported (it is not imported to find out).
+HAS_NUMPY: bool = is_installed("numpy")
 
 #: Absolute tolerance used for every floating-point comparison of times and
 #: memory amounts throughout the library.  Task times and file sizes in the
@@ -31,13 +41,14 @@ RngLike = Union[None, int, "numpy.random.Generator"]
 
 
 def require_numpy(feature: str):
-    """Return the ``numpy`` module, or raise a helpful error when the
-    optional dependency is missing."""
+    """Return the ``numpy`` module (imported on the first call), or raise
+    a helpful error when the optional dependency is missing."""
     if not HAS_NUMPY:
         raise ModuleNotFoundError(
             f"{feature} requires numpy, which is not installed; "
             f"the scalar scheduling kernel works without it")
-    return np
+    import numpy
+    return numpy
 
 
 def as_rng(rng: RngLike) -> "numpy.random.Generator":

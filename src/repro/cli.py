@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import obs
-from ._util import HAS_NUMPY, require_numpy
+from ._util import require_numpy
 from .core.bounds import (
     critical_path_lower_bound,
     lower_bound,
@@ -37,18 +37,13 @@ from .core.validation import validate_schedule
 from .dags.daggen import random_dag
 from .dags.linalg import cholesky_dag, lu_dag
 from .dags.toy import dex
+from .experiments.config import SCALES, get_scale
+from .experiments.figures import EXPERIMENTS
 from .io.dot import to_dot
 from .io.gantt import ascii_gantt, memory_sparkline, schedule_summary
 from .io.json_io import load_graph, load_schedule, save_graph, save_schedule
 from .scheduling.registry import ENGINE_OPTIONED, SCHEDULERS, get_scheduler
 from .scheduling.state import COMM_POLICIES, InfeasibleScheduleError
-
-if HAS_NUMPY:   # the experiment drivers and the ILP need numpy
-    from .experiments.config import SCALES, get_scale
-    from .experiments.figures import EXPERIMENTS
-    from .ilp import solve_ilp
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    SCALES, EXPERIMENTS = {}, {}
 
 
 def _maybe_trace(args: argparse.Namespace, *ident: object):
@@ -211,6 +206,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_ilp(args: argparse.Namespace) -> int:
     require_numpy("memsched ilp")
+    from .ilp import solve_ilp   # scipy, loaded only for this command
+
     graph = load_graph(args.graph)
     platform = _platform_from_args(args)
     if not _check_classes(graph, platform, dual_only=True):
@@ -579,10 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ilp)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    # Without numpy there is nothing to choose from: cmd_experiment then
-    # names the missing dependency instead of argparse listing no choices.
-    p.add_argument("figure", choices=sorted(EXPERIMENTS) or None)
-    p.add_argument("--scale", choices=sorted(SCALES) or None, default=None)
+    p.add_argument("figure", choices=sorted(EXPERIMENTS))
+    p.add_argument("--scale", choices=sorted(SCALES), default=None)
     p.add_argument("--csv", help="also write the series as CSV here")
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="shard the sweep grid over N worker processes "

@@ -1,13 +1,19 @@
-"""Core model: platform, task graph, schedules, memory profiles, validation.
+"""Core model: platform, task graph, schedules, memory profiles, validation,
+makespan lower bounds.
 
-The makespan lower bounds (:mod:`repro.core.bounds`) depend on
-``numpy``/``scipy`` (the LP of the split-work bound), which are *optional*
-dependencies of the core library — they are re-exported lazily (PEP 562)
-so ``import repro`` works on a numpy-less interpreter and only touching a
-bound symbol raises the helpful :func:`repro._util.require_numpy` style
-error.
+The LP split-work bound needs ``numpy``/``scipy``, which are *optional*
+dependencies of the core library: :mod:`repro.core.bounds` imports them
+on its first LP call, so importing this package loads neither.
 """
 
+from .bounds import (
+    critical_path_lower_bound,
+    lower_bound,
+    memory_lower_bound,
+    schedulable_memory,
+    split_work_lower_bound,
+    work_lower_bound,
+)
 from .graph import TaskGraph
 from .memory_profile import MemoryProfile
 from .platform import MEMORIES, Memory, Platform
@@ -21,16 +27,6 @@ from .validation import (
     memory_peaks,
     memory_usage,
     validate_schedule,
-)
-
-#: Symbols served lazily from :mod:`repro.core.bounds` (numpy/scipy).
-_BOUNDS_EXPORTS = (
-    "critical_path_lower_bound",
-    "lower_bound",
-    "memory_lower_bound",
-    "schedulable_memory",
-    "split_work_lower_bound",
-    "work_lower_bound",
 )
 
 __all__ = [
@@ -61,13 +57,3 @@ __all__ = [
     "memory_timeline",
 ]
 
-
-def __getattr__(name: str):
-    if name in _BOUNDS_EXPORTS:
-        from . import bounds
-        return getattr(bounds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(globals()))

@@ -19,22 +19,33 @@ case is the fastest processor of the best class) and a class's processing
 capacity becomes the *sum of its processor speeds* rather than its
 processor count.  On homogeneous (all speed 1.0) platforms both reduce to
 the historical expressions exactly.
+
+The LP bound is the one numpy/scipy consumer, and both are optional:
+they are imported on the first LP call, not with this module, so the
+engine, the CLI and the service load neither until a bound needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-try:  # the LP bound is optional: numpy + scipy may be absent
-    import numpy as np
-    from scipy.optimize import linprog
-except ModuleNotFoundError:  # pragma: no cover - exercised in the
-    np = linprog = None      # no-numpy CI leg (tests/test_no_numpy.py)
-
 from typing import Optional
 
 from .graph import TaskGraph
 from .platform import Platform
+
+
+@functools.cache
+def _lp_solver():
+    """``(numpy, scipy.optimize.linprog)``, imported on the first call;
+    ``None`` when either is missing (the no-numpy CI leg,
+    ``tests/test_no_numpy.py``)."""
+    try:
+        import numpy
+        from scipy.optimize import linprog
+    except ModuleNotFoundError:
+        return None
+    return numpy, linprog
 
 
 def _best_case_duration(graph: TaskGraph, platform: Platform, task) -> float:
@@ -90,7 +101,8 @@ def split_work_lower_bound(graph: TaskGraph, platform: Platform) -> float:
     Degenerates gracefully when one resource class is empty, and
     generalises to k classes with per-class fractions ``x_{i,c}``.
     """
-    if linprog is None:
+    solver = _lp_solver()
+    if solver is None:
         raise ImportError(
             "split_work_lower_bound needs numpy and scipy (the LP bound); "
             "install them or use critical_path_lower_bound / "
@@ -99,6 +111,7 @@ def split_work_lower_bound(graph: TaskGraph, platform: Platform) -> float:
     n = len(tasks)
     if n == 0:
         return 0.0
+    np, linprog = solver
     if platform.n_classes != 2:
         return _split_work_k_classes(graph, platform, tasks)
     w1 = np.array([graph.w_blue(t) for t in tasks])
@@ -139,6 +152,7 @@ def _split_work_k_classes(graph: TaskGraph, platform: Platform,
         c0 = usable[0]
         return sum(graph.w(t, c0) for t in tasks) / _class_capacity(platform, c0)
 
+    np, linprog = _lp_solver()
     # Variables: x_{i,c} for usable classes (n*k), then T.  Minimise T.
     nvar = n * k + 1
     c_obj = np.zeros(nvar)
@@ -168,7 +182,7 @@ def lower_bound(graph: TaskGraph, platform: Platform) -> float:
     still a valid (just possibly looser) lower bound."""
     best = max(critical_path_lower_bound(graph, platform),
                work_lower_bound(graph, platform))
-    if linprog is not None:
+    if _lp_solver() is not None:
         best = max(best, split_work_lower_bound(graph, platform))
     return best
 

@@ -148,7 +148,8 @@ class Platform:
     """
 
     __slots__ = ("proc_counts", "capacities", "speeds", "_proc_ranges",
-                 "uniform_classes", "max_class_speeds", "proc_classes")
+                 "uniform_classes", "max_class_speeds", "proc_classes",
+                 "proc_memories", "n_procs")
 
     def __init__(self,
                  n_blue: Union[int, Sequence[int]] = 1,
@@ -192,8 +193,12 @@ class Platform:
         object.__setattr__(self, "proc_classes",
                            tuple(c for c, n in enumerate(counts)
                                  for _ in range(n)))
-
+        # The same map as interned Memory objects, and the processor
+        # count: Schedule.add reads both on every commit.
+        object.__setattr__(self, "proc_memories",
+                           tuple(map(Memory, self.proc_classes)))
         n_procs = sum(counts)
+        object.__setattr__(self, "n_procs", n_procs)
         if speeds is None:
             spd = (1.0,) * n_procs
         else:
@@ -282,11 +287,6 @@ class Platform:
     # ------------------------------------------------------------------
     # processor indexing
     # ------------------------------------------------------------------
-    @property
-    def n_procs(self) -> int:
-        """Total number of processors."""
-        return sum(self.proc_counts)
-
     def procs(self, memory: Union[Memory, int]) -> range:
         """Global indices of the processors attached to ``memory``."""
         return self._proc_ranges[_as_index(memory)]
@@ -299,7 +299,7 @@ class Platform:
         """Memory a global processor index operates on."""
         if not 0 <= proc < self.n_procs:
             raise ValueError(f"processor index {proc} out of range [0, {self.n_procs})")
-        return Memory(self.proc_classes[proc])
+        return self.proc_memories[proc]
 
     def class_of(self, proc: int) -> int:
         """Memory-class index of a global processor index."""

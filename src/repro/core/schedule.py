@@ -9,17 +9,16 @@ their transfer is instantaneous in the model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, Optional
+from typing import Any, Hashable, Iterator, NamedTuple, Optional
 
 from .platform import Memory, Platform
 
 Task = Hashable
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Where and when one task executes."""
+class Placement(NamedTuple):
+    """Where and when one task executes (immutable; a NamedTuple because
+    the schedulers build one per commit)."""
 
     task: Task
     proc: int
@@ -41,8 +40,7 @@ class Placement:
         return self.start < other.finish and other.start < self.finish
 
 
-@dataclass(frozen=True)
-class CommEvent:
+class CommEvent(NamedTuple):
     """Transfer of the file on edge ``(src, dst)`` between two memories."""
 
     src: Task
@@ -74,9 +72,10 @@ class Schedule:
     def add(self, placement: Placement) -> None:
         if placement.task in self._placements:
             raise ValueError(f"task {placement.task!r} already placed")
-        if not 0 <= placement.proc < self.platform.n_procs:
+        platform = self.platform
+        if not 0 <= placement.proc < platform.n_procs:
             raise ValueError(f"processor {placement.proc} out of range")
-        if self.platform.memory_of(placement.proc) is not placement.memory:
+        if platform.proc_memories[placement.proc] is not placement.memory:
             raise ValueError(
                 f"processor {placement.proc} is not attached to memory {placement.memory}"
             )

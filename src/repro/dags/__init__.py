@@ -1,13 +1,19 @@
 """Task-graph generators: random DAGGEN-style DAGs, tiled linear algebra,
 hand-built toys, and the paper's benchmark datasets.
 
-The dataset builders (:mod:`repro.dags.datasets`) use numpy seed sequences,
-and numpy is an *optional* dependency of the library — they are re-exported
-lazily (PEP 562) so the package imports on a numpy-less interpreter (the
-generator *functions* still require numpy when called, via
-:func:`repro._util.as_rng`)."""
+numpy is an *optional* dependency of the library: the random generators
+and the dataset builders import it on their first draw (via
+:func:`repro._util.require_numpy`), so the package imports without it."""
 
 from .daggen import assign_uniform_weights, daggen, daggen_layers, random_dag
+from .datasets import (
+    cholesky_set,
+    huge_rand_set,
+    large_rand_set,
+    lu_set,
+    small_rand_set,
+    tiny_rand_set,
+)
 from .linalg import (
     DEFAULT_GPU_SPEEDUP,
     KERNEL_TIMES_MS,
@@ -19,28 +25,6 @@ from .linalg import (
     lu_task_counts,
 )
 from .toy import chain, dex, diamond, fork_join, random_weights_graph
-
-#: Symbols served lazily from :mod:`repro.dags.datasets` (numpy).
-_DATASET_EXPORTS = (
-    "cholesky_set",
-    "huge_rand_set",
-    "large_rand_set",
-    "lu_set",
-    "small_rand_set",
-    "tiny_rand_set",
-)
-
-
-def __getattr__(name: str):
-    if name in _DATASET_EXPORTS:
-        from . import datasets
-        return getattr(datasets, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(globals()))
-
 
 __all__ = [
     "daggen",

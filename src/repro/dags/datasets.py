@@ -3,14 +3,15 @@ optimal (ILP) comparison.
 
 Every builder is deterministic given its ``seed``; per-graph seeds are spawned
 from the set seed so individual graphs are reproducible in isolation.
+numpy (the seed sequences) is imported on the first draw, not with this
+module.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
+from .._util import require_numpy
 from ..core.graph import TaskGraph
 from .daggen import random_dag
 from .linalg import cholesky_dag, lu_dag
@@ -20,8 +21,12 @@ RAND_WIDTH = 0.3
 RAND_DENSITY = 0.5
 RAND_JUMPS = 5
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy
 
-def _seeds(seed: int, count: int) -> list[np.random.Generator]:
+
+def _seeds(seed: int, count: int) -> list[numpy.random.Generator]:
+    np = require_numpy("the benchmark DAG sets")
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 

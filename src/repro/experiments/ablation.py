@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..core.graph import TaskGraph
 from ..io.json_io import register_wire_dataclass
 from ..core.platform import Platform
@@ -71,6 +69,8 @@ def comm_policy_ablation(
     jobs: int = 1,
 ) -> list[CommPolicyRow]:
     """Compare MemHEFT with late vs eager transfer placement."""
+    import numpy as np
+
     # Graph-major order: one graph's cells stay in one chunk, so its
     # reference run is computed by ~one process (see normalized_sweep).
     cells = [(gi, alpha) for gi in range(len(graphs)) for alpha in alphas]
@@ -109,6 +109,8 @@ class TiebreakRow:
 def _tiebreak_cell(payload: tuple, cache: dict, graph_idx: int) -> TiebreakRow:
     """All repetitions of one graph (the deterministic run plus the seeded
     spread; seeds derived per cell, stable under sharding)."""
+    import numpy as np
+
     graphs, platform, n_seeds = payload
     graph = graphs[graph_idx]
     det = memheft(graph, platform).makespan

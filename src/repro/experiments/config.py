@@ -1,8 +1,9 @@
 """Experiment scale presets.
 
 The paper's evaluation sizes (100 DAGs of 1000 tasks, 13x13-tile
-factorisations, 50-graph ILP sweeps) are hours of pure-Python compute, so
-every experiment driver takes a :class:`Scale`:
+factorisations, 50-graph ILP sweeps) take about 3.5 minutes of
+pure-Python compute on one core, too long for a test run, so every
+experiment driver takes a :class:`Scale`:
 
 * ``ci``      — seconds; used by the test suite's smoke tests;
 * ``default`` — minutes; the benchmark suite's default, already large enough

@@ -36,7 +36,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -247,6 +246,8 @@ def _map_cells_direct(worker, payload, cells, *, jobs, hosts,
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(cells) <= 1:
         return _serial_cells(worker, payload, cells, on_result)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(cells)),
         initializer=_init_worker,

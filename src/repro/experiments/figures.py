@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..core.platform import Platform
 from ..dags.datasets import (
     large_rand_set,
@@ -25,7 +23,6 @@ from ..dags.linalg import (
     cholesky_dag,
     lu_dag,
 )
-from ..ilp import solve_ilp
 from .config import Scale, get_scale
 from .report import (
     render_absolute_sweep,
@@ -106,6 +103,8 @@ def fig10(scale: Optional[Scale] = None, *, check: bool = False,
     tiny = tiny_rand_set(scale.tiny_n_graphs, scale.tiny_size)
 
     def ilp_solver(graph, bounded_platform) -> Optional[float]:
+        from ..ilp import solve_ilp   # scipy, loaded only for this series
+
         sol = solve_ilp(graph, bounded_platform,
                         node_limit=scale.ilp_node_limit,
                         time_limit=scale.ilp_time_limit)
@@ -125,6 +124,8 @@ def fig10(scale: Optional[Scale] = None, *, check: bool = False,
 
 def _absolute_grid(ref_memory: float, n: int = 12) -> list[float]:
     """Absolute memory grid from ~0 up to the HEFT requirement."""
+    import numpy as np
+
     return [float(x) for x in np.linspace(ref_memory / n, ref_memory, n)]
 
 

@@ -62,7 +62,6 @@ from typing import Callable, Optional, Sequence, Union
 from .. import faults, obs
 from ..obs import log
 from ..io.json_io import from_cell_wire, to_cell_wire
-from ..service.client import ServiceClient, ServiceClientError
 from .engine import set_default_hosts
 
 #: Unfilled-slot marker (``None`` is a legitimate cell result).
@@ -186,6 +185,8 @@ class RemoteExecutor:
         already-probed hosts are not re-probed — back-to-back sweeps pay
         nothing here.
         """
+        from ..service.client import ServiceClient, ServiceClientError
+
         pending = [h for h in self.hosts if not h.probed or not h.alive]
 
         def probe_one(h: RemoteHost) -> None:
@@ -308,6 +309,8 @@ class RemoteExecutor:
         """Coordinator-side fault hook: when an installed fault plan
         declares a blackout window covering this host's next network
         attempt, simulate the outage instead of touching the wire."""
+        from ..service.client import ServiceClientError
+
         injector = faults.active()
         with self._lock:
             attempt = host.n_attempts
@@ -334,6 +337,8 @@ class RemoteExecutor:
         only a successful work request closes the breaker, so a host
         whose health endpoint answers but whose work requests keep
         failing still exhausts its budget."""
+        from ..service.client import ServiceClient, ServiceClientError
+
         client = ServiceClient(host.host, host.port, timeout=self.timeout,
                                deadline=self.timeout)
         try:

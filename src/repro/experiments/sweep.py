@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from ..core.bounds import lower_bound
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
@@ -132,6 +130,8 @@ class SweepResult:
 
 def default_alphas(n: int = 10) -> tuple[float, ...]:
     """Evenly spaced relative-memory grid in ``(0, 1]``."""
+    import numpy as np
+
     return tuple(float(a) for a in np.linspace(1.0 / n, 1.0, n))
 
 
@@ -182,6 +182,8 @@ def normalized_sweep(
     ``check=True`` re-validates every produced schedule with the independent
     validator (slower; used by integration tests).
     """
+    import numpy as np
+
     alphas = tuple(alphas) if alphas is not None else default_alphas()
     algorithms = tuple(algorithms)
     names = algorithms + ((extra_name,) if extra_solver else ())
@@ -263,6 +265,8 @@ def spread_speeds(platform: Platform, spread: float) -> Platform:
 def default_spreads(n: int = 5) -> tuple[float, ...]:
     """Evenly spaced speed-spread grid ``[0, ..., 0.8]`` (0 = the paper's
     homogeneous model)."""
+    import numpy as np
+
     return tuple(float(a) for a in np.linspace(0.0, 0.8, n))
 
 
@@ -357,6 +361,8 @@ def heterogeneity_sweep(
     identical results for any value.  ``check=True`` re-validates every
     schedule with the independent (speed-aware) validator.
     """
+    import numpy as np
+
     spreads = (tuple(float(s) for s in spreads) if spreads is not None
                else default_spreads())
     algorithms = tuple(algorithms)

@@ -633,8 +633,6 @@ class OnlineSession:
             state.schedule.placements(), n_adopted, None)}
         for job in jobs:
             block = self._block(job)
-            if not block.ids:
-                continue   # nothing placed: an empty job stays unplanned
             old = job.placements
             placements = {}
             for key, name, task in zip(block.keys, block.names, block.ids):
@@ -650,9 +648,8 @@ class OnlineSession:
     @property
     def makespan(self) -> float:
         """Latest finish over every committed placement (0.0 when
-        nothing is planned yet)."""
-        finishes = [j.finish for j in self.jobs.values()
-                    if j.placements is not None]
+        nothing is planned yet; a job without tasks has no finish)."""
+        finishes = [j.finish for j in self.jobs.values() if j.placements]
         return max(finishes) if finishes else 0.0
 
     def journal(self) -> str:

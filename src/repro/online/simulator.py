@@ -121,10 +121,11 @@ def simulate(trace, platform: Platform, *, algorithm: str = "memheft",
     # Completions are observational (resource reuse is already encoded in
     # the avail vector and memory profiles), so they are read once the
     # session is drained: a replan round may still move a job's finish
-    # after the round that first placed it.  An empty job stays unplaced.
+    # after the round that first placed it.  A job without tasks has no
+    # finish, hence no completion event.
     for job in sorted(session.jobs.values(),
                       key=lambda job: job.arrival_index):
-        if job.placements is not None:
+        if job.placements:
             events.append({"t": job.finish, "kind": "complete",
                            "job": job.job_id})
     # Stable: releases before completions at one instant, then trace and

@@ -84,6 +84,26 @@ class TestSubmit:
         assert header["kind"] == "online-journal"
         assert out["summary"]["n_planned"] == 1
 
+    def test_empty_job_ends_scheduled(self):
+        from repro.core.graph import TaskGraph
+
+        app = ServiceApp()
+        status, out = submit(app, graph=TaskGraph("empty"))
+        assert status == 200
+        assert out["state"] == "scheduled"
+        assert out["planned"] == ["job-0000"]
+        assert out["makespan"] == 0.0
+        status, job = get(app, "/jobs/job-0000?session=s")
+        assert status == 200
+        assert job["state"] == "scheduled"
+        assert job["tasks"] == []
+        assert job["start"] is None and job["finish"] is None
+        _, sub = submit(app)
+        _, info = get(app, "/jobs?session=s")
+        rows = [json.loads(r) for r in info["journal"].strip().split("\n")]
+        assert rows[1] == {"job": "job-0000", "release": 0.0, "tasks": []}
+        assert info["summary"]["makespan"] == sub["makespan"] > 0.0
+
     def test_future_release_stays_pending_until_flush(self):
         app = ServiceApp()
         _, out = submit(app, session="lazy", policy="batched:50",

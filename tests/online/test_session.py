@@ -231,6 +231,55 @@ class TestReplan:
         assert session.rounds[0]["replanned"] == 0
 
 
+class TestEmptyJob:
+    """A job without tasks is planned by its round like any other: it
+    ends ``scheduled`` with no placements and no start or finish."""
+
+    @pytest.mark.parametrize("policy", ["immediate", "replan:3"])
+    def test_empty_job_ends_scheduled(self, policy):
+        session = OnlineSession(PLATFORM, policy=policy)
+        session.submit(TaskGraph("empty"), job_id="e0")
+        session.submit(dex(), release=1.0, job_id="d0")
+        session.submit(TaskGraph("empty"), release=2.0, job_id="e1")
+        session.submit(dex(), release=2.0, job_id="d1")
+        assert session.flush() == ["e0", "d0", "e1", "d1"]
+        assert [j.state for j in session.jobs.values()] == ["scheduled"] * 4
+        for job_id in ("e0", "e1"):
+            job = session.jobs[job_id]
+            assert job.placements == {}
+            assert job.start is None and job.finish is None
+            view = job.to_dict()
+            assert view["state"] == "scheduled"
+            assert view["tasks"] == []
+            assert view["start"] is None and view["finish"] is None
+        assert session.makespan == max(session.jobs[j].finish
+                                       for j in ("d0", "d1"))
+        assert session.summary()["n_planned"] == 4
+
+    def test_empty_job_journal_row(self):
+        session = OnlineSession(PLATFORM)
+        session.submit(TaskGraph("empty"), job_id="e0")
+        session.flush()
+        lines = session.journal().strip().split("\n")
+        assert lines[1:] == ['{"job":"e0","release":0.0,"tasks":[]}']
+        assert session.makespan == 0.0
+
+    def test_empty_job_leaves_the_others_alone(self):
+        """Interleaving empty jobs moves no placement of the others."""
+        def run(with_empty):
+            session = OnlineSession(PLATFORM, policy="replan:3")
+            for k, g in enumerate(graphs(3)):
+                if with_empty:
+                    session.submit(TaskGraph("empty"), release=float(k),
+                                   job_id=f"e{k}")
+                session.submit(g, release=float(k), job_id=f"g{k}")
+            session.flush()
+            return {j: job.placements for j, job in session.jobs.items()
+                    if j.startswith("g")}
+
+        assert run(True) == run(False)
+
+
 class TestOfflineIdentity:
     def test_zero_release_matches_offline_schedule(self):
         """All releases zero -> one round, bit-identical to the offline

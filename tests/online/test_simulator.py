@@ -107,6 +107,19 @@ def test_events_pinned(policy):
     assert digest == EVENT_DIGESTS[policy]
 
 
+def test_empty_job_has_release_but_no_completion():
+    """A job without tasks is planned but has no finish to complete at."""
+    from repro.core.graph import TaskGraph
+    from repro.dags.toy import dex
+
+    trace = [{"job": "e", "release": 0.0, "graph": TaskGraph("empty")},
+             {"job": "d", "release": 0.0, "graph": dex()}]
+    result = simulate(trace, PLATFORM)
+    assert result.session.jobs["e"].state == "scheduled"
+    assert [(e["kind"], e["job"]) for e in result.events] == [
+        ("release", "e"), ("release", "d"), ("complete", "d")]
+
+
 @pytest.mark.parametrize("policy", ["replan:4", "replan:16"])
 def test_completions_are_final_finishes(policy):
     """Replan rounds move placed jobs after the round that first planned

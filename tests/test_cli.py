@@ -174,7 +174,8 @@ class TestBoundsAndILP:
             raise RuntimeError("HiGHS failed on the ILP: "
                                "(HiGHS Status 4: Solve error)")
 
-        monkeypatch.setattr("repro.cli.solve_ilp", solve_error)
+        # cmd_ilp imports solve_ilp from repro.ilp on each call.
+        monkeypatch.setattr("repro.ilp.solve_ilp", solve_error)
         rc = main(["ilp", str(dex_file), "--mem-blue", "5", "--mem-red", "5"])
         assert rc == 2
         captured = capsys.readouterr()

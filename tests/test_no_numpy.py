@@ -1,6 +1,7 @@
 """numpy, scipy and networkx are *optional* dependencies: with them
-missing the package must import, every heuristic and an online session
-round must run, and numpy-only features must fail with pointed errors.
+missing the package must import, every heuristic, an online session
+round, the CLI and the service's ``/schedule`` and ``/jobs`` must run,
+and numpy-only features must fail with pointed errors.
 Run in a subprocess whose meta_path blocks the three, so the test is
 faithful to a standard-library-only interpreter."""
 
@@ -96,6 +97,19 @@ with tempfile.TemporaryDirectory() as tmp, \
               "--mem-red", "50", "-o", sched_path]),
         main(["validate", graph_path, sched_path])]
 
+# The service answers /schedule and /jobs.
+from repro.io.json_io import graph_to_dict, platform_to_dict
+from repro.service.app import ServiceApp
+app = ServiceApp(workers=1)
+wire = {"graph": graph_to_dict(g), "platform": platform_to_dict(platform)}
+status, _, body = app.handle(
+    "POST", "/schedule", json.dumps(dict(wire, algorithm="memheft")).encode())
+out["service_schedule"] = [status, json.loads(body)["makespan"]]
+status, _, body = app.handle(
+    "POST", "/jobs", json.dumps(dict(wire, session="s")).encode())
+reply = json.loads(body)
+out["service_jobs"] = [status, reply["state"], reply["makespan"]]
+
 print(json.dumps(out))
 """
 
@@ -178,3 +192,17 @@ def test_lower_bound_degrades_to_valid_bound(no_numpy_result):
 
 def test_cli_schedules_and_validates(no_numpy_result):
     assert no_numpy_result["cli"] == [0, 0]
+
+
+def test_service_schedules_without_numpy(no_numpy_result):
+    status, makespan = no_numpy_result["service_schedule"]
+    assert status == 200
+    assert makespan == no_numpy_result["makespans"]["memheft"]
+
+
+def test_service_jobs_without_numpy(no_numpy_result):
+    """One job released at 0 is the offline MemHEFT schedule."""
+    status, state, makespan = no_numpy_result["service_jobs"]
+    assert status == 200
+    assert state == "scheduled"
+    assert makespan == no_numpy_result["makespans"]["memheft"]
