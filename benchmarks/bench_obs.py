@@ -11,20 +11,17 @@ Three sections, emitted as ``BENCH_obs.json`` (schema in
   separate per-run ``--trace`` opt-in and is reported informationally
   as ``traced_pct``), interleaved at the *finest* grain the workload
   allows: each round runs every graph's sweep back-to-back in both
-  variants, alternating which goes first per ``(round + graph) % 2`` —
-  the ``bench_faults.py`` interleaving rationale, pushed down from
-  whole-sweep to single-graph units so slow drifts (frequency scaling,
-  co-tenants) hit both variants equally.  Each back-to-back pair
+  variants, alternating which goes first per ``(round + graph) % 2``,
+  so slow drifts (frequency scaling, co-tenants) hit both variants
+  equally.  Each back-to-back pair
   yields one CPU-time ratio (``time.process_time`` ignores the other
   cores, and the two sides of a pair share one CPU-frequency regime),
   and a process instance reports the **median** of its pair ratios.
   That median is then taken over several *fresh interpreter instances*
   and the **minimum** kept: per-process code layout shifts the
   measured cost of identical deterministic work by a couple of percent
-  either way, so the least-disturbed instance is the honest floor —
-  the same least-disturbed-execution rationale as ``bench_faults.py``,
-  lifted from runs to processes.  The sweep results must stay
-  identical in every pair.  Gate: 3%.
+  either way, so the least-disturbed instance is the honest floor.
+  The sweep results must stay identical in every pair.  Gate: 3%.
 * ``determinism`` — the same traced workload twice, from fresh tracers:
   the span *structure* (ids, parents, names, attributes — everything
   but the timings) must be byte-identical, and traced sweep results

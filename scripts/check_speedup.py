@@ -9,13 +9,6 @@ ROADMAP's long-open "needs a multi-core runner" item):
   ``--min-speedup`` times faster than serial, with identical cells.
 * ``BENCH_service.json`` — the ``/batch`` workers path must beat the
   serial batch by the same factor, with identical results.
-* ``BENCH_distributed.json`` (optional) — the multi-host sweep must at
-  least beat ``--min-distributed`` (HTTP + wire encoding overhead makes
-  this gate softer) and be cell-identical.
-* ``BENCH_faults.json`` — checkpoint journaling must cost at most
-  ``--max-checkpoint-overhead`` percent on a fault-free sweep, fault
-  plans must be bit-reproducible, and every chaos goodput run must have
-  stayed byte-identical to the serial reference.
 * ``BENCH_obs.json`` — full observability (metrics + tracing) must cost
   at most ``--max-obs-overhead`` percent on the serial sweep with
   identical results, traces must be structurally deterministic, and the
@@ -34,7 +27,7 @@ Exit status 0 only when every present report passes; failures list every
 violated gate.  Usage::
 
     python scripts/check_speedup.py --scaling BENCH_scaling.json \
-        --service BENCH_service.json --distributed BENCH_distributed.json
+        --service BENCH_service.json
 """
 
 from __future__ import annotations
@@ -67,16 +60,6 @@ GATES = {
                                     f"{rep.get('cpu_count')} CPUs"),
         "hint": "",
     },
-    "distributed": {
-        "section": "sweep",
-        "identical_key": "identical_cells",
-        "label": "distributed sweep",
-        "identity_problem": "distributed cells differ from serial",
-        "config": lambda rep, sec: (f"{rep.get('n_hosts')} hosts x "
-                                    f"{rep.get('workers_per_host')} "
-                                    f"workers"),
-        "hint": "",
-    },
 }
 
 
@@ -100,55 +83,6 @@ def check_report(kind: str, path: str, min_speedup: float) -> list[str]:
     if not problems:
         print(f"{gate['label']}: {section['speedup']:.2f}x >= "
               f"{min_speedup:g}x with {config} OK")
-    return problems
-
-
-def check_faults_report(path: str, max_overhead_pct: float) -> list[str]:
-    """Gate ``BENCH_faults.json``: checkpoint journaling must cost at most
-    ``max_overhead_pct`` percent on a fault-free sweep with identical
-    results; fault plans must be bit-reproducible (stable digest, repeating
-    event sequence, repeating live injections); and every goodput chaos run
-    must have produced results identical to serial."""
-    report = json.loads(Path(path).read_text())
-    problems = []
-
-    ck = report.get("checkpoint")
-    if ck is None:
-        problems.append(f"{path}: no 'checkpoint' section — run "
-                        "bench_faults.py")
-    else:
-        if not ck.get("identical_results"):
-            problems.append(f"{path}: checkpointed sweep differs from "
-                            "plain run")
-        if ck["overhead_pct"] > max_overhead_pct:
-            problems.append(
-                f"{path}: checkpoint overhead {ck['overhead_pct']:+.2f}% "
-                f"> allowed {max_overhead_pct:g}%")
-
-    rep = report.get("reproducibility")
-    if rep is None:
-        problems.append(f"{path}: no 'reproducibility' section")
-    else:
-        for flag in ("digest_stable", "events_repeat", "injections_repeat",
-                     "identical_results"):
-            if not rep.get(flag):
-                problems.append(f"{path}: reproducibility.{flag} is false "
-                                "— fault plans are not bit-reproducible")
-
-    goodput = report.get("goodput")
-    if goodput is not None:
-        for row in goodput.get("plans", ()):
-            if not row.get("identical_results"):
-                problems.append(
-                    f"{path}: goodput[{row.get('plan')}] diverged from "
-                    "the serial reference under injected faults")
-
-    if not problems:
-        overhead = ck["overhead_pct"]
-        n_plans = len((goodput or {}).get("plans", ()))
-        print(f"faults   ckpt+chaos: overhead {overhead:+.2f}% <= "
-              f"{max_overhead_pct:g}%, plans reproducible, "
-              f"{n_plans} chaos plans identical to serial OK")
     return problems
 
 
@@ -302,10 +236,6 @@ def main(argv=None) -> int:
                         help="BENCH_scaling.json to gate")
     parser.add_argument("--service", metavar="PATH",
                         help="BENCH_service.json to gate")
-    parser.add_argument("--distributed", metavar="PATH",
-                        help="BENCH_distributed.json to gate")
-    parser.add_argument("--faults", metavar="PATH",
-                        help="BENCH_faults.json to gate")
     parser.add_argument("--obs", metavar="PATH",
                         help="BENCH_obs.json to gate")
     parser.add_argument("--online", metavar="PATH",
@@ -313,13 +243,6 @@ def main(argv=None) -> int:
     parser.add_argument("--min-speedup", type=float, default=1.5,
                         help="required parallel-vs-serial factor for the "
                              "in-process paths (default: 1.5)")
-    parser.add_argument("--min-distributed", type=float, default=1.2,
-                        help="required factor for the multi-host sweep "
-                             "(softer: pays HTTP + wire overhead)")
-    parser.add_argument("--max-checkpoint-overhead", type=float,
-                        default=5.0,
-                        help="allowed checkpoint-journal overhead in "
-                             "percent on a fault-free sweep (default: 5)")
     parser.add_argument("--max-obs-overhead", type=float, default=3.0,
                         help="allowed full-observability overhead in "
                              "percent on the serial sweep (default: 3)")
@@ -331,22 +254,15 @@ def main(argv=None) -> int:
                              "in percent against the clairvoyant union "
                              "schedule (default: 25)")
     args = parser.parse_args(argv)
-    if not (args.scaling or args.service or args.distributed
-            or args.faults or args.obs or args.online):
+    if not (args.scaling or args.service or args.obs or args.online):
         parser.error("nothing to check: pass --scaling/--service/"
-                     "--distributed/--faults/--obs/--online")
+                     "--obs/--online")
 
     problems: list[str] = []
     if args.scaling:
         problems += check_report("scaling", args.scaling, args.min_speedup)
     if args.service:
         problems += check_report("service", args.service, args.min_speedup)
-    if args.distributed:
-        problems += check_report("distributed", args.distributed,
-                                 args.min_distributed)
-    if args.faults:
-        problems += check_faults_report(args.faults,
-                                        args.max_checkpoint_overhead)
     if args.obs:
         problems += check_obs_report(args.obs, args.max_obs_overhead)
     if args.online:

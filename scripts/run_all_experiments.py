@@ -62,10 +62,6 @@ def main() -> int:
     parser.add_argument("-j", "--jobs", type=int, default=1,
                         help="shard every sweep grid over N worker "
                              "processes (0 = one per CPU)")
-    parser.add_argument("--hosts", default=None, metavar="H1:P1,H2:P2",
-                        help="shard every sweep grid over running "
-                             "'memsched serve' hosts instead of local "
-                             "processes (identical results)")
     args = parser.parse_args()
     jobs = args.jobs
     wanted = args.experiments or list(EXPERIMENTS) + ["ablations"]
@@ -73,40 +69,18 @@ def main() -> int:
     out_dir = Path(__file__).resolve().parent.parent / "results" / scale.name
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.hosts:
-        from contextlib import ExitStack
-
-        from repro.experiments.remote import RemoteExecutor, remote_hosts
-        try:
-            executor = RemoteExecutor(
-                [h for h in args.hosts.split(",") if h.strip()])
-        except ValueError as exc:
-            raise SystemExit(f"error: invalid --hosts: {exc}") from None
-        stack = ExitStack()
-        stack.enter_context(remote_hosts(executor))
-    else:
-        executor = stack = None
-
-    try:
-        for name in wanted:
-            t0 = time.perf_counter()
-            if name == "ablations":
-                text = run_ablations(scale, jobs=jobs)
-            else:
-                text = str(EXPERIMENTS[name](scale, jobs=jobs))
-            dt = time.perf_counter() - t0
-            path = out_dir / f"{name}.txt"
-            atomic_write_text(path, text
-                              + f"\n\n[generated at scale={scale.name} "
-                                f"in {dt:.1f}s]\n")
-            print(f"[{dt:7.1f}s] {name} -> {path}")
-    finally:
-        if stack is not None:
-            stack.close()
-    if executor is not None:
-        from repro.experiments.remote import format_host_stats
-        for line in format_host_stats(executor.stats()):
-            print(line)
+    for name in wanted:
+        t0 = time.perf_counter()
+        if name == "ablations":
+            text = run_ablations(scale, jobs=jobs)
+        else:
+            text = str(EXPERIMENTS[name](scale, jobs=jobs))
+        dt = time.perf_counter() - t0
+        path = out_dir / f"{name}.txt"
+        atomic_write_text(path, text
+                          + f"\n\n[generated at scale={scale.name} "
+                            f"in {dt:.1f}s]\n")
+        print(f"[{dt:7.1f}s] {name} -> {path}")
     return 0
 
 

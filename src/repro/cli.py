@@ -10,7 +10,7 @@ Subcommands::
     memsched bounds    graph.json --blue 2 --red 1
     memsched ilp       graph.json --blue 1 --red 1 --mem-blue 5 --mem-red 5
     memsched experiment fig10 --scale ci
-    memsched experiment fig12 --hosts 10.0.0.1:8123,10.0.0.2:8123
+    memsched experiment fig12 --jobs 4
     memsched serve     --port 8123 --workers 4
     memsched submit    graph.json --algo memheft --port 8123 -o sched.json
 """
@@ -234,49 +234,12 @@ def cmd_ilp(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     require_numpy("memsched experiment")
     scale = get_scale(args.scale)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("error: --resume requires --checkpoint")
-    executor = None
-
-    def run():
-        if args.checkpoint:
-            from .experiments.checkpoint import CheckpointError, checkpointing
-            try:
-                with checkpointing(args.checkpoint, resume=args.resume) \
-                        as ckpt:
-                    result = EXPERIMENTS[args.figure](scale, jobs=args.jobs)
-                stats = ckpt.stats()
-                print(f"checkpoint {stats['path']}: {stats['replayed']} "
-                      f"cells replayed, {stats['recorded']} recorded",
-                      file=sys.stderr)
-                return result
-            except CheckpointError as exc:
-                raise SystemExit(f"error: {exc}") from None
-        return EXPERIMENTS[args.figure](scale, jobs=args.jobs)
-
     with _maybe_trace(args, "experiment", args.figure, args.scale or ""):
         with obs.span("experiment", figure=args.figure):
-            if args.hosts:
-                from .experiments.remote import RemoteExecutor, remote_hosts
-                hosts = [h for h in args.hosts.split(",") if h.strip()]
-                try:
-                    executor = RemoteExecutor(hosts)
-                except ValueError as exc:
-                    raise SystemExit(
-                        f"error: invalid --hosts: {exc}") from None
-                with remote_hosts(executor):
-                    result = run()
-            else:
-                result = run()
+            result = EXPERIMENTS[args.figure](scale, jobs=args.jobs)
     if args.trace:
         print(f"wrote trace to {args.trace}", file=sys.stderr)
     print(result)
-    if executor is not None:
-        # Dispatch accounting to stderr: stdout stays byte-identical to
-        # the serial run (the CI distributed smoke relies on that).
-        from .experiments.remote import format_host_stats
-        for line in format_host_stats(executor.stats()):
-            print(line, file=sys.stderr)
     if args.csv:
         from ._util import atomic_write_text
         from .experiments.report import (
@@ -582,23 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="shard the sweep grid over N worker processes "
                         "(0 = one per CPU; identical results for any N)")
-    p.add_argument("--hosts", default=None, metavar="H1:P1,H2:P2",
-                   help="shard the sweep grid over running 'memsched "
-                        "serve' hosts instead of local processes "
-                        "(weighted by each host's --workers; identical "
-                        "results, asserted by tests/CI)")
-    p.add_argument("--checkpoint", default=None, metavar="CK.jsonl",
-                   help="journal each completed cell here (content-"
-                        "addressed, CRC-per-line) so a crashed campaign "
-                        "can be resumed")
-    p.add_argument("--resume", action="store_true",
-                   help="continue from an existing --checkpoint journal: "
-                        "replay completed cells, re-execute only the "
-                        "unfinished ones (byte-identical output)")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write a deterministic span trace (JSONL) of the "
-                        "sweep here — one span per cell, per host request, "
-                        "per map_cells call (see 'memsched obs report')")
+                        "sweep here — one span per serial cell and per "
+                        "map_cells call (see 'memsched obs report')")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("serve", help="run the async scheduling service")

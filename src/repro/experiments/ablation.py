@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..core.graph import TaskGraph
-from ..io.json_io import register_wire_dataclass
 from ..core.platform import Platform
 from ..scheduling.memheft import memheft
 from ..scheduling.state import InfeasibleScheduleError
-from .engine import cached_reference, cell_seed, map_cells, remote_worker
+from .engine import cached_reference, cell_seed, map_cells
 
 
 @dataclass
@@ -41,7 +40,6 @@ class CommPolicyRow:
 _POLICIES = ("late", "eager")
 
 
-@remote_worker("ablation.comm_policy")
 def _comm_policy_cell(payload: tuple, cache: dict,
                       cell: tuple) -> list[Optional[float]]:
     """One (graph, alpha) cell: normalised MemHEFT makespan per transfer
@@ -95,7 +93,6 @@ def comm_policy_ablation(
     return out
 
 
-@register_wire_dataclass
 @dataclass
 class TiebreakRow:
     graph_name: str
@@ -105,7 +102,6 @@ class TiebreakRow:
     seeded_max: float
 
 
-@remote_worker("ablation.tiebreak")
 def _tiebreak_cell(payload: tuple, cache: dict, graph_idx: int) -> TiebreakRow:
     """All repetitions of one graph (the deterministic run plus the seeded
     spread; seeds derived per cell, stable under sharding)."""

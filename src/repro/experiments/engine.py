@@ -1,4 +1,5 @@
-"""Sharded parallel experiment engine.
+"""Experiment engine: cell grids mapped serially or over a local
+process pool.
 
 The paper's evaluation (Figures 10–15) is a grid of independent cells —
 one (graph, memory-bound) pair per cell, every algorithm run inside it —
@@ -42,89 +43,11 @@ from typing import Callable, Optional, Sequence
 from .. import obs
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
-from ..io.json_io import register_wire_dataclass
 from ..scheduling.registry import get_scheduler
 from ..scheduling.state import InfeasibleScheduleError
 
 #: Per-process worker context: (worker function, payload, cache dict).
 _WORKER: dict = {}
-
-#: Cell workers invocable by name over the wire (``POST /cells``), filled
-#: by the :func:`remote_worker` decorator.  Execution on a service host is
-#: restricted to this registry — the wire carries *names*, never code.
-_REMOTE_WORKERS: dict = {}
-
-#: Ambient host list (or executor) consulted by :func:`map_cells` when no
-#: explicit ``hosts`` argument is given; set via
-#: :func:`repro.experiments.remote.remote_hosts`.
-_DEFAULT_HOSTS = None
-
-#: Ambient checkpoint journal consulted by :func:`map_cells` when no
-#: explicit ``checkpoint`` argument is given; set via
-#: :func:`repro.experiments.checkpoint.checkpointing`.
-_DEFAULT_CHECKPOINT = None
-
-
-def remote_worker(name: str) -> Callable:
-    """Decorator registering a top-level cell worker for remote execution.
-
-    The registered name is what travels in a ``POST /cells`` request; the
-    function itself must stay importable on every host (same package
-    version).  The decorator stamps the function with ``_remote_name`` so
-    :func:`map_cells` can route it to hosts transparently.
-    """
-    def register(fn: Callable) -> Callable:
-        if name in _REMOTE_WORKERS and _REMOTE_WORKERS[name] is not fn:
-            raise ValueError(f"remote worker {name!r} already registered")
-        _REMOTE_WORKERS[name] = fn
-        fn._remote_name = name
-        return fn
-    return register
-
-
-def _ensure_builtin_workers() -> None:
-    """Import the modules whose import registers the built-in cell
-    workers (idempotent; safe in server processes and pool workers)."""
-    from . import ablation, sweep  # noqa: F401  (import == registration)
-
-
-def get_remote_worker(name: str) -> Callable:
-    """Resolve a registered cell worker; raises ``ValueError`` with the
-    known names when unknown."""
-    _ensure_builtin_workers()
-    fn = _REMOTE_WORKERS.get(name)
-    if fn is None:
-        raise ValueError(f"unknown remote cell worker {name!r} "
-                         f"(known: {sorted(_REMOTE_WORKERS)})")
-    return fn
-
-
-def remote_worker_names() -> list:
-    """Registered cell-worker names (after importing the built-ins)."""
-    _ensure_builtin_workers()
-    return sorted(_REMOTE_WORKERS)
-
-
-def set_default_hosts(hosts):
-    """Install the ambient host list/executor used when ``map_cells`` is
-    called without an explicit ``hosts``; returns the previous value (the
-    :func:`repro.experiments.remote.remote_hosts` context manager restores
-    it)."""
-    global _DEFAULT_HOSTS
-    previous = _DEFAULT_HOSTS
-    _DEFAULT_HOSTS = hosts
-    return previous
-
-
-def set_default_checkpoint(checkpoint):
-    """Install the ambient checkpoint journal used when ``map_cells`` is
-    called without an explicit ``checkpoint``; returns the previous value
-    (the :func:`repro.experiments.checkpoint.checkpointing` context
-    manager restores it)."""
-    global _DEFAULT_CHECKPOINT
-    previous = _DEFAULT_CHECKPOINT
-    _DEFAULT_CHECKPOINT = checkpoint
-    return previous
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -189,8 +112,6 @@ def map_cells(
     cells: Sequence[object],
     *,
     jobs: int = 1,
-    hosts=None,
-    checkpoint=None,
 ) -> list:
     """Map ``worker(payload, cache, cell)`` over ``cells``, returning
     results in cell order.
@@ -201,51 +122,11 @@ def map_cells(
     With ``jobs > 1`` the cells are fanned out over a process pool in
     chunks of :func:`default_chunk_size`; exceptions raised by any cell
     propagate to the caller in both modes.
-
-    ``hosts`` — a list of ``"host:port"`` addresses of running ``memsched
-    serve`` instances (or a prepared
-    :class:`repro.experiments.remote.RemoteExecutor`) — shards the cells
-    *across machines* instead: ``worker`` must then be registered with
-    :func:`remote_worker`.  When ``hosts`` is omitted the ambient value
-    installed by :func:`repro.experiments.remote.remote_hosts` applies, so
-    every sweep gains multi-host mode without touching its driver.  All
-    three modes run the same cell functions and aggregate in the same
-    order — serial ≡ ``jobs=N`` ≡ distributed, by construction.
-
-    ``checkpoint`` — a journal path or an open
-    :class:`repro.experiments.checkpoint.CellCheckpoint` — journals each
-    completed cell's result as it lands (in every mode), and replays
-    already-completed cells from the journal instead of re-executing
-    them, so a crashed campaign resumes where it stopped with
-    byte-identical output.  Defaults to the ambient journal installed by
-    :func:`repro.experiments.checkpoint.checkpointing`.
     """
     cells = list(cells)
-    if hosts is None:
-        hosts = _DEFAULT_HOSTS
-    if checkpoint is None:
-        checkpoint = _DEFAULT_CHECKPOINT
-    if checkpoint is not None and cells:
-        return _map_cells_checkpointed(worker, payload, cells, jobs=jobs,
-                                       hosts=hosts, checkpoint=checkpoint)
-    return _map_cells_direct(worker, payload, cells, jobs=jobs, hosts=hosts)
-
-
-def _map_cells_direct(worker, payload, cells, *, jobs, hosts,
-                      on_result=None):
-    """The three execution modes, un-checkpointed.  ``on_result(index,
-    result_object)`` (local modes) is invoked as each cell lands, in
-    completion order — the checkpoint layer's incremental-journal hook;
-    the distributed mode passes the wire-level equivalent through to the
-    executor, which owns result decoding."""
-    if hosts is not None and cells:
-        from .remote import run_remote  # deferred: remote imports engine
-        with obs.span("map_cells", mode="remote", n_cells=len(cells)):
-            return run_remote(worker, payload, cells, hosts,
-                              on_result_wire=on_result)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(cells) <= 1:
-        return _serial_cells(worker, payload, cells, on_result)
+        return _serial_cells(worker, payload, cells)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
@@ -254,25 +135,15 @@ def _map_cells_direct(worker, payload, cells, *, jobs, hosts,
         initargs=(worker, payload),
     ) as pool, obs.span("map_cells", mode="pool", n_cells=len(cells),
                         jobs=jobs):
-        results = []
-        # pool.map yields in cell order as results arrive, so the hook
-        # sees completed prefixes incrementally, not one burst at the end.
-        for i, result in enumerate(pool.map(
-                _call_cell, cells,
-                chunksize=default_chunk_size(len(cells), jobs))):
-            if on_result is not None:
-                on_result(i, result)
-            results.append(result)
-        return results
+        return list(pool.map(_call_cell, cells,
+                             chunksize=default_chunk_size(len(cells), jobs)))
 
 
-def _serial_cells(worker, payload, cells, on_result):
+def _serial_cells(worker, payload, cells):
     """The serial ``map_cells`` loop.  With :mod:`repro.obs` active each
     cell lands in the ``memsched_cell_seconds{mode="serial"}`` histogram
     and (with a tracer attached) emits a ``cell`` span keyed by its grid
-    index — structurally identical to the spans the distributed
-    coordinator re-emits, so serial and sharded traces line up.  Without
-    it the loop never reads the clock."""
+    index.  Without it the loop never reads the clock."""
     st = obs.active()
     cache: dict = {}
     results = []
@@ -294,74 +165,13 @@ def _serial_cells(worker, payload, cells, on_result):
                         "cell",
                         span_id=tracer.child_id(parent, "cell", key=i),
                         parent_id=parent, dur=duration, attrs={"i": i})
-            if on_result is not None:
-                on_result(i, result)
             results.append(result)
     return results
-
-
-def _map_cells_checkpointed(worker, payload, cells, *, jobs, hosts,
-                            checkpoint):
-    """Resolve ``cells`` against a checkpoint journal, execute only the
-    missing ones (journaling each as it completes), and return the full
-    result list — byte-identical to an uninterrupted run, because cell
-    wire round-trips exactly and workers are pure."""
-    from ..io.json_io import from_cell_wire, to_cell_wire
-    from .checkpoint import CellCheckpoint, call_key, cell_key, \
-        payload_digest
-
-    owned = not isinstance(checkpoint, CellCheckpoint)
-    ckpt = CellCheckpoint(checkpoint, resume=True) if owned else checkpoint
-    try:
-        name = getattr(worker, "_remote_name", None) \
-            or getattr(worker, "__qualname__", str(worker))
-        pdigest = payload_digest(to_cell_wire(payload))
-        wires = [to_cell_wire(c) for c in cells]
-        keys = [cell_key(name, pdigest, w) for w in wires]
-        ck = call_key(name, pdigest, keys)
-
-        _nothing = object()
-        results = [_nothing] * len(cells)
-        pending: list = []      # indices to execute (first per unique key)
-        seen: dict = {}         # key -> first pending index
-        for i, key in enumerate(keys):
-            hit = ckpt.get(key, _nothing)
-            if hit is not _nothing:
-                results[i] = from_cell_wire(hit)
-            elif key in seen:
-                pass            # duplicate cell: executed once, filled below
-            else:
-                seen[key] = i
-                pending.append(i)
-
-        if pending:
-            def on_result(j: int, result: object) -> None:
-                ckpt.record(keys[pending[j]], to_cell_wire(result))
-
-            def on_result_wire(j: int, result_wire: object) -> None:
-                ckpt.record(keys[pending[j]], result_wire)
-
-            hook = on_result_wire if hosts is not None else on_result
-            sub = _map_cells_direct(
-                worker, payload, [cells[i] for i in pending], jobs=jobs,
-                hosts=hosts, on_result=hook)
-            for j, i in enumerate(pending):
-                results[i] = sub[j]
-        # Fill duplicates (and anything else) from the journal.
-        for i, key in enumerate(keys):
-            if results[i] is _nothing:
-                results[i] = from_cell_wire(ckpt.get(key))
-        ckpt.mark_done(ck, len(cells))
-        return results
-    finally:
-        if owned:
-            ckpt.close()
 
 
 # ----------------------------------------------------------------------
 # feasibility frontier (binary search over the uniform memory bound)
 # ----------------------------------------------------------------------
-@register_wire_dataclass
 @dataclass(frozen=True)
 class FrontierPoint:
     """Smallest feasible uniform memory bound found for one
@@ -459,7 +269,6 @@ def feasibility_frontier(
     )
 
 
-@remote_worker("engine.frontier")
 def _frontier_cell(payload: tuple, cache: dict, cell: tuple) -> FrontierPoint:
     graphs, platform, rel_tol, verify_samples = payload
     graph_idx, algorithm = cell

@@ -46,11 +46,9 @@ from ..scheduling.heft import heft
 from ..scheduling.minmin import minmin
 from ..scheduling.registry import get_scheduler
 from ..scheduling.state import InfeasibleScheduleError
-from ..io.json_io import register_wire_dataclass
-from .engine import cached_reference, map_cells, remote_worker
+from .engine import cached_reference, map_cells
 
 
-@register_wire_dataclass
 @dataclass(frozen=True)
 class ReferenceRun:
     """Memory-oblivious HEFT reference for one graph (§6.2.1)."""
@@ -135,7 +133,6 @@ def default_alphas(n: int = 10) -> tuple[float, ...]:
     return tuple(float(a) for a in np.linspace(1.0 / n, 1.0, n))
 
 
-@remote_worker("sweep.normalized")
 def _normalized_cell(payload: tuple, cache: dict,
                      cell: tuple) -> list[Optional[float]]:
     """One (graph, alpha) cell: per algorithm, the normalised makespan or
@@ -308,7 +305,6 @@ class HeterogeneitySweepResult:
                       key=lambda c: c.spread)
 
 
-@remote_worker("sweep.heterogeneity")
 def _heterogeneity_cell(payload: tuple, cache: dict,
                         cell: tuple) -> list[Optional[tuple[float, float]]]:
     """One (graph, spread) cell: per algorithm, ``(makespan, baseline
@@ -431,7 +427,6 @@ class AbsoluteSweepResult:
         return min(feasible) if feasible else None
 
 
-@remote_worker("sweep.absolute")
 def _absolute_cell(payload: tuple, cache: dict,
                    bound: float) -> list[Optional[float]]:
     """One memory bound of an absolute sweep: makespan per algorithm."""

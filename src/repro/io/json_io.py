@@ -23,7 +23,6 @@ both layouts with or without ``speeds``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -225,112 +224,6 @@ def load_schedule(path: PathLike) -> Schedule:
 DIGEST_SCHEMA_VERSION = 2
 
 
-# ----------------------------------------------------------------------
-# cell wire format (distributed experiment sharding)
-# ----------------------------------------------------------------------
-#: Revision of the tagged cell encoding below (``POST /cells`` payloads).
-CELL_WIRE_VERSION = 1
-
-#: Dataclasses allowed on the cell wire, by class name.  Populated by the
-#: :func:`register_wire_dataclass` decorator at import time of the module
-#: defining the class — decoding is restricted to this registry, so a
-#: service host never materialises types it does not already know about.
-_WIRE_DATACLASSES: dict[str, type] = {}
-
-_WIRE_TAG = "__wire__"
-
-
-def register_wire_dataclass(cls: type) -> type:
-    """Class decorator admitting a dataclass to the cell wire format.
-
-    The class is keyed by its bare name; both ends must import the module
-    that defines (and thereby registers) it before decoding.
-    """
-    _WIRE_DATACLASSES[cls.__name__] = cls
-    return cls
-
-
-def to_cell_wire(value: Any) -> Any:
-    """Encode a cell payload/descriptor/result as pure JSON.
-
-    The experiment engine's cells are built from a closed set of types —
-    scalars, lists, tuples, string-keyed dicts, :class:`TaskGraph`,
-    :class:`Platform` and registered result dataclasses — and this tagged
-    encoding round-trips all of them **exactly**: tuples stay tuples,
-    floats survive bit-for-bit (JSON float serialisation uses the shortest
-    round-tripping repr), non-finite floats are spelled out.  That is what
-    makes ``serial == distributed`` an equality of Python objects, not
-    merely of renderings.
-
-    Lists encode as plain JSON arrays; every dict on the wire is a tagged
-    envelope (``{"__wire__": kind, ...}``), so plain dicts are wrapped and
-    the decoder never has to guess.  Unsupported types raise ``TypeError``.
-    """
-    if value is None or isinstance(value, (bool, str, int)):
-        return value
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return value
-        return {_WIRE_TAG: "float", "v": repr(value)}
-    if isinstance(value, list):
-        return [to_cell_wire(v) for v in value]
-    if isinstance(value, tuple):
-        return {_WIRE_TAG: "tuple", "v": [to_cell_wire(v) for v in value]}
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(
-                    f"cell wire dicts need string keys, got {key!r}")
-        return {_WIRE_TAG: "dict",
-                "v": {k: to_cell_wire(v) for k, v in value.items()}}
-    if isinstance(value, TaskGraph):
-        return {_WIRE_TAG: "graph", "v": graph_to_dict(value)}
-    if isinstance(value, Platform):
-        return {_WIRE_TAG: "platform", "v": platform_to_dict(value)}
-    cls_name = type(value).__name__
-    if cls_name in _WIRE_DATACLASSES and isinstance(
-            value, _WIRE_DATACLASSES[cls_name]):
-        fields = {f.name: to_cell_wire(getattr(value, f.name))
-                  for f in dataclasses.fields(value)}
-        return {_WIRE_TAG: "dataclass", "t": cls_name, "v": fields}
-    raise TypeError(
-        f"type {type(value).__name__!r} is not cell-wire serializable "
-        f"(supported: scalars, list/tuple/dict, TaskGraph, Platform, "
-        f"registered dataclasses)")
-
-
-def from_cell_wire(data: Any) -> Any:
-    """Decode :func:`to_cell_wire` output; raises ``ValueError`` on
-    malformed or unknown tags (a host must reject, not guess)."""
-    if data is None or isinstance(data, (bool, str, int, float)):
-        return data
-    if isinstance(data, list):
-        return [from_cell_wire(v) for v in data]
-    if isinstance(data, dict):
-        tag = data.get(_WIRE_TAG)
-        if tag == "float":
-            return float(data["v"])
-        if tag == "tuple":
-            return tuple(from_cell_wire(v) for v in data["v"])
-        if tag == "dict":
-            return {k: from_cell_wire(v) for k, v in data["v"].items()}
-        if tag == "graph":
-            return graph_from_dict(data["v"])
-        if tag == "platform":
-            return platform_from_dict(data["v"])
-        if tag == "dataclass":
-            cls = _WIRE_DATACLASSES.get(data.get("t"))
-            if cls is None:
-                raise ValueError(
-                    f"unknown wire dataclass {data.get('t')!r} (known: "
-                    f"{sorted(_WIRE_DATACLASSES)})")
-            return cls(**{k: from_cell_wire(v)
-                          for k, v in data["v"].items()})
-        raise ValueError(f"malformed cell wire value: bad tag {tag!r}")
-    raise ValueError(f"malformed cell wire value of type "
-                     f"{type(data).__name__!r}")
-
-
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON rendering: sorted keys, minimal separators, no
     NaN/Infinity literals (use the ``None``-for-unbounded convention of
@@ -368,17 +261,8 @@ def canonical_digest(graph: Union[TaskGraph, dict],
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def cell_wire_digest(wire: Any) -> str:
-    """Content address of one wire-encoded cell value (sha256 of its
-    canonical JSON) — the key of the sweep checkpoint journal
-    (:mod:`repro.experiments.checkpoint`).  Cell wire round-trips exactly
-    (:func:`to_cell_wire`), so equal cells always address equally,
-    whatever process encodes them."""
-    return hashlib.sha256(canonical_json(wire).encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
-# checksummed journal lines (cache + checkpoint JSONL journals)
+# checksummed journal lines (the service cache journal)
 # ----------------------------------------------------------------------
 def journal_encode(row: dict) -> str:
     """One checksummed journal line (no trailing newline): the row is
@@ -387,7 +271,7 @@ def journal_encode(row: dict) -> str:
     The CRC is computed over the row's canonical JSON — which JSON floats
     round-trip exactly — so :func:`journal_decode` can re-render the
     parsed row and verify without storing the original text.  A torn
-    write (crash mid-append, injected corruption) fails either the JSON
+    write (crash mid-append) fails either the JSON
     parse or the CRC and is skipped by replay instead of poisoning the
     entries before it.
     """
@@ -395,7 +279,7 @@ def journal_encode(row: dict) -> str:
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
     # Compose by hand from the already-canonical body (keys stay sorted:
     # "crc" < "row") — serializing the row a second time would double the
-    # cost of every checkpointed cell.
+    # cost of every journal append.
     return '{"crc":%d,"row":%s}' % (crc, body)
 
 

@@ -4,14 +4,14 @@ One telemetry subsystem for the whole stack: a process-wide
 :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
 fixed-bucket histograms), sha256-deterministic span tracing
 (:mod:`repro.obs.tracing`), and JSON logging (:mod:`repro.obs.log`).
-The scheduler, the service, and the distributed sweep stack are all
+The scheduler, the service and the experiment sweeps are all
 instrumented through the hooks here; surfaces are ``GET /metrics``
 (Prometheus text exposition), ``--trace FILE`` on the CLI, and
 ``memsched obs report``.
 
-Activation mirrors :mod:`repro.faults` exactly — **zero overhead when
-disabled** means every instrument site costs one module-global read and
-a ``None`` check:
+Activation is process-wide — **zero overhead when disabled** means
+every instrument site costs one module-global read and a ``None``
+check:
 
 * programmatically — :func:`enable` / the :func:`observing` context
   manager (tests, the CLI's ``--trace``);
@@ -62,7 +62,7 @@ class ObsState:
 
 
 # ----------------------------------------------------------------------
-# process-wide activation (the repro.faults pattern)
+# process-wide activation
 # ----------------------------------------------------------------------
 _ACTIVE: Optional[ObsState] = None
 _ENV_LOADED = False

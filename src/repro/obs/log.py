@@ -1,6 +1,6 @@
 """Structured JSON logging to stderr.
 
-One JSON object per line, so chaos-run stderr is greppable and
+One JSON object per line, so service stderr is greppable and
 machine-parseable instead of a mix of prints and silently swallowed
 exceptions.  The threshold comes from ``MEMSCHED_LOG_LEVEL``
 (``debug``/``info``/``warning``/``error``, default ``info``), read once
@@ -8,7 +8,7 @@ per process on first use; :func:`set_level` overrides it (tests).
 
 Logging never touches stdout — the CLI's byte-identity contracts
 (``memsched experiment`` output equals the serial run) only cover
-stdout, and stderr is where host stats and resume summaries already go.
+stdout, and stderr is where diagnostics already go.
 """
 
 from __future__ import annotations

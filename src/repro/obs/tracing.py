@@ -7,18 +7,17 @@ stay out of every digest and golden comparison: with tracing on, the
 schedules and CSVs a run produces are byte-identical to an untraced run.
 
 Span identifiers follow the repo's sha256 seed machinery (compare
-:func:`repro.experiments.engine.cell_seed` and the remote executor's
-backoff jitter): an id is the truncated sha256 of
-``(trace_id, parent_id, name, key)`` where ``key`` is either a natural
-key the caller supplies (a cell index, a ``host:attempt`` pair) or a
-per-``(parent, name)`` sibling sequence number.  Ids are therefore a
+:func:`repro.experiments.engine.cell_seed`): an id is the truncated
+sha256 of ``(trace_id, parent_id, name, key)`` where ``key`` is either a
+natural key the caller supplies (a cell index) or a per-``(parent,
+name)`` sibling sequence number.  Ids are therefore a
 pure function of trace *structure*, never of time or object identity —
 the same run traces to the same ids.
 
 Span nesting is tracked per thread; cross-thread and cross-process
 parents are wired explicitly (``parent=`` on :meth:`Tracer.span`, or
-the ``X-Trace-Id``/``X-Span-Id`` HTTP headers the service stack
-propagates).
+the ``X-Trace-Id``/``X-Span-Id`` HTTP headers the service client
+sends and the service records on its ``request`` span).
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class Tracer:
     def span(self, name: str, attrs: Optional[dict] = None, *,
              parent: Optional[str] = None, key=None) -> Span:
         """Open a span.  ``parent`` defaults to this thread's innermost
-        open span; pass it explicitly when crossing threads or hosts."""
+        open span; pass it explicitly when crossing threads or processes."""
         parent_id = parent if parent is not None else self.current()
         return Span(self, name, attrs, self.child_id(parent_id, name, key),
                     parent_id)
@@ -156,7 +155,7 @@ class Tracer:
              dur: Optional[float] = None,
              attrs: Optional[dict] = None) -> None:
         """Record one span row directly (aggregate phase spans, spans
-        reconstructed from remote annotations).  ``attrs`` is kept by
+        timed outside a ``with`` block).  ``attrs`` is kept by
         reference until the batched write — pass a dict you won't
         mutate afterwards.  Serialisation is deferred on purpose: a
         per-span JSON encode (let alone a flush) dominates the cost of

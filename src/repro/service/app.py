@@ -22,14 +22,6 @@ the :func:`repro.experiments.engine.map_cells` worker/payload pattern
 (same ``_init_worker``/``_call_cell`` machinery, worker spawn paid once
 per service lifetime, not per request), so serial (``workers=1``) and
 parallel batches produce identical bytes by construction.
-
-**Cell execution.**  ``POST /cells`` is the distributed half of the
-experiment engine: it runs a chunk of *registered* top-level cell
-functions (:func:`repro.experiments.engine.remote_worker` — the wire
-carries worker names, never code) against a wire-encoded payload,
-streaming one NDJSON row per cell over the same persistent pool.  A
-:class:`repro.experiments.remote.RemoteExecutor` shards a sweep's grid
-over many such hosts.
 """
 
 from __future__ import annotations
@@ -47,23 +39,20 @@ from urllib.parse import parse_qs
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
-from .. import faults, obs
+from .. import obs
 from ..core.validation import ScheduleError, validate_schedule
 from ..obs.metrics import MetricsRegistry
 from ..experiments.engine import _call_cell, _init_worker, default_chunk_size
 from ..io.json_io import (
-    CELL_WIRE_VERSION,
     DIGEST_SCHEMA_VERSION,
     canonical_digest,
     canonical_json,
-    from_cell_wire,
     graph_from_dict,
     journal_decode,
     journal_encode,
     platform_from_dict,
     platform_to_dict,
     schedule_to_dict,
-    to_cell_wire,
 )
 from ..scheduling.registry import (
     ENGINE_OPTIONED,
@@ -74,7 +63,7 @@ from ..scheduling.state import COMM_POLICIES, InfeasibleScheduleError
 from ..online import OnlineSession
 
 #: Protocol revision, reported by ``GET /healthz``.  v2 added the
-#: ``POST /cells`` distributed-experiment endpoint; v3 adds
+#: ``POST /cells`` experiment-cell endpoint; v3 adds
 #: ``GET /metrics``, the ``metrics_summary`` healthz block, and
 #: ``X-Trace-Id``/``X-Span-Id`` propagation; v4 adds the ``kernel``
 #: healthz block (active/available EST kernels — pinned to the one
@@ -82,9 +71,10 @@ from ..online import OnlineSession
 #: stateful online-session surface — ``POST /jobs`` (submit a graph
 #: with a release time into a named session), ``GET /jobs`` (session
 #: summary + decision journal), ``GET /jobs/{id}`` — and the
-#: ``sessions`` healthz block.  All additive, older clients keep
-#: working unchanged.
-PROTOCOL_VERSION = 5
+#: ``sessions`` healthz block.  v2–v5 were additive.  v6 removed
+#: ``POST /cells`` (now a 404) with the healthz ``cells``, ``cell_wire``
+#: and ``faults`` entries; every other route is unchanged.
+PROTOCOL_VERSION = 6
 
 #: Algorithms accepting the ``comm_policy`` / ``lazy`` engine options (the
 #: memory-oblivious heuristics run on fixed unbounded settings).
@@ -100,8 +90,7 @@ _DEFAULT_OPTIONS = {"comm_policy": "late", "lazy": True}
 #: anything else collapses into ``other`` so scrapes stay bounded no
 #: matter what clients probe.
 _KNOWN_ENDPOINTS = frozenset(
-    {"/schedule", "/batch", "/cells", "/algorithms", "/healthz", "/metrics",
-     "/jobs"})
+    {"/schedule", "/batch", "/algorithms", "/healthz", "/metrics", "/jobs"})
 
 
 class ServiceError(Exception):
@@ -264,114 +253,15 @@ def _batch_worker(payload: object, cache: dict, cell: tuple) -> tuple:
         return ("error", exc.status, exc.err_type, exc.message)
 
 
-#: Decoded cell payloads cached per worker process, keyed by payload
-#: digest; bounded so a long-lived service cannot accumulate every sweep's
-#: graphs forever.
-_MAX_CACHED_PAYLOADS = 16
-
-
-def _run_one_cell(fn, payload_obj, worker_cache: dict, cell_wire: object,
-                  index: int, ctx: Optional[tuple] = None) -> dict:
-    """Execute one wire-encoded cell; never raises — worker bugs become
-    structured per-cell error rows, so one bad cell cannot take down the
-    stream (the distributed analogue of ``/batch``'s per-instance
-    errors).
-
-    With :mod:`repro.obs` active in the executing process the cell is
-    timed; when the request also carried a trace context (``ctx``) the
-    measured duration travels back in-band as an ``obs`` row key — extra
-    keys are ignored by v2 consumers, and rows are never cached, so the
-    wire stays compatible and results stay byte-identical.
-    """
-    st = obs.active()
-    if st is not None:
-        t0 = time.perf_counter()
-    try:
-        cell = from_cell_wire(cell_wire)
-        result = fn(payload_obj, worker_cache, cell)
-        row = {"i": index, "r": to_cell_wire(result)}
-    except Exception as exc:  # noqa: BLE001 — must answer, not crash
-        row = {"i": index,
-               "error": {"type": "cell_error",
-                         "message": f"{type(exc).__name__}: {exc}"}}
-    if st is not None:
-        duration = time.perf_counter() - t0
-        st.registry.histogram("memsched_cell_seconds",
-                              mode="service").observe(duration)
-        if ctx is not None:
-            row["obs"] = {"dur": round(duration, 6), "pid": os.getpid()}
-    return row
-
-
-def _cells_unit(cache: dict, unit: tuple) -> list:
-    """Execute one chunk of a ``/cells`` request (in-process or in a pool
-    worker).  ``unit`` is ``("cells", worker_name, payload_digest,
-    payload_wire, cell_wires, base_index)``, optionally extended with the
-    request's trace context as a seventh element (see
-    :func:`_run_one_cell`).
-
-    The decoded payload and the worker's cell cache are memoised per
-    process under the payload digest, so a sweep's graphs are decoded once
-    per worker process — the remote analogue of shipping ``initargs`` once
-    — and reference-run caching keeps working across chunks.
-    """
-    _, worker_name, pdigest, payload_wire, cell_wires, base = unit[:6]
-    ctx = unit[6] if len(unit) > 6 else None
-    try:
-        from ..experiments.engine import get_remote_worker
-        fn = get_remote_worker(worker_name)
-        pkey = ("cells_payload", pdigest)
-        try:
-            payload_obj = cache[pkey]
-        except KeyError:
-            # The cache dict is shared between executor threads on a
-            # workers<=1 host, so eviction uses pop() and the decoded
-            # value is kept in a local — a concurrent evictor can only
-            # cost a re-decode, never a crash.
-            while sum(1 for k in cache if k[0] == "cells_payload") \
-                    >= _MAX_CACHED_PAYLOADS:
-                for k in list(cache):
-                    if k[0] in ("cells_payload", "cells_cache"):
-                        cache.pop(k, None)
-                        break
-            payload_obj = from_cell_wire(payload_wire)
-            cache[pkey] = payload_obj
-        worker_cache = cache.setdefault(("cells_cache", pdigest), {})
-    except Exception as exc:  # noqa: BLE001 — per-cell structured errors
-        err = {"type": "cell_error",
-               "message": f"{type(exc).__name__}: {exc}"}
-        return [{"i": base + k, "error": dict(err)}
-                for k in range(len(cell_wires))]
-    return [_run_one_cell(fn, payload_obj, worker_cache, cw, base + k, ctx)
-            for k, cw in enumerate(cell_wires)]
-
-
-def _service_worker(payload: object, cache: dict, unit: tuple):
-    """The persistent pool's single entry point: dispatches ``/batch``
-    instances and ``/cells`` chunks through one initializer, so both
-    endpoints share the same warm worker processes."""
-    if unit[0] == "batch":
-        return _batch_worker(payload, cache, unit[1])
-    if unit[0] == "cells":
-        return _cells_unit(cache, unit)
-    if unit[0] == "cells_kill":
-        # An injected worker-process kill (repro.faults): the coordinator
-        # tagged this dispatch, the worker dies with it.  SIGKILL-style —
-        # no cleanup, the pool surfaces BrokenProcessPool.
-        os._exit(137)
-    raise ValueError(f"unknown pool unit kind {unit[0]!r}")
-
-
 def _stop_pool(pool) -> None:
     """Shut a worker pool down without leaving orphans.
 
-    ``shutdown(wait=False)`` alone is not enough after a worker death
-    (injected or real): the broken executor's surviving siblings may
-    never receive their exit sentinel and then outlive the service
-    forever, pinned on the call-queue pipe — still holding every file
-    descriptor they inherited at fork (client connections, stdout).  So
-    after the polite shutdown, terminate whatever is provably still
-    alive."""
+    ``shutdown(wait=False)`` alone is not enough after a worker death:
+    the broken executor's surviving siblings may never receive their exit
+    sentinel and then outlive the service forever, pinned on the
+    call-queue pipe — still holding every file descriptor they inherited
+    at fork (client connections, stdout).  So after the polite shutdown,
+    terminate whatever is provably still alive."""
     if pool is None:
         return
     procs = [p for p in getattr(pool, "_processes", {}).values()
@@ -491,13 +381,7 @@ class ScheduleCache:
         # Callers hold self._lock, which also serialises journal writes.
         if self._journal is None:
             return
-        line = journal_encode(row)
-        injector = faults.active()
-        if injector is not None and injector.fire(
-                "journal.corrupt", injector.plan.corrupt,
-                injector.plan.corrupt_limit):
-            line = line[:max(1, len(line) // 2)]   # torn write
-        self._journal.write(line + "\n")
+        self._journal.write(journal_encode(row) + "\n")
         if flush:
             self._journal.flush()
         self._journal_lines += 1
@@ -584,8 +468,6 @@ class ServiceApp:
         self.cache = ScheduleCache(cache_size, cache_dir=cache_dir)
         self.started_at = time.monotonic()
         self.n_requests = 0
-        self.n_cell_requests = 0
-        self.n_cells = 0
         #: Supervised pool-restart budget per request: a worker-process
         #: death rebuilds the pool and retries up to this many times
         #: (with backoff) before the failure is surfaced to the client.
@@ -604,10 +486,6 @@ class ServiceApp:
         # worker spawn + package import per /batch request.
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        # The workers<=1 /cells path's analogue of a pool worker's
-        # per-process cache: decoded payloads + worker cell caches, keyed
-        # by payload digest (see _cells_unit; bounded there).
-        self._cells_local_cache: dict = {}
         # Online sessions (name -> _SessionEntry).  The outer lock only
         # guards the registry; each entry carries its own lock so rounds
         # in different sessions run concurrently while one session's
@@ -626,15 +504,15 @@ class ServiceApp:
     def _batch_pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, initialised with the same
         worker/payload pattern :func:`repro.experiments.engine.map_cells`
-        uses — the dispatcher and payload never change, so one initializer
-        call per worker process serves every ``/batch`` *and* ``/cells``
-        request for the service's lifetime."""
+        uses — the worker and payload never change, so one initializer
+        call per worker process serves every ``/batch`` request for the
+        service's lifetime."""
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(_service_worker, None))
+                    initargs=(_batch_worker, None))
             return self._pool
 
     def _reset_pool(self) -> None:
@@ -651,7 +529,7 @@ class ServiceApp:
             self.n_pool_restarts += 1
         time.sleep(min(1.0, 0.05 * (2 ** (attempt - 1))))
 
-    def _run_cells(self, cells: list) -> list:
+    def _run_batch(self, cells: list) -> list:
         """Fan batch cells out (persistent pool) or run them in-process.
 
         A worker-process death (``BrokenProcessPool``) is supervised: the
@@ -662,13 +540,12 @@ class ServiceApp:
         if self.workers <= 1 or len(cells) <= 1:
             cache: dict = {}
             return [_batch_worker(None, cache, cell) for cell in cells]
-        units = [("batch", cell) for cell in cells]
         attempt = 0
         while True:
             try:
                 return list(self._batch_pool().map(
-                    _call_cell, units,
-                    chunksize=default_chunk_size(len(units), self.workers)))
+                    _call_cell, cells,
+                    chunksize=default_chunk_size(len(cells), self.workers)))
             except BrokenProcessPool as exc:
                 self._reset_pool()
                 attempt += 1
@@ -692,14 +569,17 @@ class ServiceApp:
         JSON error bodies — so the transport layer stays dumb.  ``ctx`` is
         the caller's trace context ``(trace_id, span_id)``, parsed from the
         ``X-Trace-Id``/``X-Span-Id`` headers by the transport (``None``
-        when absent); it only annotates telemetry, never response bodies.
+        when absent); with a tracer active it is recorded on the
+        ``request`` span as ``caller_trace``/``caller_span``, so a
+        client's trace and the service's join up.  It never reaches
+        response bodies.
         """
         with self._count_lock:
             self.n_requests += 1
         path, _, query = path.partition("?")
         st = obs.active()
         if st is None:
-            return self._route(method, path, query, body, ctx)
+            return self._route(method, path, query, body)
         if path in _KNOWN_ENDPOINTS:
             endpoint = path
         elif path.startswith("/jobs/"):
@@ -708,11 +588,13 @@ class ServiceApp:
             endpoint = "other"
         inflight = st.registry.gauge("memsched_http_inflight_requests")
         inflight.inc()
+        caller = ({} if ctx is None else
+                  {"caller_trace": ctx[0], "caller_span": ctx[1]})
         t0 = time.perf_counter()
         try:
-            with obs.span("request", endpoint=endpoint):
+            with obs.span("request", endpoint=endpoint, **caller):
                 status, headers, out = self._route(method, path, query,
-                                                   body, ctx)
+                                                   body)
         finally:
             inflight.dec()
         st.registry.histogram("memsched_http_request_seconds",
@@ -722,8 +604,8 @@ class ServiceApp:
                             endpoint=endpoint, status=str(status)).inc()
         return status, headers, out
 
-    def _route(self, method: str, path: str, query: str, body: bytes,
-               ctx: Optional[tuple]) -> tuple[int, dict, bytes]:
+    def _route(self, method: str, path: str, query: str,
+               body: bytes) -> tuple[int, dict, bytes]:
         try:
             if path == "/schedule":
                 self._require(method, "POST", path)
@@ -731,9 +613,6 @@ class ServiceApp:
             if path == "/batch":
                 self._require(method, "POST", path)
                 return self._handle_batch(body)
-            if path == "/cells":
-                self._require(method, "POST", path)
-                return self._handle_cells(body, ctx)
             if path == "/jobs" or path.startswith("/jobs/"):
                 return self._handle_jobs(method, path, query, body)
             if path == "/algorithms":
@@ -841,7 +720,7 @@ class ServiceApp:
                 cached_flags[pos] = True
 
         if cells:
-            outcomes = self._run_cells(cells)
+            outcomes = self._run_batch(cells)
             for cell, outcome, fills in zip(cells, outcomes, slots):
                 if outcome[0] == "ok":
                     out = outcome[1]
@@ -1004,166 +883,6 @@ class ServiceApp:
             }
         return 200, dict(_JSON_HEADERS), canonical_json(out).encode("utf-8")
 
-    def _handle_cells(self, body: bytes, ctx: Optional[tuple] = None):
-        """``POST /cells`` — execute a chunk of registered experiment cell
-        functions, streaming one NDJSON row per cell.
-
-        The request is ``{"worker": name, "payload": wire, "cells":
-        [wire, ...]}`` (see :func:`repro.io.json_io.to_cell_wire`); the
-        response body is ``application/x-ndjson``: per cell either
-        ``{"i": k, "r": wire}`` or ``{"i": k, "error": {...}}``, closed by
-        a ``{"done": n}`` sentinel.  Rows are produced lazily — chunked
-        transfer on the wire — so a coordinator sees results as they
-        complete, and a host crash mid-request truncates the stream
-        (detectably: no sentinel) instead of hanging the caller.
-
-        Validation (unknown worker, malformed wire values) happens
-        eagerly, *before* the 200 status is committed; per-cell worker
-        exceptions travel as structured error rows.  With ``workers > 1``
-        the cells are fanned over the same persistent process pool as
-        ``/batch``.
-        """
-        payload = self._parse_body(body)
-        if not isinstance(payload, dict):
-            raise ServiceError(400, "bad_request",
-                               "cells body must be a JSON object")
-        worker_name = payload.get("worker")
-        if not isinstance(worker_name, str):
-            raise ServiceError(400, "bad_request",
-                               "'worker' must be a registered worker name")
-        cell_wires = payload.get("cells")
-        if not isinstance(cell_wires, list):
-            raise ServiceError(400, "bad_request",
-                               "'cells' must be an array of wire values")
-        from ..experiments.engine import get_remote_worker
-        try:
-            fn = get_remote_worker(worker_name)
-        except ValueError as exc:
-            raise ServiceError(404, "unknown_worker", str(exc)) from exc
-        payload_wire = payload.get("payload")
-        pdigest = hashlib.sha256(
-            canonical_json(payload_wire).encode("utf-8")).hexdigest()
-        try:   # reject malformed wire values before committing a 200
-            payload_obj = from_cell_wire(payload_wire)
-            for cw in cell_wires:
-                from_cell_wire(cw)
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ServiceError(400, "bad_request",
-                               f"malformed cell wire value: {exc}") from exc
-        if self.workers <= 1:
-            # Seed the in-process unit cache with the payload we just
-            # decoded for validation, so the serial path never decodes
-            # it twice — and, like a pool worker's cache, keeps it (plus
-            # the worker's cell cache) warm across requests: a 1-worker
-            # fleet host serves many small chunks per sweep.
-            self._cells_local_cache.setdefault(
-                ("cells_payload", pdigest), payload_obj)
-        with self._count_lock:
-            self.n_cell_requests += 1
-            self.n_cells += len(cell_wires)
-        headers = {"Content-Type": "application/x-ndjson",
-                   "X-Cells": str(len(cell_wires))}
-        return 200, headers, self._cells_stream(
-            worker_name, payload_wire, pdigest, cell_wires, ctx)
-
-    @staticmethod
-    def _tag_kills(units: list) -> list:
-        """Ask the active fault injector, per dispatch attempt, which
-        units take a worker-process kill with them.  Tagging happens in
-        the app process (which owns the injector's deterministic
-        counters), per *attempt* — a retried unit draws again, so an
-        exhausted ``kill_limit`` naturally stops re-killing."""
-        injector = faults.active()
-        if injector is None:
-            return units
-        plan = injector.plan
-        return [("cells_kill",) + unit[1:]
-                if injector.fire("worker.kill", plan.kill, plan.kill_limit)
-                else unit
-                for unit in units]
-
-    def _unit_rows(self, units: list):
-        """Yield the per-cell rows of one ``/cells`` request, unit by
-        unit, surviving injected worker kills.
-
-        ``workers <= 1`` runs in-process — there a worker kill *is* a
-        host kill (``os._exit``), the blackout scenario the distributed
-        executor's circuit breaker exists for.  The pool path supervises
-        ``BrokenProcessPool``: rebuild, back off, and resume from the
-        first unit whose rows were not fully yielded (cells are pure, so
-        the retried unit reproduces identical rows).
-        """
-        st = obs.active()
-        depth = (st.registry.gauge("memsched_cells_queue_depth")
-                 if st is not None else None)
-        if depth is not None:
-            depth.inc(len(units))
-        if self.workers <= 1:
-            for unit in self._tag_kills(units):
-                if unit[0] == "cells_kill":
-                    os._exit(137)   # workers<=1: worker kill == host kill
-                for row in _cells_unit(self._cells_local_cache, unit):
-                    yield row
-                if depth is not None:
-                    depth.dec()
-            return
-        done = 0
-        attempt = 0
-        while done < len(units):
-            pending = self._tag_kills(units[done:])
-            try:
-                for rows in self._batch_pool().map(_call_cell, pending,
-                                                   chunksize=1):
-                    for row in rows:
-                        yield row
-                    done += 1   # only after the unit's rows fully yielded
-                    if depth is not None:
-                        depth.dec()
-            except BrokenProcessPool:
-                self._reset_pool()
-                attempt += 1
-                if attempt > self.pool_restarts:
-                    if depth is not None:
-                        depth.dec(len(units) - done)
-                    raise   # transport aborts the stream (no sentinel)
-                self._note_pool_restart(attempt)
-
-    def _cells_stream(self, worker_name: str, payload_wire: object,
-                      pdigest: str, cell_wires: list,
-                      ctx: Optional[tuple] = None):
-        """Generator of NDJSON lines for one ``/cells`` request (consumed
-        by the transport's chunked writer).  Both branches run the same
-        :func:`_cells_unit` chunks — in-process against the app-held
-        cache, or over the persistent pool against each worker's."""
-        def encode(row: dict) -> bytes:
-            return json.dumps(row, sort_keys=True).encode("utf-8") + b"\n"
-
-        n = len(cell_wires)
-        size = default_chunk_size(n, max(1, self.workers))
-        units = [("cells", worker_name, pdigest, payload_wire,
-                  cell_wires[k:k + size], k) for k in range(0, n, size)]
-        if ctx is not None:
-            units = [unit + (ctx,) for unit in units]
-        injector = faults.active()
-        trunc_at = None
-        if injector is not None and n > 0 and injector.fire(
-                "stream.truncate", injector.plan.truncate,
-                injector.plan.truncate_limit):
-            trunc_at = injector.pick("stream.truncate.row", n)
-        emitted = 0
-        for row in self._unit_rows(units):
-            line = encode(row)
-            if trunc_at is not None and emitted == trunc_at:
-                # Injected mid-stream death: half a row on the wire, then
-                # the producer "crashes" — the transport drops the
-                # connection without the terminal chunk, exactly like a
-                # real host loss mid-request.
-                yield line[:max(1, len(line) // 2)]
-                raise RuntimeError("injected /cells stream truncation")
-            emitted += 1
-            yield line
-        yield encode({"done": n})
-
     def _handle_algorithms(self) -> tuple[int, dict, bytes]:
         algos = [
             {
@@ -1190,18 +909,10 @@ class ServiceApp:
                   _help="Configured worker-process count.").set(self.workers)
         with self._count_lock:
             n_requests = self.n_requests
-            n_cell_requests = self.n_cell_requests
-            n_cells = self.n_cells
             n_pool_restarts = self.n_pool_restarts
         reg.counter("memsched_requests_total",
                     _help="HTTP requests handled (any endpoint)."
                     ).inc(n_requests)
-        reg.counter("memsched_cell_requests_total",
-                    _help="POST /cells requests handled."
-                    ).inc(n_cell_requests)
-        reg.counter("memsched_cells_executed_total",
-                    _help="Experiment cells accepted for execution."
-                    ).inc(n_cells)
         reg.counter("memsched_pool_restarts_total",
                     _help="Supervised worker-pool rebuilds."
                     ).inc(n_pool_restarts)
@@ -1217,15 +928,6 @@ class ServiceApp:
                   _help="Schedule-cache entries.").set(cache["size"])
         reg.gauge("memsched_cache_capacity",
                   _help="Schedule-cache capacity.").set(cache["capacity"])
-        injector = faults.active()
-        if injector is not None:
-            for site, c in sorted(injector.summary()["sites"].items()):
-                reg.counter("memsched_fault_draws_total",
-                            _help="Fault-injector Bernoulli draws per site.",
-                            site=site).inc(c["draws"])
-                reg.counter("memsched_fault_fired_total",
-                            _help="Fault-injector faults fired per site.",
-                            site=site).inc(c["fired"])
         return reg
 
     def _handle_metrics(self) -> tuple[int, dict, bytes]:
@@ -1246,16 +948,12 @@ class ServiceApp:
     def _metrics_summary(self) -> dict:
         with self._count_lock:
             n_requests = self.n_requests
-            n_cell_requests = self.n_cell_requests
-            n_cells = self.n_cells
             n_pool_restarts = self.n_pool_restarts
         cache = self.cache.stats()
         lookups = cache["hits"] + cache["misses"]
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "requests": n_requests,
-            "cell_requests": n_cell_requests,
-            "cells_executed": n_cells,
             "pool_restarts": n_pool_restarts,
             "cache_hit_rate": (round(cache["hits"] / lookups, 4)
                                if lookups else None),
@@ -1279,20 +977,14 @@ class ServiceApp:
             "status": "ok",
             "protocol": PROTOCOL_VERSION,
             "digest_schema": DIGEST_SCHEMA_VERSION,
-            "cell_wire": CELL_WIRE_VERSION,
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "n_requests": self.n_requests,
             "workers": self.workers,
-            "cells": {"requests": self.n_cell_requests,
-                      "executed": self.n_cells},
             "pool_restarts": self.n_pool_restarts,
             "cache": self.cache.stats(),
             "metrics_summary": self._metrics_summary(),
             "kernel": {"active": "scalar", "available": ["scalar"]},
             "sessions": self._sessions_summary(),
         }
-        injector = faults.active()
-        if injector is not None:
-            health["faults"] = injector.summary()
         body = canonical_json(health).encode("utf-8")
         return 200, dict(_JSON_HEADERS), body

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 from urllib.parse import quote
 
-from .. import faults, obs
+from .. import obs
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
@@ -113,10 +113,8 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-        # Per-request wall-clock budget: advertised to the server as
-        # X-Deadline-Ms (it sheds requests it cannot start in time) and
-        # enforced client-side across an entire /cells stream, which the
-        # per-read socket ``timeout`` alone cannot bound.
+        # Per-request wall-clock budget, advertised to the server as
+        # X-Deadline-Ms (it sheds requests it cannot start in time).
         self.deadline = deadline
         self._conn: Optional[http.client.HTTPConnection] = None
 
@@ -131,13 +129,6 @@ class ServiceClient:
             if span_id is not None:
                 headers["X-Span-Id"] = span_id
         return headers
-
-    @staticmethod
-    def _injected_drop(site: str) -> bool:
-        injector = faults.active()
-        return injector is not None and injector.fire(
-            site, injector.plan.client_drop,
-            injector.plan.client_drop_limit)
 
     # ------------------------------------------------------------------
     # transport
@@ -165,12 +156,6 @@ class ServiceClient:
         body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
         while True:
-            if self._injected_drop("client.drop"):
-                self.close()
-                raise ServiceClientError(
-                    0, "transport",
-                    f"injected client-side connection drop to "
-                    f"{self.host}:{self.port}")
             reused = self._conn is not None
             conn = self._connection()
             try:
@@ -257,115 +242,6 @@ class ServiceClient:
             else:
                 out.append(ScheduleResponse.from_dict(item, cached=cached))
         return out
-
-    def run_cells(self, worker: str, payload_wire: object,
-                  cell_wires: Sequence[object]) -> list[dict]:
-        """Execute a chunk of experiment cells on this host (``POST
-        /cells``) and collect the streamed per-cell rows.
-
-        ``worker`` is a registered cell-worker name; ``payload_wire`` and
-        ``cell_wires`` are already wire-encoded
-        (:func:`repro.io.json_io.to_cell_wire`).  Returns the row dicts in
-        stream order — ``{"i": k, "r": wire}`` or ``{"i": k, "error":
-        {...}}`` — after verifying the ``{"done": n}`` sentinel, so a
-        truncated stream (host died mid-request) surfaces as a
-        :class:`ServiceClientError` with status 0 rather than silently
-        missing cells.  4xx/5xx responses raise with the server's
-        structured error.
-        """
-        body = json.dumps({"worker": worker, "payload": payload_wire,
-                           "cells": list(cell_wires)}).encode("utf-8")
-        expires = (time.monotonic() + self.deadline
-                   if self.deadline is not None else None)
-        while True:
-            if self._injected_drop("client.drop"):
-                self.close()
-                raise ServiceClientError(
-                    0, "transport",
-                    f"injected client-side connection drop to "
-                    f"{self.host}:{self.port}")
-            reused = self._conn is not None
-            conn = self._connection()
-            try:
-                conn.request("POST", "/cells", body=body,
-                             headers=self._headers())
-                resp = conn.getresponse()
-                break
-            except socket.timeout as exc:
-                self.close()
-                raise ServiceClientError(
-                    0, "timeout",
-                    f"no response from {self.host}:{self.port} within "
-                    f"{self.timeout:g}s") from exc
-            except (http.client.HTTPException, ConnectionError,
-                    OSError) as exc:
-                self.close()
-                if not reused:   # same retry policy as _request
-                    raise ServiceClientError(
-                        0, "transport",
-                        f"cannot reach service at "
-                        f"{self.host}:{self.port}: {exc}") from exc
-        if resp.status != 200:
-            headers = dict(resp.getheaders())
-            data = resp.read()
-            self._parse(resp.status, data, headers)   # raises with the body
-            self.close()
-            raise ServiceClientError(resp.status, "transport",
-                                     "unexpected non-error body")
-        rows: list[dict] = []
-        try:
-            while True:
-                if expires is not None and time.monotonic() > expires:
-                    raise ServiceClientError(
-                        0, "deadline",
-                        f"/cells stream from {self.host}:{self.port} "
-                        f"exceeded the {self.deadline:g}s deadline after "
-                        f"{len(rows)} rows")
-                line = resp.readline()
-                if not line:
-                    raise ServiceClientError(
-                        0, "truncated",
-                        f"/cells stream from {self.host}:{self.port} "
-                        f"ended after {len(rows)} rows (no sentinel)")
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ServiceClientError(
-                        0, "malformed",
-                        f"non-object row in /cells stream: {line[:120]!r}")
-                if "done" in row:
-                    if row["done"] != len(rows):
-                        raise ServiceClientError(
-                            0, "malformed",
-                            f"/cells sentinel says {row['done']} rows, "
-                            f"got {len(rows)}")
-                    trailing = resp.read()
-                    if trailing:
-                        raise ServiceClientError(
-                            0, "malformed",
-                            f"data after /cells sentinel: "
-                            f"{trailing[:120]!r}")
-                    return rows
-                rows.append(row)
-        except ServiceClientError:
-            self.close()   # stream state unknown: drop the socket
-            raise
-        except socket.timeout as exc:
-            self.close()
-            raise ServiceClientError(
-                0, "timeout",
-                f"/cells stream from {self.host}:{self.port} stalled "
-                f"beyond {self.timeout:g}s") from exc
-        except json.JSONDecodeError as exc:
-            self.close()
-            raise ServiceClientError(
-                0, "malformed",
-                f"invalid NDJSON in /cells stream: {exc}") from exc
-        except (http.client.HTTPException, ConnectionError, OSError) as exc:
-            self.close()
-            raise ServiceClientError(
-                0, "transport",
-                f"/cells stream from {self.host}:{self.port} broke: "
-                f"{exc}") from exc
 
     def submit_job(self, graph: GraphLike, *, session: str = "default",
                    release: float = 0.0, job_id: Optional[str] = None,

@@ -6,9 +6,8 @@ protocol needs only a handful of routes).  Connections are keep-alive;
 scheduling work runs in the event loop's default thread-pool executor so
 slow cold paths never block health checks or other clients, and ``/batch``
 additionally fans cache misses out over a process pool (see
-:mod:`repro.service.app`).  Responses are written with a Content-Length,
-except bodies the app produces lazily (``POST /cells`` NDJSON rows) which
-go out with chunked transfer encoding as each cell completes.
+:mod:`repro.service.app`).  Every response is written whole, with a
+Content-Length.
 
 Three ways to run it::
 
@@ -21,12 +20,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-import socket
 import threading
 import time
 from typing import Optional
 
-from .. import faults
 from ..obs import log
 from .app import ServiceApp
 
@@ -55,26 +52,16 @@ class _BadRequest(Exception):
         self.status = status
 
 
-def _render_head(status: int, headers: dict, keep_alive: bool, *,
-                 length: Optional[int] = None) -> bytes:
-    """The status line + headers; ``length=None`` means a chunked
-    (streamed) body."""
+def _render(status: int, headers: dict, body: bytes,
+            keep_alive: bool) -> bytes:
+    """One whole response: status line, headers and body."""
     lines = [f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Error')}"]
     out_headers = dict(headers)
     out_headers.setdefault("Content-Type", "application/json")
-    if length is None:
-        out_headers["Transfer-Encoding"] = "chunked"
-    else:
-        out_headers["Content-Length"] = str(length)
+    out_headers["Content-Length"] = str(len(body))
     out_headers["Connection"] = "keep-alive" if keep_alive else "close"
     lines.extend(f"{k}: {v}" for k, v in out_headers.items())
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-def _render(status: int, headers: dict, body: bytes,
-            keep_alive: bool) -> bytes:
-    return _render_head(status, headers, keep_alive,
-                        length=len(body)) + body
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 class ServiceServer:
@@ -159,9 +146,8 @@ class ServiceServer:
                     "status": 503, "type": "saturated",
                     "message": f"connection limit ({self.max_connections}) "
                                f"reached; retry later"}})
-                # Retry-After tells well-behaved clients (the distributed
-                # executor's circuit breaker floors its backoff on it) how
-                # long to stay away instead of hammering the cap.
+                # Retry-After tells well-behaved clients how long to stay
+                # away instead of hammering the cap.
                 writer.write(_render(503, {"Retry-After": "1"},
                                      err.encode("utf-8"),
                                      keep_alive=False))
@@ -192,41 +178,14 @@ class ServiceServer:
                 if parsed is None:      # clean EOF between requests
                     break
                 method, path, headers, body = parsed
-                injector = faults.active()
-                if injector is not None:
-                    plan = injector.plan
-                    if injector.fire("server.delay", plan.delay,
-                                     plan.delay_limit):
-                        await asyncio.sleep(plan.delay_ms / 1000.0)
-                    if injector.fire("server.drop", plan.drop,
-                                     plan.drop_limit):
-                        # Injected fault: vanish without a response.
-                        log.debug("service.fault_drop", path=path)
-                        self._shutdown_socket(writer)
-                        break
                 expires = self._deadline_of(headers)
                 ctx = self._trace_ctx_of(headers)
                 status, out_headers, out_body = await loop.run_in_executor(
                     None, self._dispatch, method, path, body, expires, ctx)
                 keep_alive = headers.get("connection", "").lower() != "close"
-                if isinstance(out_body, (bytes, bytearray)):
-                    writer.write(_render(status, out_headers,
-                                         bytes(out_body), keep_alive))
-                    await writer.drain()
-                else:
-                    # Streamed body (an iterator of byte chunks, e.g.
-                    # /cells NDJSON rows): chunked transfer encoding,
-                    # produced lazily off-loop.
-                    completed = await self._write_stream(
-                        writer, status, out_headers, out_body, keep_alive,
-                        loop)
-                    if not completed:
-                        # The producer failed after the head was already
-                        # on the wire; the only honest signal left is an
-                        # aborted connection (no terminal chunk), which
-                        # clients detect as a truncated stream.
-                        self._shutdown_socket(writer)
-                        break
+                writer.write(_render(status, out_headers, out_body,
+                                     keep_alive))
+                await writer.drain()
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError,
@@ -243,24 +202,6 @@ class ServiceServer:
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    def _shutdown_socket(writer: asyncio.StreamWriter) -> None:
-        """Tear the TCP stream down *now*, not merely this descriptor.
-
-        ``writer.close()`` only drops this process's file descriptor;
-        worker processes forked while the connection was open (the
-        ``/batch``//``/cells`` pool) may still hold a duplicate, in which
-        case no FIN ever reaches the peer and a streaming client blocks
-        on a half-dead socket until its own timeout.  ``shutdown()``
-        acts on the underlying socket regardless of descriptor
-        refcounts, so aborted streams fail fast at the client."""
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
                 pass
 
     @staticmethod
@@ -303,38 +244,6 @@ class ServiceServer:
         if ctx is not None:
             return self.app.handle(method, path, body, ctx)
         return self.app.handle(method, path, body)   # 3-arg compatible
-
-    @staticmethod
-    async def _write_stream(writer: asyncio.StreamWriter, status: int,
-                            headers: dict, body_iter, keep_alive: bool,
-                            loop) -> bool:
-        """Write a lazily-produced body with chunked transfer encoding.
-
-        Each chunk is pulled from ``body_iter`` in the default executor so
-        slow cell computations never block the event loop.  Returns
-        ``False`` when the producer raised mid-stream — the caller must
-        then drop the connection (the terminal ``0`` chunk is deliberately
-        withheld so the truncation is detectable)."""
-        writer.write(_render_head(status, headers, keep_alive))
-        await writer.drain()
-        it = iter(body_iter)
-        sentinel = object()
-        while True:
-            try:
-                chunk = await loop.run_in_executor(None, next, it, sentinel)
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 — producer bug/pool death
-                return False
-            if chunk is sentinel:
-                break
-            if not chunk:
-                continue
-            writer.write(b"%x\r\n" % len(chunk) + bytes(chunk) + b"\r\n")
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-        return True
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):

@@ -2,11 +2,13 @@
 per-cell seeding, reference caching, and the feasibility frontier."""
 
 import math
+import os
+import pickle
 
 import pytest
 
 from repro import Platform
-from repro.dags import dex, small_rand_set
+from repro.dags import dex, random_dag, small_rand_set
 from repro.experiments import (
     ReferenceRun,
     absolute_sweep,
@@ -20,13 +22,27 @@ from repro.experiments import (
     resolve_jobs,
     tiebreak_ablation,
 )
-from repro.experiments.sweep import SweepResult
+from repro.experiments.engine import FrontierPoint, default_chunk_size
+from repro.experiments.sweep import SweepCell, SweepResult
+from repro.io.json_io import schedule_to_dict
+from repro.scheduling.registry import SCHEDULERS, get_scheduler
 
 
 # Top-level so the process pool can pickle it.
 def _square_cell(payload, cache, cell):
     cache["hits"] = cache.get("hits", 0) + 1
     return payload * cell * cell
+
+
+def _pid_and_hits(payload, cache, cell):
+    cache["hits"] = cache.get("hits", 0) + 1
+    return os.getpid(), cache["hits"]
+
+
+def _fail_on_three(payload, cache, cell):
+    if cell == 3:
+        raise ValueError(f"cell {cell} failed")
+    return cell
 
 
 class TestMapCells:
@@ -69,6 +85,58 @@ class TestMapCells:
         assert sorted(row["attrs"]["i"] for row in spans) == \
             list(range(len(cells)))
 
+    @pytest.mark.parametrize("removed",
+                             ["hosts", "checkpoint", "resume", "on_result"])
+    def test_serial_and_pool_are_the_only_modes(self, removed):
+        with pytest.raises(TypeError):
+            map_cells(_square_cell, 2, [1, 2], **{removed: None})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_empty_grid(self, jobs):
+        assert map_cells(_square_cell, 2, [], jobs=jobs) == []
+
+    def test_single_cell_runs_in_process(self):
+        assert map_cells(_pid_and_hits, None, [0], jobs=4) == \
+            [(os.getpid(), 1)]
+
+    def test_cells_accept_any_iterable(self):
+        assert map_cells(_square_cell, 1, iter([2, 3]), jobs=2) == [4, 9]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_exception_propagates(self, jobs):
+        with pytest.raises(ValueError, match="cell 3 failed"):
+            map_cells(_fail_on_three, None, [1, 2, 3, 4], jobs=jobs)
+
+    def test_pool_worker_cache_survives_across_its_cells(self):
+        results = map_cells(_pid_and_hits, None, list(range(16)), jobs=2)
+        assert os.getpid() not in {pid for pid, _ in results}
+        by_pid = {}
+        for pid, hits in results:
+            by_pid.setdefault(pid, []).append(hits)
+        # one cache per worker process, kept across all of its cells
+        assert sum(len(h) for h in by_pid.values()) == 16
+        for hits in by_pid.values():
+            assert sorted(hits) == list(range(1, len(hits) + 1))
+
+    def test_pool_run_is_traced_as_one_span(self, tmp_path):
+        from repro import obs
+        from repro.obs.report import load_trace
+
+        path = tmp_path / "pool.jsonl"
+        with obs.observing(path, trace_ident=("test", "pool")):
+            assert map_cells(_square_cell, 1, [1, 2, 3], jobs=2) == [1, 4, 9]
+        spans = [row for row in load_trace(path)
+                 if row["name"] == "map_cells"]
+        assert len(spans) == 1
+        assert spans[0]["attrs"] == {"mode": "pool", "n_cells": 3,
+                                     "jobs": 2}
+
+    @pytest.mark.parametrize("n_cells, jobs, chunk", [
+        (0, 4, 1), (3, 4, 1), (16, 4, 1), (32, 4, 2), (100, 2, 12),
+        (1000, 8, 31)])
+    def test_default_chunk_size(self, n_cells, jobs, chunk):
+        assert default_chunk_size(n_cells, jobs) == chunk
+
     def test_resolve_jobs(self):
         assert resolve_jobs(None) == 1
         assert resolve_jobs(1) == 1
@@ -78,6 +146,12 @@ class TestMapCells:
 
 
 class TestCellSeed:
+    def test_value_is_pinned(self):
+        # sha256-derived: any change here re-seeds every randomized cell
+        # of every published sweep
+        assert cell_seed("tiebreak", "g1", 0) == 2192149287539541302
+        assert cell_seed() == 1665333220245342802
+
     def test_deterministic_and_distinct(self):
         a = cell_seed("tiebreak", "g1", 0)
         assert a == cell_seed("tiebreak", "g1", 0)
@@ -125,6 +199,47 @@ class TestParallelSerialEquivalence:
         parallel = tiebreak_ablation(graphs[:2], Platform(1, 1), n_seeds=3,
                                      jobs=2)
         assert serial == parallel
+
+
+class TestPoolPayloads:
+    """Pool workers receive graphs, platforms and results by pickle; a
+    round trip must not change what a cell computes or returns."""
+
+    @pytest.mark.parametrize("algorithm", sorted(SCHEDULERS))
+    def test_unpickled_inputs_schedule_identically(self, algorithm):
+        graph = random_dag(size=15, rng=9)
+        platform = Platform(n_blue=2, n_red=1, mem_blue=math.inf,
+                            mem_red=math.inf, speeds=[1.0, 0.5, 2.0])
+        graph.topological_order()   # warm the caches that get pickled
+        run = get_scheduler(algorithm)
+        direct = run(graph, platform)
+        shipped = run(pickle.loads(pickle.dumps(graph)),
+                      pickle.loads(pickle.dumps(platform)))
+        assert schedule_to_dict(shipped) == schedule_to_dict(direct)
+
+    def test_platform_round_trip(self):
+        p = Platform(n_blue=2, n_red=1, mem_blue=math.inf, mem_red=40.0,
+                     speeds=[1.0, 0.5, 2.0])
+        out = pickle.loads(pickle.dumps(p))
+        assert out.proc_counts == p.proc_counts
+        assert out.capacities == p.capacities
+        assert out.speeds == p.speeds
+
+    def test_reference_run_round_trip(self):
+        ref = reference_run(dex(), Platform(1, 1))
+        out = pickle.loads(pickle.dumps(ref))
+        assert (out.makespan, out.peaks) == (ref.makespan, ref.peaks)
+        assert sorted(out.graph.tasks()) == sorted(ref.graph.tasks())
+
+    @pytest.mark.parametrize("value", [
+        FrontierPoint(graph_name="g", algorithm="memheft",
+                      feasible_bound=4.25, infeasible_bound=4.0,
+                      n_evals=9, verified=None),
+        SweepCell(0.5, "memminmin", 4, 3, 1.0000000000000002),
+        SweepCell(0.1, "memheft", 4, 0, None),
+    ], ids=["frontier", "cell", "failed-cell"])
+    def test_result_round_trip(self, value):
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestReferenceRunKMemory:

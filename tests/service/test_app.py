@@ -6,6 +6,10 @@ direct library call serializes to.
 """
 
 import json
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -24,7 +28,7 @@ from repro.scheduling.registry import (
     SCHEDULERS,
     get_scheduler,
 )
-from repro.service.app import ServiceApp
+from repro.service.app import PROTOCOL_VERSION, ServiceApp
 
 PLATFORM = Platform(n_blue=1, n_red=1, mem_blue=5, mem_red=5)
 
@@ -140,8 +144,7 @@ class TestErrorPaths:
         assert status == 400
         assert json.loads(out)["error"]["type"] == err_type
 
-    @pytest.mark.parametrize("path", ["/schedule", "/batch", "/cells",
-                                      "/jobs"])
+    @pytest.mark.parametrize("path", ["/schedule", "/batch", "/jobs"])
     def test_deeply_nested_body_is_400(self, path):
         body = b"[" * 100_000 + b"]" * 100_000
         status, _, out = ServiceApp().handle("POST", path, body)
@@ -226,6 +229,17 @@ class TestErrorPaths:
         assert app.handle("GET", "/nope", b"")[0] == 404
         assert app.handle("GET", "/schedule", b"")[0] == 405
         assert app.handle("POST", "/healthz", b"")[0] == 405
+
+    @pytest.mark.parametrize("body", [
+        b"", b"not json",
+        json.dumps({"worker": "sweep.normalized", "payload": None,
+                    "cells": [1]}).encode()])
+    def test_cells_endpoint_is_gone(self, body):
+        method, path = "POST /cells".split(" ")
+        status, headers, out = ServiceApp().handle(method, path, body)
+        assert status == 404
+        assert headers["Content-Type"] == "application/json"
+        assert json.loads(out)["error"]["type"] == "not_found"
 
     def test_cyclic_graph_rejected(self):
         req = schedule_req()
@@ -367,6 +381,61 @@ class TestRobustness:
         assert app._pool is None
 
 
+def _kill_one_pool_worker(app):
+    """SIGKILL one of the app's own batch-pool workers and wait until the
+    executor has noticed, so the next dispatch deterministically meets a
+    broken pool."""
+    pool = app._pool
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while not pool._broken:
+        assert time.monotonic() < deadline, "pool never noticed the kill"
+        time.sleep(0.01)
+
+
+class TestPoolSupervision:
+    """A worker-process death under ``/batch`` is supervised: the pool is
+    rebuilt and the batch retried (same bytes), or — with no restart
+    budget — answered with a structured 500, never a hang."""
+
+    @staticmethod
+    def batch(seeds):
+        graphs = [random_dag(size=12, rng=s) for s in seeds]
+        return {"requests": [schedule_req(g, PLATFORM.unbounded())
+                             for g in graphs]}
+
+    def test_killed_worker_is_restarted_with_serial_bytes(self):
+        app = ServiceApp(workers=2)
+        try:
+            assert post(app, "/batch", self.batch((61, 62)))[0] == 200
+            _kill_one_pool_worker(app)
+            status, _, body = post(app, "/batch", self.batch((63, 64)))
+            assert status == 200
+            assert body == post(ServiceApp(workers=1), "/batch",
+                                self.batch((63, 64)))[2]
+            assert app.n_pool_restarts >= 1
+        finally:
+            app.close()
+
+    def test_exhausted_restart_budget_is_structured_500(self):
+        app = ServiceApp(workers=2, pool_restarts=0)
+        try:
+            assert post(app, "/batch", self.batch((71, 72)))[0] == 200
+            _kill_one_pool_worker(app)
+            answer = []
+            worker = threading.Thread(target=lambda: answer.append(
+                post(app, "/batch", self.batch((73, 74)))), daemon=True)
+            worker.start()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "/batch hung on a dead pool"
+            status, _, body = answer[0]
+            assert status == 500
+            assert json.loads(body)["error"]["type"] == "worker_pool"
+            assert app.n_pool_restarts == 0
+        finally:
+            app.close()
+
+
 class TestJobsSubmit:
     @staticmethod
     def submit(app, **extra):
@@ -425,3 +494,13 @@ class TestIntrospection:
         assert health["n_requests"] == 2
         assert health["cache"]["capacity"] == 7
         assert health["cache"]["size"] == 1
+
+    def test_healthz_reports_protocol_6_without_cells_or_faults(self):
+        _, _, body = ServiceApp().handle("GET", "/healthz", b"")
+        health = json.loads(body)
+        assert PROTOCOL_VERSION == 6
+        assert health["protocol"] == 6
+        for key in ("cells", "faults", "cell_wire"):
+            assert key not in health
+        assert "cell_requests" not in health["metrics_summary"]
+        assert "cells_executed" not in health["metrics_summary"]

@@ -3,6 +3,9 @@ bit flips, duplicated ops, zero-byte files, legacy checksum-less
 journals — a journal must never poison a restart, only shrink it."""
 
 import json
+import math
+
+import pytest
 
 from repro.io.json_io import journal_decode, journal_encode
 from repro.service.app import ScheduleCache
@@ -41,6 +44,63 @@ class TestJournalFraming:
     def test_float_bodies_round_trip_exactly(self):
         row = {"op": "cell", "k": "k", "r": [0.1, 1e-17, 2.0 ** 53]}
         assert journal_decode(journal_encode(row)) == row
+
+
+class TestJournalValues:
+    """Journal rows are plain JSON: every scalar the cache stores comes
+    back with its value and type, and values JSON cannot carry exactly
+    are refused at write time rather than replayed differently."""
+
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, -17, 2 ** 62, "", "blue", 0.0, -1.5,
+        0.1 + 0.2, 1e-308, 1.7976931348623157e308,
+    ])
+    def test_scalar_exact(self, value):
+        out = journal_decode(journal_encode({"op": "put", "v": value}))
+        assert out["v"] == value and type(out["v"]) is type(value)
+
+    def test_floats_bit_exact(self):
+        for x in [3.141592653589793, 1 / 3, 2 ** -1074]:
+            out = journal_decode(journal_encode({"op": "put", "v": x}))
+            assert out["v"].hex() == x.hex()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_refused(self, value):
+        with pytest.raises(ValueError):
+            journal_encode({"op": "put", "v": value})
+
+    def test_non_string_keys_are_stringified(self):
+        # canonical JSON coerces int keys, so the CRC covers what replay
+        # will actually see
+        out = journal_decode(journal_encode({"op": "put", "v": {1: "x"}}))
+        assert out["v"] == {"1": "x"}
+
+    def test_unicode_body(self):
+        row = {"op": "put", "digest": "d", "body": "naïve — 図 \u0000"}
+        assert journal_decode(journal_encode(row)) == row
+
+    def test_encoding_is_canonical(self):
+        a = journal_encode({"op": "put", "digest": "d", "body": "b"})
+        b = journal_encode({"body": "b", "digest": "d", "op": "put"})
+        assert a == b and "\n" not in a
+        assert json.loads(a)["crc"] == json.loads(b)["crc"]
+
+    def test_every_truncation_is_rejected(self):
+        line = journal_encode({"op": "put", "digest": "d1",
+                               "body": "{\"makespan\":4.5}"})
+        for cut in range(len(line)):
+            assert journal_decode(line[:cut]) is None, cut
+
+    def test_every_single_character_edit_inside_the_row_is_caught(self):
+        row = {"op": "put", "digest": "d1", "body": "abc123"}
+        line = journal_encode(row)
+        start = line.index('"row":') + len('"row":')
+        for i in range(start, len(line) - 1):
+            if line[i] in '{}":,':
+                continue   # structural: fails the parse or moves a key
+            edited = line[:i] + ("x" if line[i] != "x" else "y") + \
+                line[i + 1:]
+            assert journal_decode(edited) is None, i
 
 
 def _put_some(cache_dir, items):

@@ -403,3 +403,30 @@ class TestHeterogeneousService:
 
     def test_healthz_reports_digest_schema(self, client):
         assert client.healthz()["digest_schema"] == 2
+
+
+class TestDeadlines:
+    def test_expired_deadline_is_shed_with_408(self):
+        with ThreadedServer(ServiceApp(workers=1)) as srv:
+            client = ServiceClient(srv.host, srv.port, timeout=5,
+                                   deadline=1e-4)
+            with pytest.raises(ServiceClientError) as err:
+                client.healthz()
+            client.close()
+        assert err.value.status == 408
+        assert err.value.err_type == "deadline_exceeded"
+
+
+class TestSaturation:
+    def test_retry_after_surfaces_on_503(self):
+        app = ServiceApp(workers=1)
+        with ThreadedServer(app, max_connections=1) as srv:
+            holder = ServiceClient(srv.host, srv.port, timeout=5)
+            assert holder.healthz()["status"] == "ok"   # keep-alive held
+            second = ServiceClient(srv.host, srv.port, timeout=5)
+            with pytest.raises(ServiceClientError) as err:
+                second.healthz()
+            holder.close()
+            second.close()
+        assert err.value.status == 503
+        assert err.value.retry_after == 1.0

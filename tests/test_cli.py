@@ -207,6 +207,18 @@ class TestExperiment:
                      "--csv", str(csv_path)]) == 0
         assert "lower_bound" in csv_path.read_text()
 
+    @pytest.mark.parametrize("name, value", [
+        ("hosts", "a:1"), ("checkpoint", "ck.jsonl"), ("resume", None)])
+    def test_removed_sweep_options_are_usage_errors(self, name, value,
+                                                    capsys):
+        argv = ["experiment", "fig11", "--scale", "ci", f"--{name}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ([value] if value is not None else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"unrecognized arguments: --{name}" in err
+
     def test_table1_csv_unsupported(self, tmp_path):
         rc = main(["experiment", "table1", "--scale", "ci",
                    "--csv", str(tmp_path / "t.csv")])

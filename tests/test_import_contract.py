@@ -1,9 +1,9 @@
 """Import contract: numpy and scipy load at their first use, never with
 the package.  Importing ``repro``, the CLI, online sessions or the
 service loads neither; the LP bound and the ILP load scipy on demand and
-give the same numbers as before; ``/cells`` still resolves its workers
-by name.  Each check runs in a fresh interpreter (numpy and scipy
-installed), since this one has long imported both."""
+give the same numbers as before.  Each check runs in a fresh
+interpreter (numpy and scipy installed), since this one has long
+imported both."""
 
 import json
 import os
@@ -93,32 +93,3 @@ print(json.dumps(out))
                          "lower bound : 6"]
     assert after == ["numpy", "scipy"]
 
-
-def test_cells_resolves_worker_by_name_without_eager_numpy():
-    from repro import Platform
-    from repro.dags import dex, lu_dag
-    from repro.experiments.ablation import _tiebreak_cell
-    from repro.io.json_io import from_cell_wire
-
-    out = run_script(r"""
-from repro import Platform
-from repro.dags import dex, lu_dag
-from repro.io.json_io import to_cell_wire
-from repro.service.app import ServiceApp
-
-imported = loaded()
-body = json.dumps({
-    "worker": "ablation.tiebreak",
-    "payload": to_cell_wire(((dex(), lu_dag(3)), Platform(2, 1), 3)),
-    "cells": [0, 1],
-}).encode()
-status, _, stream = ServiceApp(workers=1).handle("POST", "/cells", body)
-rows = [json.loads(line) for line in b"".join(stream).splitlines()]
-print(json.dumps({"imported": imported, "status": status, "rows": rows}))
-""")
-    assert out["imported"] == []
-    assert out["status"] == 200
-    assert out["rows"][-1] == {"done": 2}
-    payload = ((dex(), lu_dag(3)), Platform(2, 1), 3)
-    assert [from_cell_wire(r["r"]) for r in out["rows"][:-1]] == [
-        _tiebreak_cell(payload, {}, i) for i in (0, 1)]

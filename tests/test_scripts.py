@@ -40,16 +40,6 @@ def test_runner_writes_results(tmp_path):
     assert "scale=ci" in fig11
 
 
-def test_runner_rejects_bad_hosts_cleanly():
-    out = subprocess.run(
-        [sys.executable, str(SCRIPT), "ci", "table1", "--hosts", "nocolon"],
-        capture_output=True, text=True, timeout=60, env=_env_with_repro(),
-    )
-    assert out.returncode != 0
-    assert "invalid --hosts" in out.stderr
-    assert "Traceback" not in out.stderr
-
-
 def test_runner_help_smoke():
     out = subprocess.run(
         [sys.executable, str(SCRIPT), "--help"],
@@ -57,14 +47,14 @@ def test_runner_help_smoke():
     )
     assert out.returncode == 0, out.stderr
     assert "usage" in out.stdout.lower()
-    assert "--hosts" in out.stdout
+    assert "--jobs" in out.stdout
 
 
 # ----------------------------------------------------------------------
 # the CI speedup gate (scripts/check_speedup.py)
 # ----------------------------------------------------------------------
 def _write_reports(tmp_path, sweep_speedup=2.0, batch_speedup=2.0,
-                   dist_speedup=2.0, identical=True):
+                   identical=True):
     import json
     scaling = tmp_path / "BENCH_scaling.json"
     scaling.write_text(json.dumps({
@@ -80,13 +70,7 @@ def _write_reports(tmp_path, sweep_speedup=2.0, batch_speedup=2.0,
                   "workers_s": 8.0 / batch_speedup,
                   "speedup": batch_speedup, "identical_results": identical},
     }))
-    dist = tmp_path / "BENCH_distributed.json"
-    dist.write_text(json.dumps({
-        "cpu_count": 4, "n_hosts": 2, "workers_per_host": 2,
-        "sweep": {"serial_s": 6.0, "distributed_s": 6.0 / dist_speedup,
-                  "speedup": dist_speedup, "identical_cells": identical},
-    }))
-    return scaling, service, dist
+    return scaling, service
 
 
 def _gate(argv):
@@ -98,27 +82,51 @@ def _gate(argv):
         sys.path.pop(0)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--distributed", "BENCH_distributed.json"),
+    ("--faults", "BENCH_faults.json"),
+    ("--min-distributed", "1.2"),
+    ("--max-checkpoint-overhead", "5"),
+])
+def test_speedup_gate_has_no_multi_host_gates(tmp_path, capsys, flag,
+                                              value):
+    scaling, _ = _write_reports(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _gate(["--scaling", str(scaling), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_runner_options_are_scale_experiments_and_jobs():
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), "--help"],
+        capture_output=True, text=True, timeout=60, env=_env_with_repro(),
+    )
+    assert out.returncode == 0, out.stderr
+    usage = out.stdout.split("\n\n", 1)[0].split(None, 1)[1]
+    assert " ".join(usage.split()) == \
+        "run_all_experiments.py [-h] [-j JOBS] [scale] [experiments ...]"
+
+
 def test_speedup_gate_passes(tmp_path):
-    scaling, service, dist = _write_reports(tmp_path)
-    assert _gate(["--scaling", str(scaling), "--service", str(service),
-                  "--distributed", str(dist)]) == 0
+    scaling, service = _write_reports(tmp_path)
+    assert _gate(["--scaling", str(scaling), "--service", str(service)]) == 0
 
 
 def test_speedup_gate_fails_below_threshold(tmp_path, capsys):
-    scaling, service, dist = _write_reports(tmp_path, batch_speedup=1.1)
-    assert _gate(["--scaling", str(scaling), "--service", str(service),
-                  "--distributed", str(dist)]) == 1
+    scaling, service = _write_reports(tmp_path, batch_speedup=1.1)
+    assert _gate(["--scaling", str(scaling), "--service", str(service)]) == 1
     assert "SPEEDUP GATE FAILED" in capsys.readouterr().err
 
 
 def test_speedup_gate_fails_on_divergent_cells(tmp_path):
-    scaling, service, dist = _write_reports(tmp_path, identical=False)
+    scaling, service = _write_reports(tmp_path, identical=False)
     assert _gate(["--scaling", str(scaling)]) == 1
 
 
 def test_speedup_gate_threshold_flag(tmp_path):
-    scaling, service, dist = _write_reports(tmp_path, sweep_speedup=1.3,
-                                            batch_speedup=1.3)
+    scaling, service = _write_reports(tmp_path, sweep_speedup=1.3,
+                                      batch_speedup=1.3)
     assert _gate(["--scaling", str(scaling), "--service", str(service),
                   "--min-speedup", "1.25"]) == 0
 
