@@ -271,7 +271,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import serve
     return serve(args.host, args.port, workers=args.workers,
-                 cache_size=args.cache_size, cache_dir=args.cache_dir,
+                 cache_size=args.cache_size,
                  max_connections=args.max_connections,
                  idle_timeout=args.idle_timeout)
 
@@ -558,11 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool size for /batch fan-out "
                         "(1 = schedule in-process)")
     p.add_argument("--cache-size", type=int, default=1024,
-                   help="content-addressed schedule cache capacity (entries)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persist the schedule cache here and reload it on "
-                        "restart (eviction order preserved; default: "
-                        "in-memory only)")
+                   help="in-memory content-addressed schedule cache "
+                        "capacity (entries)")
     p.add_argument("--max-connections", type=int, default=None,
                    help="concurrent-connection cap; extra connections get "
                         "a 503 (default: unlimited)")

@@ -19,12 +19,6 @@ those lines.  This module provides the machinery shared by every driver:
 * :func:`cell_seed` — deterministic per-cell seed derivation, stable
   across processes, Python versions and ``PYTHONHASHSEED`` (hashlib, not
   ``hash``), so randomized cells stay reproducible under any sharding.
-* :func:`feasibility_frontier` / :func:`frontier_sweep` — binary search
-  for the smallest feasible uniform memory bound per (graph, algorithm).
-  The heuristics are *not provably monotone* in the bound (a looser bound
-  can reshuffle placements into an infeasible corner), so the search is
-  guarded by an optional verification mode that samples bounds below the
-  reported frontier and flags any feasible point it finds.
 
 Workers are plain top-level functions and payloads are plain picklable
 values, so the engine works under both the ``fork`` and ``spawn`` start
@@ -34,17 +28,13 @@ methods.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .. import obs
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
-from ..scheduling.registry import get_scheduler
-from ..scheduling.state import InfeasibleScheduleError
 
 #: Per-process worker context: (worker function, payload, cache dict).
 _WORKER: dict = {}
@@ -167,129 +157,3 @@ def _serial_cells(worker, payload, cells):
                         parent_id=parent, dur=duration, attrs={"i": i})
             results.append(result)
     return results
-
-
-# ----------------------------------------------------------------------
-# feasibility frontier (binary search over the uniform memory bound)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FrontierPoint:
-    """Smallest feasible uniform memory bound found for one
-    (graph, algorithm) pair."""
-
-    graph_name: str
-    algorithm: str
-    #: Smallest bound where the heuristic produced a schedule.
-    feasible_bound: float
-    #: Largest probed bound below it that failed (0.0 when the heuristic
-    #: succeeded at every probe).
-    infeasible_bound: float
-    #: Heuristic invocations spent (search + verification).
-    n_evals: int
-    #: ``None`` without verification; ``False`` when a feasible bound was
-    #: found *below* the reported frontier (non-monotone heuristic).
-    verified: Optional[bool]
-
-
-def _is_feasible(graph: TaskGraph, platform: Platform, algorithm: str,
-                 bound: float) -> bool:
-    try:
-        get_scheduler(algorithm)(graph, platform.with_uniform_bound(bound))
-    except InfeasibleScheduleError:
-        return False
-    return True
-
-
-def feasibility_frontier(
-    graph: TaskGraph,
-    platform: Platform,
-    algorithm: str,
-    *,
-    hi: Optional[float] = None,
-    rel_tol: float = 1e-2,
-    verify_samples: int = 0,
-) -> FrontierPoint:
-    """Binary-search the smallest uniform memory bound under which
-    ``algorithm`` schedules ``graph``.
-
-    ``hi`` defaults to the memory-oblivious HEFT requirement (the alpha=1
-    point of the normalised sweeps) and is doubled until feasible.  The
-    search assumes feasibility is monotone in the bound, which holds
-    empirically but is not guaranteed for list heuristics; pass
-    ``verify_samples > 0`` to probe that many bounds below the reported
-    frontier — any feasible probe flags the result ``verified=False``
-    (and the caller should fall back to a grid sweep for that pair).
-    """
-    from .sweep import reference_run  # local import: sweep imports engine
-
-    n_evals = 0
-    if hi is None:
-        hi = reference_run(graph, platform).ref_memory
-    if hi <= 0.0 or not math.isfinite(hi):
-        raise ValueError(f"need a positive finite upper bound, got {hi}")
-    lo = 0.0  # a zero bound is infeasible for any graph with data
-    for _ in range(32):
-        n_evals += 1
-        if _is_feasible(graph, platform, algorithm, hi):
-            break
-        lo = hi  # every failed doubling probe tightens the bracket
-        hi *= 2.0
-    else:
-        raise InfeasibleScheduleError(
-            f"{algorithm} cannot schedule {graph.name!r} even with "
-            f"bound {hi:g}")
-
-    tol = rel_tol * hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        n_evals += 1
-        if _is_feasible(graph, platform, algorithm, mid):
-            hi = mid
-        else:
-            lo = mid
-
-    verified: Optional[bool] = None
-    if verify_samples > 0:
-        verified = True
-        for k in range(1, verify_samples + 1):
-            probe = lo * k / (verify_samples + 1)
-            if probe <= 0.0:
-                continue
-            n_evals += 1
-            if _is_feasible(graph, platform, algorithm, probe):
-                verified = False
-                break
-    return FrontierPoint(
-        graph_name=graph.name,
-        algorithm=algorithm,
-        feasible_bound=hi,
-        infeasible_bound=lo,
-        n_evals=n_evals,
-        verified=verified,
-    )
-
-
-def _frontier_cell(payload: tuple, cache: dict, cell: tuple) -> FrontierPoint:
-    graphs, platform, rel_tol, verify_samples = payload
-    graph_idx, algorithm = cell
-    ref = cached_reference(cache, graphs, platform, graph_idx)
-    return feasibility_frontier(
-        graphs[graph_idx], platform, algorithm,
-        hi=ref.ref_memory, rel_tol=rel_tol, verify_samples=verify_samples)
-
-
-def frontier_sweep(
-    graphs: Sequence[TaskGraph],
-    platform: Platform,
-    algorithms: Sequence[str] = ("memheft", "memminmin"),
-    *,
-    rel_tol: float = 1e-2,
-    verify_samples: int = 0,
-    jobs: int = 1,
-) -> list[FrontierPoint]:
-    """Feasibility frontier of every (graph, algorithm) pair, sharded over
-    ``jobs`` processes.  A logarithmic-probe replacement for sweeping a
-    dense alpha grid when only the success boundary is of interest."""
-    cells = [(gi, name) for gi in range(len(graphs)) for name in algorithms]
-    payload = (tuple(graphs), platform, rel_tol, verify_samples)
-    return map_cells(_frontier_cell, payload, cells, jobs=jobs)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import zlib
 from pathlib import Path
 from typing import Any, Union
 
@@ -218,9 +217,10 @@ def load_schedule(path: PathLike) -> Schedule:
 #: Digest schema revision.  v2 added the optional per-processor
 #: ``speeds`` vector to platform payloads.  The version is *not* hashed:
 #: homogeneous payloads serialize identically across v1/v2 (``speeds``
-#: omitted when all 1.0), so every pre-existing digest — and every
-#: content-addressed cache entry keyed on one — remains valid
-#: (``tests/io/test_digest_stability.py`` pins this).
+#: omitted when all 1.0), so every pre-existing digest is unchanged.
+#: Digests stay pinned (``tests/io/test_digest_stability.py``) because
+#: every service response body carries one, and the perfbench goldens
+#: hash those bodies.
 DIGEST_SCHEMA_VERSION = 2
 
 
@@ -259,50 +259,3 @@ def canonical_digest(graph: Union[TaskGraph, dict],
     payload = canonical_json(
         [graph_d, platform_d, str(algorithm).lower(), options or {}])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# checksummed journal lines (the service cache journal)
-# ----------------------------------------------------------------------
-def journal_encode(row: dict) -> str:
-    """One checksummed journal line (no trailing newline): the row is
-    wrapped as ``{"crc": crc32(canonical(row)), "row": row}``.
-
-    The CRC is computed over the row's canonical JSON — which JSON floats
-    round-trip exactly — so :func:`journal_decode` can re-render the
-    parsed row and verify without storing the original text.  A torn
-    write (crash mid-append) fails either the JSON
-    parse or the CRC and is skipped by replay instead of poisoning the
-    entries before it.
-    """
-    body = canonical_json(row)
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    # Compose by hand from the already-canonical body (keys stay sorted:
-    # "crc" < "row") — serializing the row a second time would double the
-    # cost of every journal append.
-    return '{"crc":%d,"row":%s}' % (crc, body)
-
-
-def journal_decode(line: str) -> Union[dict, None]:
-    """Parse one journal line; ``None`` for anything unusable (torn
-    write, CRC mismatch, non-object).  Legacy checksum-less lines — a
-    bare op object with no ``crc``/``row`` wrapper — are accepted
-    unchecked, so pre-existing journals keep replaying."""
-    try:
-        outer = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(outer, dict):
-        return None
-    if "row" in outer:
-        row = outer.get("row")
-        if not isinstance(row, dict):
-            return None
-        try:
-            body = canonical_json(row)
-        except (TypeError, ValueError):
-            return None
-        if outer.get("crc") != zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF:
-            return None
-        return row
-    return outer if "op" in outer else None

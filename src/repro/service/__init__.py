@@ -10,13 +10,14 @@ production schedulers.
 Layers, transport-independent first:
 
 * :mod:`repro.service.app` — request handling.  :class:`ServiceApp` routes
-  ``POST /schedule``, ``POST /batch``, ``GET /algorithms`` and
-  ``GET /healthz``; every scheduling request is deduplicated through a
+  ``POST /schedule``, ``POST /batch``, the ``/jobs`` online sessions,
+  ``GET /algorithms``, ``GET /healthz`` and ``GET /metrics``; every scheduling request is deduplicated through a
   **content-addressed cache** (:class:`ScheduleCache`): the canonical
   sha256 digest of ``(graph, platform, algorithm, options)`` — see
   :func:`repro.io.json_io.canonical_digest` — keys an LRU of serialized
   response bodies, so a repeated instance is served from memory,
-  byte-identical to the cold run.  Batches fan their cache misses out over
+  byte-identical to the cold run.  The cache is in-memory only: a
+  restarted service starts cold.  Batches fan their cache misses out over
   a :class:`concurrent.futures.ProcessPoolExecutor` through
   :func:`repro.experiments.engine.map_cells`.
 * :mod:`repro.service.server` — the asyncio HTTP/1.1 transport

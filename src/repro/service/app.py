@@ -12,7 +12,9 @@ bodies*.  A cache hit therefore returns the exact bytes the cold run
 produced — bit-identity between cached, cold and direct library calls is
 structural, not a property to maintain.  Whether a response was served
 from cache travels in the ``X-Cache: hit|miss`` header, never in the body
-(the body must not depend on cache state).
+(the body must not depend on cache state).  The cache lives in process
+memory only, so a restarted service recomputes and revalidates every
+schedule before serving it again.
 
 **Batch offload.**  ``POST /batch`` deduplicates its instances against the
 cache *and against each other* (two identical instances in one batch are
@@ -28,11 +30,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Optional
 from urllib.parse import parse_qs
 
@@ -48,8 +48,6 @@ from ..io.json_io import (
     canonical_digest,
     canonical_json,
     graph_from_dict,
-    journal_decode,
-    journal_encode,
     platform_from_dict,
     platform_to_dict,
     schedule_to_dict,
@@ -73,8 +71,10 @@ from ..online import OnlineSession
 #: summary + decision journal), ``GET /jobs/{id}`` — and the
 #: ``sessions`` healthz block.  v2–v5 were additive.  v6 removed
 #: ``POST /cells`` (now a 404) with the healthz ``cells``, ``cell_wire``
-#: and ``faults`` entries; every other route is unchanged.
-PROTOCOL_VERSION = 6
+#: and ``faults`` entries; every other route is unchanged.  v7 dropped
+#: the healthz ``kernel`` block and ``cache.persistent`` (the cache is
+#: in-memory only); every route and response body is unchanged.
+PROTOCOL_VERSION = 7
 
 #: Algorithms accepting the ``comm_policy`` / ``lazy`` engine options (the
 #: memory-oblivious heuristics run on fixed unbounded settings).
@@ -275,28 +275,11 @@ def _stop_pool(pool) -> None:
 class ScheduleCache:
     """Thread-safe content-addressed LRU over serialized response bodies.
 
-    With ``cache_dir`` the cache survives restarts: every mutation is
-    appended to a JSONL journal (``put`` lines carry the body, ``touch``
-    lines record recency boosts from hits), and a fresh instance replays
-    the journal through the same LRU logic — the reloaded eviction order
-    is exactly the live one, then the journal is compacted.  The digest
-    scheme is restart-stable by design (sha256 of canonical JSON), so
-    reloaded entries keep answering byte-identically.
-
-    Durability/throughput trade-offs: ``put`` lines are flushed (a served
-    cold response is never lost), ``touch`` lines are buffered (a crash
-    loses at most some recency boosts, never entries), and the journal is
-    compacted in place whenever it outgrows ``8 x capacity`` lines, so a
-    hit-heavy service cannot grow it without bound.  The directory is
-    guarded by an advisory ``flock`` so two services cannot corrupt one
-    journal.
+    The cache lives in process memory only: a restarted service starts
+    cold and recomputes (and revalidates) every schedule it serves.
     """
 
-    _JOURNAL = "cache.jsonl"
-    _LOCKFILE = "cache.lock"
-
-    def __init__(self, capacity: int = 1024,
-                 cache_dir: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
@@ -305,104 +288,6 @@ class ScheduleCache:
         self.evictions = 0
         self._data: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
-        self._journal = None
-        self._journal_path: Optional[Path] = None
-        self._journal_lines = 0
-        self._lockfile = None
-        if cache_dir is not None:
-            path = Path(cache_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            self._acquire_dir_lock(path)
-            self._journal_path = path / self._JOURNAL
-            self._replay(self._journal_path)
-            self._compact(self._journal_path)
-            self._journal_lines = len(self._data)
-            self._journal = self._journal_path.open("a", encoding="utf-8")
-
-    def _acquire_dir_lock(self, path: Path) -> None:
-        """Advisory single-writer lock on the cache directory: a second
-        live service pointing at the same ``--cache-dir`` would compact
-        the journal out from under this one's append handle.  The lock is
-        released automatically when the process dies, so a crashed
-        service never blocks the next start."""
-        try:
-            import fcntl
-        except ImportError:      # pragma: no cover - non-POSIX fallback
-            return
-        self._lockfile = (path / self._LOCKFILE).open("a")
-        try:
-            fcntl.flock(self._lockfile, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._lockfile.close()
-            self._lockfile = None
-            raise ValueError(
-                f"cache dir {path} is already in use by another running "
-                f"service (flock on {self._LOCKFILE} held)") from None
-
-    def _replay(self, journal_path: Path) -> None:
-        """Rebuild the LRU from a journal; torn, corrupted (CRC-failing)
-        or unparsable lines are skipped, order of the surviving ops is
-        preserved.  Legacy checksum-less lines (pre-CRC journals) replay
-        unchanged — :func:`repro.io.json_io.journal_decode` accepts
-        both framings."""
-        if not journal_path.exists():
-            return
-        with journal_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                row = journal_decode(line)
-                if row is None:
-                    continue
-                op = row.get("op")
-                if op == "put" and isinstance(row.get("digest"), str) \
-                        and isinstance(row.get("body"), str):
-                    self._data[row["digest"]] = row["body"].encode("utf-8")
-                    self._data.move_to_end(row["digest"])
-                elif op == "touch":
-                    if row.get("digest") in self._data:
-                        self._data.move_to_end(row["digest"])
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-
-    def _compact(self, journal_path: Path) -> None:
-        """Rewrite the journal as one put per live entry, LRU order —
-        atomically (write-temp, fsync, rename), so a crash mid-compaction
-        leaves the previous journal intact rather than half of one."""
-        tmp = journal_path.with_suffix(".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for digest, body in self._data.items():
-                fh.write(journal_encode(
-                    {"op": "put", "digest": digest,
-                     "body": body.decode("utf-8")}) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(journal_path)
-
-    def _append(self, row: dict, flush: bool) -> None:
-        # Callers hold self._lock, which also serialises journal writes.
-        if self._journal is None:
-            return
-        self._journal.write(journal_encode(row) + "\n")
-        if flush:
-            self._journal.flush()
-        self._journal_lines += 1
-        if self._journal_lines > max(1024, 8 * self.capacity):
-            # Hit-heavy workloads append one touch line per request;
-            # rewrite the journal in place before it grows without bound.
-            self._journal.close()
-            self._compact(self._journal_path)
-            self._journal_lines = len(self._data)
-            self._journal = self._journal_path.open("a", encoding="utf-8")
-
-    def close(self) -> None:
-        """Release the journal handle and directory lock (idempotent;
-        no-op when in-memory)."""
-        with self._lock:
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
-            if self._lockfile is not None:
-                self._lockfile.close()
-                self._lockfile = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -414,8 +299,6 @@ class ScheduleCache:
                 self.misses += 1
                 return None
             self._data.move_to_end(digest)
-            # Unflushed: losing a recency boost in a crash is harmless.
-            self._append({"op": "touch", "digest": digest}, flush=False)
             self.hits += 1
             return body
 
@@ -423,11 +306,8 @@ class ScheduleCache:
         with self._lock:
             if digest in self._data:
                 self._data.move_to_end(digest)
-                self._append({"op": "touch", "digest": digest}, flush=False)
                 return  # identical by construction: same digest, same bytes
             self._data[digest] = body
-            self._append({"op": "put", "digest": digest,
-                          "body": body.decode("utf-8")}, flush=True)
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
                 self.evictions += 1
@@ -440,7 +320,6 @@ class ScheduleCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "persistent": self._journal is not None,
             }
 
 
@@ -450,22 +329,20 @@ _JSON_HEADERS = {"Content-Type": "application/json"}
 class _SessionEntry:
     """One named online session plus the lock that serializes it."""
 
-    __slots__ = ("session", "lock", "created_at")
+    __slots__ = ("session", "lock")
 
     def __init__(self, session: OnlineSession) -> None:
         self.session = session
         self.lock = threading.Lock()
-        self.created_at = time.monotonic()
 
 
 class ServiceApp:
     """Routes service requests; owns the cache and the worker count."""
 
-    def __init__(self, workers: int = 1, cache_size: int = 1024,
-                 cache_dir: Optional[str] = None, *,
+    def __init__(self, workers: int = 1, cache_size: int = 1024, *,
                  pool_restarts: int = 2) -> None:
         self.workers = max(1, int(workers))
-        self.cache = ScheduleCache(cache_size, cache_dir=cache_dir)
+        self.cache = ScheduleCache(cache_size)
         self.started_at = time.monotonic()
         self.n_requests = 0
         #: Supervised pool-restart budget per request: a worker-process
@@ -494,12 +371,11 @@ class ServiceApp:
         self._sessions_lock = threading.Lock()
 
     def close(self) -> None:
-        """Shut down the batch worker pool and the cache journal
-        (idempotent)."""
+        """Shut down the batch worker pool (idempotent; the next
+        ``/batch`` dispatch would build a fresh one)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         _stop_pool(pool)
-        self.cache.close()
 
     def _batch_pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, initialised with the same
@@ -514,13 +390,6 @@ class ServiceApp:
                     initializer=_init_worker,
                     initargs=(_batch_worker, None))
             return self._pool
-
-    def _reset_pool(self) -> None:
-        """Discard a broken worker pool (the next dispatch rebuilds it);
-        unlike :meth:`close`, the cache journal stays open."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        _stop_pool(pool)
 
     def _note_pool_restart(self, attempt: int) -> None:
         """Account one supervised restart and back off before rebuilding
@@ -547,7 +416,7 @@ class ServiceApp:
                     _call_cell, cells,
                     chunksize=default_chunk_size(len(cells), self.workers)))
             except BrokenProcessPool as exc:
-                self._reset_pool()
+                self.close()   # the next dispatch rebuilds the pool
                 attempt += 1
                 if attempt > self.pool_restarts:
                     raise ServiceError(
@@ -983,7 +852,6 @@ class ServiceApp:
             "pool_restarts": self.n_pool_restarts,
             "cache": self.cache.stats(),
             "metrics_summary": self._metrics_summary(),
-            "kernel": {"active": "scalar", "available": ["scalar"]},
             "sessions": self._sessions_summary(),
         }
         body = canonical_json(health).encode("utf-8")

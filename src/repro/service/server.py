@@ -354,12 +354,10 @@ class ThreadedServer:
 
 def serve(host: str = "127.0.0.1", port: int = 8123, *,
           workers: int = 1, cache_size: int = 1024,
-          cache_dir: Optional[str] = None,
           max_connections: Optional[int] = None,
           idle_timeout: Optional[float] = None) -> int:
     """Blocking entry point behind ``memsched serve``."""
-    app = ServiceApp(workers=workers, cache_size=cache_size,
-                     cache_dir=cache_dir)
+    app = ServiceApp(workers=workers, cache_size=cache_size)
     server = ServiceServer(app, host, port,
                            max_connections=max_connections,
                            idle_timeout=idle_timeout)
@@ -367,8 +365,7 @@ def serve(host: str = "127.0.0.1", port: int = 8123, *,
     async def run() -> None:
         await server.start()
         log.info("service.listening", host=server.host, port=server.port,
-                 workers=app.workers, cache=app.cache.capacity,
-                 cache_dir=cache_dir)
+                 workers=app.workers, cache=app.cache.capacity)
         await server.serve_forever()
 
     try:

@@ -1,5 +1,5 @@
 """Parallel experiment engine: serial/parallel equivalence, determinism,
-per-cell seeding, reference caching, and the feasibility frontier."""
+per-cell seeding and reference caching."""
 
 import math
 import os
@@ -14,15 +14,13 @@ from repro.experiments import (
     absolute_sweep,
     cell_seed,
     comm_policy_ablation,
-    feasibility_frontier,
-    frontier_sweep,
     map_cells,
     normalized_sweep,
     reference_run,
     resolve_jobs,
     tiebreak_ablation,
 )
-from repro.experiments.engine import FrontierPoint, default_chunk_size
+from repro.experiments.engine import default_chunk_size
 from repro.experiments.sweep import SweepCell, SweepResult
 from repro.io.json_io import schedule_to_dict
 from repro.scheduling.registry import SCHEDULERS, get_scheduler
@@ -232,12 +230,9 @@ class TestPoolPayloads:
         assert sorted(out.graph.tasks()) == sorted(ref.graph.tasks())
 
     @pytest.mark.parametrize("value", [
-        FrontierPoint(graph_name="g", algorithm="memheft",
-                      feasible_bound=4.25, infeasible_bound=4.0,
-                      n_evals=9, verified=None),
         SweepCell(0.5, "memminmin", 4, 3, 1.0000000000000002),
         SweepCell(0.1, "memheft", 4, 0, None),
-    ], ids=["frontier", "cell", "failed-cell"])
+    ], ids=["cell", "failed-cell"])
     def test_result_round_trip(self, value):
         assert pickle.loads(pickle.dumps(value)) == value
 
@@ -281,39 +276,3 @@ class TestSweepResultIndex:
         from repro.experiments.sweep import SweepCell
         res.cells.append(SweepCell(0.5, "x", 1, 1, 1.0))
         assert res.cell(0.5, "x").n_success == 1
-
-
-class TestFeasibilityFrontier:
-    def test_dex_frontier_brackets_known_boundary(self):
-        # From the absolute sweeps: dex is infeasible at 3, feasible at 4.
-        p = feasibility_frontier(dex(), Platform(1, 1), "memheft",
-                                 rel_tol=0.05, verify_samples=4)
-        assert 3.0 <= p.feasible_bound <= 4.2
-        assert p.infeasible_bound < p.feasible_bound
-        assert p.verified is True
-        assert p.n_evals > 3
-
-    def test_frontier_consistent_with_grid(self):
-        g = small_rand_set(1, 15)[0]
-        ref = reference_run(g, Platform(1, 1))
-        p = feasibility_frontier(g, Platform(1, 1), "memminmin",
-                                 rel_tol=0.02)
-        assert p.verified is None
-        # the frontier must lie at or below the alpha=1 grid point
-        assert p.feasible_bound <= ref.ref_memory + 1e-9
-        # and scheduling at the reported bound must actually succeed
-        from repro.experiments.engine import _is_feasible
-        assert _is_feasible(g, Platform(1, 1), "memminmin", p.feasible_bound)
-
-    def test_frontier_sweep_parallel_parity(self):
-        graphs = small_rand_set(2, 12)
-        serial = frontier_sweep(graphs, Platform(1, 1), rel_tol=0.05)
-        parallel = frontier_sweep(graphs, Platform(1, 1), rel_tol=0.05,
-                                  jobs=2)
-        assert serial == parallel
-        assert len(serial) == 4  # 2 graphs x 2 default algorithms
-
-    def test_rejects_bad_hi(self):
-        with pytest.raises(ValueError):
-            feasibility_frontier(dex(), Platform(1, 1), "memheft",
-                                 hi=math.inf)

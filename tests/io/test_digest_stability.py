@@ -4,9 +4,9 @@ churn a single pre-existing content address.
 ``tests/io/data/digest_fixtures.json`` pins the ``canonical_digest`` of 132
 representative homogeneous payloads (graphs x platforms x algorithms x
 options), captured at commit 4737e73 *before* the heterogeneous-processor
-refactor.  The service's content-addressed cache keys — including entries
-persisted across restarts via ``--cache-dir`` — are exactly these digests,
-so any drift here silently invalidates every deployed cache.
+refactor.  Every service response body carries its request's digest in
+the ``digest`` field, and the perfbench goldens hash those bodies, so any
+drift here changes the service's output bytes.
 """
 
 import json

@@ -172,3 +172,33 @@ class TestCanonicalDigest:
         assert canonical_digest(g, p, "memheft") == \
                canonical_digest(g, p, "memheft")
         assert len(canonical_digest(g, p, "memheft")) == 64
+
+
+class TestCanonicalJsonValues:
+    """Response bodies are canonical JSON: every scalar a body carries
+    (makespans, peaks, start times) parses back with its value and type,
+    and values JSON cannot carry exactly are refused when rendered."""
+
+    @pytest.mark.parametrize("value", [
+        None, True, False, 0, -17, 2 ** 62, "", "blue", 0.0, -1.5,
+        0.1 + 0.2, 1e-308, 1.7976931348623157e308,
+    ])
+    def test_scalar_exact(self, value):
+        out = json.loads(canonical_json({"v": value}))
+        assert out["v"] == value and type(out["v"]) is type(value)
+
+    def test_floats_bit_exact(self):
+        for x in [3.141592653589793, 1 / 3, 2 ** -1074, 1e-17, 2.0 ** 53]:
+            out = json.loads(canonical_json({"v": x}))
+            assert out["v"].hex() == x.hex()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_refused(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"v": value})
+
+    def test_unicode_round_trips_on_one_line(self):
+        row = {"digest": "d", "body": "naïve — 図 \u0000\n"}
+        text = canonical_json(row)
+        assert "\n" not in text
+        assert json.loads(text) == row

@@ -5,6 +5,7 @@ request — cold, cached, or inside a batch — is bit-identical to what a
 direct library call serializes to.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -470,6 +471,87 @@ class TestJobsSubmit:
         assert (out["job_id"], out["arrival_index"]) == ("job-0002", 2)
 
 
+class TestRawBodyIndex:
+    """The raw-body index maps the sha256 of exact request bytes to the
+    canonical digest: it is an LRU bounded by the cache capacity, and a
+    hit through it skips parsing."""
+
+    @staticmethod
+    def raw_key(body):
+        return hashlib.sha256(body).digest()
+
+    def bodies(self, n):
+        return [json.dumps(schedule_req(random_dag(size=8, rng=40 + i),
+                                        PLATFORM.unbounded())).encode()
+                for i in range(n)]
+
+    def test_bounded_by_cache_capacity(self):
+        app = ServiceApp(cache_size=2)
+        for body in self.bodies(4):
+            assert app.handle("POST", "/schedule", body)[0] == 200
+        assert len(app._raw_index) == 2
+        assert len(app.cache) == 2
+
+    def test_resubmission_refreshes_recency(self):
+        app = ServiceApp(cache_size=2)
+        a, b, c = self.bodies(3)
+        for body in (a, b, a, c):    # the repeat of a makes b the oldest
+            app.handle("POST", "/schedule", body)
+        assert list(app._raw_index) == [self.raw_key(a), self.raw_key(c)]
+
+    def test_raw_hit_skips_parsing(self, monkeypatch):
+        import repro.service.app as app_mod
+
+        app = ServiceApp()
+        body = json.dumps(schedule_req()).encode()
+        _, _, cold = app.handle("POST", "/schedule", body)
+
+        def no_parse(req):
+            raise AssertionError("raw-body hit parsed the request")
+
+        monkeypatch.setattr(app_mod, "parse_request", no_parse)
+        status, headers, warm = app.handle("POST", "/schedule", body)
+        assert (status, headers["X-Cache"]) == (200, "hit")
+        assert warm == cold
+
+    def test_alias_outliving_its_body_recomputes_same_bytes(self):
+        # /batch shares the cache but not the raw index, so it can evict
+        # a body whose raw alias is still indexed.
+        app = ServiceApp(cache_size=1)
+        a, b = self.bodies(2)
+        _, _, first = app.handle("POST", "/schedule", a)
+        app.handle("POST", "/batch",
+                   b'{"requests":[' + b + b']}')
+        assert self.raw_key(a) in app._raw_index
+        status, headers, again = app.handle("POST", "/schedule", a)
+        assert (status, headers["X-Cache"]) == (200, "miss")
+        assert again == first
+
+
+class TestCacheSharing:
+    def test_batch_hit_refreshes_recency_for_schedule(self):
+        app = ServiceApp(cache_size=2)
+        a, b, c = (schedule_req(random_dag(size=8, rng=s),
+                                PLATFORM.unbounded()) for s in (51, 52, 53))
+        post(app, "/schedule", a)
+        post(app, "/schedule", b)
+        status, _, body = post(app, "/batch", {"requests": [a]})
+        assert status == 200 and body.startswith(b'{"cached":[true]')
+        post(app, "/schedule", c)    # evicts b: the batch hit touched a
+        assert post(app, "/schedule", a)[1]["X-Cache"] == "hit"
+        assert post(app, "/schedule", b)[1]["X-Cache"] == "miss"
+
+    def test_healthz_cache_block_tracks_eviction(self):
+        app = ServiceApp(cache_size=1)
+        for s in (61, 62):
+            post(app, "/schedule",
+                 schedule_req(random_dag(size=8, rng=s), PLATFORM.unbounded()))
+        _, _, body = app.handle("GET", "/healthz", b"")
+        assert json.loads(body)["cache"] == {
+            "size": 1, "capacity": 1, "hits": 0, "misses": 2,
+            "evictions": 1}
+
+
 class TestIntrospection:
     def test_algorithms_lists_registry(self):
         _, _, body = ServiceApp().handle("GET", "/algorithms", b"")
@@ -495,12 +577,18 @@ class TestIntrospection:
         assert health["cache"]["capacity"] == 7
         assert health["cache"]["size"] == 1
 
-    def test_healthz_reports_protocol_6_without_cells_or_faults(self):
+    def test_cache_dir_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            ServiceApp(cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_healthz_reports_protocol_7_without_kernel_or_persistence(self):
         _, _, body = ServiceApp().handle("GET", "/healthz", b"")
         health = json.loads(body)
-        assert PROTOCOL_VERSION == 6
-        assert health["protocol"] == 6
-        for key in ("cells", "faults", "cell_wire"):
+        assert PROTOCOL_VERSION == 7
+        assert health["protocol"] == 7
+        for key in ("cells", "faults", "cell_wire", "kernel"):
             assert key not in health
+        assert "persistent" not in health["cache"]
         assert "cell_requests" not in health["metrics_summary"]
         assert "cells_executed" not in health["metrics_summary"]

@@ -38,6 +38,12 @@ class TestScheduleCache:
         with pytest.raises(ValueError):
             ScheduleCache(capacity=0)
 
+    def test_cache_dir_is_gone(self, tmp_path):
+        # The cache lives in process memory only: no journal to replay.
+        with pytest.raises(TypeError):
+            ScheduleCache(8, cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_stats_shape(self):
         cache = ScheduleCache(capacity=3)
         cache.put("a", b"A")
@@ -45,7 +51,7 @@ class TestScheduleCache:
         cache.get("zz")
         stats = cache.stats()
         assert stats == {"size": 1, "capacity": 3, "hits": 1,
-                         "misses": 1, "evictions": 0, "persistent": False}
+                         "misses": 1, "evictions": 0}
 
     def test_concurrent_access_keeps_accounting_consistent(self):
         cache = ScheduleCache(capacity=8)
@@ -70,99 +76,89 @@ class TestScheduleCache:
             assert cache._data[digest] == digest.encode()
 
 
-class TestCachePersistence:
-    """``cache_dir``: the LRU round-trips across restarts, eviction order
-    included (the ``--cache-dir`` satellite of PR 4)."""
+class TestInMemoryLru:
+    """What the in-memory LRU promises: recency from hits and re-puts,
+    survivors at every capacity, no state shared between instances and
+    nothing written to disk."""
 
-    def test_entries_survive_restart(self, tmp_path):
-        cache = ScheduleCache(capacity=4, cache_dir=tmp_path)
-        cache.put("a", b"A")
-        cache.put("b", b'{"makespan": 12.5}')
-        cache.close()
-        back = ScheduleCache(capacity=4, cache_dir=tmp_path)
-        assert back.get("a") == b"A"
-        assert back.get("b") == b'{"makespan": 12.5}'
-        back.close()
-
-    def test_eviction_order_preserved_across_restart(self, tmp_path):
-        cache = ScheduleCache(capacity=3, cache_dir=tmp_path)
-        cache.put("a", b"A")
-        cache.put("b", b"B")
-        cache.put("c", b"C")
-        assert cache.get("a") == b"A"   # boost a above b and c
-        cache.close()
-
-        back = ScheduleCache(capacity=3, cache_dir=tmp_path)
-        back.put("d", b"D")             # must evict b (oldest), not a
-        assert back.get("b") is None
-        assert back.get("a") == b"A"
-        assert back.get("c") == b"C"
-        assert back.get("d") == b"D"
-        back.close()
-
-    def test_reload_respects_smaller_capacity(self, tmp_path):
-        cache = ScheduleCache(capacity=4, cache_dir=tmp_path)
-        for key in ("a", "b", "c", "d"):
+    def test_hit_refreshes_eviction_order(self):
+        cache = ScheduleCache(capacity=3)
+        for key in ("a", "b", "c"):
             cache.put(key, key.encode())
-        cache.close()
-        back = ScheduleCache(capacity=2, cache_dir=tmp_path)
-        assert len(back) == 2
-        assert back.get("a") is None and back.get("b") is None
-        assert back.get("c") == b"c" and back.get("d") == b"d"
-        back.close()
+        assert cache.get("a") == b"a"   # a is now the most recent
+        cache.put("d", b"d")            # evicts b, not a
+        assert cache.get("b") is None
+        assert [cache.get(k) for k in ("a", "c", "d")] == [b"a", b"c", b"d"]
 
-    def test_journal_compacted_on_load(self, tmp_path):
-        cache = ScheduleCache(capacity=2, cache_dir=tmp_path)
-        for key in ("a", "b", "c", "d"):   # two evictions
-            cache.put(key, key.encode())
-            cache.get(key)                 # touch lines too
-        cache.close()
-        ScheduleCache(capacity=2, cache_dir=tmp_path).close()
-        lines = (tmp_path / "cache.jsonl").read_text().splitlines()
-        assert len(lines) == 2             # one put per live entry
-
-    def test_corrupt_journal_lines_skipped(self, tmp_path):
-        cache = ScheduleCache(capacity=4, cache_dir=tmp_path)
-        cache.put("a", b"A")
-        cache.close()
-        with (tmp_path / "cache.jsonl").open("a") as fh:
-            fh.write('{"op": "put", "digest": "trunc')  # crash mid-append
-        back = ScheduleCache(capacity=4, cache_dir=tmp_path)
-        assert back.get("a") == b"A"
-        assert len(back) == 1
-        back.close()
-
-    def test_in_memory_cache_writes_nothing(self, tmp_path):
+    def test_repeated_put_refreshes_recency(self):
         cache = ScheduleCache(capacity=2)
         cache.put("a", b"A")
-        cache.close()
-        assert list(tmp_path.iterdir()) == []
-        assert cache.stats()["persistent"] is False
+        cache.put("b", b"B")
+        cache.put("a", b"A")            # a is now the most recent
+        cache.put("c", b"C")            # evicts b
+        assert cache.get("b") is None
+        assert cache.get("a") == b"A" and cache.get("c") == b"C"
+        assert cache.evictions == 1
 
-    def test_journal_bounded_by_in_place_compaction(self, tmp_path):
-        cache = ScheduleCache(capacity=2, cache_dir=tmp_path)
+    def test_miss_leaves_order_and_size_alone(self):
+        cache = ScheduleCache(capacity=2)
         cache.put("a", b"A")
         cache.put("b", b"B")
-        for _ in range(3000):          # hit-heavy workload: touch lines
-            cache.get("a")
-        cache._journal.flush()
-        lines = (tmp_path / "cache.jsonl").read_text().splitlines()
-        assert len(lines) <= 1024 + 2  # compacted in place, not unbounded
-        cache.close()
-        back = ScheduleCache(capacity=2, cache_dir=tmp_path)
-        back.put("c", b"C")            # "a" was touched last: evict "b"
-        assert back.get("b") is None and back.get("a") == b"A"
-        back.close()
+        assert cache.get("zz") is None
+        cache.put("c", b"C")            # a is still the oldest
+        assert cache.get("a") is None and cache.get("b") == b"B"
+        assert len(cache) == 2
 
-    def test_second_instance_on_same_dir_rejected(self, tmp_path):
-        import sys
-        if sys.platform.startswith("win"):
-            pytest.skip("flock is POSIX-only")
-        cache = ScheduleCache(capacity=2, cache_dir=tmp_path)
-        try:
-            with pytest.raises(ValueError):
-                ScheduleCache(capacity=2, cache_dir=tmp_path)
-        finally:
-            cache.close()
-        # Released on close: a restart can reacquire.
-        ScheduleCache(capacity=2, cache_dir=tmp_path).close()
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 5, 8])
+    def test_survivors_are_the_most_recent(self, capacity):
+        cache = ScheduleCache(capacity=capacity)
+        keys = [f"k{i}" for i in range(capacity + 4)]
+        for key in keys:
+            cache.put(key, key.encode())
+        assert len(cache) == capacity
+        assert cache.evictions == 4
+        assert list(cache._data) == keys[4:]
+        assert all(cache.get(k) is None for k in keys[:4])
+
+    def test_fresh_instance_starts_cold(self):
+        first = ScheduleCache(capacity=4)
+        first.put("a", b"A")
+        second = ScheduleCache(capacity=4)
+        assert second.get("a") is None
+        assert second.stats() == {"size": 0, "capacity": 4, "hits": 0,
+                                  "misses": 1, "evictions": 0}
+
+    def test_writes_nothing_to_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ScheduleCache(capacity=1)
+        cache.put("a", b"A")
+        cache.put("b", b"B")            # one eviction
+        cache.get("b")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stats_is_a_snapshot(self):
+        cache = ScheduleCache(capacity=2)
+        cache.put("a", b"A")
+        before = cache.stats()
+        cache.get("a")
+        cache.put("b", b"B")
+        assert before == {"size": 1, "capacity": 2, "hits": 0,
+                          "misses": 0, "evictions": 0}
+        assert cache.stats()["hits"] == 1 and cache.stats()["size"] == 2
+
+    def test_concurrent_puts_count_every_eviction(self):
+        cache = ScheduleCache(capacity=5)
+        n_threads, n_keys = 6, 50
+
+        def worker(k: int) -> None:
+            for i in range(n_keys):
+                cache.put(f"t{k}-{i}", b"x")
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(cache) == 5
+        assert cache.evictions == n_threads * n_keys - 5

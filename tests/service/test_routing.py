@@ -1,7 +1,7 @@
-"""ServiceApp routing and exposition: the endpoint table (v6: no cell
-endpoint), method checks, per-endpoint metric labels, the synthesized
-``/metrics`` families, and byte identity of ``/batch`` over the worker
-pool and of ``--cache-dir`` replays for every algorithm."""
+"""ServiceApp routing and exposition: the endpoint table (no cell
+endpoint since v6), method checks, per-endpoint metric labels, the
+synthesized ``/metrics`` families, and byte identity of ``/batch`` over
+the worker pool and across service restarts for every algorithm."""
 
 import json
 
@@ -82,7 +82,7 @@ class TestRouting:
         _, _, body = ServiceApp().handle("GET", "/healthz", b"")
         health = json.loads(body)
         assert sorted(health) == [
-            "cache", "digest_schema", "kernel", "metrics_summary",
+            "cache", "digest_schema", "metrics_summary",
             "n_requests", "pool_restarts", "protocol", "sessions",
             "status", "uptime_s", "workers"]
         assert sorted(health["metrics_summary"]) == [
@@ -137,6 +137,19 @@ class TestMetricsExposition:
         assert f"# HELP {name} " in text
         assert metric_samples(text)[name] == value
 
+    @pytest.mark.parametrize("name, value", [
+        ("memsched_cache_misses_total", 2),
+        ("memsched_cache_evictions_total", 1),
+        ("memsched_cache_size", 1),
+        ("memsched_cache_capacity", 1),
+    ])
+    def test_cache_family_after_eviction(self, name, value):
+        app = ServiceApp(cache_size=1)
+        for s in (7, 8):
+            post(app, "/schedule", schedule_req(random_dag(size=8, rng=s)))
+        _, _, body = app.handle("GET", "/metrics", b"")
+        assert metric_samples(body.decode())[name] == value
+
     def test_uptime_is_exposed(self):
         _, _, body = ServiceApp().handle("GET", "/metrics", b"")
         assert metric_samples(body.decode())["memsched_uptime_seconds"] >= 0
@@ -176,16 +189,30 @@ class TestPerAlgorithmIdentity:
                         + b",".join(singles) + b"]}")
 
     @pytest.mark.parametrize("algorithm", sorted(SCHEDULERS))
-    def test_cache_dir_replay_is_byte_identical(self, tmp_path, algorithm):
+    def test_restart_recomputes_byte_identical_body(self, algorithm):
+        # The cache is in-memory: a restarted service starts cold, runs
+        # the scheduler (and the validator) again and answers the same
+        # bytes.
         req = schedule_req(random_dag(size=14, rng=31), algorithm)
-        first = ServiceApp(cache_dir=str(tmp_path))
-        status, headers, cold = post(first, "/schedule", req)
-        first.close()
-        assert (status, headers["X-Cache"]) == (200, "miss")
-        second = ServiceApp(cache_dir=str(tmp_path))
-        try:
-            status, headers, warm = post(second, "/schedule", req)
-        finally:
-            second.close()
-        assert (status, headers["X-Cache"]) == (200, "hit")
-        assert warm == cold
+        bodies = []
+        for _ in range(2):
+            app = ServiceApp()
+            status, headers, body = post(app, "/schedule", req)
+            app.close()
+            assert (status, headers["X-Cache"]) == (200, "miss")
+            bodies.append(body)
+        assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("algorithm", sorted(SCHEDULERS))
+    def test_restart_recomputes_byte_identical_batch(self, algorithm):
+        reqs = [schedule_req(random_dag(size=12, rng=s), algorithm)
+                for s in (32, 33)]
+        bodies = []
+        for _ in range(2):
+            app = ServiceApp()
+            status, _, body = post(app, "/batch", {"requests": reqs})
+            app.close()
+            assert status == 200
+            assert body.startswith(b'{"cached":[false,false]')
+            bodies.append(body)
+        assert bodies[0] == bodies[1]

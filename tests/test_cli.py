@@ -225,6 +225,23 @@ class TestExperiment:
         assert rc == 2
 
 
+class TestServe:
+    def test_cache_dir_is_a_usage_error(self, tmp_path, capsys,
+                                        monkeypatch):
+        # The schedule cache is in-memory only; there is no journal to
+        # point the service at.  Should parsing ever accept the option,
+        # fail instead of starting a server that never returns.
+        monkeypatch.setattr("repro.service.server.serve",
+                            lambda *a, **k: pytest.fail("serve started"))
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --cache-dir" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSubmit:
     @pytest.fixture
     def live_server(self):

@@ -1,11 +1,13 @@
 """The public surface of the sweep engine, the JSON codec, the service
-client and the CLI, pinned.
+client and app, the schedule cache and the CLI, pinned.
 
 Sweeps run serially or on a local process pool; the multi-host sweep
 stack (host executor, cell endpoint and wire codec, resumable cell
-journal, fault injector) was removed outright.  These checks fail if any
-of it comes back as a module, a name, a parameter or an option — or if
-something is added without updating the list on purpose.
+journal, fault injector) was removed outright, as were the feasibility
+frontier search and the service cache's on-disk journal (``--cache-dir``
+and its CRC line codec).  These checks fail if any of it comes back as a
+module, a name, a parameter or an option — or if something is added
+without updating the list on purpose.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import repro.experiments
 from repro.cli import build_parser
 from repro.experiments import engine
 from repro.io import json_io
-from repro.service.app import ServiceApp
+from repro.service.app import ScheduleCache, ServiceApp
 from repro.service.client import ServiceClient
 
 
@@ -47,9 +49,8 @@ def test_experiments_modules():
 
 def test_engine_surface():
     assert _defined_here(engine) == [
-        "FrontierPoint", "cached_reference", "cell_seed",
-        "default_chunk_size", "feasibility_frontier", "frontier_sweep",
-        "map_cells", "resolve_jobs"]
+        "cached_reference", "cell_seed", "default_chunk_size", "map_cells",
+        "resolve_jobs"]
 
 
 def test_map_cells_has_exactly_two_modes():
@@ -66,9 +67,7 @@ def test_experiments_reexports_resolve():
                     if getattr(getattr(repro.experiments, n), "__module__",
                                None) == engine.__name__}
     assert engine_names == {
-        "FrontierPoint", "cached_reference", "cell_seed",
-        "feasibility_frontier", "frontier_sweep", "map_cells",
-        "resolve_jobs"}
+        "cached_reference", "cell_seed", "map_cells", "resolve_jobs"}
 
 
 def test_json_codec_surface():
@@ -79,8 +78,7 @@ def test_json_codec_surface():
              or name.isupper()))
     assert public == [
         "DIGEST_SCHEMA_VERSION", "canonical_digest", "canonical_json",
-        "graph_from_dict", "graph_to_dict", "journal_decode",
-        "journal_encode", "load_graph", "load_schedule",
+        "graph_from_dict", "graph_to_dict", "load_graph", "load_schedule",
         "platform_from_dict", "platform_to_dict", "save_graph",
         "save_schedule", "schedule_from_dict", "schedule_to_dict"]
 
@@ -96,6 +94,11 @@ def test_app_methods():
         == ["close", "handle"]
 
 
+def test_cache_is_in_memory_only():
+    assert sorted(n for n in vars(ScheduleCache) if not n.startswith("_")) \
+        == ["get", "put", "stats"]
+
+
 def _options(command):
     parser = build_parser()
     sub = next(a for a in parser._actions
@@ -107,7 +110,7 @@ def _options(command):
 @pytest.mark.parametrize("command, options", [
     ("experiment", ["--csv", "--help", "--jobs", "--scale", "--trace",
                     "-h", "-j"]),
-    ("serve", ["--cache-dir", "--cache-size", "--help", "--host",
+    ("serve", ["--cache-size", "--help", "--host",
                "--idle-timeout", "--max-connections", "--port",
                "--workers", "-h", "-w"]),
     ("submit", ["--algo", "--blue", "--comm-policy", "--help", "--host",
