@@ -20,7 +20,8 @@ machine-readable ``BENCH_online.json`` (schema in ``benchmarks/README.md``):
 * **session_length** — ``immediate`` and ``replan:16`` over the stream
   at ``--arrivals`` and at 10x that (the longer stream extends the
   shorter one): best-of-3 p50/p99 decision latency and the work per
-  round (union DAG tasks plus kept-tail replays).  The gate requires
+  round (``union_tasks_per_round``: the rows of the round's union, its
+  live tasks plus their placed parents; plus kept-tail replays).  The gate requires
   work per round and p50 to stay flat in session length (at most 1.25x
   and 1.5x); p99 is reported, not gated (garbage collection dominates
   it).

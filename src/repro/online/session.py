@@ -19,20 +19,22 @@ structures fully summarise every commitment of the prefix.
 
 1. revokes the tail decisions whose start lies beyond the round's floor
    (with ``W = 0`` the tail is empty and nothing is revoked);
-2. builds the union of the *open* jobs only — jobs with a decision in
-   the tail plus the group being planned, in arrival order — as one
-   :class:`~repro.core.graph.FlatGraph` concatenated from per-job blocks
-   (:class:`_JobBlock`: ids, times, edges, topological generations and
-   upward ranks, built at a job's first round from the job's own
-   ``build_union_graph((job,)).flatten()`` and cached while it is open);
-   the round's union is never built as a
+2. builds the round's union over its **live** tasks only — the tasks of
+   the group being planned and every tail task, kept or revoked — plus
+   **ghosts**, their parents placed before the tail, as one
+   :class:`~repro.core.graph.FlatGraph` (:func:`_round_union`) taken
+   from per-job blocks (:class:`_JobBlock`: ids, times, edges,
+   topological generations and upward ranks, built at a job's first
+   round from the job graph's own dicts and cached while the job has a
+   tail decision); the round's union is never built as a
    :class:`~repro.core.graph.TaskGraph`;
 3. seeds a fresh state with the checkpoint's own profiles, mutated in
    place under an undo log (:meth:`MemoryProfile.record`; copying them
    would cost O(history) per round), and a copy of its avail vector;
-4. *adopts* the already-placed prefix tasks of the open jobs
-   (:meth:`SchedulerState.adopt`: finish time, memory class and child
-   readiness, no memory or avail effect — those are in the checkpoint);
+4. *adopts* the ghosts (:meth:`SchedulerState.adopt`: finish time,
+   memory class and child readiness, no memory or avail effect — those
+   are in the checkpoint); a placed task that is no live task's parent
+   plays no part in the round and is left out;
 5. replays the kept tail through :meth:`SchedulerState.commit`
    (``breakdown.proc`` is honoured verbatim, so replay does zero EST
    evaluations), then drives the heuristic over revoked + new tasks;
@@ -43,13 +45,20 @@ structures fully summarise every commitment of the prefix.
    decisions still in the window (none with ``W = 0``).
 
 A round therefore costs O(window + group) graph work, not O(session
-history), and a job's edges, generations and ranks are derived once,
-not once per round.  The flat union is ``build_union_graph(jobs)
-.flatten()`` field for field and its rank order ``rank_order(union,
-rng=None)`` (pinned by ``tests/online/test_flat_union.py``).  A round
-is also **atomic**: a failing round rolls the profiles back to where it
-found them, and the session adopts the new checkpoint, tail and
-placements only once the round has succeeded — a round raising
+history) nor O(tasks of the open jobs), and a job's edges, generations
+and ranks are derived once, not once per round.  The union is exact:
+a child commits after its parents, so the tail is descendant-closed and
+every child of a live task is live — a live row's times, output size
+and parent and child edges are those of ``build_union_graph(jobs)
+.flatten()``, and the live rows keep its relative order (generation,
+arrival, the job's topological row), so row-order tie-breaks and
+MemHEFT's rank order (``rank_order(union, rng=None)`` restricted to the
+live tasks) are unchanged (pinned by ``tests/online/test_flat_union.py``).
+Ghosts come first, without parents, listing only their live children,
+so the parentless rows still form a prefix.  A round is also
+**atomic**: a failing round rolls the profiles back to where it found
+them, and the session adopts the new checkpoint, tail and placements
+only once the round has succeeded — a round raising
 :class:`~repro.scheduling.state.InfeasibleScheduleError` leaves the
 session exactly as it was.  The schedules are bit-identical to
 rebuilding every round from scratch over the whole kept log (pinned by
@@ -226,100 +235,134 @@ def build_union_graph(jobs, n_classes: int,
 
 
 class _JobBlock:
-    """One job's share of a planning round's union, built at the job's
-    first round and cached while the job is open: a job's edges,
-    topological generations and upward ranks never change once it has
-    been submitted.
+    """One job's rows, built at the job's first round and cached while
+    the job is open: a job's edges, topological generations and upward
+    ranks never change once it has been submitted.
 
-    The rows are those of ``build_union_graph((job,)).flatten()``:
-    namespaced ids in topological order, parent edges in the union's
-    ``graph.edges()`` order (u-major), which is not the job graph's own
-    predecessor order when its edges were inserted in another order.
-    ``generations`` cuts them per topological generation into the pieces
-    :func:`_union_flat` concatenates — ids, times, output sizes, then the
-    parent and child CSR pieces as per-row edge counts, job-local rows
-    and edge data — each with its first job-local row.  ``keys``
-    (original task keys), ``names`` (their ``str``), ``ids``
-    (namespaced) and ``neg_ranks`` (negated upward ranks on the session
-    platform) are in node order.
+    ``flat`` is ``build_union_graph((job,)).flatten()`` field for field,
+    assembled straight from the job graph's ``_times``/``_succ`` dicts
+    (``submit`` validated them): namespaced ids in the topological order
+    ``validate()`` cached, parent edges in the union's ``graph.edges()``
+    order (u-major), which is not the job graph's own predecessor order
+    when its edges were inserted in another order.  Per row, ``gens``
+    holds the topological generation, ``keys`` the original task key,
+    ``node_pos`` the task's position in node order and ``neg_ranks`` its
+    negated upward rank on the session platform.
     """
 
-    __slots__ = ("generations", "keys", "names", "ids", "neg_ranks")
+    __slots__ = ("flat", "gens", "keys", "node_pos", "neg_ranks")
 
     def __init__(self, job: OnlineJob, platform: Platform) -> None:
         graph = job.graph
-        keys = list(graph.tasks())
-        names = [str(t) for t in keys]
-        union = build_union_graph((job,), graph.n_classes)
-        ids = list(union.tasks())
-        flat = union.flatten()
-        p_ptr, c_ptr = flat.parent_ptr, flat.child_ptr
-        # Rows are generation-major, and a row's generation is one more
-        # than that of its latest parent: a row opens a new generation
-        # when one of its parents is in the current one.
-        gen_ptr = [0]
-        for r, (lo, hi) in enumerate(zip(p_ptr, p_ptr[1:])):
-            if max(flat.parent_row[lo:hi], default=-1) >= gen_ptr[-1]:
-                gen_ptr.append(r)
-        gen_ptr.append(flat.n_tasks)
-        parent_count = [hi - lo for lo, hi in zip(p_ptr, p_ptr[1:])]
-        child_count = [hi - lo for lo, hi in zip(c_ptr, c_ptr[1:])]
-        self.generations = [
-            (flat.order[lo:hi], flat.times[lo:hi], flat.out_size[lo:hi],
-             parent_count[lo:hi], flat.parent_row[p_ptr[lo]:p_ptr[hi]],
-             flat.parent_comm[p_ptr[lo]:p_ptr[hi]],
-             flat.parent_size[p_ptr[lo]:p_ptr[hi]], child_count[lo:hi],
-             flat.child_row[c_ptr[lo]:c_ptr[hi]], lo)
-            for lo, hi in zip(gen_ptr, gen_ptr[1:])]
-        ranks = upward_rank_rows(flat, platform)
-        self.keys = keys
-        self.names = names
-        self.ids = ids
-        self.neg_ranks = [-ranks[flat.index[t]] for t in ids]
+        order = graph.topological_order()
+        row = dict(zip(order, range(len(order))))
+        succ = graph._succ
+        parents: list = [[] for _ in order]
+        for u, children in succ.items():
+            for v, edge in children.items():
+                parents[row[v]].append((row[u], edge))
+        parent_ptr = [0]
+        parent_row: list = []
+        parent_comm: list = []
+        parent_size: list = []
+        child_ptr = [0]
+        child_row: list = []
+        out_size: list = []
+        gens: list = []
+        for t, edges in zip(order, parents):
+            gen = 0
+            for p, (size, comm) in edges:
+                parent_row.append(p)
+                parent_comm.append(comm)
+                parent_size.append(size)
+                if gens[p] >= gen:
+                    gen = gens[p] + 1
+            gens.append(gen)
+            parent_ptr.append(len(parent_row))
+            total = 0.0
+            for c, (size, _) in succ[t].items():
+                child_row.append(row[c])
+                total += size
+            child_ptr.append(len(child_row))
+            out_size.append(total)
+        prefix = job.job_id + "/"
+        self.flat = FlatGraph(
+            tuple([prefix + str(t) for t in order]), parent_ptr, parent_row,
+            parent_comm, parent_size, child_ptr, child_row, out_size,
+            list(map(graph._times.__getitem__, order)), graph.n_classes)
+        self.gens = gens
+        self.keys = order
+        node_pos = dict(zip(graph._times, range(len(order))))
+        self.node_pos = list(map(node_pos.__getitem__, order))
+        self.neg_ranks = [-r for r in upward_rank_rows(self.flat, platform)]
 
 
-def _union_flat(blocks, n_classes: int) -> FlatGraph:
-    """The disjoint union of the blocks' jobs (in arrival order) as one
-    :class:`FlatGraph`, field for field ``build_union_graph(jobs)
-    .flatten()``: rows generation-major, then arrival order, then each
-    job's order inside the generation — the order
-    :meth:`TaskGraph.topological_order` gives a disjoint union."""
+def _round_union(blocks, live, n_classes: int) -> tuple[FlatGraph, list]:
+    """A planning round's union over its **live** rows plus **ghost** rows.
+
+    ``blocks`` are the round's job blocks in arrival order and ``live``
+    holds, per block, the job-local rows the round places (every row of
+    a group job; the tail rows of an open job).  Ghosts are the other
+    parents of live rows — placed before the tail, adopted by the round
+    — and come first, without parents of their own and listing only
+    their live children.  Rows of each kind keep the full union's
+    relative order (generation, then arrival, then the job's topological
+    row), so ties broken on row order and the parentless prefix are
+    those of ``build_union_graph(jobs).flatten()``, and a live row's
+    times, output size and edges are the full union's: its children are
+    all live (the tail is descendant-closed).  Returns the flat and the
+    ghosts as ``(block position, job-local row)`` pairs in row order."""
+    ghosts: list = []
+    rows: list = []
+    for j, (block, own) in enumerate(zip(blocks, live)):
+        gens = block.gens
+        rows += [(gens[r], j, r) for r in own]
+        if len(own) < block.flat.n_tasks:
+            ptr, parent_row = block.flat.parent_ptr, block.flat.parent_row
+            placed = {p for r in own for p in parent_row[ptr[r]:ptr[r + 1]]}
+            placed.difference_update(own)
+            ghosts += [(gens[r], j, r) for r in placed]
+    ghosts.sort()
+    rows.sort()
+    n_ghosts = len(ghosts)
+    union_row: list = [{} for _ in blocks]
+    for k, (_, j, r) in enumerate(ghosts + rows):
+        union_row[j][r] = k
     order: list = []
     times: list = []
     out_size: list = []
-    parent_count: list = []
+    parent_ptr = [0] * (n_ghosts + 1)
     parent_row: list = []
     parent_comm: list = []
     parent_size: list = []
-    child_count: list = []
-    children = []
-    rows = [[0] * len(block.ids) for block in blocks]
-    n = 0
-    for g in range(max(len(block.generations) for block in blocks)):
-        for block, row in zip(blocks, rows):
-            if g >= len(block.generations):
-                continue
-            (ids, t, out, p_count, p_row, p_comm, p_size, c_count, c_row,
-             lo) = block.generations[g]
-            row[lo:lo + len(ids)] = range(n, n + len(ids))
-            n += len(ids)
-            order += ids
-            times += t
-            out_size += out
-            parent_count += p_count
-            # Parents sit in earlier generations: their rows are known.
-            parent_row += map(row.__getitem__, p_row)
-            parent_comm += p_comm
-            parent_size += p_size
-            child_count += c_count
-            children.append((row, c_row))
+    child_ptr = [0]
     child_row: list = []
-    for row, c_row in children:
-        child_row += map(row.__getitem__, c_row)
-    return FlatGraph(tuple(order), [0, *itertools.accumulate(parent_count)],
-                     parent_row, parent_comm, parent_size,
-                     [0, *itertools.accumulate(child_count)], child_row,
-                     out_size, times, n_classes)
+    for _, j, r in ghosts:
+        flat, at = blocks[j].flat, union_row[j]
+        order.append(flat.order[r])
+        times.append(flat.times[r])
+        out_size.append(flat.out_size[r])
+        child_row += [at[c] for c in
+                      flat.child_row[flat.child_ptr[r]:flat.child_ptr[r + 1]]
+                      if at.get(c, -1) >= n_ghosts]
+        child_ptr.append(len(child_row))
+    for _, j, r in rows:
+        flat, at = blocks[j].flat, union_row[j]
+        order.append(flat.order[r])
+        times.append(flat.times[r])
+        out_size.append(flat.out_size[r])
+        lo, hi = flat.parent_ptr[r], flat.parent_ptr[r + 1]
+        parent_row += map(at.__getitem__, flat.parent_row[lo:hi])
+        parent_comm += flat.parent_comm[lo:hi]
+        parent_size += flat.parent_size[lo:hi]
+        parent_ptr.append(len(parent_row))
+        child_row += map(at.__getitem__,
+                         flat.child_row[flat.child_ptr[r]:flat.child_ptr[r + 1]])
+        child_ptr.append(len(child_row))
+    return (FlatGraph(tuple(order), parent_ptr, parent_row, parent_comm,
+                      parent_size, child_ptr, child_row, out_size, times,
+                      n_classes),
+            [(j, r) for _, j, r in ghosts])
 
 
 def clairvoyant_makespan(jobs, platform: Platform, *,
@@ -381,7 +424,8 @@ class OnlineSession:
         #: ``{job_id: _JobBlock}`` of the jobs with a tail decision.
         self._blocks: dict[str, _JobBlock] = {}
         #: One row per planning round: floor, n_jobs, n_tasks, replanned,
-        #: union_tasks, replayed, ms.
+        #: union_tasks (the round's live tasks plus their placed parents),
+        #: replayed, ms.
         self.rounds: list[dict] = []
 
     # ------------------------------------------------------------------
@@ -477,12 +521,12 @@ class OnlineSession:
     def _replan_round(self, group: list, floor: float,
                       window: int) -> dict:
         """Plan ``group`` at ``floor`` from the checkpoint: revoke the
-        revocable tail, adopt the open jobs' prefix tasks, replay the
+        revocable tail, adopt the live tasks' placed parents, replay the
         kept tail, drive the heuristic over revoked + new tasks, and fold
         the decisions that leave the window into the new checkpoint.
         Returns the round's work: revoked decisions (``replanned``),
-        union DAG size (``union_tasks``) and kept-tail replays
-        (``replayed``).
+        union rows, live tasks plus ghosts (``union_tasks``), and
+        kept-tail replays (``replayed``).
 
         A tail decision is revoked when its start lies beyond ``floor``.
         The kept set is ancestor-closed (a child never starts before its
@@ -493,25 +537,24 @@ class OnlineSession:
         """
         base, tail = self._base, self._tail
         kept = [d for d in tail if d.est <= floor + _TIME_EPS]
-        open_ids = {_split_ns(d.task)[0] for d in tail}
-        jobs = sorted([self.jobs[job_id] for job_id in open_ids] + group,
+        tail_ids: dict = {}
+        for d in tail:
+            tail_ids.setdefault(_split_ns(d.task)[0], []).append(d.task)
+        jobs = sorted([self.jobs[job_id] for job_id in tail_ids] + group,
                       key=lambda job: job.arrival_index)
         blocks = [self._block(job) for job in jobs]
-        union = _union_flat(blocks, self.platform.n_classes)
+        live = [sorted(map(block.flat.index.__getitem__, tail_ids[job.job_id]))
+                if job.job_id in tail_ids else range(block.flat.n_tasks)
+                for job, block in zip(jobs, blocks)]
+        union, ghosts = _round_union(blocks, live, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
                                comm_policy=self.comm_policy)
         state.mem = dict(base.profiles)
         for proc, a in enumerate(base.avail):
             state.avail[proc] = a
-        in_tail = {d.task for d in tail}
-        for job, block in zip(jobs, blocks):
-            if job.placements is None:
-                continue
-            for task, placed in zip(block.ids, job.placements.values()):
-                if task not in in_tail:
-                    state.adopt(Placement(
-                        task=task, proc=placed.proc, memory=placed.memory,
-                        start=placed.start, finish=placed.finish))
+        for task, (j, r) in zip(union.order, ghosts):
+            placed = jobs[j].placements[blocks[j].keys[r]]
+            state.adopt(Placement(task, *placed[1:]))
         state.pop_newly_ready()   # the driver derives readiness itself
         n_adopted = state.n_scheduled
 
@@ -535,7 +578,7 @@ class OnlineSession:
                 state.pop_newly_ready()   # readiness comes from the log
                 if n == cut:
                     fold = _fold(state)
-            positions = (self._rank_positions(blocks)
+            positions = (self._rank_positions(blocks, live)
                          if self.algorithm == "memheft" else None)
             records, fold_in_drive = self._drive(state, positions, floor,
                                                  cut - len(kept))
@@ -566,15 +609,17 @@ class OnlineSession:
         return block
 
     @staticmethod
-    def _rank_positions(blocks) -> dict:
-        """Each task's position in MemHEFT's priority list, exactly
-        ``rank_order(union graph, rng=None)``: non-increasing upward rank,
-        ties in union insertion order (arrival, then node order) — one
-        stable sort of the round's job blocks' cached ranks."""
-        ids = [t for block in blocks for t in block.ids]
-        neg_ranks = [r for block in blocks for r in block.neg_ranks]
-        return {ids[i]: k for k, i in enumerate(
-            sorted(range(len(ids)), key=neg_ranks.__getitem__))}
+    def _rank_positions(blocks, live) -> dict:
+        """Each live task's position in MemHEFT's priority list, exactly
+        ``rank_order(union graph, rng=None)`` restricted to the live
+        tasks: non-increasing upward rank, ties in union insertion order
+        (arrival, then node order) — one sort of the live rows' cached
+        ranks."""
+        keyed = sorted((block.neg_ranks[r], j, block.node_pos[r], r)
+                       for j, (block, own) in enumerate(zip(blocks, live))
+                       for r in own)
+        return {blocks[j].flat.order[r]: k
+                for k, (_, j, _, r) in enumerate(keyed)}
 
     def _drive(self, state: SchedulerState, positions: Optional[dict],
                floor: float,
@@ -626,21 +671,21 @@ class OnlineSession:
         """Copy the placements the round state committed back into
         per-job views (original task names, node order).  The round
         adopts ``n_adopted`` placements before it commits anything, so
-        the commits are the schedule's tail; adopted tasks keep their
-        published :class:`Placement` objects: they are the ones the state
-        adopted, unchanged by construction."""
-        committed = {p.task: p for p in itertools.islice(
-            state.schedule.placements(), n_adopted, None)}
+        the commits are the schedule's tail; a job planned for the first
+        time gets its node-order dict here, and the other jobs' dicts
+        keep their order and every task the round did not commit."""
+        owners = {}
         for job in jobs:
+            if job.placements is None:
+                job.placements = dict.fromkeys(job.graph.tasks())
             block = self._block(job)
-            old = job.placements
-            placements = {}
-            for key, name, task in zip(block.keys, block.names, block.ids):
-                p = committed.get(task)
-                placements[key] = (old[key] if p is None else Placement(
-                    task=name, proc=p.proc, memory=p.memory,
-                    start=p.start, finish=p.finish))
-            job.placements = placements
+            owners[job.job_id] = (job.placements, block.keys,
+                                  block.flat.index)
+        for p in itertools.islice(state.schedule.placements(), n_adopted,
+                                  None):
+            job_id, _, name = p.task.partition("/")
+            placements, keys, index = owners[job_id]
+            placements[keys[index[p.task]]] = Placement(name, *p[1:])
 
     # ------------------------------------------------------------------
     # results

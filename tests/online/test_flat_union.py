@@ -1,14 +1,18 @@
-"""A planning round's flat union against the union ``TaskGraph``.
+"""A planning round's flat union against the full union ``TaskGraph``.
 
-Each open job's block (the rows of its one-job union's ``flatten()``
-cut into topological generations, and its upward ranks) is cached
-while the job is open, and a round concatenates the blocks into one
-``FlatGraph``.
-That flat must be ``build_union_graph(jobs).flatten()`` field for field,
-and its rank order ``rank_order(build_union_graph(jobs))``, for any job
-set: relabelled task ids, tasks and edges inserted in shuffled order,
+Each open job's block (its one-job union's ``flatten()``, built from the
+job graph's dicts, with topological generations and upward ranks) is
+cached while the job is open.  A round builds one ``FlatGraph`` over its
+live rows only (every task of a group job, the tail tasks of an open
+job: a descendant-closed set) plus ghost rows (the other parents of live
+rows).  Against ``build_union_graph(jobs).flatten()``, for any job set
+— relabelled task ids, tasks and edges inserted in shuffled order,
 k = 1-3 memory classes, fractional times and sizes, heterogeneous
-processor speeds.
+processor speeds — the live rows keep the full union's relative order,
+times, output sizes and edges; the ghosts are exactly the live rows'
+other parents, come first and have no parents; and MemHEFT's rank
+positions are ``rank_order(full union, rng=None)`` restricted to the
+live tasks.
 """
 
 import random
@@ -52,7 +56,9 @@ def _job_graph(rng: random.Random, k: int, name: str) -> TaskGraph:
 
 @st.composite
 def job_sets(draw):
-    """``(jobs in arrival order, platform)``."""
+    """``(jobs in arrival order, platform, live task keys per job)``:
+    each job is either planned in the round (all tasks live) or open with
+    a non-empty descendant-closed set of tail tasks."""
     k = draw(st.integers(min_value=1, max_value=3))
     n_jobs = draw(st.integers(min_value=1, max_value=6))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -63,36 +69,114 @@ def job_sets(draw):
                         speeds=[rng.choice(SPEEDS) for _ in range(sum(counts))])
     jobs = [OnlineJob(f"j{a}", _job_graph(rng, k, f"g{a}"), 0.0, 0.0, a)
             for a in range(n_jobs)]
-    return jobs, platform
+    live = []
+    for job in jobs:
+        tasks = list(job.graph.tasks())
+        if rng.random() < 0.4:
+            live.append(set(tasks))
+            continue
+        seeds = rng.sample(tasks, rng.randint(1, len(tasks)))
+        live.append(set(seeds).union(*map(job.graph.descendants, seeds)))
+    return jobs, platform, live
 
 
-def _round(jobs, platform):
-    """The round's union flat and rank positions, from fresh blocks."""
+def _round(jobs, platform, live):
+    """The round's union flat, its ghosts and rank positions, from fresh
+    blocks."""
     session = OnlineSession(platform)
     blocks = [session._block(job) for job in jobs]
-    return (session_mod._union_flat(blocks, platform.n_classes),
-            session._rank_positions(blocks))
+    rows = [sorted(block.keys.index(t) for t in own)
+            for block, own in zip(blocks, live)]
+    flat, ghosts = session_mod._round_union(blocks, rows, platform.n_classes)
+    return flat, ghosts, session._rank_positions(blocks, rows), blocks
+
+
+def _edges(flat, row, ptr, rows, *data):
+    """Row ``row``'s CSR edges as ``(task id, *data)`` tuples."""
+    span = range(ptr[row], ptr[row + 1])
+    return [(flat.order[rows[e]], *(d[e] for d in data)) for e in span]
+
+
+def _parents(flat, row):
+    return _edges(flat, row, flat.parent_ptr, flat.parent_row,
+                  flat.parent_comm, flat.parent_size)
+
+
+def _children(flat, row):
+    return _edges(flat, row, flat.child_ptr, flat.child_row)
 
 
 @settings(max_examples=150)
 @given(job_sets())
-def test_union_flat_is_the_networkx_union_flattened(case):
-    jobs, platform = case
-    flat, positions = _round(jobs, platform)
+def test_block_is_the_one_job_union_flattened(case):
+    """A block's rows are ``build_union_graph((job,)).flatten()`` field
+    for field, built without the union graph."""
+    jobs, platform, _ = case
+    session = OnlineSession(platform)
+    for job in jobs:
+        block = session._block(job)
+        ref = build_union_graph((job,), platform.n_classes).flatten()
+        for field in FIELDS:
+            assert getattr(block.flat, field) == getattr(ref, field), field
+        assert block.keys == job.graph.topological_order()
+        for row, gen in enumerate(block.gens):
+            assert gen == max((block.gens[p] for p in ref.parent_row[
+                ref.parent_ptr[row]:ref.parent_ptr[row + 1]]),
+                default=-1) + 1
+        nodes = list(job.graph.tasks())
+        assert [nodes[i] for i in block.node_pos] == list(block.keys)
+
+
+@settings(max_examples=150)
+@given(job_sets())
+def test_round_union_is_the_full_union_restricted(case):
+    jobs, platform, live = case
+    flat, ghosts, positions, blocks = _round(jobs, platform, live)
     union = build_union_graph(jobs, platform.n_classes)
     ref = union.flatten()
-    for field in FIELDS:
-        assert getattr(flat, field) == getattr(ref, field), field
-    assert flat.roots() == union.roots()
+    live_ids = {job.job_id + "/" + str(t)
+                for job, own in zip(jobs, live) for t in own}
+    # The ghosts are exactly the live tasks' parents outside the live set.
+    ghost_ids = {job.job_id + "/" + str(p)
+                 for job, own in zip(jobs, live)
+                 for t in own for p in job.graph.parents(t)} - live_ids
+    n_ghosts = len(ghosts)
+    assert set(flat.order[:n_ghosts]) == ghost_ids
+    assert [blocks[j].flat.order[r] for j, r in ghosts] \
+        == list(flat.order[:n_ghosts])
+    # Each kind keeps the full union's relative order ...
+    assert list(flat.order[:n_ghosts]) == [t for t in ref.order
+                                           if t in ghost_ids]
+    assert list(flat.order[n_ghosts:]) == [t for t in ref.order
+                                           if t in live_ids]
+    # ... with the full union's times, output sizes and edges on live
+    # rows; ghosts have no parents and list only their live children.
+    for row, task in enumerate(flat.order):
+        full = ref.index[task]
+        assert flat.times[row] == ref.times[full]
+        assert flat.out_size[row] == ref.out_size[full]
+        if row < n_ghosts:
+            assert _parents(flat, row) == []
+            assert _children(flat, row) == [
+                c for c in _children(ref, full) if c[0] in live_ids]
+        else:
+            assert _parents(flat, row) == _parents(ref, full)
+            assert _children(flat, row) == _children(ref, full)
+    # Parentless rows form a prefix.
+    roots = [row for row in range(flat.n_tasks)
+             if flat.parent_ptr[row] == flat.parent_ptr[row + 1]]
+    assert roots == list(range(len(roots)))
+    assert flat.roots() == [flat.order[row] for row in roots]
     ranked = rank_order(union, rng=None, platform=platform)
-    assert sorted(positions, key=positions.__getitem__) == ranked
+    assert sorted(positions, key=positions.__getitem__) \
+        == [t for t in ranked if t in live_ids]
 
 
 @given(job_sets())
 def test_csr_ranks_are_the_networkx_walk(case):
     """``upward_ranks`` over the CSR arrays gives the bits of the direct
     walk over the graph's children in reverse topological order."""
-    jobs, platform = case
+    jobs, platform, _ = case
     for graph in (job.graph for job in jobs):
         for plat in (None, platform):
             k = graph.n_classes
@@ -111,10 +195,11 @@ def test_csr_ranks_are_the_networkx_walk(case):
             assert upward_ranks(graph, plat) == ref
 
 
-def test_parents_follow_the_union_edge_order():
+def test_ghost_parents_follow_the_union_edge_order():
     """Edges inserted child-first: the job graph's own predecessor order
-    of ``c`` is ``[b, a]``, the union's (u-major) is ``[a, b]``, and the
-    block follows the union."""
+    of ``c`` is ``[b, a]``, the union's (u-major) is ``[a, b]``.  With
+    only ``c`` live, ``a`` and ``b`` are ghosts, first and in node order,
+    and ``c`` keeps the union's parent order."""
     graph = TaskGraph("shuffled")
     for t in "abc":
         graph.add_task(t, w_blue=1.0, w_red=2.0)
@@ -122,12 +207,13 @@ def test_parents_follow_the_union_edge_order():
     graph.add_dependency("a", "c", size=0.2, comm=2.0)
     assert graph.parents("c") == ["b", "a"]
     jobs = [OnlineJob("j", graph, 0.0, 0.0, 0)]
-    flat, _ = _round(jobs, Platform(1, 1))
-    c = flat.index["j/c"]
-    parents = flat.parent_row[flat.parent_ptr[c]:flat.parent_ptr[c + 1]]
-    assert [flat.order[p] for p in parents] == ["j/a", "j/b"]
-    assert flat.parent_size[flat.parent_ptr[c]:flat.parent_ptr[c + 1]] \
-        == [0.2, 0.1]
+    flat, ghosts, positions, _ = _round(jobs, Platform(1, 1), [{"c"}])
+    assert flat.order == ("j/a", "j/b", "j/c")
+    assert ghosts == [(0, 0), (0, 1)]
+    assert _parents(flat, 2) == [("j/a", 2.0, 0.2), ("j/b", 1.0, 0.1)]
+    assert _children(flat, 0) == _children(flat, 1) == [("j/c",)]
+    assert flat.out_size == [0.2, 0.1, 0.0]
+    assert positions == {"j/c": 0}
 
 
 def test_blocks_live_while_their_job_is_open(monkeypatch):

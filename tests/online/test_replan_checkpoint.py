@@ -90,11 +90,16 @@ def adopt_calls(monkeypatch):
     return calls
 
 
-def _scaled(graph: TaskGraph, scale: float) -> TaskGraph:
-    """``graph`` with every time and size multiplied by ``scale``."""
-    out = TaskGraph(name=graph.name, n_classes=graph.n_classes)
+def _scaled(graph: TaskGraph, scale: float, classes: int = 2) -> TaskGraph:
+    """``graph`` with every time and size multiplied by ``scale``; with
+    ``classes=3`` each task gains a third class time, the mean of its
+    other two."""
+    out = TaskGraph(name=graph.name, n_classes=classes)
     for t in graph.tasks():
-        out.add_task(t, times=tuple(w * scale for w in graph.times(t)))
+        times = graph.times(t)
+        if classes == 3:
+            times = (*times, (times[0] + times[1]) / 2)
+        out.add_task(t, times=tuple(w * scale for w in times))
     for u, v in graph.edges():
         out.add_dependency(u, v, size=graph.size(u, v) * scale,
                            comm=graph.comm(u, v) * scale)
@@ -120,9 +125,10 @@ def _shuffled(graph: TaskGraph, rng: random.Random) -> TaskGraph:
     return out
 
 
-def _stream(n_jobs, seed, gap, scale, shuffle=False):
-    """``[(release, [(job_id, graph), ...]), ...]``: jobs of 2-9 tasks,
-    releases on a 0.5 grid so several jobs can share a round."""
+def _stream(n_jobs, seed, gap, scale, shuffle=False, classes=2):
+    """``[(release, [(job_id, graph), ...]), ...]``: jobs of 2-9 tasks
+    with ``classes`` memory classes, releases on a 0.5 grid so several
+    jobs can share a round."""
     groups: dict = {}
     release = 0.0
     rng = random.Random(seed)
@@ -130,7 +136,7 @@ def _stream(n_jobs, seed, gap, scale, shuffle=False):
         release += gap * ((seed >> k) % 3)
         graph = _scaled(random_dag(size=2 + (seed + k) % 8, width=0.4,
                                    density=0.5, jumps=3, rng=seed + k),
-                        scale)
+                        scale, classes)
         if shuffle:
             graph = _shuffled(graph, rng)
         groups.setdefault(release, []).append((f"j{k:02d}", graph))
@@ -148,8 +154,9 @@ def _poll(session, now):
             out.append("infeasible")
 
 
-def _run(cls, stream, platform, algo, policy):
-    session = cls(platform, algorithm=algo, policy=policy)
+def _run(cls, stream, platform, algo, policy, comm_policy="late"):
+    session = cls(platform, algorithm=algo, policy=policy,
+                  comm_policy=comm_policy)
     polls = []
     for release, jobs in stream:
         for job_id, graph in jobs:
@@ -159,9 +166,11 @@ def _run(cls, stream, platform, algo, policy):
     return session, polls
 
 
-def _assert_identical(stream, platform, algo, policy):
-    ref, ref_polls = _run(RebuildSession, stream, platform, algo, policy)
-    got, got_polls = _run(CountingSession, stream, platform, algo, policy)
+def _assert_identical(stream, platform, algo, policy, comm_policy="late"):
+    ref, ref_polls = _run(RebuildSession, stream, platform, algo, policy,
+                          comm_policy)
+    got, got_polls = _run(CountingSession, stream, platform, algo, policy,
+                          comm_policy)
     assert got.journal() == ref.journal()
     assert got_polls == ref_polls
     assert ([r["replanned"] for r in got.rounds]
@@ -183,14 +192,17 @@ def _assert_identical(stream, platform, algo, policy):
        st.sampled_from(ALGOS),
        st.sampled_from(POLICIES),
        st.sampled_from(BOUNDS),
-       st.integers(min_value=1, max_value=2))         # processors/class
+       st.integers(min_value=1, max_value=2),         # processors/class
+       st.sampled_from((2, 3)),                       # memory classes
+       st.sampled_from(("late", "eager")))            # comm policy
 def test_checkpoint_rounds_match_rebuild(n_jobs, seed, gap, scale, shuffle,
-                                         hetero, algo, policy, bound, procs):
-    speeds = [1.0, 0.75, 2.0, 1.25][:2 * procs] if hetero else None
-    platform = Platform(n_blue=procs, n_red=procs, mem_blue=bound,
-                        mem_red=bound, speeds=speeds)
-    _assert_identical(_stream(n_jobs, seed, gap, scale, shuffle), platform,
-                      algo, policy)
+                                         hetero, algo, policy, bound, procs,
+                                         classes, comm_policy):
+    speeds = ([1.0, 0.75, 2.0, 1.25, 0.5, 1.5][:classes * procs]
+              if hetero else None)
+    platform = Platform([procs] * classes, [bound] * classes, speeds=speeds)
+    _assert_identical(_stream(n_jobs, seed, gap, scale, shuffle, classes),
+                      platform, algo, policy, comm_policy)
 
 
 def test_grid_exercises_adopt_replay_and_failures(adopt_calls):
@@ -277,26 +289,50 @@ class TestAtomicRounds:
             assert list(profile.segments()) == [(0.0, float("inf"), 0.0)]
 
 
+class SizingSession(CountingSession):
+    """Records, before each round, the size its union must have, derived
+    from the job graphs alone: the live tasks (the group's and the
+    tail's) plus their parents placed before the tail."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.expected = []
+
+    def _replan_round(self, group, floor, window):
+        tail = {session_mod._split_ns(d.task) for d in self._tail}
+        ghosts = set()
+        for job_id, name in tail:
+            graph = self.jobs[job_id].graph
+            task = {str(t): t for t in graph.tasks()}[name]
+            ghosts.update((job_id, str(p)) for p in graph.parents(task)
+                          if (job_id, str(p)) not in tail)
+        self.expected.append(sum(j.graph.n_tasks for j in group)
+                             + len(tail) + len(ghosts))
+        return super()._replan_round(group, floor, window)
+
+
 def test_round_work_is_flat_in_session_length(monkeypatch):
     """``replan:16`` builds and replays O(window) work per round: the
     mean union size plus replayed commits per round over a 2,000-arrival
-    stream stays within 1.25x of the mean over its first 200 arrivals."""
+    stream stays within 1.25x of the mean over its first 200 arrivals.
+    Each round's union holds exactly its live tasks and their placed
+    parents."""
     unions = []
-    original = session_mod._union_flat
+    original = session_mod._round_union
 
-    def counting(blocks, n_classes):
-        union = original(blocks, n_classes)
+    def counting(blocks, live, n_classes):
+        union, ghosts = original(blocks, live, n_classes)
         unions.append(union.n_tasks)
-        return union
+        return union, ghosts
 
-    monkeypatch.setattr(session_mod, "_union_flat", counting)
+    monkeypatch.setattr(session_mod, "_round_union", counting)
     platform = Platform(n_blue=2, n_red=2, mem_blue=20000, mem_red=20000)
     trace = poisson_trace(2000, seed=5, rate=2.0, tick=2.5, size=4)
 
     def mean_work(rows):
         unions.clear()
         CountingSession.counts.clear()
-        session = CountingSession(platform, policy="replan:16")
+        session = SizingSession(platform, policy="replan:16")
         for k, row in enumerate(rows):
             session.submit(graph_from_dict(row["graph"]),
                            release=row["release"], job_id=row["job"])
@@ -304,6 +340,7 @@ def test_round_work_is_flat_in_session_length(monkeypatch):
                 session.poll(row["release"])
         assert session.n_pending == 0
         assert [r["union_tasks"] for r in session.rounds] == unions
+        assert unions == session.expected
         assert (sum(r["replayed"] for r in session.rounds)
                 == CountingSession.counts["kept_tail"])
         work = sum(unions) + CountingSession.counts["kept_tail"]
