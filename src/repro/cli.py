@@ -108,17 +108,22 @@ def _add_platform_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "daggen":
-        graph = random_dag(size=args.size, width=args.width, density=args.density,
-                           jumps=args.jumps, rng=args.seed)
-    elif args.kind == "lu":
-        graph = lu_dag(args.tiles)
-    elif args.kind == "cholesky":
-        graph = cholesky_dag(args.tiles)
-    elif args.kind == "dex":
-        graph = dex()
-    else:  # pragma: no cover - argparse choices prevent this
-        raise ValueError(args.kind)
+    try:
+        if args.kind == "daggen":
+            graph = random_dag(size=args.size, width=args.width,
+                               density=args.density, jumps=args.jumps,
+                               rng=args.seed)
+        elif args.kind == "lu":
+            graph = lu_dag(args.tiles)
+        elif args.kind == "cholesky":
+            graph = cholesky_dag(args.tiles)
+        elif args.kind == "dex":
+            graph = dex()
+        else:  # pragma: no cover - argparse choices prevent this
+            raise ValueError(args.kind)
+    except ValueError as exc:   # a bad generator parameter
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         save_graph(graph, args.output)
         print(f"wrote {graph.n_tasks} tasks / {graph.n_edges} edges to {args.output}")

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.graph import TaskGraph
 from repro.dags.daggen import (
     assign_uniform_weights,
     daggen,
@@ -82,6 +84,31 @@ class TestStructure:
         with pytest.raises(ValueError):
             daggen(size=10, density=-0.1)
 
+    @pytest.mark.parametrize("build", [daggen, random_dag])
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(density=math.nan), "density"),
+        (dict(density=math.inf), "density"),
+        (dict(density=-math.inf), "density"),
+        (dict(size=2.5), "size"),
+        (dict(size=3.0), "size"),
+        (dict(size="12"), "size"),
+        (dict(jumps=2.5), "jumps"),
+        (dict(jumps=0), "jumps"),
+        (dict(width=math.nan), "width"),
+    ])
+    def test_bad_parameter_raises_before_any_draw(self, build, kwargs, name):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            build(rng=gen, **kwargs)
+        assert gen.bit_generator.state == before
+
+    def test_numpy_integer_parameters_are_accepted(self):
+        a = random_dag(size=np.int64(40), jumps=np.int32(3), rng=9)
+        b = random_dag(size=40, jumps=3, rng=9)
+        assert list(a.edge_items()) == list(b.edge_items())
+        assert a.name == b.name
+
 
 class TestWeights:
     def test_ranges_inclusive(self):
@@ -111,11 +138,73 @@ class TestWeights:
         g = assign_uniform_weights(skeleton, rng=1)
         assert list(g.edges()) == list(skeleton.edges())
 
+    def test_keeps_the_memory_classes(self):
+        skeleton = TaskGraph("k3", n_classes=3)
+        skeleton.add_tasks((t, (0.0, 0.0, 0.0)) for t in range(4))
+        skeleton.add_dependencies([(0, 1, 0.0, 0.0), (0, 2, 0.0, 0.0),
+                                   (2, 3, 0.0, 0.0)])
+        g = assign_uniform_weights(skeleton, rng=3, w_range=(1, 50))
+        assert g.n_classes == 3
+        assert list(g.edges()) == list(skeleton.edges())
+        # one time per class, in class order, task after task
+        gen = np.random.default_rng(3)
+        for t in skeleton.topological_order():
+            assert g.times(t) == tuple(float(gen.integers(1, 51))
+                                       for _ in range(3))
+        for u, v in skeleton.edges():
+            assert g.size(u, v) == float(gen.integers(1, 11))
+            assert g.comm(u, v) == float(gen.integers(1, 11))
+
     def test_full_pipeline_deterministic(self):
         a = random_dag(size=30, rng=7)
         b = random_dag(size=30, rng=7)
         assert list(a.edges()) == list(b.edges())
         assert all(a.w_blue(t) == b.w_blue(t) for t in a.tasks())
+
+
+class TestNumpyStream:
+    """The weights are drawn by one vector call each; that leaves every
+    graph as it was only if numpy's bounded integer draws consume the
+    bit stream exactly as the same scalar calls in order do."""
+
+    RANGES = [
+        # mixed ranges, as the (size, comm) pairs interleave them
+        [(1, 11), (1, 101)] * 40,
+        # degenerate ranges (one value: no bits drawn) between others
+        [(1, 21), (5, 6), (0, 1), (3, 9), (7, 8)] * 30,
+        # ranges above 2**32 take the 64-bit path
+        [(0, 2**33), (1, 11), (2**32, 2**32 + 3), (0, 2**40), (1, 2)] * 30,
+        # a range of exactly 2**32 values
+        [(0, 2**32), (1, 3)] * 30,
+    ]
+
+    @pytest.mark.parametrize("ranges", RANGES)
+    @pytest.mark.parametrize("seed", [0, 1, 2014, 2**31 - 1])
+    def test_broadcast_draw_equals_scalar_calls(self, ranges, seed):
+        lows, highs = zip(*ranges)
+        vector = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        drawn = vector.integers(lows, highs).tolist()
+        assert drawn == [int(scalar.integers(lo, hi)) for lo, hi in ranges]
+        assert vector.random() == scalar.random()
+        assert vector.integers(0, 7) == scalar.integers(0, 7)
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_sized_draw_equals_scalar_calls(self, seed):
+        vector = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        drawn = vector.integers(1, 21, size=(50, 3)).tolist()
+        assert drawn == [[int(scalar.integers(1, 21)) for _ in range(3)]
+                         for _ in range(50)]
+        assert vector.random() == scalar.random()
+
+    def test_pair_broadcast_equals_interleaved_calls(self):
+        vector = np.random.default_rng(17)
+        scalar = np.random.default_rng(17)
+        pairs = vector.integers((10, 2), (41, 8), size=(60, 2)).tolist()
+        assert pairs == [[int(scalar.integers(10, 41)),
+                          int(scalar.integers(2, 8))] for _ in range(60)]
+        assert vector.random() == scalar.random()
 
 
 @given(st.integers(min_value=1, max_value=60),

@@ -40,6 +40,26 @@ class TestGenerate:
         assert main(["generate", "--kind", "cholesky", "--tiles", "2"]) == 0
         assert "tasks" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--width", "0"], "width"),
+        (["--width", "1.5"], "width"),
+        (["--size", "0"], "size"),
+        (["--density", "-1"], "density"),
+        (["--density", "nan"], "density"),
+        (["--jumps", "0"], "jumps"),
+        (["--kind", "lu", "--tiles", "0"], "tiles"),
+        (["--kind", "cholesky", "--tiles", "0"], "tiles"),
+    ])
+    def test_bad_parameter_is_a_one_line_error(self, flags, name, tmp_path,
+                                               capsys):
+        path = tmp_path / "g.json"
+        assert main(["generate", *flags, "-o", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert name in captured.err
+        assert captured.err.count("\n") == 1
+        assert not path.exists()
+
 
 class TestSchedule:
     @pytest.mark.parametrize("flags", [
