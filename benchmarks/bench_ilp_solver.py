@@ -1,11 +1,11 @@
-"""Solver micro-benchmarks: the ILP (HiGHS in place of CPLEX) and the exact
-eager search on the paper's worked example."""
+"""Solver micro-benchmarks: the ILP (HiGHS in place of CPLEX) on the
+paper's worked example."""
 
 import pytest
 
 from repro.core.platform import Platform
 from repro.dags.toy import dex
-from repro.ilp import build_model, optimal_eager, solve_model
+from repro.ilp import build_model, solve_model
 
 
 def test_bench_ilp_model_build(benchmark):
@@ -22,7 +22,3 @@ def test_bench_ilp_solve_dex_m5(benchmark):
     assert sol.status == "optimal"
     assert sol.makespan == pytest.approx(6.0, abs=1e-4)
 
-
-def test_bench_eager_search_dex(benchmark):
-    res = benchmark(optimal_eager, dex(), Platform(1, 1, 4, 4))
-    assert res.makespan == 7

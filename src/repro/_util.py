@@ -59,16 +59,6 @@ def as_rng(rng: RngLike) -> "numpy.random.Generator":
     return _np.random.default_rng(rng)
 
 
-def feq(a: float, b: float, eps: float = EPS) -> bool:
-    """Float equality within the library tolerance."""
-    return abs(a - b) <= eps
-
-
-def fle(a: float, b: float, eps: float = EPS) -> bool:
-    """``a <= b`` within the library tolerance."""
-    return a <= b + eps
-
-
 def fmt_num(x: float) -> str:
     """Compact number rendering for reports (drops trailing ``.0``)."""
     if x == float("inf"):

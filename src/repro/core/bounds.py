@@ -8,8 +8,8 @@ only increase the optimal makespan, so memory-oblivious bounds remain valid):
   endpoints may share a memory).
 * :func:`work_lower_bound` — total fastest work spread over all processors.
 * :func:`split_work_lower_bound` — the tighter load-balance bound from the
-  fractional assignment LP: choose the fraction of each task mapped to blue
-  to minimise ``max(blue load / P1, red load / P2)``.
+  fractional assignment LP: choose the fraction of each task mapped to
+  each class to minimise the largest ``class load / class capacity``.
 
 :func:`lower_bound` is the max of the three.
 
@@ -28,7 +28,6 @@ engine, the CLI and the service load neither until a bound needs it.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Optional
 
 from .graph import TaskGraph
@@ -37,15 +36,16 @@ from .platform import Platform
 
 @functools.cache
 def _lp_solver():
-    """``(numpy, scipy.optimize.linprog)``, imported on the first call;
-    ``None`` when either is missing (the no-numpy CI leg,
-    ``tests/test_no_numpy.py``)."""
+    """``(numpy, scipy.optimize.linprog, scipy.sparse)``, imported on the
+    first call; ``None`` when either package is missing (the no-numpy CI
+    leg, ``tests/test_no_numpy.py``)."""
     try:
         import numpy
+        from scipy import sparse
         from scipy.optimize import linprog
     except ModuleNotFoundError:
         return None
-    return numpy, linprog
+    return numpy, linprog, sparse
 
 
 def _best_case_duration(graph: TaskGraph, platform: Platform, task) -> float:
@@ -79,27 +79,25 @@ def _class_capacity(platform: Platform, cls: int) -> float:
 
 
 def work_lower_bound(graph: TaskGraph, platform: Platform) -> float:
-    """Total fastest work divided by the total processing capacity
-    (``sum of speeds``; the processor count on homogeneous platforms)."""
-    if platform.n_procs == 0:
-        return math.inf
-    if not platform.is_heterogeneous:
-        return graph.total_work(None) / platform.n_procs
-    # Task i on class c occupies its processor for W^(c)/s_p time, i.e.
-    # consumes W^(c) >= min_c W^(c) capacity units; the platform provides
-    # sum(speeds) capacity units per unit of time.
+    """Total fastest work divided by the total processing capacity: task
+    i on class c consumes ``W^(c) >= min_c W^(c)`` capacity units, and the
+    platform provides ``sum(speeds)`` of them per unit of time (the
+    processor count on homogeneous platforms, exactly)."""
     return graph.total_work(None) / sum(platform.speeds)
 
 
 def split_work_lower_bound(graph: TaskGraph, platform: Platform) -> float:
-    """Fractional-assignment load-balance bound.
+    """Fractional-assignment load-balance bound (the allocation LP of
+    arXiv:1711.06433 over the classes that have processors).
 
-    Dual platform LP: minimise ``T`` s.t. ``sum_i x_i W1_i <= S1 T``,
-    ``sum_i (1 - x_i) W2_i <= S2 T``, ``0 <= x_i <= 1``, where ``S_c`` is
-    the class's processing capacity — the sum of its processor speeds,
-    which is the processor count on homogeneous platforms.
-    Degenerates gracefully when one resource class is empty, and
-    generalises to k classes with per-class fractions ``x_{i,c}``.
+    Task ``i`` puts a share ``x_{i,c}`` of its work on each usable class
+    ``c`` but the last, and the rest, ``1 - sum_c x_{i,c}``, on the last.
+    Minimise ``T`` s.t. every class's load ``sum_i share_{i,c} W^(c)_i``
+    is at most ``S_c T``, where ``S_c`` is the class's processing capacity
+    (the sum of its processor speeds: its processor count on homogeneous
+    platforms), ``0 <= x_{i,c} <= 1`` and, from three usable classes on,
+    ``sum_c x_{i,c} <= 1``.  With one usable class the bound is its total
+    work over its capacity.
     """
     solver = _lp_solver()
     if solver is None:
@@ -111,65 +109,37 @@ def split_work_lower_bound(graph: TaskGraph, platform: Platform) -> float:
     n = len(tasks)
     if n == 0:
         return 0.0
-    np, linprog = solver
-    if platform.n_classes != 2:
-        return _split_work_k_classes(graph, platform, tasks)
-    w1 = np.array([graph.w_blue(t) for t in tasks])
-    w2 = np.array([graph.w_red(t) for t in tasks])
-    s1 = _class_capacity(platform, 0)
-    s2 = _class_capacity(platform, 1)
-    if platform.n_blue == 0:
-        return float(w2.sum()) / max(s2, 1)
-    if platform.n_red == 0:
-        return float(w1.sum()) / max(s1, 1)
-
-    # Variables: x_0..x_{n-1}, T.  Minimise T.
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2, n + 1))
-    a_ub[0, :n] = w1
-    a_ub[0, -1] = -s1
-    a_ub[1, :n] = -w2
-    a_ub[1, -1] = -s2
-    b_ub = np.array([0.0, -w2.sum()])
-    bounds = [(0.0, 1.0)] * n + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:  # pragma: no cover - LP above is always feasible
-        return 0.0
-    return float(res.fun)
-
-
-def _split_work_k_classes(graph: TaskGraph, platform: Platform,
-                          tasks: list) -> float:
-    """k-class fractional assignment: minimise ``T`` s.t. for every class
-    ``c`` with processors, ``sum_i x_{i,c} W^(c)_i <= S_c T`` (``S_c`` the
-    class's speed sum); fractions of each task over the *usable* classes
-    sum to 1."""
-    usable = [c for c in platform.classes() if platform.proc_counts[c] > 0]
-    n = len(tasks)
+    np, linprog, sparse = solver
+    usable = [c for c in platform.classes() if platform.proc_counts[c]]
     k = len(usable)
+    caps = [_class_capacity(platform, c) for c in usable]
+    work = np.array([[graph.w(t, c) for t in tasks] for c in usable])
     if k == 1:
-        c0 = usable[0]
-        return sum(graph.w(t, c0) for t in tasks) / _class_capacity(platform, c0)
+        return float(work[0].sum()) / caps[0]
 
-    np, linprog = _lp_solver()
-    # Variables: x_{i,c} for usable classes (n*k), then T.  Minimise T.
-    nvar = n * k + 1
-    c_obj = np.zeros(nvar)
-    c_obj[-1] = 1.0
-    a_ub = np.zeros((k, nvar))
-    for col, cls in enumerate(usable):
-        for i, t in enumerate(tasks):
-            a_ub[col, i * k + col] = graph.w(t, cls)
-        a_ub[col, -1] = -_class_capacity(platform, cls)
+    # Variables: x_{i,j} at j*n + i for j < k-1 (class-major), then T.
+    nx = (k - 1) * n
+    cols = np.arange(nx)
+    # Row j < k-1: class c_j's load; row k-1: class c_k's load, which is
+    # sum_i W^(c_k)_i minus the shares moved to the other classes.
+    rows = np.concatenate([cols // n, np.full(nx, k - 1), np.arange(k)])
+    a_cols = np.concatenate([cols, cols, np.full(k, nx)])
+    vals = np.concatenate([work[:-1].ravel(), -np.tile(work[-1], k - 1),
+                           -np.array(caps)])
     b_ub = np.zeros(k)
-    a_eq = np.zeros((n, nvar))
-    for i in range(n):
-        a_eq[i, i * k:(i + 1) * k] = 1.0
-    b_eq = np.ones(n)
-    bounds = [(0.0, 1.0)] * (n * k) + [(0.0, None)]
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    b_ub[-1] = -work[-1].sum()
+    if k > 2:
+        # One task's shares off c_k sum to at most 1.
+        rows = np.concatenate([rows, k + cols % n])
+        a_cols = np.concatenate([a_cols, cols])
+        vals = np.concatenate([vals, np.ones(nx)])
+        b_ub = np.concatenate([b_ub, np.ones(n)])
+    a_ub = sparse.csr_array((vals, (rows, a_cols)),
+                            shape=(len(b_ub), nx + 1))
+    c = np.zeros(nx + 1)
+    c[-1] = 1.0
+    bounds = [(0.0, 1.0)] * nx + [(0.0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - LP above is always feasible
         return 0.0
     return float(res.fun)

@@ -329,18 +329,6 @@ class MemoryProfile:
         """Stop logging and drop the undo log."""
         self._undo = None
 
-    def copy(self) -> "MemoryProfile":
-        clone = MemoryProfile(self.capacity)
-        clone.version = self.version
-        clone._xs = list(self._xs)
-        clone._vals = list(self._vals)
-        clone._bmax = list(self._bmax)
-        clone._pmax = list(self._pmax)
-        clone._bdirty = self._bdirty
-        clone._compact_floor = self._compact_floor
-        clone._compact_at = self._compact_at
-        return clone
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "inf" if math.isinf(self.capacity) else f"{self.capacity:g}"
         return f"MemoryProfile(capacity={cap}, segments={len(self._xs)}, peak={self.peak():g})"

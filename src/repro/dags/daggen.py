@@ -54,6 +54,20 @@ def _count(name: str, value, least: int) -> int:
     return whole
 
 
+def _int_range(name: str, value) -> tuple[int, int]:
+    """``value`` as an integer pair ``(low, high)`` with
+    ``0 <= low <= high``, else ``ValueError`` naming it."""
+    try:
+        low, high = map(operator.index, value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be a pair of integers, got {value!r}") from None
+    if not 0 <= low <= high:
+        raise ValueError(
+            f"{name} must satisfy 0 <= low <= high, got {value!r}")
+    return low, high
+
+
 def daggen_layers(size: int, width: float, rng: RngLike = None) -> list[int]:
     """Draw the level sizes: uniform in ``[1, max(1, round(2*width*sqrt(size)))]``
     until ``size`` tasks are allocated (last level truncated)."""
@@ -143,7 +157,12 @@ def assign_uniform_weights(
     Every task gets one time per memory class of ``graph``, in class
     order (``w_blue`` then ``w_red`` on a dual graph).  Returns a new
     :class:`TaskGraph` with the same classes; the input is not modified.
+    Each range must be a pair of integers with ``0 <= low <= high``
+    (``ValueError`` naming it, before any draw).
     """
+    w_range = _int_range("w_range", w_range)
+    c_range = _int_range("c_range", c_range)
+    f_range = _int_range("f_range", f_range)
     gen = as_rng(rng)
     order = graph.topological_order()
     times = gen.integers(w_range[0], w_range[1] + 1,
@@ -173,7 +192,11 @@ def random_dag(
     c_range: tuple[int, int] = (1, 10),
     f_range: tuple[int, int] = (1, 10),
 ) -> TaskGraph:
-    """One-call generator: :func:`daggen` structure + uniform weights."""
+    """One-call generator: :func:`daggen` structure + uniform weights.
+    The weight ranges are checked before the structure is drawn."""
+    for name, value in (("w_range", w_range), ("c_range", c_range),
+                        ("f_range", f_range)):
+        _int_range(name, value)
     gen = as_rng(rng)
     skeleton = daggen(size, width, density, jumps, rng=gen)
     return assign_uniform_weights(skeleton, rng=gen,

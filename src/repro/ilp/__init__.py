@@ -1,4 +1,4 @@
-"""Exact resolution: the ILP of §4 plus search-based cross-checks."""
+"""Exact resolution: the ILP of §4."""
 
 from __future__ import annotations
 
@@ -10,9 +10,8 @@ from ..core.schedule import Schedule
 from ..scheduling.memheft import memheft
 from ..scheduling.memminmin import memminmin
 from ..scheduling.state import InfeasibleScheduleError
-from .bruteforce import EagerSearchResult, optimal_eager
 from .extract import extract_schedule
-from .model import ILPModel, build_model
+from .model import ILPModel, build_model, require_two_classes
 from .solver import ILPSolution, solve_model
 
 
@@ -30,13 +29,15 @@ def solve_ilp(
     something strictly better, and if nothing is, the heuristic schedule is
     returned as the proven-optimal witness.
 
-    The ILP encodes the paper's homogeneous model (one duration per memory
-    class); heterogeneous platforms are rejected rather than silently
-    solved with wrong durations.
+    The ILP encodes the paper's homogeneous dual-memory model (one
+    duration per memory class, two classes); heterogeneous platforms and
+    other class counts are rejected rather than silently solved with wrong
+    durations.
     """
     if platform.is_heterogeneous:
         raise ValueError("solve_ilp only models homogeneous (all speed 1.0) "
                          "platforms; this one carries per-processor speeds")
+    require_two_classes(platform)
     incumbent: Optional[Schedule] = None
     for algo in (memminmin, memheft):
         try:
@@ -59,6 +60,4 @@ __all__ = [
     "extract_schedule",
     "ILPSolution",
     "solve_ilp",
-    "EagerSearchResult",
-    "optimal_eager",
 ]

@@ -105,6 +105,15 @@ def _tails(graph: TaskGraph) -> dict[Task, float]:
     return tail
 
 
+def require_two_classes(platform: Platform) -> None:
+    """The model has the paper's two memories (blue and red) only; any
+    other class count is a ``ValueError``."""
+    if platform.n_classes != 2:
+        raise ValueError(
+            f"the exact ILP models two memory classes; this platform has "
+            f"{platform.n_classes}")
+
+
 def build_model(
     graph: TaskGraph,
     platform: Platform,
@@ -118,6 +127,7 @@ def build_model(
     time; path-based time windows are always added as valid inequalities;
     ``presolve`` fixes every ordering binary implied by DAG reachability.
     """
+    require_two_classes(platform)
     graph.validate()
     tasks = list(graph.topological_order())
     edges = [tuple(e) for e in graph.edges()]

@@ -108,7 +108,7 @@ class InfeasibleScheduleError(RuntimeError):
 class _AvailVector(list):
     """Processor avail times with the minimum of each class kept in ``mins``.
 
-    Behaves as the historical plain list (the branching searches and tests
+    Behaves as the historical plain list (online sessions and tests
     assign ``state.avail[p] = t`` directly), but every write recomputes
     its class's minimum over the class's contiguous processor slice, so
     ``mins[c]`` is always ``min(avail of class c)`` (``inf`` for a class
@@ -461,31 +461,6 @@ class SchedulerState:
             pending[child] -= 1
             if pending[child] == 0:
                 self._newly_ready.append(child)
-
-    def copy(self) -> "SchedulerState":
-        """Deep-enough copy for branching searches (profiles duplicated)."""
-        clone = SchedulerState.__new__(SchedulerState)
-        clone.graph = self.graph
-        clone.platform = self.platform
-        clone.comm_policy = self.comm_policy
-        clone.kernel = self.kernel
-        clone.memories = self.memories
-        clone._uniform = self._uniform
-        clone.schedule = self.schedule.copy()
-        clone.avail = _AvailVector(self.avail, self.platform)
-        clone.mem = {m: p.copy() for m, p in self.mem.items()}
-        clone._flat = self._flat
-        clone._row = self._row
-        clone._finish = list(self._finish)
-        clone._memidx = list(self._memidx)
-        clone._pending_parents = dict(self._pending_parents)
-        clone._newly_ready = list(self._newly_ready)
-        clone._static = dict(self._static)
-        clone._est_memo = [dict(memo) for memo in self._est_memo]
-        clone.n_full_evals = self.n_full_evals
-        clone.n_refreshes = self.n_refreshes
-        clone.n_reused = self.n_reused
-        return clone
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -126,7 +126,7 @@ class TestEarliestFit:
         assert p.earliest_fit(40) == 0
 
 
-class TestInvariantsAndCopy:
+class TestInvariantsAndCompaction:
     def test_check_invariants_catches_negative(self):
         p = MemoryProfile(10)
         p.add(-1, 0, 5)
@@ -138,14 +138,6 @@ class TestInvariantsAndCopy:
         p.add(11, 0, 5)
         with pytest.raises(AssertionError):
             p.check_invariants()
-
-    def test_copy_is_independent(self):
-        p = MemoryProfile(10)
-        p.add(3, 0, 5)
-        q = p.copy()
-        q.add(4, 1, 2)
-        assert p.used_at(1.5) == 3
-        assert q.used_at(1.5) == 7
 
     def test_compact_preserves_semantics(self):
         p = MemoryProfile(10)
@@ -184,14 +176,6 @@ class TestVersion:
         p.add(3, 0, None)
         p.release_from(3, 5)
         assert p.version == 2
-
-    def test_copy_carries_version(self):
-        p = MemoryProfile(10)
-        p.add(3, 0, 5)
-        q = p.copy()
-        assert q.version == p.version
-        q.add(1, 0, 1)
-        assert q.version == p.version + 1
 
 
 # ----------------------------------------------------------------------
@@ -499,14 +483,17 @@ def test_rollback_restores_the_profile_exactly(before, logged, after,
                                                capacity):
     """Ops, then ``record`` and more ops with a mark in between: rolling
     back to the mark (or to the start) leaves a profile that is exactly a
-    copy taken there, and stays so under further ops and queries."""
-    p = MemoryProfile(capacity)
-    _apply(p, before)
-    at_record = p.copy()
-    p.record()
+    fresh one given the same ops up to there, and stays so under further
+    ops and queries."""
     half = len(logged) // 2
+    p = MemoryProfile(capacity)
+    at_record = MemoryProfile(capacity)
+    at_mark = MemoryProfile(capacity)
+    for profile, ops in ((p, before), (at_record, before),
+                         (at_mark, before + logged[:half])):
+        _apply(profile, ops)
+    p.record()
     _apply(p, logged[:half])
-    at_mark = p.copy()
     mark = p.mark()
     _apply(p, logged[half:])
     p.rollback(mark)

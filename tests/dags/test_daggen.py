@@ -155,6 +155,33 @@ class TestWeights:
             assert g.size(u, v) == float(gen.integers(1, 11))
             assert g.comm(u, v) == float(gen.integers(1, 11))
 
+    BAD_RANGES = [
+        (dict(w_range=(5, 1)), "w_range"),
+        (dict(c_range=(-3, -1)), "c_range"),
+        (dict(f_range=(1.5, 3)), "f_range"),
+        (dict(f_range=(-1, 3)), "f_range"),
+        (dict(w_range=(1, 2, 3)), "w_range"),
+        (dict(c_range=10), "c_range"),
+        (dict(w_range=(1, math.inf)), "w_range"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, name", BAD_RANGES)
+    def test_bad_range_raises_before_any_draw(self, kwargs, name):
+        skeleton = daggen(size=20, rng=0)
+        for call in (lambda gen: random_dag(20, rng=gen, **kwargs),
+                     lambda gen: assign_uniform_weights(skeleton, rng=gen,
+                                                        **kwargs)):
+            gen = np.random.default_rng(5)
+            before = gen.bit_generator.state
+            with pytest.raises(ValueError, match=name):
+                call(gen)
+            assert gen.bit_generator.state == before
+
+    def test_numpy_integer_ranges_are_accepted(self):
+        a = random_dag(size=30, rng=4, w_range=(np.int64(2), np.int32(9)))
+        b = random_dag(size=30, rng=4, w_range=(2, 9))
+        assert [a.times(t) for t in a.tasks()] == [b.times(t) for t in b.tasks()]
+
     def test_full_pipeline_deterministic(self):
         a = random_dag(size=30, rng=7)
         b = random_dag(size=30, rng=7)

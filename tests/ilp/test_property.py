@@ -18,7 +18,9 @@ from repro import (
 )
 from repro.core.bounds import lower_bound, memory_lower_bound
 from repro.dags.toy import random_weights_graph
-from repro.ilp import optimal_eager, solve_ilp
+from repro.ilp import solve_ilp
+
+from ..scheduling.eager_search import optimal_eager
 
 micro = st.fixed_dictionaries({
     "n": st.integers(min_value=1, max_value=4),

@@ -1,7 +1,5 @@
-"""Exhaustive eager-schedule search and the LB <= ILP <= eager <= heuristic
-sandwich (the paper's §4 ILP against §5's heuristics)."""
-
-import math
+"""The LB <= ILP <= eager <= heuristic sandwich (the paper's §4 ILP
+against §5's heuristics)."""
 
 import pytest
 
@@ -10,41 +8,12 @@ from repro import (
     Platform,
     memheft,
     memminmin,
-    validate_schedule,
 )
 from repro.core.bounds import lower_bound
-from repro.dags import dex, tiny_rand_set
-from repro.ilp import optimal_eager, solve_ilp
+from repro.dags import tiny_rand_set
+from repro.ilp import solve_ilp
 
-
-class TestOptimalEagerOnDex:
-    def test_unbounded_finds_6(self):
-        res = optimal_eager(dex(), Platform(1, 1))
-        assert res.feasible and res.exhausted
-        assert res.makespan == 6
-        validate_schedule(dex(), Platform(1, 1), res.schedule)
-        assert res.schedule.meta["algorithm"] == "optimal-eager"
-
-    def test_m4_finds_7(self):
-        plat = Platform(1, 1, 4, 4)
-        res = optimal_eager(dex(), plat)
-        assert res.makespan == 7
-        validate_schedule(dex(), plat, res.schedule)
-
-    def test_m3_infeasible(self):
-        res = optimal_eager(dex(), Platform(1, 1, 3, 3))
-        assert not res.feasible
-        assert res.makespan == math.inf
-
-    def test_upper_bound_prunes_but_preserves_value(self):
-        free = optimal_eager(dex(), Platform(1, 1))
-        seeded = optimal_eager(dex(), Platform(1, 1), upper_bound=free.makespan + 1)
-        assert seeded.makespan == free.makespan
-        assert seeded.nodes <= free.nodes + 1
-
-    def test_node_limit_reported(self):
-        res = optimal_eager(dex(), Platform(1, 1), node_limit=3)
-        assert not res.exhausted
+from ..scheduling.eager_search import optimal_eager
 
 
 class TestSandwich:

@@ -247,3 +247,44 @@ class TestOptimalityGap:
                           time_limit=60)
         assert sol.status == "optimal"
         assert sol.lower_bound == pytest.approx(sol.makespan, abs=1e-6)
+
+
+class TestPlatformChecks:
+    """The model is the paper's homogeneous two-memory one: other
+    platforms get a ``ValueError`` before any heuristic runs."""
+
+    @staticmethod
+    def tri_micro():
+        g = TaskGraph("tri-micro", n_classes=3)
+        g.add_task("a", times=(2, 1, 3))
+        g.add_task("b", times=(1, 2, 1))
+        g.add_dependency("a", "b", size=1, comm=1)
+        return g
+
+    @pytest.fixture
+    def no_heuristics(self, monkeypatch):
+        import repro.ilp
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a heuristic ran before the platform check")
+
+        monkeypatch.setattr(repro.ilp, "memminmin", boom)
+        monkeypatch.setattr(repro.ilp, "memheft", boom)
+
+    def test_solve_ilp_rejects_three_classes(self, no_heuristics):
+        with pytest.raises(ValueError, match="two memory classes.* has 3"):
+            solve_ilp(self.tri_micro(), Platform([1, 1, 1], [10, 10, 10]))
+
+    def test_build_model_rejects_three_classes(self):
+        with pytest.raises(ValueError, match="two memory classes.* has 3"):
+            build_model(self.tri_micro(), Platform([1, 1, 1], [10, 10, 10]))
+
+    def test_solve_ilp_rejects_one_class(self, no_heuristics):
+        g = TaskGraph("mono", n_classes=1)
+        g.add_task("a", times=(1,))
+        with pytest.raises(ValueError, match="has 1"):
+            solve_ilp(g, Platform([2], [10]))
+
+    def test_solve_ilp_rejects_heterogeneous_speeds(self, no_heuristics):
+        with pytest.raises(ValueError, match="homogeneous"):
+            solve_ilp(dex(), Platform(1, 1, speeds=[1.0, 2.0]))

@@ -11,8 +11,13 @@ the search optimum is:
   :class:`~repro.scheduling.state.SchedulerState`.
 
 Tests use the sandwich ``LB <= ILP <= eager <= heuristic``
-(``tests/ilp/test_property.py``, ``tests/ilp/test_bruteforce.py``).
+(``tests/ilp/test_property.py``, ``tests/ilp/test_sandwich.py``).
 Branch and bound prunes with per-task min-time bottom levels.
+
+A search node is the tuple of breakdowns committed on the way to it.  Its
+state is rebuilt by replaying that tuple through
+:meth:`SchedulerState.commit` on a fresh state, so the search never clones
+a state.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from ..core.graph import TaskGraph
-from ..core.platform import Platform
-from ..core.schedule import Schedule
-from ..scheduling.state import SchedulerState
+from repro.core.graph import TaskGraph
+from repro.core.platform import Platform
+from repro.core.schedule import Schedule
+from repro.scheduling.kernel import ESTBreakdown
+from repro.scheduling.state import SchedulerState
 
 Task = Hashable
 
@@ -52,6 +58,14 @@ def _bottom_levels(graph: TaskGraph) -> dict[Task, float]:
     return levels
 
 
+def _replay(graph: TaskGraph, platform: Platform,
+            path: tuple[ESTBreakdown, ...]) -> SchedulerState:
+    state = SchedulerState(graph, platform)
+    for bd in path:
+        state.commit(bd)
+    return state
+
+
 def optimal_eager(
     graph: TaskGraph,
     platform: Platform,
@@ -66,22 +80,22 @@ def optimal_eager(
     incumbent.
     """
     bottom = _bottom_levels(graph)
-    order = {t: k for k, t in enumerate(graph.topological_order())}
+    order = graph.topological_order()
 
     best_makespan = math.inf if upper_bound is None else float(upper_bound)
     best_schedule: Optional[Schedule] = None
     nodes = 0
     exhausted = True
 
-    root = SchedulerState(graph, platform)
-    stack: list[tuple[SchedulerState, set[Task]]] = [(root, set(graph.roots()))]
+    stack: list[tuple[ESTBreakdown, ...]] = [()]
 
     while stack:
         if nodes >= node_limit:
             exhausted = False
             break
-        state, ready = stack.pop()
+        path = stack.pop()
         nodes += 1
+        state = _replay(graph, platform, path)
         if state.done:
             span = state.schedule.makespan
             if span < best_makespan - 1e-9:
@@ -91,7 +105,9 @@ def optimal_eager(
             continue
 
         candidates = []
-        for task in sorted(ready, key=order.__getitem__):
+        for task in order:
+            if not state.is_ready(task):
+                continue
             for memory in state.memories:
                 bd = state.est(task, memory)
                 if not bd.feasible:
@@ -104,13 +120,7 @@ def optimal_eager(
         # Explore the most promising (smallest EFT) candidate last => first
         # off the LIFO stack, so good incumbents appear early.
         candidates.sort(key=lambda bd: -bd.eft)
-        for bd in candidates:
-            child = state.copy()
-            child.commit(child.est(bd.task, bd.memory))
-            child_ready = set(ready)
-            child_ready.discard(bd.task)
-            child_ready.update(child.pop_newly_ready())
-            stack.append((child, child_ready))
+        stack.extend(path + (bd,) for bd in candidates)
 
     return EagerSearchResult(
         makespan=best_makespan if best_schedule is not None or upper_bound is not None

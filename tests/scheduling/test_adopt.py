@@ -93,12 +93,13 @@ class TestAdopt:
         committing both — same-memory and cross-memory inputs alike."""
         full = SchedulerState(fork(), PLATFORM, comm_policy=comm_policy)
         parent = placed(full, "p")
-        base_mem = {m: p.copy() for m, p in full.mem.items()}
+        base = SchedulerState(fork(), PLATFORM, comm_policy=comm_policy)
+        assert placed(base, "p") == parent
         base_avail = list(full.avail)
         child = full.commit(full.est("c", child_memory))
 
         state = SchedulerState(fork(), PLATFORM, comm_policy=comm_policy)
-        state.mem = base_mem
+        state.mem = base.mem
         for proc, a in enumerate(base_avail):
             state.avail[proc] = a
         state.adopt(parent)

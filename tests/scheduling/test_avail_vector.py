@@ -75,16 +75,6 @@ class TestAvailVector:
         with pytest.raises(TypeError):
             v[0:1] = [2.0]
 
-    def test_survives_state_copy(self):
-        state = SchedulerState(dex(), Platform(2, 1))
-        state.avail[0] = 4.0
-        clone = state.copy()
-        clone.avail[1] = 9.0
-        assert state.avail[1] == 0.0
-        assert clone.avail[0] == 4.0
-        assert clone.avail.mins[0] == 4.0
-        assert state.avail.mins[0] == 0.0
-
 
 class TestChooseProc:
     def _reference(self, state, memory, est):

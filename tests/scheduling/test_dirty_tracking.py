@@ -97,25 +97,6 @@ class TestCommitRecordsTouchedClasses:
         # Only blue's processor moved: its resource half is refreshed.
         assert _outcomes(state, "b") == ["refreshes", "reused"]
 
-    def test_copy_preserves_dirty_state(self):
-        state = SchedulerState(dex(), BOUNDED)
-        _commit_on(state, "T1", Memory.BLUE)
-        _outcomes(state, "T2")
-        _outcomes(state, "T3")
-        clone = state.copy()
-        assert clone.n_scheduled == state.n_scheduled
-        assert clone.eval_counts() == state.eval_counts()
-        assert clone._est_memo == state._est_memo
-        # The clone serves the copied memo ...
-        assert _outcomes(clone, "T3") == ["reused", "reused"]
-        # ... and its counters and memo advance independently.
-        _commit_on(clone, "T2", Memory.BLUE)
-        assert state.n_scheduled == 1
-        assert clone.n_scheduled == 2
-        assert all("T2" in memo for memo in state._est_memo)
-        assert all("T2" not in memo for memo in clone._est_memo)
-        assert clone.n_reused == state.n_reused + 3
-
     def test_full_evals_track_profile_mutations_exactly(self):
         """A ready task's class takes a full evaluation iff the class's
         profile version moved since the task's last evaluation."""

@@ -189,12 +189,3 @@ class TestCommitBookkeeping:
         ev_eager = eager.schedule.comm("T1", "T2")
         assert ev_eager.start <= ev_late.start
         assert ev_eager.finish - ev_eager.start == 1       # exactly C
-
-    def test_copy_is_independent(self):
-        st = fresh_state()
-        st.commit(st.est("T1", Memory.RED))
-        clone = st.copy()
-        clone.commit(clone.est("T3", Memory.RED))
-        assert st.n_scheduled == 1
-        assert clone.n_scheduled == 2
-        assert st.mem[Memory.RED].used_at(2) != clone.mem[Memory.RED].used_at(2)

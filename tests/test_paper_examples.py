@@ -28,8 +28,10 @@ from repro import (
 )
 from repro.core.validation import memory_usage
 from repro.dags import dex
-from repro.ilp import optimal_eager, solve_ilp
+from repro.ilp import solve_ilp
 from repro.scheduling import upward_ranks
+
+from .scheduling.eager_search import optimal_eager
 
 
 def build_s1(platform):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro._util import EPS, HAS_NUMPY, as_rng, feq, fle, fmt_num
+from repro._util import HAS_NUMPY, as_rng, fmt_num
 
 try:
     import numpy as np
@@ -23,17 +23,6 @@ class TestRngCoercion:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(1)
         assert as_rng(gen) is gen
-
-
-class TestFloatHelpers:
-    def test_feq_within_eps(self):
-        assert feq(1.0, 1.0 + EPS / 2)
-        assert not feq(1.0, 1.0 + 1e-6)
-
-    def test_fle(self):
-        assert fle(1.0, 1.0)
-        assert fle(1.0 + EPS / 2, 1.0)
-        assert not fle(1.1, 1.0)
 
 
 class TestFmtNum:
