@@ -41,8 +41,9 @@ the paper's homogeneous model)::
     graph = TaskGraph("tri", n_classes=3)           # times= per class
     mixed = Platform(2, 1, 40, 40, speeds=[1.0, 0.5, 2.0])
 
-For long-lived use, :mod:`repro.service` wraps the engine in an asyncio
-JSON-over-HTTP scheduling service with a content-addressed schedule cache
+For long-lived use, :mod:`repro.service` wraps the engine in a
+JSON-over-HTTP scheduling service, on the standard library's
+:mod:`http.server`, with a content-addressed schedule cache
 (``memsched serve`` / ``memsched submit``); see the top-level README for
 the protocol.
 """

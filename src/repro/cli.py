@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "map_cells call (see 'memsched obs report')")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("serve", help="run the async scheduling service")
+    p = sub.add_parser("serve", help="run the scheduling service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8123)
     p.add_argument("-w", "--workers", type=int, default=1,
@@ -567,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "capacity (entries)")
     p.add_argument("--max-connections", type=int, default=None,
                    help="concurrent-connection cap; extra connections get "
-                        "a 503 (default: unlimited)")
+                        "a 503 (default: unlimited, and each open "
+                        "connection holds one thread)")
     p.add_argument("--idle-timeout", type=float, default=None,
                    help="close keep-alive connections idle for this many "
                         "seconds (default: never)")

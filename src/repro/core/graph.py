@@ -153,22 +153,27 @@ class TaskGraph:
         n_classes = self.n_classes
         isfinite = math.isfinite
         self._invalidate()
-        for task, times in rows:
-            if task in self:
-                raise ValueError(f"duplicate task {task!r}")
-            times = tuple(map(float, times))
-            if len(times) != n_classes:
-                raise ValueError(
-                    f"{task!r}: expected {n_classes} times, got {len(times)}")
-            for w in times:
-                if w < 0 or not isfinite(w):
+        task = None
+        try:
+            for task, times in rows:
+                if task in self:
+                    raise ValueError(f"duplicate task {task!r}")
+                times = tuple(map(float, times))
+                if len(times) != n_classes:
                     raise ValueError(
-                        f"processing times of {task!r} must be finite and >= 0")
-            if task is None:
-                raise ValueError("None cannot be a node")
-            succ[task] = {}
-            pred[task] = {}
-            node[task] = times
+                        f"{task!r}: expected {n_classes} times, got {len(times)}")
+                for w in times:
+                    if w < 0 or not isfinite(w):
+                        raise ValueError(
+                            f"processing times of {task!r} must be finite and >= 0")
+                if task is None:
+                    raise ValueError("None cannot be a node")
+                succ[task] = {}
+                pred[task] = {}
+                node[task] = times
+        except OverflowError:   # an integer too large for a float
+            raise ValueError(
+                f"processing times of {task!r} must be finite and >= 0") from None
 
     def add_dependencies(self, rows: Iterable[tuple[Task, Task, float, float]]
                          ) -> None:
@@ -180,23 +185,28 @@ class TaskGraph:
         succ, pred, node = self._succ, self._pred, self._times
         isfinite = math.isfinite
         self._invalidate()
-        for u, v, size, comm in rows:
-            try:
-                known = u in node and v in node
-            except TypeError:   # unhashable: not a task
-                known = False
-            if not known:
-                raise ValueError(f"both endpoints of ({u!r}, {v!r}) must be tasks")
-            if u == v:
-                raise ValueError(f"self-loop on {u!r}")
-            children = succ[u]
-            if v in children:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            if size < 0 or comm < 0 or not (isfinite(size) and isfinite(comm)):
-                raise ValueError(f"size/comm of ({u!r}, {v!r}) must be finite and >= 0")
-            # Acyclicity is checked lazily (validate() / topological_order()):
-            # a per-edge reachability test would make construction quadratic.
-            children[v] = pred[v][u] = (float(size), float(comm))
+        u = v = None
+        try:
+            for u, v, size, comm in rows:
+                try:
+                    known = u in node and v in node
+                except TypeError:   # unhashable: not a task
+                    known = False
+                if not known:
+                    raise ValueError(f"both endpoints of ({u!r}, {v!r}) must be tasks")
+                if u == v:
+                    raise ValueError(f"self-loop on {u!r}")
+                children = succ[u]
+                if v in children:
+                    raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+                if size < 0 or comm < 0 or not (isfinite(size) and isfinite(comm)):
+                    raise ValueError(f"size/comm of ({u!r}, {v!r}) must be finite and >= 0")
+                # Acyclicity is checked lazily (validate() / topological_order()):
+                # a per-edge reachability test would make construction quadratic.
+                children[v] = pred[v][u] = (float(size), float(comm))
+        except OverflowError:   # an integer too large for a float
+            raise ValueError(
+                f"size/comm of ({u!r}, {v!r}) must be finite and >= 0") from None
 
     # ------------------------------------------------------------------
     # basic queries

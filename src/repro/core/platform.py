@@ -157,19 +157,23 @@ class Platform:
                  mem_blue: float = math.inf,
                  mem_red: float = math.inf,
                  speeds: Optional[Sequence[float]] = None) -> None:
-        if isinstance(n_blue, (list, tuple)):
-            counts = tuple(map(_proc_count, n_blue))
-            if n_red is None:
-                caps = tuple(math.inf for _ in counts)
+        try:
+            if isinstance(n_blue, (list, tuple)):
+                counts = tuple(map(_proc_count, n_blue))
+                if n_red is None:
+                    caps = tuple(math.inf for _ in counts)
+                else:
+                    if isinstance(n_red, (int, float)):
+                        raise TypeError("generic Platform(counts, capacities) "
+                                        "needs a capacity sequence")
+                    caps = tuple(float(c) for c in n_red)
             else:
-                if isinstance(n_red, (int, float)):
-                    raise TypeError("generic Platform(counts, capacities) "
-                                    "needs a capacity sequence")
-                caps = tuple(float(c) for c in n_red)
-        else:
-            counts = (_proc_count(n_blue),
-                      1 if n_red is None else _proc_count(n_red))
-            caps = (float(mem_blue), float(mem_red))
+                counts = (_proc_count(n_blue),
+                          1 if n_red is None else _proc_count(n_red))
+                caps = (float(mem_blue), float(mem_red))
+        except OverflowError:   # an integer too large for a float
+            raise ValueError("memory capacity too large for a float; "
+                             "use inf for unbounded") from None
         if not counts:
             raise ValueError("platform needs at least one memory class")
         if len(counts) != len(caps):
@@ -202,7 +206,11 @@ class Platform:
         if speeds is None:
             spd = (1.0,) * n_procs
         else:
-            spd = tuple(float(s) for s in speeds)
+            try:
+                spd = tuple(float(s) for s in speeds)
+            except OverflowError:   # an integer too large for a float
+                raise ValueError(
+                    "processor speeds must be finite and > 0") from None
             if len(spd) != n_procs:
                 raise ValueError(
                     f"speeds must have one entry per processor "

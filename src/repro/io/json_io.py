@@ -48,7 +48,9 @@ def _cap_out(x: float) -> Union[float, None]:
 
 
 def _cap_in(x: Union[float, None]) -> float:
-    return math.inf if x is None else float(x)
+    """``null`` is an unbounded capacity; :class:`Platform` converts the
+    rest to floats."""
+    return math.inf if x is None else x
 
 
 # ----------------------------------------------------------------------
@@ -125,20 +127,35 @@ def platform_to_dict(platform: Platform) -> dict:
 _DUAL_KEYS = frozenset({"n_blue", "n_red", "mem_blue", "mem_red", "speeds"})
 _KARY_KEYS = frozenset({"proc_counts", "capacities", "speeds"})
 
+#: The most processors, over all classes, that :func:`platform_from_dict`
+#: builds.  Far above any platform in the repository (the largest, mirage,
+#: has 12 + 3); a payload asking for millions would otherwise spend
+#: seconds and gigabytes on per-processor tuples.  :class:`Platform`
+#: itself takes any count.
+MAX_PROCESSORS = 4096
+
 
 def platform_from_dict(data: dict) -> Platform:
     """Inverse of :func:`platform_to_dict`.  The form is detected from
     ``proc_counts``; a key outside it raises ``ValueError`` instead of
     being dropped (a stray ``capacities`` on the dual form would
-    otherwise leave the platform unbounded)."""
+    otherwise leave the platform unbounded), and so do more than
+    :data:`MAX_PROCESSORS` processors, before any is built."""
     speeds = data.get("speeds")
-    if speeds is not None:
-        speeds = [float(s) for s in speeds]
+    counts = (list(data["proc_counts"]) if "proc_counts" in data
+              else [data["n_blue"], data["n_red"]])
+    try:
+        too_many = sum(counts) > MAX_PROCESSORS
+    except TypeError:   # a non-numeric count, which Platform names
+        too_many = False
+    if too_many:
+        raise ValueError(f"a platform may have at most {MAX_PROCESSORS} "
+                         f"processors in all")
     if "proc_counts" in data:
         platform = Platform(
-            list(data["proc_counts"]),
+            counts,
             [_cap_in(c) for c in data.get("capacities",
-                                          [None] * len(data["proc_counts"]))],
+                                          [None] * len(counts))],
             speeds=speeds,
         )
         allowed = _KARY_KEYS

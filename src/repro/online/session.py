@@ -442,7 +442,11 @@ class OnlineSession:
             raise ValueError(
                 f"job graph has {graph.n_classes} memory classes but the "
                 f"session platform has {self.platform.n_classes}")
-        if not (math.isfinite(release) and release >= 0.0):
+        try:
+            finite = math.isfinite(release)
+        except OverflowError:   # an integer too large for a float
+            finite = False
+        if not (finite and release >= 0.0):
             raise ValueError(f"release time must be finite and >= 0, "
                              f"got {release!r}")
         index = len(self.jobs)   # accepted jobs only: a rejection takes none

@@ -20,9 +20,10 @@ Layers, transport-independent first:
   restarted service starts cold.  Batches fan their cache misses out over
   a :class:`concurrent.futures.ProcessPoolExecutor` through
   :func:`repro.experiments.engine.map_cells`.
-* :mod:`repro.service.server` — the asyncio HTTP/1.1 transport
-  (:class:`ServiceServer`), plus :class:`ThreadedServer` for embedding a
-  live server in tests and benchmarks.
+* :mod:`repro.service.server` — the HTTP/1.1 transport
+  (:class:`ServiceServer`, a :class:`http.server.ThreadingHTTPServer`),
+  plus :class:`ThreadedServer` for embedding a live server in tests and
+  benchmarks.
 * :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
   keep-alive client used by ``memsched submit`` and the load generator
   ``benchmarks/bench_service.py``.

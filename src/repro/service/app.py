@@ -1,7 +1,7 @@
 """Transport-independent request handling for the scheduling service.
 
 :class:`ServiceApp` is a plain object mapping ``(method, path, body)`` to
-``(status, headers, body)`` — the asyncio server in
+``(status, headers, body)`` — the :mod:`http.server` transport in
 :mod:`repro.service.server` is only a thin HTTP shell around it, so the
 whole protocol is unit-testable without sockets.
 
@@ -34,7 +34,7 @@ import threading
 import time
 from collections import OrderedDict
 from typing import Optional
-from urllib.parse import parse_qs
+from urllib.parse import parse_qs, unquote
 
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -513,7 +513,7 @@ class ServiceApp:
     def _parse_body(body: bytes) -> object:
         try:
             return json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:   # bad JSON or UTF-8, too long an integer
             raise ServiceError(400, "bad_request",
                                f"invalid JSON body: {exc}") from exc
         except RecursionError as exc:
@@ -691,7 +691,7 @@ class ServiceApp:
                        "summary": entry.session.summary(),
                        "journal": entry.session.journal()}
             return 200, dict(_JSON_HEADERS), canonical_json(out).encode()
-        job_id = path[len("/jobs/"):]
+        job_id = unquote(path[len("/jobs/"):])
         with entry.lock:
             job = entry.session.jobs.get(job_id)
             out = None if job is None else dict(job.to_dict(), session=name)
@@ -730,16 +730,16 @@ class ServiceApp:
         with entry.lock:
             session = entry.session
             try:
-                job_id = session.submit(graph, release=float(release),
+                job_id = session.submit(graph, release=release,
                                         job_id=job_id)
-                planned = session.poll(float(release))
+                job = session.jobs[job_id]
+                planned = session.poll(job.release)
                 if payload.get("flush"):
                     planned += session.flush()
             except InfeasibleScheduleError as exc:
                 raise ServiceError(422, "infeasible", str(exc)) from exc
             except ValueError as exc:
                 raise ServiceError(400, "bad_request", str(exc)) from exc
-            job = session.jobs[job_id]
             out = {
                 "session": name,
                 "job_id": job_id,

@@ -109,6 +109,17 @@ class TestPlatformValidation:
         with pytest.raises(ValueError, match="processor counts"):
             Platform(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1, 1, 10 ** 400, 5), (1, 1, 5, 10 ** 400), ([1, 1], [5, 10 ** 400]),
+    ])
+    def test_capacity_too_large_for_a_float_rejected(self, args):
+        with pytest.raises(ValueError, match="memory capacity too large"):
+            Platform(*args)
+
+    def test_any_processor_count_accepted(self):
+        from repro.io.json_io import MAX_PROCESSORS
+        assert Platform(MAX_PROCESSORS + 1, 1).n_procs == MAX_PROCESSORS + 2
+
     def test_integral_float_count_accepted(self):
         assert Platform(2.0, 1.0) == Platform(2, 1)
         assert Platform([2.0, 1], [5.0, 5.0]).proc_counts == (2, 1)
@@ -151,8 +162,8 @@ class TestPlatformSpeeds:
 
     def test_speeds_values_validated(self):
         for bad in ([0.0, 1.0], [-1.0, 1.0], [math.inf, 1.0],
-                    [math.nan, 1.0]):
-            with pytest.raises(ValueError):
+                    [math.nan, 1.0], [1.0, 10 ** 400]):
+            with pytest.raises(ValueError, match="speeds must be finite"):
                 Platform(1, 1, speeds=bad)
 
     def test_equality_and_hash_include_speeds(self):

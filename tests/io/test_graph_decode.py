@@ -96,6 +96,7 @@ def drop_field(table, i, key):
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400   # a JSON integer too large for a float
 SIZE_MSG = "size/comm of ({}) must be finite and >= 0"
 
 MALFORMED = {
@@ -122,6 +123,14 @@ MALFORMED = {
                  SIZE_MSG.format("'a', 'b'")),
     "inf size": (set_row("edges", 1, size=INF), ValueError,
                  SIZE_MSG.format("'b', 3")),
+    "huge time": (set_row("tasks", 1, w_blue=HUGE), ValueError,
+                  "processing times of 'b' must be finite and >= 0"),
+    "huge k-ary time": (set_row("tasks", 2, times=[1.0, HUGE]), ValueError,
+                        "processing times of 3 must be finite and >= 0"),
+    "huge size": (set_row("edges", 1, size=HUGE), ValueError,
+                  SIZE_MSG.format("'b', 3")),
+    "huge comm": (set_row("edges", 0, comm=HUGE), ValueError,
+                  SIZE_MSG.format("'a', 'b'")),
     "negative size": (set_row("edges", 0, size=-0.5), ValueError,
                       SIZE_MSG.format("'a', 'b'")),
     "negative comm": (set_row("edges", 0, comm=-1), ValueError,

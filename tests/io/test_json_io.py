@@ -21,6 +21,7 @@ from repro.io import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from repro.io.json_io import MAX_PROCESSORS
 
 
 class TestGraphRoundTrip:
@@ -80,6 +81,18 @@ class TestPlatformKeys:
     def test_key_outside_the_form_raises(self, data, key):
         with pytest.raises(ValueError, match=key):
             platform_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"n_blue": MAX_PROCESSORS, "n_red": 1},
+        {"proc_counts": [MAX_PROCESSORS - 1, 1, 1]},
+    ], ids=["dual", "k-ary"])
+    def test_more_processors_than_the_limit_raise(self, data):
+        with pytest.raises(ValueError, match=f"at most {MAX_PROCESSORS} "):
+            platform_from_dict(data)
+
+    def test_processor_limit_is_inclusive(self):
+        data = {"proc_counts": [MAX_PROCESSORS - 1, 1]}
+        assert platform_from_dict(data).n_procs == MAX_PROCESSORS
 
     @pytest.mark.parametrize("p", [
         Platform(1, 2, 5), Platform([1, 2, 1], [3.0, 4.0, 5.0]),

@@ -67,10 +67,11 @@ class TestSubmit:
         # Default ids follow the arrival index, with no gap either.
         assert session.submit(dex()) == "job-0002"
 
-    @pytest.mark.parametrize("release", [-1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("release", [-1.0, float("inf"), float("nan"),
+                                         10 ** 400])
     def test_bad_release_rejected(self, release):
         session = OnlineSession(PLATFORM)
-        with pytest.raises(ValueError, match="release"):
+        with pytest.raises(ValueError, match="release time must be finite"):
             session.submit(dex(), release=release)
 
     def test_wrong_memory_class_count_rejected(self):

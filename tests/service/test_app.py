@@ -29,6 +29,7 @@ from repro.scheduling.registry import (
     SCHEDULERS,
     get_scheduler,
 )
+from repro.io.json_io import MAX_PROCESSORS
 from repro.service.app import PROTOCOL_VERSION, ServiceApp
 
 PLATFORM = Platform(n_blue=1, n_red=1, mem_blue=5, mem_red=5)
@@ -435,6 +436,121 @@ class TestPoolSupervision:
             assert app.n_pool_restarts == 0
         finally:
             app.close()
+
+
+HUGE = 10 ** 400   # a JSON integer too large for a float
+
+
+def _dual():
+    return {"graph": graph_to_dict(dex()),
+            "platform": platform_to_dict(Platform(1, 1, 5, 5,
+                                                  speeds=[1.0, 2.0]))}
+
+
+def _kary():
+    return {"graph": {"n_classes": 3,
+                      "tasks": [{"id": "a", "times": [1, 2, 3]},
+                                {"id": "b", "times": [2, 1, 1]}],
+                      "edges": [{"src": "a", "dst": "b", "size": 1,
+                                 "comm": 1}]},
+            "platform": {"proc_counts": [1, 1, 1], "capacities": [9, 9, 9]}}
+
+
+#: Every request field decoded to a float: ``(instance, path to the
+#: field, message fragment)``.
+HUGE_FIELDS = {
+    "w_blue": (_dual, ("graph", "tasks", 1, "w_blue"), "processing times of"),
+    "times": (_kary, ("graph", "tasks", 0, "times", 2),
+              "processing times of"),
+    "size": (_dual, ("graph", "edges", 0, "size"), "size/comm of"),
+    "comm": (_kary, ("graph", "edges", 0, "comm"), "size/comm of"),
+    "mem_blue": (_dual, ("platform", "mem_blue"), "memory capacity too large"),
+    "capacities": (_kary, ("platform", "capacities", 2),
+                   "memory capacity too large"),
+    "speeds": (_dual, ("platform", "speeds", 1), "speeds must be finite"),
+}
+
+
+def huge_instance(field):
+    """``(request, message fragment)`` with ``field`` set to ``HUGE``."""
+    make, path, fragment = HUGE_FIELDS[field]
+    req = make()
+    target = req
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = HUGE
+    return req, fragment
+
+
+class TestHugeNumbers:
+    """A JSON integer too large for a float is the client's error (400),
+    on every endpoint, never a 500."""
+
+    @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+    def test_schedule_is_400(self, field):
+        req, fragment = huge_instance(field)
+        status, _, out = post(ServiceApp(), "/schedule", req)
+        assert status == 400
+        error = json.loads(out)["error"]
+        assert error["type"] == "bad_request"
+        assert fragment in error["message"]
+
+    @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+    def test_batch_reports_a_per_instance_error(self, field):
+        req, fragment = huge_instance(field)
+        status, _, out = post(ServiceApp(), "/batch",
+                              {"requests": [schedule_req(), req]})
+        assert status == 200
+        good, bad = json.loads(out)["results"]
+        assert "schedule" in good
+        assert bad["error"]["status"] == 400
+        assert fragment in bad["error"]["message"]
+
+    @pytest.mark.parametrize("field", sorted(HUGE_FIELDS))
+    def test_jobs_is_400(self, field):
+        req, fragment = huge_instance(field)
+        status, _, out = post(ServiceApp(), "/jobs", req)
+        assert status == 400
+        assert fragment in json.loads(out)["error"]["message"]
+
+    def test_jobs_release_time_is_400(self):
+        status, _, out = post(ServiceApp(), "/jobs", {
+            "graph": graph_to_dict(dex()),
+            "platform": platform_to_dict(PLATFORM), "release_time": HUGE})
+        assert status == 400
+        assert "release time must be finite" in \
+            json.loads(out)["error"]["message"]
+
+    @pytest.mark.parametrize("path", ["/schedule", "/batch", "/jobs"])
+    def test_integer_past_the_digit_limit_is_400(self, path):
+        # json.loads refuses integers of more than 4300 digits outright.
+        body = b'{"graph": ' + b"1" * 5000 + b"}"
+        status, _, out = post(ServiceApp(), path, body)
+        assert status == 400
+        assert json.loads(out)["error"]["type"] == "bad_request"
+
+
+class TestProcessorLimit:
+    """More than ``MAX_PROCESSORS`` processors is refused before any
+    per-processor state is built."""
+
+    @pytest.mark.parametrize("platform_d", [
+        {"n_blue": MAX_PROCESSORS, "n_red": 1, "mem_blue": 5, "mem_red": 5},
+        {"proc_counts": [MAX_PROCESSORS, 1], "capacities": [5, 5]},
+    ], ids=["dual", "k-ary"])
+    @pytest.mark.parametrize("path", ["/schedule", "/batch", "/jobs"])
+    def test_limit_plus_one_is_400(self, path, platform_d):
+        req = {"graph": graph_to_dict(dex()), "platform": platform_d}
+        status, _, out = post(ServiceApp(), path,
+                              {"requests": [req]} if path == "/batch"
+                              else req)
+        if path == "/batch":
+            assert status == 200
+            error = json.loads(out)["results"][0]["error"]
+        else:
+            error = json.loads(out)["error"]
+        assert error["status"] == 400
+        assert f"at most {MAX_PROCESSORS} processors" in error["message"]
 
 
 class TestJobsSubmit:

@@ -125,7 +125,7 @@ class TestMalformedHTTP:
         import socket as socket_mod
         raw = socket_mod.create_connection((server.host, server.port),
                                            timeout=5)
-        # One header line beyond the asyncio stream limit (64 KiB).
+        # One header line beyond the 64 KiB line limit.
         raw.sendall(b"POST /schedule HTTP/1.1\r\n"
                     b"X-Junk: " + b"a" * (70 * 1024) + b"\r\n\r\n")
         data = raw.recv(4096)
@@ -148,10 +148,10 @@ class TestClientRetryPolicy:
         app = ServiceApp()
         orig_handle = ServiceApp.handle
 
-        def slow_handle(self, method, path, body):
+        def slow_handle(self, method, path, body, ctx=None):
             import time as time_mod
             time_mod.sleep(0.6)
-            return orig_handle(self, method, path, body)
+            return orig_handle(self, method, path, body, ctx)
 
         app.handle = slow_handle.__get__(app)
         with ThreadedServer(app) as srv:
@@ -430,3 +430,14 @@ class TestSaturation:
             second.close()
         assert err.value.status == 503
         assert err.value.retry_after == 1.0
+
+
+class TestJobIds:
+    @pytest.mark.parametrize("job_id", ["a b", "100%", "why?", "naïve-ジョブ",
+                                        "a%20b"])
+    def test_job_id_round_trips_through_the_url(self, client, job_id):
+        out = client.submit_job(dex(), session="ids", job_id=job_id,
+                                platform=PLATFORM)
+        assert out["job_id"] == job_id
+        job = client.get_job(job_id, session="ids")
+        assert (job["job_id"], job["session"]) == (job_id, "ids")

@@ -77,7 +77,8 @@ def test_json_codec_surface():
         and (getattr(value, "__module__", None) == json_io.__name__
              or name.isupper()))
     assert public == [
-        "DIGEST_SCHEMA_VERSION", "canonical_digest", "canonical_json",
+        "DIGEST_SCHEMA_VERSION", "MAX_PROCESSORS", "canonical_digest",
+        "canonical_json",
         "graph_from_dict", "graph_to_dict", "load_graph", "load_schedule",
         "platform_from_dict", "platform_to_dict", "save_graph",
         "save_schedule", "schedule_from_dict", "schedule_to_dict"]
