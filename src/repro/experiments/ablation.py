@@ -10,21 +10,25 @@
 
 Both ablations decompose into independent cells executed through
 :func:`repro.experiments.engine.map_cells`; pass ``jobs=N`` to shard them
-over N worker processes (identical results for any value).  The tie-break
-seeds are derived per cell with :func:`repro.experiments.engine.cell_seed`,
-so every (graph, repetition) draws the same randomness under any sharding.
+over N worker processes (identical results for any value).  The
+comm-policy ablation is the normalised sweep's own (graph, alpha) grid
+(:func:`repro.experiments.sweep._grid`), run over the two MemHEFT
+transfer policies instead of over registry names.  The tie-break seeds
+are derived per cell with :func:`repro.experiments.engine.cell_seed`, so
+every (graph, repetition) draws the same randomness under any sharding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..scheduling.memheft import memheft
-from ..scheduling.state import InfeasibleScheduleError
-from .engine import cached_reference, cell_seed, map_cells
+from .engine import cell_seed, map_cells
+from .sweep import _grid, _mean, _normalized_cell
 
 
 @dataclass
@@ -37,28 +41,6 @@ class CommPolicyRow:
     n_graphs: int
 
 
-_POLICIES = ("late", "eager")
-
-
-def _comm_policy_cell(payload: tuple, cache: dict,
-                      cell: tuple) -> list[Optional[float]]:
-    """One (graph, alpha) cell: normalised MemHEFT makespan per transfer
-    policy, ``None`` when infeasible."""
-    graphs, platform = payload
-    graph_idx, alpha = cell
-    ref = cached_reference(cache, graphs, platform, graph_idx)
-    bounded = platform.with_uniform_bound(alpha * ref.ref_memory)
-    out: list[Optional[float]] = []
-    for policy in _POLICIES:
-        try:
-            s = memheft(ref.graph, bounded, comm_policy=policy)
-        except InfeasibleScheduleError:
-            out.append(None)
-            continue
-        out.append(s.makespan / ref.makespan)
-    return out
-
-
 def comm_policy_ablation(
     graphs: Sequence[TaskGraph],
     platform: Platform,
@@ -67,27 +49,19 @@ def comm_policy_ablation(
     jobs: int = 1,
 ) -> list[CommPolicyRow]:
     """Compare MemHEFT with late vs eager transfer placement."""
-    import numpy as np
-
-    # Graph-major order: one graph's cells stay in one chunk, so its
-    # reference run is computed by ~one process (see normalized_sweep).
-    cells = [(gi, alpha) for gi in range(len(graphs)) for alpha in alphas]
-    rows = map_cells(_comm_policy_cell, (tuple(graphs), platform), cells,
-                     jobs=jobs)
-    cell_of = dict(zip(cells, rows))
+    runs = (partial(memheft, comm_policy="late"),
+            partial(memheft, comm_policy="eager"))
+    grid = _grid(_normalized_cell,
+                 (tuple(graphs), platform, runs, False, None), alphas, jobs)
     out: list[CommPolicyRow] = []
     for alpha in alphas:
-        stats: dict[str, list[float]] = {p: [] for p in _POLICIES}
-        for gi in range(len(graphs)):
-            for policy, norm in zip(_POLICIES, cell_of[(gi, alpha)]):
-                if norm is not None:
-                    stats[policy].append(norm)
+        late, eager = grid[alpha]
         out.append(CommPolicyRow(
             alpha=alpha,
-            late_success=len(stats["late"]),
-            eager_success=len(stats["eager"]),
-            late_mean_norm=float(np.mean(stats["late"])) if stats["late"] else None,
-            eager_mean_norm=float(np.mean(stats["eager"])) if stats["eager"] else None,
+            late_success=len(late),
+            eager_success=len(eager),
+            late_mean_norm=_mean(late),
+            eager_mean_norm=_mean(eager),
             n_graphs=len(graphs),
         ))
     return out

@@ -9,8 +9,9 @@ rendered table.  Benchmarks (``benchmarks/bench_figN_*.py``) and the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
+from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..dags.datasets import (
     large_rand_set,
@@ -129,19 +130,28 @@ def _absolute_grid(ref_memory: float, n: int = 12) -> list[float]:
     return [float(x) for x in np.linspace(ref_memory / n, ref_memory, n)]
 
 
+def _absolute_figure(figure_id: str, title: str, graph: TaskGraph,
+                     platform: Platform, heading: str, *, check: bool,
+                     jobs: int, notes: Sequence[str] = ()) -> FigureResult:
+    """Figures 11 and 13-15: ``graph``'s absolute sweep over a grid up to
+    its HEFT memory requirement, rendered under ``heading``."""
+    ref = reference_run(graph, platform)
+    res = absolute_sweep(graph, platform, _absolute_grid(ref.ref_memory),
+                         check=check, jobs=jobs)
+    return FigureResult(figure_id, title,
+                        render_absolute_sweep(res, title=heading), data=res,
+                        notes=list(notes))
+
+
 def fig11(scale: Optional[Scale] = None, *, check: bool = False,
           jobs: int = 1) -> FigureResult:
     """Figure 11: makespan vs memory for one SmallRandSet DAG."""
     scale = scale or get_scale()
     graph = small_rand_set(1, scale.small_size)[0]
-    ref = reference_run(graph, RAND_PLATFORM)
-    grid = _absolute_grid(ref.ref_memory)
-    res = absolute_sweep(graph, RAND_PLATFORM, grid, check=check, jobs=jobs)
-    text = render_absolute_sweep(res, title=f"DAG {graph.name} "
-                                            f"({graph.n_tasks} tasks)")
-    return FigureResult("fig11",
-                        "Makespan vs memory, single small random DAG",
-                        text, data=res)
+    return _absolute_figure(
+        "fig11", "Makespan vs memory, single small random DAG", graph,
+        RAND_PLATFORM, f"DAG {graph.name} ({graph.n_tasks} tasks)",
+        check=check, jobs=jobs)
 
 
 def fig12(scale: Optional[Scale] = None, *, check: bool = False,
@@ -167,50 +177,44 @@ def fig13(scale: Optional[Scale] = None, *, check: bool = False,
     """Figure 13: makespan vs memory for one LargeRandSet DAG."""
     scale = scale or get_scale()
     graph = large_rand_set(1, scale.large_size)[0]
-    ref = reference_run(graph, RAND_PLATFORM)
-    grid = _absolute_grid(ref.ref_memory)
-    res = absolute_sweep(graph, RAND_PLATFORM, grid, check=check, jobs=jobs)
-    text = render_absolute_sweep(res, title=f"DAG {graph.name} "
-                                            f"({graph.n_tasks} tasks)")
-    return FigureResult("fig13", "Makespan vs memory, single large random DAG",
-                        text, data=res)
+    return _absolute_figure(
+        "fig13", "Makespan vs memory, single large random DAG", graph,
+        RAND_PLATFORM, f"DAG {graph.name} ({graph.n_tasks} tasks)",
+        check=check, jobs=jobs)
+
+
+def _tiles_note(scale: Scale) -> list[str]:
+    return ([] if scale.name == "paper" else
+            ["paper uses 13x13 tiles; set REPRO_SCALE=paper to match"])
 
 
 def fig14(scale: Optional[Scale] = None, *, check: bool = False,
           jobs: int = 1) -> FigureResult:
     """Figure 14: tiled LU factorisation, makespan vs memory (in tiles)."""
     scale = scale or get_scale()
-    graph = lu_dag(scale.lu_tiles)
-    ref = reference_run(graph, MIRAGE_PLATFORM)
-    grid = _absolute_grid(ref.ref_memory)
-    res = absolute_sweep(graph, MIRAGE_PLATFORM, grid, check=check, jobs=jobs)
-    text = render_absolute_sweep(
-        res, title=f"LU {scale.lu_tiles}x{scale.lu_tiles} tiles "
-                   f"({graph.n_tasks} tasks), memory in tiles")
-    notes = [f"matrix holds {scale.lu_tiles ** 2} tiles"]
-    if scale.name != "paper":
-        notes.append("paper uses 13x13 tiles; set REPRO_SCALE=paper to match")
-    return FigureResult("fig14", "LU factorisation makespan vs memory",
-                        text, data=res, notes=notes)
+    t = scale.lu_tiles
+    graph = lu_dag(t)
+    return _absolute_figure(
+        "fig14", "LU factorisation makespan vs memory", graph,
+        MIRAGE_PLATFORM,
+        f"LU {t}x{t} tiles ({graph.n_tasks} tasks), memory in tiles",
+        check=check, jobs=jobs,
+        notes=[f"matrix holds {t ** 2} tiles"] + _tiles_note(scale))
 
 
 def fig15(scale: Optional[Scale] = None, *, check: bool = False,
           jobs: int = 1) -> FigureResult:
     """Figure 15: tiled Cholesky factorisation, makespan vs memory (tiles)."""
     scale = scale or get_scale()
-    graph = cholesky_dag(scale.cholesky_tiles)
-    ref = reference_run(graph, MIRAGE_PLATFORM)
-    grid = _absolute_grid(ref.ref_memory)
-    res = absolute_sweep(graph, MIRAGE_PLATFORM, grid, check=check, jobs=jobs)
     t = scale.cholesky_tiles
-    text = render_absolute_sweep(
-        res, title=f"Cholesky {t}x{t} tiles ({graph.n_tasks} tasks), "
-                   f"memory in tiles")
-    notes = [f"lower half of the matrix holds {t * (t + 1) // 2} tiles"]
-    if scale.name != "paper":
-        notes.append("paper uses 13x13 tiles; set REPRO_SCALE=paper to match")
-    return FigureResult("fig15", "Cholesky factorisation makespan vs memory",
-                        text, data=res, notes=notes)
+    graph = cholesky_dag(t)
+    return _absolute_figure(
+        "fig15", "Cholesky factorisation makespan vs memory", graph,
+        MIRAGE_PLATFORM,
+        f"Cholesky {t}x{t} tiles ({graph.n_tasks} tasks), memory in tiles",
+        check=check, jobs=jobs,
+        notes=[f"lower half of the matrix holds {t * (t + 1) // 2} tiles"]
+        + _tiles_note(scale))
 
 
 #: The heterogeneity axis runs on a multi-processor hybrid platform (the

@@ -26,15 +26,23 @@ A third axis goes beyond the paper:
 All sweeps decompose into independent cells — (graph, alpha) for the
 normalised and heterogeneity styles, (bound,) for the absolute one —
 executed through :func:`repro.experiments.engine.map_cells`: pass
-``jobs=N`` to shard the grid over N processes.  The serial and parallel
-paths run the *same* cell functions and aggregate in the same order, so
-they return identical results (``tests/experiments/test_engine.py`` pins
-this).
+``jobs=N`` to shard the grid over N processes.  Every cell schedules
+through one runner, :func:`_makespans` (run each heuristic, ``None`` where
+it finds the bound infeasible, validate under ``check=True``), and both
+(graph, x) styles build, map and regroup their grid through one
+:func:`_grid`, which also serves the comm-policy ablation.  The serial and
+parallel paths run the *same* cell functions and aggregate in the same
+order, so they return identical results
+(``tests/experiments/test_engine.py`` pins this).
+
+Memory-oblivious heuristics (``MEMORY_OBLIVIOUS``) ignore the bounds, so
+a sweep refuses them on any bounded platform before a cell runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -44,7 +52,7 @@ from ..core.platform import Platform
 from ..core.validation import validate_schedule
 from ..scheduling.heft import heft
 from ..scheduling.minmin import minmin
-from ..scheduling.registry import get_scheduler
+from ..scheduling.registry import MEMORY_OBLIVIOUS, get_scheduler
 from ..scheduling.state import InfeasibleScheduleError
 from .engine import cached_reference, map_cells
 
@@ -105,25 +113,25 @@ class SweepResult:
     algorithms: tuple[str, ...]
     alphas: tuple[float, ...]
     cells: list[SweepCell] = field(default_factory=list)
-    #: Exact-key lookup index, rebuilt lazily when ``cells`` grows.
-    _index: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def cell(self, alpha: float, algorithm: str) -> SweepCell:
-        if len(self._index) != len(self.cells):
-            self._index = {(c.alpha, c.algorithm): c for c in self.cells}
-        found = self._index.get((alpha, algorithm))
-        if found is not None:
-            return found
-        # Tolerance fallback for callers that recompute alphas.
-        for c in self.cells:
-            if c.algorithm == algorithm and math.isclose(c.alpha, alpha):
-                return c
-        raise KeyError((alpha, algorithm))
+        return _lookup(self.cells, "alpha", alpha, algorithm)
 
     def series(self, algorithm: str) -> list[SweepCell]:
         return sorted((c for c in self.cells if c.algorithm == algorithm),
                       key=lambda c: c.alpha)
+
+
+def _lookup(cells: list, axis: str, x: float, algorithm: str):
+    """The ``algorithm`` cell at grid point ``x`` (read from each cell's
+    ``axis`` field): an exact match, else the first ``math.isclose`` one
+    for callers that recompute the grid."""
+    mine = [c for c in cells if c.algorithm == algorithm]
+    for same in (operator.eq, math.isclose):
+        for c in mine:
+            if same(getattr(c, axis), x):
+                return c
+    raise KeyError((x, algorithm))
 
 
 def default_alphas(n: int = 10) -> tuple[float, ...]:
@@ -133,25 +141,75 @@ def default_alphas(n: int = 10) -> tuple[float, ...]:
     return tuple(float(a) for a in np.linspace(1.0 / n, 1.0, n))
 
 
-def _normalized_cell(payload: tuple, cache: dict,
-                     cell: tuple) -> list[Optional[float]]:
-    """One (graph, alpha) cell: per algorithm, the normalised makespan or
-    ``None`` when infeasible at this bound."""
-    graphs, platform, algorithms, check, refs = payload
-    graph_idx, alpha = cell
-    ref = cached_reference(cache, graphs, platform, graph_idx, refs)
-    bounded = platform.with_uniform_bound(alpha * ref.ref_memory)
+def _runs(algorithms: tuple[str, ...], bounded: bool) -> tuple:
+    """The registry functions of ``algorithms``.  A memory-oblivious one
+    would ignore the bound and pass its overflowing schedule off as
+    feasible, so a bounded sweep refuses them before any cell runs."""
+    if bounded:
+        oblivious = [a for a in algorithms if a.lower() in MEMORY_OBLIVIOUS]
+        if oblivious:
+            raise ValueError(
+                f"memory-oblivious algorithms ignore the memory bound: "
+                f"{', '.join(oblivious)}; sweep them on an unbounded platform")
+    return tuple(get_scheduler(name) for name in algorithms)
+
+
+def _makespans(graph: TaskGraph, platform: Platform, runs: Sequence[Callable],
+               check: bool) -> list[Optional[float]]:
+    """The one place a sweep schedules: per run (a picklable
+    ``run(graph, platform) -> Schedule``), its makespan, or ``None`` when
+    it finds ``platform``'s bounds infeasible.  ``check=True`` validates
+    every schedule it produces."""
     out: list[Optional[float]] = []
-    for name in algorithms:
+    for run in runs:
         try:
-            schedule = get_scheduler(name)(ref.graph, bounded)
+            schedule = run(graph, platform)
         except InfeasibleScheduleError:
             out.append(None)
             continue
         if check:
-            validate_schedule(ref.graph, bounded, schedule)
-        out.append(schedule.makespan / ref.makespan)
+            validate_schedule(graph, platform, schedule)
+        out.append(schedule.makespan)
     return out
+
+
+def _grid(worker: Callable, payload: tuple, xs: Sequence[float],
+          jobs: int) -> dict:
+    """Map ``worker`` over every (graph, x) cell and regroup the rows as
+    ``{x: [per run, its non-None results in graph order]}``.
+
+    ``payload`` starts ``(graphs, platform, runs, ...)`` and each row holds
+    one entry per run.  Graph-major cell order keeps one graph's cells
+    contiguous, so each chunk — and hence (mostly) one worker process —
+    computes that graph's per-process work (reference run, homogeneous
+    baselines) once; x-major order would make every process redo nearly
+    all of it.  Regrouping indexes by cell, so the order does not affect
+    the result."""
+    n_graphs, n_runs = len(payload[0]), len(payload[2])
+    cells = [(gi, x) for gi in range(n_graphs) for x in xs]
+    rows = dict(zip(cells, map_cells(worker, payload, cells, jobs=jobs)))
+    return {x: [[v for gi in range(n_graphs)
+                 if (v := rows[gi, x][r]) is not None]
+                for r in range(n_runs)]
+            for x in xs}
+
+
+def _mean(values: list[float]) -> Optional[float]:
+    import numpy as np
+
+    return float(np.mean(values)) if values else None
+
+
+def _normalized_cell(payload: tuple, cache: dict,
+                     cell: tuple) -> list[Optional[float]]:
+    """One (graph, alpha) cell: per run, the makespan normalised by HEFT's,
+    or ``None`` when infeasible at this bound."""
+    graphs, platform, runs, check, refs = payload
+    graph_idx, alpha = cell
+    ref = cached_reference(cache, graphs, platform, graph_idx, refs)
+    bounded = platform.with_uniform_bound(alpha * ref.ref_memory)
+    return [None if span is None else span / ref.makespan
+            for span in _makespans(ref.graph, bounded, runs, check)]
 
 
 def normalized_sweep(
@@ -164,7 +222,6 @@ def normalized_sweep(
     extra_solver: Optional[
         Callable[[TaskGraph, Platform], Optional[float]]
     ] = None,
-    extra_name: str = "optimal",
     jobs: int = 1,
 ) -> SweepResult:
     """Normalised-memory sweep over a set of graphs (Figures 10 and 12).
@@ -172,64 +229,45 @@ def normalized_sweep(
     ``jobs`` shards the (graph, alpha) grid over that many worker
     processes (``jobs=1``: in-process; ``jobs<=0``: one per CPU); the
     result is identical for any jobs value.
-    ``extra_solver`` optionally adds one more series (the ILP optimum in
-    Figure 10): a callable returning a makespan or ``None`` when it cannot
-    schedule within the bounds.  It runs in-process (solver callables are
-    generally not picklable), after the sharded heuristic grid.
-    ``check=True`` re-validates every produced schedule with the independent
-    validator (slower; used by integration tests).
+    ``extra_solver`` optionally adds one more series, ``"optimal"`` (the
+    ILP optimum in Figure 10): a callable returning a makespan or ``None``
+    when it cannot schedule within the bounds.  It runs in-process (solver
+    callables are generally not picklable), after the sharded heuristic
+    grid.  ``check=True`` re-validates every produced schedule with the
+    independent validator (slower; used by integration tests).
+    Memory-oblivious ``algorithms`` raise ``ValueError``.
     """
-    import numpy as np
-
     alphas = tuple(alphas) if alphas is not None else default_alphas()
     algorithms = tuple(algorithms)
-    names = algorithms + ((extra_name,) if extra_solver else ())
-    result = SweepResult(algorithms=names, alphas=alphas)
+    runs = _runs(algorithms, bounded=True)
+    names = algorithms + (("optimal",) if extra_solver else ())
 
     # With an extra (in-process) solver series the reference runs are
     # needed here anyway — compute them once and ship them to the workers
     # instead of letting every process redo the HEFT baselines.
     refs = (tuple(reference_run(g, platform) for g in graphs)
             if extra_solver is not None else None)
-
-    # Graph-major cell order keeps one graph's cells contiguous, so each
-    # chunk — and hence (mostly) one worker process — computes that
-    # graph's reference run; alpha-major order would make every process
-    # redo nearly every reference.  Aggregation below indexes by cell, so
-    # the order does not affect the result.
-    cells = [(gi, alpha) for gi in range(len(graphs)) for alpha in alphas]
-    payload = (tuple(graphs), platform, algorithms, check, refs)
-    rows = map_cells(_normalized_cell, payload, cells, jobs=jobs)
-    cell_of = dict(zip(cells, rows))
-
-    extra_scores: dict[tuple[int, float], Optional[float]] = {}
+    grid = _grid(_normalized_cell, (tuple(graphs), platform, runs, check, refs),
+                 alphas, jobs)
     if extra_solver is not None:
-        for alpha in alphas:
-            for gi, ref in enumerate(refs):
-                bounded = platform.with_uniform_bound(alpha * ref.ref_memory)
-                span = extra_solver(ref.graph, bounded)
-                extra_scores[(gi, alpha)] = (
-                    None if span is None else span / ref.makespan)
+        for alpha, per_run in grid.items():
+            optimal = []
+            for ref in refs:
+                span = extra_solver(ref.graph, platform.with_uniform_bound(
+                    alpha * ref.ref_memory))
+                if span is not None:
+                    optimal.append(span / ref.makespan)
+            per_run.append(optimal)
 
+    result = SweepResult(algorithms=names, alphas=alphas)
     for alpha in alphas:
-        scores: dict[str, list[float]] = {name: [] for name in names}
-        for gi in range(len(graphs)):
-            row = cell_of[(gi, alpha)]
-            for name, norm in zip(algorithms, row):
-                if norm is not None:
-                    scores[name].append(norm)
-            if extra_solver is not None:
-                norm = extra_scores[(gi, alpha)]
-                if norm is not None:
-                    scores[extra_name].append(norm)
-        for name in names:
-            vals = scores[name]
+        for name, norms in zip(names, grid[alpha]):
             result.cells.append(SweepCell(
                 alpha=alpha,
                 algorithm=name,
                 n_graphs=len(graphs),
-                n_success=len(vals),
-                mean_norm_makespan=float(np.mean(vals)) if vals else None,
+                n_success=len(norms),
+                mean_norm_makespan=_mean(norms),
             ))
     return result
 
@@ -294,11 +332,7 @@ class HeterogeneitySweepResult:
     cells: list[HeterogeneityCell] = field(default_factory=list)
 
     def cell(self, spread: float, algorithm: str) -> HeterogeneityCell:
-        for c in self.cells:
-            if c.algorithm == algorithm and (c.spread == spread
-                                             or math.isclose(c.spread, spread)):
-                return c
-        raise KeyError((spread, algorithm))
+        return _lookup(self.cells, "spread", spread, algorithm)
 
     def series(self, algorithm: str) -> list[HeterogeneityCell]:
         return sorted((c for c in self.cells if c.algorithm == algorithm),
@@ -307,36 +341,23 @@ class HeterogeneitySweepResult:
 
 def _heterogeneity_cell(payload: tuple, cache: dict,
                         cell: tuple) -> list[Optional[tuple[float, float]]]:
-    """One (graph, spread) cell: per algorithm, ``(makespan, baseline
-    makespan at spread 0)`` or ``None`` when infeasible."""
-    graphs, platform, algorithms, check = payload
+    """One (graph, spread) cell: per run, ``(makespan, baseline makespan
+    at spread 0)`` or ``None`` when infeasible.  The baselines run once
+    per graph per process."""
+    graphs, platform, runs, check = payload
     graph_idx, spread = cell
     graph = graphs[graph_idx]
+    base = cache.get(("hetero-base", graph_idx))
+    if base is None:
+        base = cache[("hetero-base", graph_idx)] = _makespans(
+            graph, platform, runs, check)
     hetero = spread_speeds(platform, spread)
-    out: list[Optional[tuple[float, float]]] = []
-    for name in algorithms:
-        base_key = ("hetero-base", graph_idx, name)
-        base = cache.get(base_key, -1.0)
-        if base == -1.0:
-            try:
-                base = get_scheduler(name)(graph, platform).makespan
-            except InfeasibleScheduleError:
-                base = None
-            cache[base_key] = base
-        if not hetero.is_heterogeneous:
-            # spread 0: the "hetero" platform equals the baseline one, so
-            # rescheduling would redo the exact same run — reuse it.
-            out.append(None if base is None else (base, base))
-            continue
-        try:
-            schedule = get_scheduler(name)(graph, hetero)
-        except InfeasibleScheduleError:
-            out.append(None)
-            continue
-        if check:
-            validate_schedule(graph, hetero, schedule)
-        out.append((schedule.makespan, base))
-    return out
+    # spread 0: the "hetero" platform equals the baseline one, so
+    # rescheduling would redo the exact same runs — reuse them.
+    spans = (_makespans(graph, hetero, runs, check)
+             if hetero.is_heterogeneous else base)
+    return [None if span is None else (span, b)
+            for span, b in zip(spans, base)]
 
 
 def heterogeneity_sweep(
@@ -355,42 +376,29 @@ def heterogeneity_sweep(
     capacities untouched) and each algorithm is run on every graph.
     ``jobs`` shards the (graph, spread) grid over worker processes;
     identical results for any value.  ``check=True`` re-validates every
-    schedule with the independent (speed-aware) validator.
+    schedule, the homogeneous baselines included, with the independent
+    (speed-aware) validator.  Memory-oblivious ``algorithms`` raise
+    ``ValueError`` when ``platform`` has a finite capacity.
     """
-    import numpy as np
-
     spreads = (tuple(float(s) for s in spreads) if spreads is not None
                else default_spreads())
     algorithms = tuple(algorithms)
+    runs = _runs(algorithms, bounded=platform.is_memory_bounded)
+    grid = _grid(_heterogeneity_cell, (tuple(graphs), platform, runs, check),
+                 spreads, jobs)
     result = HeterogeneitySweepResult(algorithms=algorithms, spreads=spreads)
-
-    # Graph-major order: one graph's cells stay contiguous, so each chunk
-    # mostly reuses its process's cached homogeneous baselines.
-    cells = [(gi, spread) for gi in range(len(graphs)) for spread in spreads]
-    payload = (tuple(graphs), platform, algorithms, check)
-    rows = map_cells(_heterogeneity_cell, payload, cells, jobs=jobs)
-    cell_of = dict(zip(cells, rows))
-
     for spread in spreads:
-        for name_i, name in enumerate(algorithms):
-            spans: list[float] = []
-            ratios: list[float] = []
-            for gi in range(len(graphs)):
-                entry = cell_of[(gi, spread)][name_i]
-                if entry is None:
-                    continue
-                span, base = entry
-                spans.append(span)
-                if base is not None and base > 0.0:
-                    ratios.append(span / base)
+        for name, entries in zip(algorithms, grid[spread]):
+            spans = [span for span, _ in entries]
             result.cells.append(HeterogeneityCell(
                 spread=spread,
                 algorithm=name,
                 n_graphs=len(graphs),
                 n_success=len(spans),
-                mean_makespan=float(np.mean(spans)) if spans else None,
-                mean_ratio_to_homogeneous=(float(np.mean(ratios))
-                                           if ratios else None),
+                mean_makespan=_mean(spans),
+                mean_ratio_to_homogeneous=_mean(
+                    [span / base for span, base in entries
+                     if base is not None and base > 0.0]),
             ))
     return result
 
@@ -429,20 +437,9 @@ class AbsoluteSweepResult:
 
 def _absolute_cell(payload: tuple, cache: dict,
                    bound: float) -> list[Optional[float]]:
-    """One memory bound of an absolute sweep: makespan per algorithm."""
-    graph, platform, algorithms, check = payload
-    bounded = platform.with_uniform_bound(bound)
-    out: list[Optional[float]] = []
-    for name in algorithms:
-        try:
-            schedule = get_scheduler(name)(graph, bounded)
-        except InfeasibleScheduleError:
-            out.append(None)
-            continue
-        if check:
-            validate_schedule(graph, bounded, schedule)
-        out.append(schedule.makespan)
-    return out
+    """One memory bound of an absolute sweep: makespan per run."""
+    graph, platform, runs, check = payload
+    return _makespans(graph, platform.with_uniform_bound(bound), runs, check)
 
 
 def absolute_sweep(
@@ -457,11 +454,13 @@ def absolute_sweep(
     """Makespan-vs-memory for one graph (Figures 11, 13, 14, 15).
 
     ``jobs`` shards the bound grid over worker processes; identical
-    results for any value."""
+    results for any value.  Memory-oblivious ``algorithms`` raise
+    ``ValueError``: HEFT and MinMin enter as the result's unbounded
+    baselines instead."""
+    algorithms = tuple(algorithms)
+    payload = (graph, platform, _runs(algorithms, bounded=True), check)
     ref_heft = heft(graph, platform)
     ref_minmin = minmin(graph, platform)
-    algorithms = tuple(algorithms)
-    payload = (graph, platform, algorithms, check)
     rows = map_cells(_absolute_cell, payload, list(memories), jobs=jobs)
     points = [
         AbsolutePoint(bound, name, span)

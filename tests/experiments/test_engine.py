@@ -262,7 +262,7 @@ class TestSweepResultIndex:
                                alphas=(0.5, 1.0))
         c = res.cell(1.0, "memheft")
         assert c.alpha == 1.0 and c.algorithm == "memheft"
-        # repeated lookups hit the index
+        # repeated lookups return the same cell
         assert res.cell(1.0, "memheft") is c
         # near-miss alphas still resolve (isclose fallback)
         assert res.cell(1.0 + 1e-12, "memheft") is c

@@ -1,7 +1,10 @@
 """Sweep machinery: references, aggregation, baseline anchoring."""
 
+import math
+
 import pytest
 
+import repro.experiments.sweep as sweep_mod
 from repro import Platform
 from repro.dags import dex, random_dag, small_rand_set
 from repro.experiments import (
@@ -11,6 +14,7 @@ from repro.experiments import (
     normalized_sweep,
     reference_run,
 )
+from repro.scheduling.registry import SCHEDULERS
 
 
 class TestReferenceRun:
@@ -70,9 +74,9 @@ class TestNormalizedSweep:
             return 100.0  # always "succeeds"
 
         res = normalized_sweep(graphs, Platform(1, 1), alphas=(0.5, 1.0),
-                               extra_solver=fake_solver, extra_name="oracle")
-        assert "oracle" in res.algorithms
-        assert res.cell(1.0, "oracle").success_rate == 1.0
+                               extra_solver=fake_solver)
+        assert res.algorithms[-1] == "optimal"
+        assert res.cell(1.0, "optimal").success_rate == 1.0
 
     def test_unknown_alpha_or_algo_raises(self, result):
         with pytest.raises(KeyError):
@@ -139,3 +143,79 @@ class TestHeterogeneitySweep:
     def test_unknown_cell_raises(self, result):
         with pytest.raises(KeyError):
             result.cell(0.123, "memheft")
+
+
+#: One small call per sweep style, all scheduling with "memheft".
+SWEEPS = {
+    "normalized": lambda **kw: normalized_sweep(
+        small_rand_set(2, 12), Platform(1, 1), ("memheft",), (0.6, 1.0),
+        **kw),
+    "absolute": lambda **kw: absolute_sweep(
+        dex(), Platform(1, 1), (3, 4, 5), ("memheft",), **kw),
+    "heterogeneity": lambda **kw: heterogeneity_sweep(
+        [random_dag(size=12, rng=s) for s in (0, 1)], Platform(2, 2),
+        ("memheft",), (0.0, 0.4), **kw),
+}
+
+
+class TestCheckValidatesEverySchedule:
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_each_produced_schedule_is_validated_once(self, sweep,
+                                                      monkeypatch):
+        produced, validated = [], []
+        run = SCHEDULERS["memheft"]
+
+        def counting(graph, platform, **kw):
+            produced.append(run(graph, platform, **kw))
+            return produced[-1]
+
+        def validate(graph, platform, schedule):
+            validated.append(schedule)
+            return real_validate(graph, platform, schedule)
+
+        real_validate = sweep_mod.validate_schedule
+        monkeypatch.setitem(SCHEDULERS, "memheft", counting)
+        monkeypatch.setattr(sweep_mod, "validate_schedule", validate)
+        SWEEPS[sweep](check=True)
+        assert produced
+        # the heterogeneity sweep's spread-0 baselines included
+        assert [id(s) for s in validated] == [id(s) for s in produced]
+
+
+class TestMemoryObliviousRefused:
+    """A memory-oblivious heuristic ignores the bound, so a bounded sweep
+    would count its overflowing schedules as successes."""
+
+    @pytest.fixture
+    def no_cells(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a cell ran")
+        monkeypatch.setattr(sweep_mod, "map_cells", fail)
+
+    def test_normalized_sweep(self, no_cells):
+        with pytest.raises(ValueError, match=r"memory-oblivious.*: heft;"):
+            normalized_sweep(small_rand_set(4, 16), Platform(1, 1),
+                             ("memheft", "heft"), (0.2, 0.5, 1.0))
+
+    def test_absolute_sweep(self, no_cells):
+        with pytest.raises(ValueError, match="minmin"):
+            absolute_sweep(dex(), Platform(1, 1), (4, 5),
+                           algorithms=("minmin",), check=True)
+
+    def test_names_match_case_insensitively(self, no_cells):
+        with pytest.raises(ValueError, match="HEFT, Sufferage"):
+            normalized_sweep(small_rand_set(1, 10), Platform(1, 1),
+                             ("HEFT", "memminmin", "Sufferage"), (1.0,))
+
+    def test_heterogeneity_sweep_on_a_bounded_platform(self, no_cells):
+        with pytest.raises(ValueError, match="sufferage"):
+            heterogeneity_sweep(
+                [random_dag(size=12, rng=0)],
+                Platform(2, 2, mem_blue=500, mem_red=math.inf),
+                ("memheft", "sufferage"), (0.0, 0.4))
+
+    def test_heterogeneity_sweep_unbounded_accepts_them(self):
+        res = heterogeneity_sweep([random_dag(size=12, rng=0)],
+                                  Platform(2, 2), ("heft", "minmin"),
+                                  (0.0, 0.4), check=True)
+        assert all(c.n_success == 1 for c in res.cells)

@@ -293,11 +293,14 @@ class TestHardening:
     def test_saturated_server_answers_503(self):
         import socket as socket_mod
         with ThreadedServer(ServiceApp(), max_connections=1) as srv:
-            ServiceClient(srv.host, srv.port).wait_until_ready()
-            # Hold one keep-alive connection open...
+            # Probe readiness on the connection held below: a separate
+            # probe's keep-alive socket could still count against the cap
+            # when ``first`` connects.
             first = ServiceClient(srv.host, srv.port)
-            first.healthz()
             try:
+                first.wait_until_ready()
+                # Hold one keep-alive connection open...
+                first.healthz()
                 # ...then a second connection must be rejected with 503.
                 raw = socket_mod.create_connection((srv.host, srv.port),
                                                    timeout=5)
