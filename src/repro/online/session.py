@@ -2,9 +2,11 @@
 times, placements are committed incrementally on a live timeline.
 
 Every planning round runs the one list-scheduling loop of the offline
-heuristics (:func:`repro.scheduling.driver.drive`, with their
-selectors) over a live :class:`~repro.scheduling.state.SchedulerState`,
-one **planning round** per due time (see :mod:`repro.online.policies`).
+heuristics (:func:`repro.scheduling.driver.drive`) with the selector
+the offline heuristic builds
+(:func:`repro.scheduling.driver.make_selector`) over a live
+:class:`~repro.scheduling.state.SchedulerState`, one **planning round**
+per due time (see :mod:`repro.online.policies`).
 
 **Checkpoint plus tail.**  The decision log splits into a prefix no
 later round can revoke and a tail of at most ``W`` decisions (``W`` is
@@ -35,9 +37,12 @@ structures fully summarise every commitment of the prefix.
    memory class and child readiness, no memory or avail effect — those
    are in the checkpoint); a placed task that is no live task's parent
    plays no part in the round and is left out;
-5. replays the kept tail through :meth:`SchedulerState.commit`
-   (``breakdown.proc`` is honoured verbatim, so replay does zero EST
-   evaluations), then drives the heuristic over revoked + new tasks;
+5. replays the kept tail by committing each decision's recorded
+   breakdown again through :meth:`SchedulerState.commit` (the tail holds
+   the committed :class:`~repro.scheduling.kernel.ESTBreakdown` with the
+   placed ``proc`` filled in, which ``commit`` honours verbatim, so
+   replay does zero EST evaluations), then drives the heuristic over
+   revoked + new tasks;
 6. folds the decisions that left the revocable window into the new
    checkpoint.  Its position is known before driving: the round marks
    the undo logs at that commit and, once it has succeeded, rolls the
@@ -93,13 +98,7 @@ from ..core.memory_profile import MemoryProfile
 from ..core.platform import Platform
 from ..core.schedule import Placement
 from ..io.json_io import canonical_json, platform_to_dict
-from ..scheduling.candidates import (
-    MinEFTSelector,
-    ScanSelector,
-    first_fit,
-    max_sufferage,
-)
-from ..scheduling.driver import drive
+from ..scheduling.driver import drive, make_selector
 from ..scheduling.kernel import ESTBreakdown
 from ..scheduling.ranks import upward_rank_rows
 from ..scheduling.ranks import rank_order  # noqa: F401 (perfbench patches it here)
@@ -171,29 +170,6 @@ class OnlineJob:
                 ],
             )
         return out
-
-
-class _Decision(NamedTuple):
-    """One committed placement, recorded with exactly the breakdown
-    fields :meth:`SchedulerState.commit` consumes — replaying a decision
-    is one ``commit`` call with ``proc`` honoured verbatim and zero EST
-    evaluations."""
-
-    task: Task         # namespaced "<job_id>/<task>"
-    memidx: int
-    est: float         # post-clamp start
-    duration: float
-    cmax: float
-    comm_fit: float
-    proc: int
-
-    def breakdown(self, memories) -> ESTBreakdown:
-        """The breakdown that replays this decision through ``commit``."""
-        return ESTBreakdown(
-            task=self.task, memory=memories[self.memidx], resource=0.0,
-            precedence=0.0, task_mem=0.0, comm_mem=0.0, cmax=self.cmax,
-            est=self.est, eft=self.est + self.duration,
-            comm_fit=self.comm_fit, duration=self.duration, proc=self.proc)
 
 
 class _Checkpoint(NamedTuple):
@@ -400,7 +376,10 @@ class OnlineSession:
 
     def __init__(self, platform: Platform, algorithm: str = "memheft",
                  policy="immediate", comm_policy: str = "late") -> None:
-        if algorithm not in ENGINE_OPTIONED:
+        # Names are case-insensitive, as in get_scheduler; the session,
+        # its journal header and its summary carry the lower-case one.
+        name = algorithm.lower() if isinstance(algorithm, str) else algorithm
+        if name not in ENGINE_OPTIONED:
             raise ValueError(
                 f"online sessions support the engine heuristics "
                 f"{sorted(ENGINE_OPTIONED)}, got {algorithm!r}")
@@ -408,7 +387,7 @@ class OnlineSession:
             raise ValueError(f"comm_policy must be 'late' or 'eager', "
                              f"got {comm_policy!r}")
         self.platform = platform
-        self.algorithm = algorithm
+        self.algorithm = name
         self.policy = make_policy(policy)
         self.comm_policy = comm_policy
         self.clock = 0.0
@@ -419,8 +398,9 @@ class OnlineSession:
             {m: MemoryProfile(platform.capacity(m))
              for m in platform.memories()},
             [0.0] * platform.n_procs, 0)
-        #: ... and the decisions after it (at most the replan window).
-        self._tail: list[_Decision] = []
+        #: ... and the decisions after it (at most the replan window): each
+        #: the breakdown the round committed, its ``proc`` the placed one.
+        self._tail: list[ESTBreakdown] = []
         #: ``{job_id: _JobBlock}`` of the jobs with a tail decision.
         self._blocks: dict[str, _JobBlock] = {}
         #: One row per planning round: floor, n_jobs, n_tasks, replanned,
@@ -576,9 +556,8 @@ class OnlineSession:
             profile.record()
         try:
             fold = _fold(state) if cut == 0 else None
-            memories = self.platform.memories()
             for n, decision in enumerate(kept, 1):
-                state.commit(decision.breakdown(memories))
+                state.commit(decision)
                 state.pop_newly_ready()   # readiness comes from the log
                 if n == cut:
                     fold = _fold(state)
@@ -627,21 +606,17 @@ class OnlineSession:
 
     def _drive(self, state: SchedulerState, positions: Optional[dict],
                floor: float,
-               cut: int = -1) -> tuple[list[_Decision], Optional[tuple]]:
-        """The offline heuristic's selector, driven by the one loop of
-        :mod:`repro.scheduling.driver` with the release-floor clamp —
-        with ``floor == 0`` and nothing committed this is bit-for-bit the
-        offline heuristic.  ``positions`` is MemHEFT's rank position per
-        task (``None`` for the other heuristics); the rest comes from the
-        state's flat arrays.  Returns the decisions and, right after the
-        ``cut``-th of them, the state's :func:`_fold`."""
+               cut: int = -1) -> tuple[list[ESTBreakdown], Optional[tuple]]:
+        """The offline heuristic's own selector
+        (:func:`~repro.scheduling.driver.make_selector`), driven by the
+        one loop of :mod:`repro.scheduling.driver` with the release-floor
+        clamp — with ``floor == 0`` and nothing committed this is
+        bit-for-bit the offline heuristic.  ``positions`` is MemHEFT's
+        rank position per task (``None`` for the other heuristics).
+        Returns the committed breakdowns (placed ``proc`` filled in) and,
+        right after the ``cut``-th of them, the state's :func:`_fold`."""
         flat = state._flat
-        if self.algorithm == "memheft":
-            selector = ScanSelector(state, positions, first_fit)
-        elif self.algorithm == "memminmin":
-            selector = MinEFTSelector(state, flat.index)
-        else:   # memsufferage (constructor rejects anything else)
-            selector = ScanSelector(state, flat.index, max_sufferage)
+        selector = make_selector(self.algorithm, state, positions)
         if state.n_scheduled == 0:
             ready = flat.roots()
         else:
@@ -655,19 +630,16 @@ class OnlineSession:
                     f"the memory bounds ({left} tasks left, "
                     f"capacities={list(self.platform.capacities)})")
 
-        pairs: list = []
+        records: list = []
         fold: Optional[tuple] = None
         if 0 < cut <= n_left:
             after = n_left - cut
             drive(state, selector, cut, lambda left: infeasible(left + after),
-                  floor=floor, record=pairs)
+                  floor=floor, record=records)
             fold = _fold(state)
             n_left = after
-        drive(state, selector, n_left, infeasible, floor=floor, record=pairs)
-        records = [_Decision(best.task, best.memory.index, placement.start,
-                             placement.finish - placement.start, best.cmax,
-                             best.comm_fit, placement.proc)
-                   for best, placement in pairs]
+        drive(state, selector, n_left, infeasible, floor=floor,
+              record=records)
         return records, fold
 
     def _publish_placements(self, state: SchedulerState, jobs,

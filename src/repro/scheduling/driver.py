@@ -1,14 +1,18 @@
-"""The one select→commit list-scheduling loop.
+"""The one select→commit list-scheduling loop and the one table of
+selectors it runs.
 
 MemHEFT (Algorithm 1), MemMinMin (Algorithm 2) and MemSufferage share
 one loop: select a (task, memory) pair, commit it, release its children.
 Only the selection rule differs, and it lives in the selector
-(:mod:`repro.scheduling.candidates`: MemMinMin's lazy
-:class:`~repro.scheduling.candidates.MinEFTSelector`, or
+(:mod:`repro.scheduling.candidates`).  :data:`SELECTORS` is the only
+place an engine heuristic is mapped to its selector and tie order, and
+:func:`make_selector` the only place a selector is built: MemMinMin's
+lazy :class:`~repro.scheduling.candidates.MinEFTSelector`, or
 :class:`~repro.scheduling.candidates.ScanSelector`'s ordered rescans for
-MemHEFT and MemSufferage).  :func:`drive` is that loop — every offline
-run, observed or not, and every online planning round runs it — and
-:func:`run` wraps it for an offline heuristic.
+MemHEFT (rank position) and MemSufferage (topological row).  :func:`drive`
+is the loop — every offline run, observed or not, and every online
+planning round runs it — and :func:`run` wraps it for an offline
+heuristic.
 
 Under :mod:`repro.obs`, :func:`run` times the select and commit phases,
 folds the state's breakdown-memo counters
@@ -21,15 +25,34 @@ spans under the algorithm span.  Unobserved runs never read the clock.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Optional
 
 from .. import obs
 from ..core.schedule import Schedule
-from .state import InfeasibleScheduleError, SchedulerState
+from .candidates import MinEFTSelector, ScanSelector, first_fit, max_sufferage
+from .state import ESTBreakdown, InfeasibleScheduleError, SchedulerState
+
+#: Each engine heuristic's selector, called as ``(state, order)`` with
+#: ``order`` the tie order (task -> stable index).
+SELECTORS: dict[str, Callable] = {
+    "memheft": partial(ScanSelector, rule=first_fit),
+    "memminmin": MinEFTSelector,
+    "memsufferage": partial(ScanSelector, rule=max_sufferage),
+}
 
 #: Stride of the observed loop's phase-timing samples: one decision in
 #: this many is clocked, the rest pay an integer decrement and a branch.
 PHASE_SAMPLE = 32
+
+
+def make_selector(algorithm: str, state: SchedulerState,
+                  positions: Optional[dict] = None):
+    """``algorithm``'s selector over ``state``.  MemHEFT's tie order is
+    its rank ``positions`` (task -> position in the priority list); the
+    others break ties on the state's topological row index."""
+    order = positions if algorithm == "memheft" else state._flat.index
+    return SELECTORS[algorithm](state, order)
 
 
 def drive(state: SchedulerState, selector, n: int,
@@ -45,7 +68,9 @@ def drive(state: SchedulerState, selector, n: int,
     identity, every EST being non-negative); commit; drop the task from
     the selector; push the tasks the commit made ready.
 
-    ``record`` receives one ``(breakdown, placement)`` pair per commit.
+    ``record`` receives each committed breakdown, with the placed
+    processor filled in: committing it again on a state in the same
+    position replays the decision with zero EST evaluations.
     ``clock`` is a ``[select_s, commit_s, n_sampled]`` accumulator: when
     given, every :data:`PHASE_SAMPLE`-th decision is timed into it (the
     first one included).
@@ -68,7 +93,9 @@ def drive(state: SchedulerState, selector, n: int,
             best = best._replace(est=floor, eft=floor + best.duration)
         placement = state.commit(best)
         if record is not None:
-            record.append((best, placement))
+            # ``best._replace(proc=...)``, at half its cost: ``proc`` is
+            # the last field.
+            record.append(ESTBreakdown(*best[:-1], placement.proc))
         selector.remove(best.task)
         left -= 1
         for task in state.pop_newly_ready():
@@ -81,23 +108,29 @@ def drive(state: SchedulerState, selector, n: int,
             countdown = PHASE_SAMPLE - 1
 
 
-def run(state: SchedulerState, make_selector: Callable[[], object],
-        algorithm: str, infeasible: Callable[[int], str]) -> Schedule:
-    """Schedule every task of ``state``'s graph: build the selector,
-    push the roots, :func:`drive` one decision per task and finalize.
+def run(state: SchedulerState, algorithm: str,
+        infeasible: Callable[[int, int], str],
+        rank: Optional[Callable[[], dict]] = None) -> Schedule:
+    """Schedule every task of ``state``'s graph with ``algorithm``: build
+    its selector (:func:`make_selector`), push the roots, :func:`drive`
+    one decision per task and finalize.  ``infeasible(left, available)``
+    words the failure from the decisions still owed and the selector's
+    ready count; ``rank()`` computes MemHEFT's rank positions.
 
     Under :mod:`repro.obs` the whole run is an ``algorithm`` span (the
-    selector is built inside it, so MemHEFT's rank span nests there) and
-    its sampled phase timings and memo counters are recorded.
+    positions are computed inside it, so MemHEFT's rank span nests there)
+    and its sampled phase timings and memo counters are recorded.
     """
     n = state.graph.n_tasks
     st = obs.active()
     clock = None if st is None else [0.0, 0.0, 0]
     with obs.span(algorithm, n_tasks=n):
-        selector = make_selector()
+        selector = make_selector(
+            algorithm, state, None if rank is None else rank())
         for task in state.ready_roots():
             selector.push(task)
-        drive(state, selector, n, infeasible, clock=clock)
+        drive(state, selector, n,
+              lambda left: infeasible(left, len(selector)), clock=clock)
         schedule = state.finalize(algorithm)
         if st is not None:
             select_s, commit_s, n_sampled = clock

@@ -29,7 +29,6 @@ from .._util import RngLike
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import ScanSelector, first_fit
 from .driver import run
 from .ranks import rank_order
 from .state import SchedulerState
@@ -53,14 +52,10 @@ def memheft(graph: TaskGraph, platform: Platform, *, rng: RngLike = None,
         When the heuristic cannot fit the graph within the memory bounds.
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
-
-    def make_selector():
-        return ScanSelector(state, _rank_positions(graph, rng, platform),
-                            first_fit)
-
-    return run(state, make_selector, "memheft", lambda left: (
+    return run(state, "memheft", lambda left, available: (
         "MemHEFT: no remaining task fits within the memory bounds "
-        f"({left} tasks left, capacities={list(platform.capacities)})"))
+        f"({left} tasks left, capacities={list(platform.capacities)})"),
+        lambda: _rank_positions(graph, rng, platform))
 
 
 def _rank_positions(graph: TaskGraph, rng: RngLike,

@@ -21,7 +21,6 @@ from __future__ import annotations
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import MinEFTSelector
 from .driver import run
 from .state import SchedulerState
 
@@ -33,10 +32,7 @@ def memminmin(graph: TaskGraph, platform: Platform, *,
     ``comm_policy``: ``"late"`` (paper) or ``"eager"`` (ablation).
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
-    # Stable task indices make the (unspecified) tie-break deterministic.
-    index = {t: k for k, t in enumerate(graph.topological_order())}
-    selector = MinEFTSelector(state, index)
-    return run(state, lambda: selector, "memminmin", lambda left: (
+    return run(state, "memminmin", lambda left, available: (
         "MemMinMin: no available task fits within the memory bounds "
-        f"({len(selector)} available, "
+        f"({available} available, "
         f"capacities={list(platform.capacities)})"))

@@ -7,20 +7,14 @@ Every registered heuristic runs on the unified k-memory engine: pass a
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable
 
-from ..core.graph import TaskGraph
-from ..core.platform import Platform
 from ..core.schedule import Schedule
 from .heft import heft
 from .memheft import memheft
 from .memminmin import memminmin
 from .minmin import minmin
 from .sufferage import memsufferage, sufferage
-
-
-class Scheduler(Protocol):
-    def __call__(self, graph: TaskGraph, platform: Platform) -> Schedule: ...
 
 
 #: All scheduling heuristics by canonical name.
@@ -40,13 +34,15 @@ MEMORY_AWARE = ("memheft", "memminmin")
 BASELINES = ("heft", "minmin")
 #: Every memory-oblivious heuristic (unbounded-memory specialisations).
 MEMORY_OBLIVIOUS = ("heft", "minmin", "sufferage")
-#: Heuristics taking the engine option ``comm_policy=`` — consumers (e.g.
-#: ``repro.service``) must key capability checks on these tuples, not
+#: Heuristics taking the engine option ``comm_policy=``: every registered
+#: one but the memory-oblivious, in registry order.  Consumers (e.g.
+#: ``repro.service``) key capability checks on these tuples, not
 #: hand-maintained copies, so new registry entries are advertised
 #: correctly.  (The service's ``lazy`` wire option is still accepted for
 #: these, but no longer reaches the library: there is one selector per
 #: heuristic.)
-ENGINE_OPTIONED = ("memheft", "memminmin", "memsufferage")
+ENGINE_OPTIONED = tuple(name for name in SCHEDULERS
+                        if name not in MEMORY_OBLIVIOUS)
 
 
 def get_scheduler(name: str) -> Callable[..., Schedule]:

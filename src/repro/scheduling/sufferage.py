@@ -22,7 +22,6 @@ from __future__ import annotations
 from ..core.graph import TaskGraph
 from ..core.platform import Platform
 from ..core.schedule import Schedule
-from .candidates import ScanSelector, max_sufferage
 from .driver import run
 from .state import SchedulerState
 
@@ -42,11 +41,9 @@ def memsufferage(graph: TaskGraph, platform: Platform, *,
     within the memory bounds (same contract as Algorithms 1-2).
     """
     state = SchedulerState(graph, platform, comm_policy=comm_policy)
-    index = {t: k for k, t in enumerate(graph.topological_order())}
-    selector = ScanSelector(state, index, max_sufferage)
-    return run(state, lambda: selector, "memsufferage", lambda left: (
+    return run(state, "memsufferage", lambda left, available: (
         "MemSufferage: no available task fits within the memory bounds "
-        f"({len(selector)} available, "
+        f"({available} available, "
         f"capacities={list(platform.capacities)})"))
 
 

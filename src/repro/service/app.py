@@ -76,15 +76,16 @@ from ..online import OnlineSession
 #: in-memory only); every route and response body is unchanged.
 PROTOCOL_VERSION = 7
 
-#: Algorithms accepting the ``comm_policy`` / ``lazy`` engine options (the
-#: memory-oblivious heuristics run on fixed unbounded settings).
-_OPTIONED = frozenset(ENGINE_OPTIONED)
-
 #: ``lazy`` no longer reaches the library (each heuristic has one
 #: selector), but it stays accepted, checked, default-filled and hashed,
 #: so request digests and cached bodies are unchanged; only
 #: ``comm_policy`` is passed on.
 _DEFAULT_OPTIONS = {"comm_policy": "late", "lazy": True}
+
+#: Supervised pool-restart budget per ``/batch`` request: a worker-process
+#: death rebuilds the pool and retries up to this many times (with
+#: backoff) before the failure is surfaced to the client.
+POOL_RESTARTS = 2
 
 #: Paths that get their own ``endpoint`` label on the request metrics;
 #: anything else collapses into ``other`` so scrapes stay bounded no
@@ -143,7 +144,7 @@ def normalize_options(options: Optional[dict], algorithm: str) -> dict:
         raise ServiceError(400, "bad_request",
                            f"lazy must be true or false, "
                            f"got {out['lazy']!r}")
-    if algorithm not in _OPTIONED and out != _DEFAULT_OPTIONS:
+    if algorithm not in ENGINE_OPTIONED and out != _DEFAULT_OPTIONS:
         raise ServiceError(
             400, "bad_request",
             f"algorithm {algorithm!r} takes no engine options")
@@ -217,7 +218,7 @@ def execute_request(graph_d: dict, platform_d: dict, algorithm: str,
 
     scheduler = SCHEDULERS[algorithm]
     kwargs = ({"comm_policy": options["comm_policy"]}
-              if algorithm in _OPTIONED else {})
+              if algorithm in ENGINE_OPTIONED else {})
     try:
         schedule = scheduler(graph, platform, **kwargs)
     except InfeasibleScheduleError as exc:
@@ -339,16 +340,11 @@ class _SessionEntry:
 class ServiceApp:
     """Routes service requests; owns the cache and the worker count."""
 
-    def __init__(self, workers: int = 1, cache_size: int = 1024, *,
-                 pool_restarts: int = 2) -> None:
+    def __init__(self, workers: int = 1, cache_size: int = 1024) -> None:
         self.workers = max(1, int(workers))
         self.cache = ScheduleCache(cache_size)
         self.started_at = time.monotonic()
         self.n_requests = 0
-        #: Supervised pool-restart budget per request: a worker-process
-        #: death rebuilds the pool and retries up to this many times
-        #: (with backoff) before the failure is surfaced to the client.
-        self.pool_restarts = max(0, int(pool_restarts))
         self.n_pool_restarts = 0
         self._count_lock = threading.Lock()
         # Raw-body fast path: sha256 of the exact request bytes -> canonical
@@ -402,7 +398,7 @@ class ServiceApp:
         """Fan batch cells out (persistent pool) or run them in-process.
 
         A worker-process death (``BrokenProcessPool``) is supervised: the
-        pool is rebuilt and the batch retried up to ``pool_restarts``
+        pool is rebuilt and the batch retried up to :data:`POOL_RESTARTS`
         times — batch cells are pure, so a retry produces identical
         bytes — before a structured 500 is surfaced.
         """
@@ -418,11 +414,11 @@ class ServiceApp:
             except BrokenProcessPool as exc:
                 self.close()   # the next dispatch rebuilds the pool
                 attempt += 1
-                if attempt > self.pool_restarts:
+                if attempt > POOL_RESTARTS:
                     raise ServiceError(
                         500, "worker_pool",
                         f"batch worker pool died ({exc}) and "
-                        f"{self.pool_restarts} supervised restarts were "
+                        f"{POOL_RESTARTS} supervised restarts were "
                         f"exhausted; pool reset, retry the request"
                     ) from exc
                 self._note_pool_restart(attempt)
@@ -642,16 +638,17 @@ class ServiceApp:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ServiceError(400, "bad_platform",
                                    f"invalid platform: {exc}") from exc
-            options = payload.get("options") or {}
-            if not isinstance(options, dict):
-                raise ServiceError(400, "bad_request",
-                                   "'options' must be an object")
+            algorithm = payload.get("algorithm", "memheft")
+            # The options are checked as /schedule checks them, against
+            # the lower-case name the session will run (the session
+            # itself refuses a heuristic without engine options).
+            options = normalize_options(payload.get("options"),
+                                        str(algorithm).lower())
             try:
                 session = OnlineSession(
-                    platform,
-                    algorithm=payload.get("algorithm", "memheft"),
+                    platform, algorithm=algorithm,
                     policy=payload.get("policy", "immediate"),
-                    comm_policy=options.get("comm_policy", "late"))
+                    comm_policy=options["comm_policy"])
             except ValueError as exc:
                 raise ServiceError(400, "bad_request", str(exc)) from exc
             entry = self._sessions[name] = _SessionEntry(session)
@@ -660,14 +657,18 @@ class ServiceApp:
     @staticmethod
     def _check_session_config(name: str, session: OnlineSession,
                               payload: dict) -> None:
+        algorithm = payload.get("algorithm")
         stated = {
-            "algorithm": (payload.get("algorithm"), session.algorithm),
+            "algorithm": (algorithm.lower() if isinstance(algorithm, str)
+                          else algorithm, session.algorithm),
             "policy": (payload.get("policy"), session.policy.name),
         }
         options = payload.get("options")
-        if isinstance(options, dict) and "comm_policy" in options:
-            stated["options.comm_policy"] = (options["comm_policy"],
-                                             session.comm_policy)
+        if options is not None:
+            normalize_options(options, session.algorithm)   # 400s as /schedule
+            if "comm_policy" in options:
+                stated["options.comm_policy"] = (options["comm_policy"],
+                                                 session.comm_policy)
         if isinstance(payload.get("platform"), dict):
             stated["platform"] = (payload["platform"],
                                   platform_to_dict(session.platform))
@@ -758,7 +759,8 @@ class ServiceApp:
                 "name": name,
                 "memory_aware": name not in MEMORY_OBLIVIOUS,
                 "baseline": name in MEMORY_OBLIVIOUS,
-                "options": sorted(_DEFAULT_OPTIONS) if name in _OPTIONED else [],
+                "options": (sorted(_DEFAULT_OPTIONS)
+                            if name in ENGINE_OPTIONED else []),
             }
             for name in sorted(SCHEDULERS)
         ]

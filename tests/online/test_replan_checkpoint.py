@@ -53,9 +53,8 @@ class RebuildSession(OnlineSession):
         union = build_union_graph(in_round, self.platform.n_classes)
         state = SchedulerState(union, self.platform,
                                comm_policy=self.comm_policy)
-        memories = self.platform.memories()
         for decision in kept:
-            state.commit(decision.breakdown(memories))
+            state.commit(decision)
             state.pop_newly_ready()
         positions = {t: k for k, t in enumerate(
             rank_order(union, rng=None, platform=self.platform))}

@@ -221,6 +221,55 @@ class TestErrors:
         status, out = submit(app, session="x", algorithm="heft")
         assert (status, out["error"]["type"]) == (400, "bad_request")
 
+    @pytest.mark.parametrize("options", [
+        {"comm_polcy": "eager"}, {"lazy": "yes"}, ["eager"],
+    ], ids=["misspelt-key", "non-bool-lazy", "not-an-object"])
+    def test_bad_options_400_as_schedule(self, options):
+        """/jobs checks its options as /schedule does, when it opens a
+        session and when a request restates them."""
+        app = ServiceApp()
+        request = {"graph": graph_to_dict(dex()),
+                   "platform": platform_to_dict(PLATFORM),
+                   "options": options}
+        status, _, _ = app.handle("POST", "/schedule",
+                                  json.dumps(request).encode())
+        assert status == 400
+        status, out = submit(app, options=options)
+        assert (status, out["error"]["type"]) == (400, "bad_request")
+        status, out = get(app, "/jobs?session=s")
+        assert (status, out["error"]["type"]) == (404, "unknown_session")
+        assert submit(app)[0] == 200
+        status, out = submit(app, options=options)
+        assert (status, out["error"]["type"]) == (400, "bad_request")
+        _, info = get(app, "/jobs?session=s")
+        assert info["summary"]["n_jobs"] == 1
+
+    def test_restated_options_may_leave_keys_out(self):
+        app = ServiceApp()
+        assert submit(app, options={"comm_policy": "eager"})[0] == 200
+        for options in ({}, {"lazy": False}, None):
+            status, _ = submit(app, options=options)
+            assert status == 200
+        status, out = submit(app, options={"comm_policy": "late"})
+        assert (status, out["error"]["type"]) == (409, "session_mismatch")
+
+    def test_algorithm_names_are_case_insensitive(self):
+        """As at /schedule: the session runs, and its journal header
+        records, the lower-case name; a restatement differing only in
+        case is no conflict."""
+        app = ServiceApp()
+        status, _ = submit(app, algorithm="MemHEFT",
+                           options={"comm_policy": "eager"})
+        assert status == 200
+        assert submit(app, algorithm="MEMHEFT")[0] == 200
+        status, out = submit(app, algorithm="MemMinMin")
+        assert (status, out["error"]["type"]) == (409, "session_mismatch")
+        _, info = get(app, "/jobs?session=s")
+        header = json.loads(info["journal"].splitlines()[0])
+        assert header["algorithm"] == info["summary"]["algorithm"] \
+            == "memheft"
+        assert header["comm_policy"] == "eager"
+
 
 class TestConcurrency:
     def test_concurrent_submits_serialize_per_session(self):

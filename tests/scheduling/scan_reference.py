@@ -11,23 +11,26 @@
   feasible breakdowns instead of keeping the two smallest EFTs in one pass
   as :func:`~repro.scheduling.candidates.max_sufferage` does.
 
-Tests reach a reference the way each heuristic builds its selector: by
-patching the selector name in the heuristic's module.
+Offline runs and online planning rounds build their selector from one
+table, :data:`repro.scheduling.driver.SELECTORS`.  :func:`references`
+swaps that table's entries for the references, so the same patch reaches
+``memheft``/``memminmin``/``memsufferage`` and every ``OnlineSession``
+round, and counts the reference selectors it builds.
 """
 
 import importlib
 import math
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
-from repro.scheduling.candidates import ScanSelector, min_eft
+from repro.scheduling.candidates import ScanSelector, first_fit, min_eft
+from repro.scheduling.registry import SCHEDULERS
 
-# The package re-exports the functions under the modules' names, so fetch
-# the modules themselves.
-_memheft_mod = importlib.import_module("repro.scheduling.memheft")
-_memminmin_mod = importlib.import_module("repro.scheduling.memminmin")
-_sufferage_mod = importlib.import_module("repro.scheduling.sufferage")
+# The package re-exports functions under module names, so fetch the
+# module itself.
+_driver = importlib.import_module("repro.scheduling.driver")
 
 
 class SortedScanSelector:
@@ -79,48 +82,52 @@ def sorted_sufferage(state, tasks):
     return best_choice
 
 
-def _scan_min_eft(state, order):
-    return ScanSelector(state, order, min_eft)
+#: Each heuristic's reference selector, called as ``(state, order)``
+#: like the entries of :data:`repro.scheduling.driver.SELECTORS`.
+REFERENCE_SELECTORS = {
+    "memheft": lambda state, order: SortedScanSelector(state, order,
+                                                       first_fit),
+    "memminmin": lambda state, order: ScanSelector(state, order, min_eft),
+    "memsufferage": lambda state, order: SortedScanSelector(
+        state, order, sorted_sufferage),
+}
 
 
 @contextmanager
-def scan_reference():
-    """Within the block, :func:`memminmin` selects by rescanning."""
+def references(names=tuple(REFERENCE_SELECTORS)):
+    """Within the block the named heuristics select through their
+    references, offline and online alike.  Yields a :class:`Counter` of
+    the reference selectors built, per heuristic."""
+    built = Counter()
+
+    def counted(name):
+        make = REFERENCE_SELECTORS[name]
+
+        def build(state, order):
+            built[name] += 1
+            return make(state, order)
+        return build
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_memminmin_mod, "MinEFTSelector", _scan_min_eft)
-        yield
+        for name in names:
+            mp.setitem(_driver.SELECTORS, name, counted(name))
+        yield built
 
 
-def memminmin_scan(graph, platform, **kwargs):
-    """:func:`memminmin` through the rescan reference."""
-    with scan_reference():
-        return _memminmin_mod.memminmin(graph, platform, **kwargs)
-
-
-def _sorted_scan(module, name, rule=None):
-    """``name`` run through :class:`SortedScanSelector`, with ``rule`` in
-    place of the module's own when given."""
-    def selector(state, order, own_rule):
-        return SortedScanSelector(state, order, rule or own_rule)
-
+def _reference_run(name):
+    """The offline heuristic ``name`` run through its reference."""
     def run(graph, platform, **kwargs):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, "ScanSelector", selector)
-            return getattr(module, name)(graph, platform, **kwargs)
-    run.__name__ = f"{name}_sorted_scan"
+        with references((name,)) as built:
+            schedule = SCHEDULERS[name](graph, platform, **kwargs)
+        assert built[name] == 1
+        return schedule
+    run.__name__ = f"{name}_reference"
     return run
 
 
-#: :func:`memheft` and :func:`memsufferage` through :class:`SortedScanSelector`
-#: (MemSufferage with :func:`sorted_sufferage`).
-memheft_sorted_scan = _sorted_scan(_memheft_mod, "memheft")
-memsufferage_sorted_scan = _sorted_scan(_sufferage_mod, "memsufferage",
-                                        sorted_sufferage)
-
 #: Each heuristic's name and the run of its reference selection.
-REFERENCES = {"memheft": memheft_sorted_scan,
-              "memminmin": memminmin_scan,
-              "memsufferage": memsufferage_sorted_scan}
+REFERENCES = {name: _reference_run(name) for name in REFERENCE_SELECTORS}
+memheft_sorted_scan = REFERENCES["memheft"]
 
 
 def reference(fn):

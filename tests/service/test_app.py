@@ -30,6 +30,7 @@ from repro.scheduling.registry import (
     get_scheduler,
 )
 from repro.io.json_io import MAX_PROCESSORS
+from repro.service import app as service_app
 from repro.service.app import PROTOCOL_VERSION, ServiceApp
 
 PLATFORM = Platform(n_blue=1, n_red=1, mem_blue=5, mem_red=5)
@@ -419,8 +420,9 @@ class TestPoolSupervision:
         finally:
             app.close()
 
-    def test_exhausted_restart_budget_is_structured_500(self):
-        app = ServiceApp(workers=2, pool_restarts=0)
+    def test_exhausted_restart_budget_is_structured_500(self, monkeypatch):
+        monkeypatch.setattr(service_app, "POOL_RESTARTS", 0)
+        app = ServiceApp(workers=2)
         try:
             assert post(app, "/batch", self.batch((71, 72)))[0] == 200
             _kill_one_pool_worker(app)
