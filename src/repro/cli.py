@@ -390,12 +390,18 @@ def cmd_online_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stats = result.latency_stats()
-    clairvoyant = result.clairvoyant_makespan()
-    regret = result.regret(clairvoyant)
+    try:
+        clairvoyant = result.clairvoyant_makespan()
+    except InfeasibleScheduleError:
+        # Every online round fitted, but the offline pass over the whole
+        # union does not: there is no baseline to measure regret against.
+        baseline = "clairvoyant infeasible"
+    else:
+        baseline = (f"clairvoyant {clairvoyant:g}, regret "
+                    f"{result.regret(clairvoyant) * 100.0:+.1f}%")
     print(f"{args.algo} policy={result.session.policy.name}: "
           f"{len(trace)} jobs in {stats['n_rounds']} rounds")
-    print(f"makespan    {result.makespan:g}  "
-          f"(clairvoyant {clairvoyant:g}, regret {regret * 100.0:+.1f}%)")
+    print(f"makespan    {result.makespan:g}  ({baseline})")
     print(f"decision ms p50={stats['p50_ms']:g} p99={stats['p99_ms']:g} "
           f"max={stats['max_ms']:g}")
     if args.journal:
@@ -428,9 +434,8 @@ def cmd_online_replay(args: argparse.Namespace) -> int:
                     row["graph"], session=args.session,
                     release=float(row.get("release", 0.0)),
                     job_id=row.get("job"),
-                    platform=platform if k == 0 else None,
-                    algorithm=args.algo if k == 0 else None,
-                    policy=args.policy if k == 0 else None,
+                    platform=platform, algorithm=args.algo,
+                    policy=args.policy,
                     flush=(k == len(trace) - 1))
             info = client.session_info(args.session)
     except ServiceClientError as exc:

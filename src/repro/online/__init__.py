@@ -7,8 +7,9 @@ Three layers (see the module docstrings for the mechanics):
   timeline: submit graphs with release times, plan in rounds driven by
   an arrival policy, read back per-job placements and the deterministic
   decision journal;
-* :mod:`repro.online.policies` — arrival policies (``immediate``,
-  ``batched:Q``, ``replan:W``) parsed by :func:`make_policy`;
+* :mod:`repro.online.policies` — the arrival :class:`Policy` value
+  (``immediate``, ``batched:Q``, ``replan:W``), parsed and checked by
+  :func:`make_policy`;
 * :mod:`repro.online.simulator` — the event-driven harness
   (:func:`simulate`) plus regret against the clairvoyant offline
   schedule; :mod:`repro.online.loadgen` generates seeded Poisson
@@ -20,12 +21,7 @@ end.
 """
 
 from .loadgen import poisson_trace, read_trace, write_trace, zero_release
-from .policies import (
-    BatchedQuantum,
-    BoundedReplan,
-    ImmediateGreedy,
-    make_policy,
-)
+from .policies import Policy, make_policy
 from .session import (
     JOURNAL_VERSION,
     OnlineJob,
@@ -36,13 +32,11 @@ from .session import (
 from .simulator import OnlineResult, simulate
 
 __all__ = [
-    "BatchedQuantum",
-    "BoundedReplan",
-    "ImmediateGreedy",
     "JOURNAL_VERSION",
     "OnlineJob",
     "OnlineResult",
     "OnlineSession",
+    "Policy",
     "build_union_graph",
     "clairvoyant_makespan",
     "make_policy",

@@ -17,92 +17,86 @@ how arrivals group:
   them together with the new arrivals, warm-started from the kept
   prefix of the decision log.
 
-Policies are pure and stateless; :func:`make_policy` parses the spec
-strings used by the CLI, the service and the benchmarks.
+A policy is one immutable :class:`Policy` value, so two policies are the
+same exactly when they compare equal, whatever spec spelt them.
+:func:`make_policy` is the one place a policy is validated: it parses the
+spec strings used by the CLI, the service and the benchmarks, and checks
+a hand-built :class:`Policy` the same way.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from typing import NamedTuple
 
 
-class ImmediateGreedy:
-    """Plan each job at its release time."""
+class Policy(NamedTuple):
+    """An arrival policy: ``kind`` is ``"immediate"``, ``"batched"`` or
+    ``"replan"``; ``quantum`` is the batched quantum and
+    ``replan_window`` the replan window (0 for the other kinds).  Build
+    one with :func:`make_policy`."""
 
-    name = "immediate"
-    replan_window = 0
+    kind: str = "immediate"
+    quantum: float = 0.0
+    replan_window: int = 0
 
-    def due(self, release: float) -> float:
-        return release
-
-
-class BatchedQuantum:
-    """Pool arrivals until the next quantum boundary, then plan them
-    as one round."""
-
-    replan_window = 0
-
-    def __init__(self, quantum: float) -> None:
-        if not (quantum > 0.0 and math.isfinite(quantum)):
-            raise ValueError(f"batched quantum must be finite and > 0, "
-                             f"got {quantum!r}")
-        self.quantum = quantum
-        self.name = f"batched:{quantum:g}"
+    @property
+    def name(self) -> str:
+        """The canonical spec (journal headers, summaries, obs labels)."""
+        if self.kind == "batched":
+            return f"batched:{self.quantum:g}"
+        if self.kind == "replan":
+            return f"replan:{self.replan_window}"
+        return self.kind
 
     def due(self, release: float) -> float:
+        q = self.quantum
+        if not q:
+            return release
         # ceil to the next boundary; a release exactly on a boundary
         # (release 0 included) keeps that boundary as its due time.
-        q = self.quantum
         steps = math.ceil(release / q - 1e-12)
         return max(0.0, steps * q)
 
 
-class BoundedReplan:
-    """Greedy due times plus bounded revocation of the uncommitted
-    suffix: each round may tear up to ``window`` of the most recent
-    decisions whose start lies beyond the round's floor and re-plan
-    them together with the new arrivals."""
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError(f"replan window must be >= 1, got {window!r}")
-        self.window = int(window)
-        self.name = f"replan:{self.window}"
-
-    @property
-    def replan_window(self) -> int:
-        return self.window
-
-    def due(self, release: float) -> float:
-        return release
+#: What each policy kind takes, for the error of a bad spec.
+_USAGE = {"immediate": "'immediate' takes no argument",
+          "batched": "want 'batched:Q' with a finite quantum > 0",
+          "replan": "want 'replan:W' with an integer window >= 1"}
 
 
-def make_policy(spec):
-    """Parse a policy spec: ``"immediate"``, ``"batched:Q"`` or
-    ``"replan:W"`` (an already-built policy object passes through)."""
-    if hasattr(spec, "due"):
-        return spec
-    if not isinstance(spec, str):
-        raise ValueError(f"policy spec must be a string, got {type(spec)}")
-    name, _, arg = spec.partition(":")
-    name = name.strip().lower()
-    if name == "immediate":
-        if arg:
-            raise ValueError("the immediate policy takes no argument")
-        return ImmediateGreedy()
-    if name == "batched":
+def make_policy(spec) -> Policy:
+    """The :class:`Policy` of ``spec``: ``"immediate"``, ``"batched:Q"``
+    or ``"replan:W"`` (case and whitespace aside), or a :class:`Policy`,
+    checked like a parsed one.  A bad spec raises ``ValueError``."""
+    if isinstance(spec, str):
+        kind, _, arg = spec.partition(":")
+        kind = kind.strip().lower()
         try:
-            return BatchedQuantum(float(arg))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"invalid batched policy {spec!r} (want 'batched:Q' with "
-                f"a positive quantum): {exc}") from None
-    if name == "replan":
-        try:
-            return BoundedReplan(int(arg))
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"invalid replan policy {spec!r} (want 'replan:W' with "
-                f"a positive integer window)") from None
-    raise ValueError(f"unknown arrival policy {name!r} "
-                     f"(known: immediate, batched:Q, replan:W)")
+            policy = (Policy(kind, float(arg)) if kind == "batched" else
+                      Policy(kind, 0.0, int(arg)) if kind == "replan" else
+                      Policy(kind, arg or 0.0))   # an argument: invalid
+        except ValueError:
+            policy = Policy(kind, math.nan)   # refused below
+    elif isinstance(spec, Policy):
+        policy = spec
+    else:
+        raise ValueError(f"policy spec must be a string or a Policy, "
+                         f"got {type(spec)}")
+    kind, quantum, window = policy
+    if kind not in _USAGE:
+        raise ValueError(f"unknown arrival policy {kind!r} "
+                         f"(known: immediate, batched:Q, replan:W)")
+    if kind == "immediate":
+        valid = policy == Policy()
+    elif kind == "batched":
+        valid = (window == 0 and not isinstance(quantum, bool)
+                 and isinstance(quantum, (int, float))
+                 and 0.0 < quantum <= sys.float_info.max)
+    else:
+        valid = (quantum == 0 and not isinstance(window, bool)
+                 and isinstance(window, int) and window >= 1)
+    if not valid:
+        raise ValueError(f"invalid {kind} policy {spec!r}: {_USAGE[kind]}")
+    return Policy(kind, float(quantum), window)

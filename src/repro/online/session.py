@@ -90,7 +90,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Hashable, NamedTuple, Optional
+from typing import Hashable, NamedTuple, Optional, Union
 
 from .. import obs
 from ..core.graph import FlatGraph, TaskGraph
@@ -104,7 +104,7 @@ from ..scheduling.ranks import upward_rank_rows
 from ..scheduling.ranks import rank_order  # noqa: F401 (perfbench patches it here)
 from ..scheduling.registry import ENGINE_OPTIONED, get_scheduler
 from ..scheduling.state import COMM_POLICIES, SchedulerState
-from .policies import make_policy
+from .policies import Policy, make_policy
 
 Task = Hashable
 
@@ -149,6 +149,13 @@ class OnlineJob:
             return None
         return max(p.finish for p in self.placements.values())
 
+    def task_rows(self) -> list:
+        """The placement rows of :meth:`to_dict` and the journal, in
+        node order."""
+        return [{"task": str(t), "proc": p.proc, "memory": p.memory.index,
+                 "start": p.start, "finish": p.finish}
+                for t, p in self.placements.items()]
+
     def to_dict(self) -> dict:
         out = {
             "job_id": self.job_id,
@@ -162,12 +169,7 @@ class OnlineJob:
                 start=self.start,
                 finish=self.finish,
                 decision_ms=self.decision_ms,
-                tasks=[
-                    {"task": str(t), "proc": p.proc,
-                     "memory": p.memory.index,
-                     "start": p.start, "finish": p.finish}
-                    for t, p in self.placements.items()
-                ],
+                tasks=self.task_rows(),
             )
         return out
 
@@ -375,7 +377,8 @@ class OnlineSession:
     """
 
     def __init__(self, platform: Platform, algorithm: str = "memheft",
-                 policy="immediate", comm_policy: str = "late") -> None:
+                 policy: Union[str, Policy] = "immediate",
+                 comm_policy: str = "late") -> None:
         # Names are case-insensitive, as in get_scheduler; the session,
         # its journal header and its summary carry the lower-case one.
         name = algorithm.lower() if isinstance(algorithm, str) else algorithm
@@ -694,12 +697,7 @@ class OnlineSession:
             rows.append(canonical_json({
                 "job": job.job_id,
                 "release": job.release,
-                "tasks": [
-                    {"task": str(t), "proc": p.proc,
-                     "memory": p.memory.index,
-                     "start": p.start, "finish": p.finish}
-                    for t, p in job.placements.items()
-                ],
+                "tasks": job.task_rows(),
             }))
         return "\n".join(rows) + "\n"
 

@@ -18,8 +18,11 @@ Layers, transport-independent first:
   response bodies, so a repeated instance is served from memory,
   byte-identical to the cold run.  The cache is in-memory only: a
   restarted service starts cold.  Batches fan their cache misses out over
-  a :class:`concurrent.futures.ProcessPoolExecutor` through
-  :func:`repro.experiments.engine.map_cells`.
+  the app's own persistent :class:`concurrent.futures.ProcessPoolExecutor`,
+  built on the worker pattern of :func:`repro.experiments.engine.map_cells`
+  (its ``_init_worker``/``_call_cell``).  A ``/jobs`` request parses its
+  session fields as the session's first request did and compares them by
+  value: a different value is a 409, another spelling of one value none.
 * :mod:`repro.service.server` — the HTTP/1.1 transport
   (:class:`ServiceServer`, a :class:`http.server.ThreadingHTTPServer`),
   plus :class:`ThreadedServer` for embedding a live server in tests and

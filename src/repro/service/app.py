@@ -618,66 +618,69 @@ class ServiceApp:
         return entry
 
     def _ensure_session(self, name: str, payload: dict) -> _SessionEntry:
-        """Get-or-create the named session; the first request fixes its
-        platform/algorithm/policy, later requests may restate them but a
-        conflicting restatement is a 409 (silent drift would make two
-        clients disagree about what timeline they share)."""
+        """Get-or-create the named session.  The first request fixes its
+        platform, algorithm, policy and ``comm_policy``; a later one may
+        restate them, parsed alike and compared by value: another value
+        is a 409 (silent drift would make two clients disagree about what
+        timeline they share), another spelling of one value is none."""
         with self._sessions_lock:
             entry = self._sessions.get(name)
-            if entry is not None:
-                self._check_session_config(name, entry.session, payload)
+            live = None if entry is None else entry.session
+            stated = self._stated_session(name, payload, live)
+            if entry is None:
+                entry = self._sessions[name] = _SessionEntry(stated)
                 return entry
-            platform_d = payload.get("platform")
-            if not isinstance(platform_d, dict):
-                raise ServiceError(
-                    400, "bad_request",
-                    f"the first request for session {name!r} must carry "
-                    f"'platform'")
+            for key in ("platform", "algorithm", "policy", "comm_policy"):
+                have, got = getattr(live, key), getattr(stated, key)
+                if got != have:
+                    if key == "platform":   # its repr rounds capacities
+                        have, got = map(platform_to_dict, (have, got))
+                    raise ServiceError(
+                        409, "session_mismatch",
+                        f"session {name!r} runs with {key}={have!r}; this "
+                        f"request restates {key}={got!r}")
+            return entry
+
+    @staticmethod
+    def _stated_session(name: str, payload: dict,
+                        live: Optional[OnlineSession]) -> OnlineSession:
+        """The session a ``/jobs`` payload states, its left-out fields
+        taken from ``live`` (the defaults when there is none yet)."""
+        platform_d = payload.get("platform")
+        if platform_d is None and live is not None:
+            platform = live.platform
+        elif isinstance(platform_d, dict):
             try:
                 platform = platform_from_dict(platform_d)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ServiceError(400, "bad_platform",
                                    f"invalid platform: {exc}") from exc
-            algorithm = payload.get("algorithm", "memheft")
-            # The options are checked as /schedule checks them, against
-            # the lower-case name the session will run (the session
-            # itself refuses a heuristic without engine options).
-            options = normalize_options(payload.get("options"),
-                                        str(algorithm).lower())
-            try:
-                session = OnlineSession(
-                    platform, algorithm=algorithm,
-                    policy=payload.get("policy", "immediate"),
-                    comm_policy=options["comm_policy"])
-            except ValueError as exc:
-                raise ServiceError(400, "bad_request", str(exc)) from exc
-            entry = self._sessions[name] = _SessionEntry(session)
-            return entry
-
-    @staticmethod
-    def _check_session_config(name: str, session: OnlineSession,
-                              payload: dict) -> None:
+        else:
+            raise ServiceError(
+                400, "bad_request",
+                f"the first request for session {name!r} must carry "
+                f"'platform'" if platform_d is None else
+                "'platform' must be a platform object")
         algorithm = payload.get("algorithm")
-        stated = {
-            "algorithm": (algorithm.lower() if isinstance(algorithm, str)
-                          else algorithm, session.algorithm),
-            "policy": (payload.get("policy"), session.policy.name),
-        }
+        if algorithm is None:
+            algorithm = "memheft" if live is None else live.algorithm
+        policy = payload.get("policy")
+        if policy is None:
+            policy = "immediate" if live is None else live.policy
+        # The options are checked as /schedule checks them, against the
+        # lower-case name the session will run (the session itself
+        # refuses a heuristic without engine options); a restatement
+        # that leaves ``comm_policy`` out keeps the session's.
         options = payload.get("options")
-        if options is not None:
-            normalize_options(options, session.algorithm)   # 400s as /schedule
-            if "comm_policy" in options:
-                stated["options.comm_policy"] = (options["comm_policy"],
-                                                 session.comm_policy)
-        if isinstance(payload.get("platform"), dict):
-            stated["platform"] = (payload["platform"],
-                                  platform_to_dict(session.platform))
-        for key, (got, have) in stated.items():
-            if got is not None and got != have:
-                raise ServiceError(
-                    409, "session_mismatch",
-                    f"session {name!r} runs with {key}={have!r}; this "
-                    f"request restates {key}={got!r}")
+        comm_policy = normalize_options(
+            options, str(algorithm).lower())["comm_policy"]
+        if live is not None and "comm_policy" not in (options or {}):
+            comm_policy = live.comm_policy
+        try:
+            return OnlineSession(platform, algorithm=algorithm,
+                                 policy=policy, comm_policy=comm_policy)
+        except ValueError as exc:
+            raise ServiceError(400, "bad_request", str(exc)) from exc
 
     def _handle_jobs(self, method: str, path: str, query: str,
                      body: bytes) -> tuple[int, dict, bytes]:

@@ -63,6 +63,25 @@ class TestRun:
                          *PLATFORM_ARGS, "--journal", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_run_reports_an_infeasible_clairvoyant(self, tmp_path,
+                                                   capsys):
+        """Every online round fits at 110 units per class but the offline
+        pass over the whole union does not: the run still reports its own
+        stats, writes its journal and succeeds."""
+        trace = tmp_path / "ci.jsonl"
+        assert main(["online", "trace", "-n", "12", "--seed", "3",
+                     "--rate", "2.0", "--tick", "2.5",
+                     "-o", str(trace)]) == 0
+        journal = tmp_path / "journal.jsonl"
+        rc = main(["online", "run", str(trace), "--mem-blue", "110",
+                   "--mem-red", "110", "--journal", str(journal)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "(clairvoyant infeasible)" in out and "regret" not in out
+        assert "p99" in out
+        rows = journal.read_text().strip().split("\n")
+        assert len(rows) == 13
+
     def test_run_missing_trace_errors(self, tmp_path, capsys):
         rc = main(["online", "run", str(tmp_path / "missing.jsonl"),
                    *PLATFORM_ARGS])

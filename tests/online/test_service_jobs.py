@@ -311,3 +311,83 @@ class TestConcurrency:
         assert a["summary"]["algorithm"] == "memheft"
         assert b["summary"]["algorithm"] == "memminmin"
         assert a["summary"]["n_jobs"] == b["summary"]["n_jobs"] == 1
+
+
+def restate(app, session="s", **fields):
+    """POST one job into ``session`` carrying exactly ``fields``."""
+    payload = {"session": session, "graph": graph_to_dict(dex()), **fields}
+    status, _, body = app.handle("POST", "/jobs",
+                                 json.dumps(payload).encode())
+    return status, json.loads(body)
+
+
+DUAL = {"n_blue": 1, "n_red": 1, "mem_blue": None, "mem_red": None}
+
+
+class TestRestatementMatrix:
+    """A restated session field is parsed by the constructors that open
+    a session and compared with the session's value: another spelling of
+    that value is no conflict, another value is a 409, and a malformed
+    field is a 400, as when it opens the session."""
+
+    @pytest.mark.parametrize("opened, restated, status, err_type", [
+        ({}, {"policy": "Immediate"}, 200, None),
+        ({"policy": "batched:5"}, {"policy": "batched:5.0"}, 200, None),
+        ({"policy": "replan:4"}, {"policy": "replan: 4"}, 200, None),
+        ({}, {"platform": {"n_blue": 1, "n_red": 1}}, 200, None),
+        ({}, {"platform": dict(DUAL, speeds=[1.0, 1.0])}, 200, None),
+        ({}, {"platform": {"proc_counts": [1, 1]}}, 200, None),
+        ({"policy": "batched:1234567"}, {"policy": "batched:1234567"},
+         200, None),
+        ({"policy": "batched:1234567"}, {"policy": "batched:1234568"},
+         409, "session_mismatch"),
+        ({}, {"platform": dict(DUAL, mem_blue=50.0)},
+         409, "session_mismatch"),
+        ({}, {"platform": dict(DUAL, speeds=[2.0, 1.0])},
+         409, "session_mismatch"),
+        ({}, {"policy": 5}, 400, "bad_request"),
+        ({}, {"algorithm": 5}, 400, "bad_request"),
+        ({}, {"platform": {"n_blue": -1, "n_red": 1}}, 400, "bad_platform"),
+        ({}, {"platform": "x"}, 400, "bad_request"),
+    ], ids=["policy-case", "batched-float-spelling", "replan-space",
+            "caps-left-out", "unit-speeds", "kary-form",
+            "batched-large-repeat", "batched-large-differs",
+            "other-capacity", "other-speeds", "policy-number",
+            "algorithm-number", "negative-procs", "platform-string"])
+    def test_restatement(self, opened, restated, status, err_type):
+        app = ServiceApp()
+        assert restate(app, platform=DUAL, **opened)[0] == 200
+        got, out = restate(app, **restated)
+        assert got == status, out
+        _, info = get(app, "/jobs?session=s")
+        if err_type is None:
+            assert info["summary"]["n_jobs"] == 2
+        else:
+            assert out["error"]["type"] == err_type
+            assert info["summary"]["n_jobs"] == 1
+
+    @pytest.mark.parametrize("field", [
+        {"policy": 5}, {"algorithm": 5},
+        {"platform": {"n_blue": -1, "n_red": 1}}, {"platform": "x"},
+    ], ids=["policy-number", "algorithm-number", "negative-procs",
+            "platform-string"])
+    def test_malformed_field_is_400_when_opening(self, field):
+        app = ServiceApp()
+        status, out = restate(app, **{"platform": DUAL, **field})
+        assert status == 400, out
+        assert get(app, "/jobs?session=s")[0] == 404
+
+    def test_restated_value_keeps_the_journal(self):
+        """Restating every field on every request leaves the journal as
+        stating them once does."""
+        journals = []
+        for every in (False, True):
+            app = ServiceApp()
+            for k in range(3):
+                fields = ({"platform": {"proc_counts": [1, 1]},
+                           "algorithm": "MemHEFT", "policy": "batched:5.0"}
+                          if every or k == 0 else {})
+                status, _ = restate(app, release_time=2.0 * k, **fields)
+                assert status == 200
+            journals.append(get(app, "/jobs?session=s")[1]["journal"])
+        assert journals[0] == journals[1]
