@@ -41,6 +41,8 @@ SELECTORS: dict[str, Callable] = {
     "memsufferage": partial(ScanSelector, rule=max_sufferage),
 }
 
+_new = tuple.__new__
+
 #: Stride of the observed loop's phase-timing samples: one decision in
 #: this many is clocked, the rest pay an integer decrement and a branch.
 PHASE_SAMPLE = 32
@@ -93,9 +95,9 @@ def drive(state: SchedulerState, selector, n: int,
             best = best._replace(est=floor, eft=floor + best.duration)
         placement = state.commit(best)
         if record is not None:
-            # ``best._replace(proc=...)``, at half its cost: ``proc`` is
-            # the last field.
-            record.append(ESTBreakdown(*best[:-1], placement.proc))
+            # ``best._replace(proc=...)``, built the way the kernel builds
+            # breakdowns: ``proc`` is the last field.
+            record.append(_new(ESTBreakdown, best[:-1] + (placement.proc,)))
         selector.remove(best.task)
         left -= 1
         for task in state.pop_newly_ready():

@@ -53,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 Task = Hashable
 
 _INF = math.inf
+_new = tuple.__new__
 
 
 class ESTBreakdown(NamedTuple):
@@ -60,7 +61,13 @@ class ESTBreakdown(NamedTuple):
 
     A ``NamedTuple`` rather than a dataclass: the kernel constructs one per
     evaluated candidate on the hot path, and tuple construction is several
-    times cheaper than a frozen dataclass ``__init__``.
+    times cheaper than a frozen dataclass ``__init__``.  The hot path goes
+    one step further and builds it as ``tuple.__new__(ESTBreakdown,
+    (...))`` with all twelve fields in order: the generated ``__new__``
+    costs a Python-level call with argument binding per breakdown, about
+    twice the tuple build itself.  The result is the same object type,
+    equal to the keyword-built value, with the same fields, properties,
+    ``repr`` and pickling.
     """
 
     task: Task
@@ -152,18 +159,31 @@ class ScalarKernel:
         if uniform:
             # min(avail) of the class (finite: it has processors, checked
             # above).  The processor is chosen at commit time.
-            resource = state.avail.mins[idx]
-            est = max(resource, precedence, task_mem, comm_mem)
+            # ``max(resource, precedence, task_mem, comm_mem)`` as a
+            # comparison chain: the same value (the first maximal operand
+            # wins ties), without the builtin's call and iteration.
+            est = resource = state.avail.mins[idx]
+            if precedence > est:
+                est = precedence
+            if task_mem > est:
+                est = task_mem
+            if comm_mem > est:
+                est = comm_mem
             duration = w / state.platform.max_class_speeds[idx]
             proc = -1
         else:
-            floor = max(precedence, task_mem, comm_mem)
+            floor = precedence
+            if task_mem > floor:
+                floor = task_mem
+            if comm_mem > floor:
+                floor = comm_mem
             proc, resource, duration = state._resource_choice(
                 memory, floor, w)
-            est = max(floor, resource)
-        eft = est + duration if math.isfinite(est) else math.inf
-        bd = ESTBreakdown(task, memory, resource, precedence, task_mem,
-                          comm_mem, cmax, est, eft, comm_fit, duration, proc)
+            est = resource if resource > floor else floor
+        eft = est + duration if est != _INF else _INF
+        bd = _new(ESTBreakdown, (task, memory, resource, precedence, task_mem,
+                                 comm_mem, cmax, est, eft, comm_fit, duration,
+                                 proc))
         memo[task] = (version, bd)
         return bd
 

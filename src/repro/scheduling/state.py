@@ -99,6 +99,12 @@ Task = Hashable
 #: The accepted ``comm_policy`` values (:class:`SchedulerState`).
 COMM_POLICIES = ("late", "eager")
 
+_INF = math.inf
+#: Builds the per-commit ``Placement`` and ``CommEvent`` records from a
+#: positional tuple, skipping the NamedTuple-generated ``__new__`` (see
+#: :class:`~repro.scheduling.kernel.ESTBreakdown`).
+_new = tuple.__new__
+
 
 class InfeasibleScheduleError(RuntimeError):
     """The graph cannot be scheduled within the given memory bounds
@@ -166,6 +172,11 @@ class SchedulerState:
         self.comm_policy = comm_policy
         self.kernel = resolve_backend()
         self.memories = platform.memories()
+        # Per class: the indices of every other class, the ones a parent
+        # placed there reaches through a cross-memory transfer.
+        self._other_classes = tuple(
+            tuple(c for c in range(platform.n_classes) if c != ci)
+            for ci in range(platform.n_classes))
         # Per class: True when all its processors share one speed (the
         # min(avail) fast path); heterogeneous classes take the
         # per-processor finish-time path.
@@ -263,8 +274,11 @@ class SchedulerState:
         A single pass over the flat CSR parent arrays fills all k classes
         at once; the result is cached until the task itself commits — once
         a task is ready its parents are all placed, so these values never
-        change.  The ``cross_in`` accumulation is an order-dependent
-        sequential sum, so every evaluation path shares this code.
+        change.  Per parent edge, the parent's own class takes its finish
+        time and every other class its finish plus transfer; each class's
+        ``cross_in`` is an order-dependent sequential sum, kept in parent
+        order, so every evaluation path shares this code.  Only called on
+        ready tasks: every parent has a class.
         """
         parts = self._static.get(task)
         if parts is not None:
@@ -280,23 +294,22 @@ class SchedulerState:
         parent_row = flat.parent_row
         parent_comm = flat.parent_comm
         parent_size = flat.parent_size
+        other_classes = self._other_classes
         for e in range(flat.parent_ptr[row], flat.parent_ptr[row + 1]):
             j = parent_row[e]
             finish = finish_of[j]
             p_idx = memidx_of[j]
+            if finish > prec[p_idx]:
+                prec[p_idx] = finish
             c = parent_comm[e]
             size = parent_size[e]
             late = finish + c
-            for ci in range(k):
-                if ci == p_idx:
-                    if finish > prec[ci]:
-                        prec[ci] = finish
-                else:
-                    if late > prec[ci]:
-                        prec[ci] = late
-                    if c > cmax[ci]:
-                        cmax[ci] = c
-                    cross[ci] += size
+            for ci in other_classes[p_idx]:
+                if late > prec[ci]:
+                    prec[ci] = late
+                if c > cmax[ci]:
+                    cmax[ci] = c
+                cross[ci] += size
         out_total = flat.out_size[row]
         parts = [(prec[ci], cmax[ci], cross[ci], cross[ci] + out_total)
                  for ci in range(k)]
@@ -320,13 +333,17 @@ class SchedulerState:
         ties go to the lowest class index (blue in the dual case).
         ``None`` when no memory is feasible."""
         best: Optional[ESTBreakdown] = None
+        # EFT is inf exactly on infeasible candidates, and ``inf - EPS``
+        # is inf: one comparison skips them and accepts the first
+        # feasible one.
+        best_eft = _INF
         evaluate = self.kernel.evaluate
         for memory in self.memories:
             bd = evaluate(self, task, memory)
-            if not bd.feasible:
-                continue
-            if best is None or bd.eft < best.eft - EPS:
+            eft = bd.eft
+            if eft < best_eft - EPS:
                 best = bd
+                best_eft = eft
         return best
 
     # ------------------------------------------------------------------
@@ -365,8 +382,7 @@ class SchedulerState:
         finish = est + breakdown.duration
         proc = (breakdown.proc if breakdown.proc >= 0
                 else self.choose_proc(memory, est))
-        placement = Placement(task=task, proc=proc, memory=memory,
-                              start=est, finish=finish)
+        placement = _new(Placement, (task, proc, memory, est, finish))
         self.schedule.add(placement)
         self.avail[proc] = finish
 
@@ -386,6 +402,8 @@ class SchedulerState:
             dest.add(out_total, est, None)
 
         late = self.comm_policy == "late"
+        late_start = est - breakdown.cmax
+        comm_fit = breakdown.comm_fit
         order = flat.order
         parent_row = flat.parent_row
         parent_size = flat.parent_size
@@ -406,20 +424,26 @@ class SchedulerState:
                 # share the window [EST - Cmax, EST), clipped to the
                 # producer's finish.  "eager" (ablation): fire as soon as the
                 # destination has room, again no earlier than the producer.
+                # ``max(...)`` as comparison chains (same value, the
+                # first maximal operand wins ties).
                 p_finish = finish_of[j]
                 if late:
                     # EST >= comm_fit + Cmax, but ``EST - Cmax`` can round
                     # to one ulp below comm_fit on fractional times, which
                     # would start the copy inside the still-full segment;
                     # comm_fit is the exact fit breakpoint, so clip to it.
-                    comm_start = max(est - breakdown.cmax, p_finish,
-                                     breakdown.comm_fit)
+                    comm_start = late_start
+                    if p_finish > comm_start:
+                        comm_start = p_finish
+                    if comm_fit > comm_start:
+                        comm_start = comm_fit
                     comm_end = est
                 else:
-                    comm_start = max(breakdown.comm_fit, p_finish)
+                    comm_start = (p_finish if p_finish > comm_fit
+                                  else comm_fit)
                     comm_end = comm_start + parent_comm[e]
-                add_comm(CommEvent(src=order[j], dst=task, start=comm_start,
-                                   finish=comm_end))
+                add_comm(_new(CommEvent, (order[j], task, comm_start,
+                                          comm_end)))
                 if size > 0.0:
                     # Destination copy lives for transfer + execution.
                     dest.add(size, comm_start, finish)
